@@ -3,7 +3,7 @@
 Not a paper artifact — this pins the engineering payoff of the
 sharded fabric: the adversarial ``cache_churn`` scenario trace pushed
 through one scenario-style switch versus 4-shard fabrics in both
-execution modes, all over the columnar ``process_columns`` path (SoA
+execution modes, all over the columnar ``process_batch`` path (SoA
 chunks ride shared memory into the worker processes).
 
 Measured numbers land in ``BENCH_fabric.json`` (with the host core
@@ -42,9 +42,9 @@ def churn_chunks():
 def run_columns(fabric, chunks) -> int:
     total = 0
     for cols in chunks:
-        codes, _ = fabric.process_columns(
+        results = fabric.process_batch(
             cols, now=float(cols.times_s[0]), chunk_size=ADMISSION_CHUNK)
-        total += len(codes)
+        total += len(results.codes)
     return total
 
 

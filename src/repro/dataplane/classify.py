@@ -30,6 +30,7 @@ import numpy as np
 from repro.acam.array import ACAMArray
 from repro.acam.cell import ACAMInterval
 from repro.acam.compiler import tree_paths
+from repro.dataplane.fastpath import PacketBatch, first_appearance_counts
 from repro.energy.ledger import EnergyLedger
 from repro.netfunc.decision_tree import CARTTree
 from repro.packet import Packet
@@ -135,23 +136,25 @@ class ACAMClassifier:
 
     def features_of(self, packet: Packet) -> list[float]:
         """Extract this classifier's feature vector from a packet."""
-        values: list[float] = []
-        for name in self.spec.features:
-            attr = getattr(packet, name, None)
-            if attr is not None and not callable(attr):
-                values.append(float(attr))
-            else:
-                values.append(float(packet.field(name) or 0.0))
-        return values
+        return self.features_of_batch(PacketBatch([packet]))[0].tolist()
 
-    def classify_batch(self, packets: Sequence[Packet]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(class labels, deterministic-match flags) for a chunk."""
-        matrix = np.array([self.features_of(p) for p in packets],
-                          dtype=float)
+    def features_of_batch(self, batch) -> np.ndarray:
+        """The (rows, features) matrix, one column gather per feature."""
+        batch = PacketBatch.of(batch)
+        if not len(batch):
+            return np.zeros((0, len(self.spec.features)))
+        return np.column_stack([batch.feature_column(name)
+                                for name in self.spec.features])
+
+    def classify_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
+        """(class labels, deterministic-match flags) for a chunk.
+
+        ``batch`` is a :class:`PacketBatch` or a packet sequence.
+        """
+        matrix = self.features_of_batch(batch)
         result = self.array.search_batch(matrix)
         deterministic = result.deterministic_mask[
-            np.arange(len(packets)), result.best_rows]
+            np.arange(len(matrix)), result.best_rows]
         return self.labels[result.best_rows], deterministic
 
 
@@ -172,27 +175,31 @@ class ClassificationStage:
     def __init__(self, classifier: ACAMClassifier) -> None:
         self.classifier = classifier
 
-    def span_attributes(self, packets: Sequence[Packet]) -> dict:
-        return {"chunk": len(packets),
+    def span_attributes(self, batch: PacketBatch) -> dict:
+        return {"chunk": len(batch),
                 "rows": self.classifier.array.n_rows}
 
-    def process_batch(self, packets: Sequence[Packet],
-                      ctx: StageContext) -> list[Packet]:
-        packets = list(packets)
-        if not packets:
-            return packets
-        labels, deterministic = self.classifier.classify_batch(packets)
-        ports = list(ctx.columns["egress_port"])
-        port_for_class = self.classifier.port_for_class
-        tally = ctx.tally
-        for offset, label in enumerate(labels):
-            label = int(label)
-            tally.lookup("acam_classifier",
-                         hit=bool(deterministic[offset]),
-                         verdict=str(label))
-            steered = port_for_class.get(label)
-            if steered is not None:
-                ports[offset] = steered
-        ctx.columns["egress_port"] = ports
-        ctx.columns["traffic_class"] = [int(l) for l in labels]
-        return packets
+    def process_batch(self, batch: PacketBatch,
+                      ctx: StageContext) -> PacketBatch:
+        if not len(batch):
+            return batch
+        classifier = self.classifier
+        labels, deterministic = classifier.classify_batch(batch)
+        values = [str(label) for label in classifier.labels.tolist()]
+        row_of_label = {label: i for i, label
+                        in enumerate(classifier.labels.tolist())}
+        codes = np.array([row_of_label[label]
+                          for label in labels.tolist()], dtype=np.intp)
+        ctx.tally.lookups(
+            "acam_classifier", len(batch),
+            int(np.count_nonzero(deterministic)),
+            [(values[code], count)
+             for code, count in first_appearance_counts(codes)])
+        steering = np.array([classifier.port_for_class.get(label, -1)
+                             for label in classifier.labels.tolist()],
+                            dtype=np.intp)[codes]
+        ports = np.asarray(ctx.columns["egress_port"])
+        ctx.columns["egress_port"] = np.where(steering >= 0, steering,
+                                              ports)
+        ctx.columns["traffic_class"] = labels
+        return batch

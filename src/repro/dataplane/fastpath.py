@@ -1,15 +1,13 @@
 """Columnar fast path for the digital match-action stage.
 
-The analog leg of the pipeline was vectorised first (``evaluate_batch``
-/ ``enqueue_batch``); this module gives the *digital* front half the
-same shape, so a chunk of packets is judged by the ACL and the
-forwarding table in whole-batch NumPy passes instead of N interpreted
-lookups:
+The switch moves fixed-width header columns, not per-packet objects:
 
-* :class:`PacketBatch` — a structure-of-arrays view over a packet
-  chunk: the 5-tuple columns are extracted exactly once (with a
-  memoised dotted-quad decoder), then re-used to build the TCAM key
-  matrices for the firewall and the LPM lookup.
+* :class:`PacketBatch` — the structure-of-arrays batch every stage,
+  queue and drain works on.  It wraps the columns of a
+  :class:`~repro.simnet.workloads.ChunkColumns` chunk without copying
+  (the native path), or extracts them once from a sequence of
+  :class:`~repro.packet.Packet` objects (the scalar edge), keeping
+  those objects alongside so the edge gets its own packets back.
 * :class:`FlowCache` — an LRU of digital classification results keyed
   on (flow key, table generation): repeated flows skip classification
   entirely, and any table mutation bumps the generation, so the next
@@ -20,23 +18,28 @@ lookups:
 
 Everything here is a pure re-expression of the scalar reference:
 verdicts, drop reasons and telemetry totals are pinned equal by
-``tests/test_fastpath_equivalence.py``.
+``tests/test_fastpath_equivalence.py`` and
+``tests/test_columns_native.py``.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from collections import Counter, OrderedDict
-from typing import Sequence
+from collections import Counter, OrderedDict, deque
+from itertools import compress, repeat
+from operator import is_not
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.netfunc.firewall import Action
 from repro.observability.tracing import maybe_span
+from repro.dataplane.telemetry import stamp_packet
 from repro.packet import Packet
 from repro.tcam.tcam import key_matrix
 
-__all__ = ["FlowCache", "PacketBatch", "TelemetryTally", "ip_to_u32"]
+__all__ = ["FlowCache", "PacketBatch", "TelemetryTally",
+           "first_appearance_counts", "ip_to_u32"]
 
 #: Bound on the dotted-quad -> uint32 memo (flows repeat; header
 #: variety does not grow without limit in practice, but a rotating
@@ -49,9 +52,12 @@ def ip_to_u32(value: object) -> int:
     """Decode an IPv4 field (dotted quad or int) to a uint32, memoised.
 
     Matches the scalar reference (``int(ipaddress.ip_address(v))``)
-    exactly, including its rejection of malformed addresses; repeated
-    flow keys hit a bounded dictionary instead of re-parsing.
+    exactly, including its rejection of malformed addresses; a plain
+    ``int`` already in range is returned as is, and repeated dotted
+    quads hit a bounded dictionary instead of re-parsing.
     """
+    if type(value) is int and 0 <= value < 1 << 32:
+        return value
     cached = _ip_memo.get(value)
     if cached is not None:
         return cached
@@ -62,68 +68,253 @@ def ip_to_u32(value: object) -> int:
     return decoded
 
 
-class PacketBatch:
-    """Structure-of-arrays view over one chunk of parsed packets.
+def first_appearance_counts(values: np.ndarray) -> list[tuple]:
+    """``(value, count)`` pairs ordered by each value's first row.
 
-    Columns mirror the fields the digital tables consume — the
-    5-tuple as unsigned integer arrays plus a ``has_dst`` mask (the
-    scalar path only consults the forwarding table when ``dst_ip`` is
-    present and truthy).  ``flow_keys[i]`` is the hashable per-packet
-    cache key: the decoded 5-tuple plus the dst-present flag, so a
-    packet with an explicit ``"0.0.0.0"`` destination never shares a
+    The bulk form of counting row by row into a ``Counter``: the pairs
+    come out in the order the per-row loop would have inserted keys.
+    """
+    return list(Counter(values.tolist()).items())
+
+
+def _check_rows(sizes: np.ndarray, priorities: np.ndarray) -> None:
+    """Raise :class:`Packet`'s own ``ValueError`` for the first bad row."""
+    bad = (sizes <= 0) | (priorities < 0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if sizes[row] <= 0:
+            raise ValueError(
+                f"size must be positive: {sizes[row].item()!r}")
+        raise ValueError(
+            f"priority must be >= 0: {priorities[row].item()!r}")
+
+
+#: Columns a batch carries, in wire order (the fabric ships these).
+BATCH_COLUMNS = ("sizes", "flow_ids", "priorities", "times", "src_ip",
+                 "dst_ip", "src_port", "dst_port", "protocol", "has_dst")
+
+#: Packet attribute / header field -> the batch column holding it.
+_FEATURE_COLUMNS = {"size_bytes": "sizes", "priority": "priorities",
+                    "flow_id": "flow_ids", "created_at": "times",
+                    "src_ip": "src_ip", "dst_ip": "dst_ip",
+                    "src_port": "src_port", "dst_port": "dst_port",
+                    "protocol": "protocol"}
+
+
+class PacketBatch:
+    """Structure-of-arrays batch: the unit every stage and queue moves.
+
+    Columns mirror what the tables, queues and drain consume: wire
+    size, flow id, priority and arrival time, the 5-tuple as integer
+    arrays, and a ``has_dst`` mask.  ``has_dst`` follows the scalar
+    reference, which treats a zero destination as absent (the parser
+    and ``Packet`` path test ``bool(dst_ip)``), and ``dst_ip`` reads 0
+    wherever the mask is clear.  ``flow_keys[i]`` is the hashable
+    per-row cache key: the 5-tuple plus the dst-present flag, so a
+    packet with an explicit ``0.0.0.0`` destination never shares a
     cache line with one missing the field.
+
+    Built from a :class:`~repro.simnet.workloads.ChunkColumns` chunk
+    the batch wraps its arrays; built from ``Packet`` objects it
+    extracts them once and keeps the objects in :attr:`packets`, so a
+    queue can hand the very same object back.  The INT columns
+    (``int_port``/``int_depth``/``int_time``) are written once per
+    chunk by the digital MATs; a ``Packet`` materialised from a row
+    (:meth:`packet`) carries the same telemetry trail an object
+    stamped in place would.
+
+    The batch is also a read-only sequence of packets: ``batch[i]`` is
+    the row's object, or a freshly materialised one.
     """
 
-    __slots__ = ("packets", "src_ip", "dst_ip", "src_port", "dst_port",
-                 "protocol", "has_dst", "flow_keys")
+    __slots__ = BATCH_COLUMNS + ("packets", "int_port", "int_depth",
+                                 "int_time", "_flow_keys")
 
-    def __init__(self, packets: Sequence[Packet]) -> None:
-        n = len(packets)
-        self.packets = packets
-        src = np.empty(n, dtype=np.uint64)
-        dst = np.empty(n, dtype=np.uint64)
-        sport = np.empty(n, dtype=np.uint64)
-        dport = np.empty(n, dtype=np.uint64)
-        proto = np.empty(n, dtype=np.uint64)
-        has_dst = np.empty(n, dtype=bool)
-        flow_keys: list[tuple] = []
-        for i, packet in enumerate(packets):
+    def __init__(self, source) -> None:
+        self.packets = None
+        self.int_port = None
+        self.int_depth = None
+        self.int_time = 0.0
+        self._flow_keys = None
+        if hasattr(source, "times_s"):
+            self._wrap_columns(source)
+        else:
+            self._extract(source)
+
+    def _wrap_columns(self, columns) -> None:
+        _check_rows(columns.sizes_bytes, columns.priorities)
+        self.sizes = columns.sizes_bytes
+        self.flow_ids = columns.flow_ids
+        self.priorities = columns.priorities
+        self.times = columns.times_s
+        self.src_ip = columns.src_ip
+        self.src_port = columns.src_port
+        self.dst_port = columns.dst_port
+        self.protocol = columns.protocol
+        present = columns.has_dst & (columns.dst_ip != 0)
+        self.has_dst = present
+        self.dst_ip = columns.dst_ip if present.all() \
+            else np.where(present, columns.dst_ip, np.uint32(0))
+
+    def _extract(self, packets: Sequence[Packet]) -> None:
+        packets = list(packets)
+        src, dst, sport, dport, proto, present = [], [], [], [], [], []
+        for packet in packets:
             fields = packet.fields
             raw_dst = fields.get("dst_ip")
-            present = bool(raw_dst)
-            s = ip_to_u32(fields.get("src_ip", "0.0.0.0"))
-            d = ip_to_u32(raw_dst) if present else 0
-            sp = int(fields.get("src_port", 0))
-            dp = int(fields.get("dst_port", 0))
-            pr = int(fields.get("protocol", 0))
-            src[i], dst[i] = s, d
-            sport[i], dport[i], proto[i] = sp, dp, pr
-            has_dst[i] = present
-            flow_keys.append((s, d, sp, dp, pr, present))
-        self.src_ip = src
-        self.dst_ip = dst
-        self.src_port = sport
-        self.dst_port = dport
-        self.protocol = proto
-        self.has_dst = has_dst
-        self.flow_keys = flow_keys
+            has = bool(raw_dst)
+            src.append(ip_to_u32(fields.get("src_ip", "0.0.0.0")))
+            dst.append(ip_to_u32(raw_dst) if has else 0)
+            sport.append(int(fields.get("src_port", 0)))
+            dport.append(int(fields.get("dst_port", 0)))
+            proto.append(int(fields.get("protocol", 0)))
+            present.append(has)
+        self.packets = packets
+        self.sizes = np.array([p.size_bytes for p in packets])
+        self.flow_ids = np.array([p.flow_id for p in packets])
+        self.priorities = np.array([p.priority for p in packets],
+                                   dtype=np.int64)
+        self.times = np.array([p.created_at for p in packets],
+                              dtype=float)
+        self.src_ip = np.array(src, dtype=np.uint64)
+        self.dst_ip = np.array(dst, dtype=np.uint64)
+        self.src_port = np.array(sport, dtype=np.uint64)
+        self.dst_port = np.array(dport, dtype=np.uint64)
+        self.protocol = np.array(proto, dtype=np.uint64)
+        self.has_dst = np.array(present, dtype=bool)
+
+    @classmethod
+    def of(cls, source) -> "PacketBatch":
+        """``source`` itself when already a batch, else a new batch."""
+        return source if isinstance(source, cls) else cls(source)
+
+    @classmethod
+    def from_arrays(cls, arrays: dict) -> "PacketBatch":
+        """A batch over already-normalised :data:`BATCH_COLUMNS` arrays
+        (e.g. a fabric shard's slice rebuilt from shared memory)."""
+        batch = cls.__new__(cls)
+        for name in BATCH_COLUMNS:
+            setattr(batch, name, arrays[name])
+        batch.packets = None
+        batch.int_port = None
+        batch.int_depth = None
+        batch.int_time = 0.0
+        batch._flow_keys = None
+        return batch
+
+    def arrays(self) -> dict:
+        """The :data:`BATCH_COLUMNS` arrays by name (for shipping)."""
+        return {name: getattr(self, name) for name in BATCH_COLUMNS}
 
     def __len__(self) -> int:
-        return len(self.packets)
+        return len(self.sizes)
 
-    def take(self, indices: Sequence[int]) -> "PacketBatch":
-        """A sub-batch over the given row indices (columns sliced)."""
+    def __getitem__(self, row: int) -> Packet:
+        if self.packets is not None:
+            return self.packets[row]
+        return self.packet(row)
+
+    def __iter__(self):
+        return (self[row] for row in range(len(self)))
+
+    @property
+    def flow_keys(self) -> list[tuple]:
+        """Per-row hashable flow keys, built once per batch."""
+        keys = self._flow_keys
+        if keys is None:
+            keys = self._flow_keys = list(zip(
+                self.src_ip.tolist(), self.dst_ip.tolist(),
+                self.src_port.tolist(), self.dst_port.tolist(),
+                self.protocol.tolist(), self.has_dst.tolist()))
+        return keys
+
+    def _derive(self, pick) -> "PacketBatch":
         sub = PacketBatch.__new__(PacketBatch)
-        index = np.asarray(indices, dtype=np.intp)
-        sub.packets = [self.packets[i] for i in indices]
-        sub.src_ip = self.src_ip[index]
-        sub.dst_ip = self.dst_ip[index]
-        sub.src_port = self.src_port[index]
-        sub.dst_port = self.dst_port[index]
-        sub.protocol = self.protocol[index]
-        sub.has_dst = self.has_dst[index]
-        sub.flow_keys = [self.flow_keys[i] for i in indices]
+        for name in BATCH_COLUMNS:
+            setattr(sub, name, getattr(self, name)[pick])
+        sub.int_port = None if self.int_port is None \
+            else self.int_port[pick]
+        sub.int_depth = None if self.int_depth is None \
+            else self.int_depth[pick]
+        sub.int_time = self.int_time
+        sub._flow_keys = None
         return sub
+
+    def take(self, rows) -> "PacketBatch":
+        """A sub-batch over the given row indices (columns gathered)."""
+        index = np.asarray(rows, dtype=np.intp)
+        sub = self._derive(index)
+        sub.packets = None if self.packets is None \
+            else [self.packets[i] for i in index.tolist()]
+        return sub
+
+    def slice(self, start: int, stop: int) -> "PacketBatch":
+        """A sub-batch over rows ``[start, stop)`` (column views)."""
+        sub = self._derive(slice(start, stop))
+        sub.packets = None if self.packets is None \
+            else self.packets[start:stop]
+        return sub
+
+    def stamp(self, ports: np.ndarray, depths: np.ndarray,
+              now: float) -> None:
+        """Write the INT columns: one egress record per row.
+
+        Rows that entered as packets are stamped in place as well, so
+        the edge sees the trail on its own objects.
+        """
+        self.int_port = ports
+        self.int_depth = depths
+        self.int_time = now
+        if self.packets is not None:
+            for packet, port, depth in zip(self.packets, ports.tolist(),
+                                           depths.tolist()):
+                stamp_packet(packet, f"egress{port}", depth, now)
+
+    def packet(self, row: int) -> Packet:
+        """Materialise one row as a :class:`Packet` (plus its trail)."""
+        fields = {"src_ip": int(self.src_ip[row]),
+                  "src_port": int(self.src_port[row]),
+                  "dst_port": int(self.dst_port[row]),
+                  "protocol": int(self.protocol[row])}
+        if self.has_dst[row]:
+            fields["dst_ip"] = int(self.dst_ip[row])
+        if self.int_port is not None:
+            fields["int_trail"] = [{
+                "component": f"egress{int(self.int_port[row])}",
+                "queue_depth": int(self.int_depth[row]),
+                "timestamp_s": self.int_time}]
+        return Packet(size_bytes=self.sizes[row].item(),
+                      flow_id=self.flow_ids[row].item(),
+                      priority=int(self.priorities[row]), fields=fields,
+                      created_at=float(self.times[row]))
+
+    def mark_dropped(self, rows) -> None:
+        """Flag the given rows' packet objects as dropped (edge only)."""
+        if self.packets is not None:
+            packets = self.packets
+            for row in np.asarray(rows, dtype=np.intp).tolist():
+                packets[row].dropped = True
+
+    def feature_column(self, name: str) -> np.ndarray:
+        """One float feature per row, as the scalar extractor reads it.
+
+        Packet attributes and 5-tuple fields come from their columns;
+        any other header field only exists on packet objects (absent
+        or falsy fields read 0.0, as on the scalar path).
+        """
+        column = _FEATURE_COLUMNS.get(name)
+        if column is not None:
+            return getattr(self, column).astype(float)
+        if self.packets is None:
+            return np.zeros(len(self))
+        values = []
+        for packet in self.packets:
+            attr = getattr(packet, name, None)
+            if attr is not None and not callable(attr):
+                values.append(float(attr))
+            else:
+                values.append(float(packet.field(name) or 0.0))
+        return np.array(values, dtype=float)
 
     def firewall_key_bits(self) -> np.ndarray:
         """The (batch, 104) ACL key matrix: src dst sport dport proto.
@@ -156,6 +347,9 @@ class FlowCache:
             raise ValueError(f"capacity must be >= 1: {capacity!r}")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        #: Interned ``(action, next_hop)`` values: flows with the same
+        #: outcome share one tuple (see :func:`classify_chunk`).
+        self.outcomes: dict[tuple, tuple] = {}
         self._generation: tuple[int, int] | None = None
         self.hits = 0
         self.misses = 0
@@ -164,6 +358,15 @@ class FlowCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def _sync(self, generation: tuple[int, int]) -> None:
+        """Flush (counting one invalidation) on a generation change."""
+        if generation != self._generation:
+            if self._entries:
+                self.invalidations += 1
+                self._entries.clear()
+                self.outcomes.clear()
+            self._generation = generation
+
     def get(self, flow_key: tuple,
             generation: tuple[int, int]) -> tuple | None:
         """The cached (action, next_hop), or None on a miss.
@@ -171,18 +374,26 @@ class FlowCache:
         A generation mismatch counts as an invalidation and empties
         the cache before the probe is answered.
         """
-        if generation != self._generation:
-            if self._entries:
-                self.invalidations += 1
-                self._entries.clear()
-            self._generation = generation
-        entry = self._entries.get(flow_key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(flow_key)
-        self.hits += 1
-        return entry
+        return self.probe([flow_key], generation)[0]
+
+    def probe(self, flow_keys: Sequence[tuple],
+              generation: tuple[int, int]) -> list:
+        """:meth:`get` for each key in order: entries or None.
+
+        The lookups and the LRU touches of the hits (in key order,
+        so the recency order is exactly the per-key loop's) run as
+        C-level ``map`` passes.
+        """
+        self._sync(generation)
+        entries = self._entries
+        found = list(map(entries.get, flow_keys))
+        hit = list(map(is_not, found, repeat(None)))
+        deque(map(entries.move_to_end, compress(flow_keys, hit)),
+              maxlen=0)
+        hits = hit.count(True)
+        self.hits += hits
+        self.misses += len(found) - hits
+        return found
 
     def put(self, flow_key: tuple, generation: tuple[int, int],
             value: tuple) -> None:
@@ -192,21 +403,27 @@ class FlowCache:
         — counted once per flush — so write-first workloads report the
         same invalidation totals as probe-first ones.
         """
-        if generation != self._generation:
-            if self._entries:
-                self.invalidations += 1
-                self._entries.clear()
-            self._generation = generation
-        self._entries[flow_key] = value
-        self._entries.move_to_end(flow_key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self.put_many([(flow_key, value)], generation)
+
+    def put_many(self, items: Iterable[tuple[tuple, tuple]],
+                 generation: tuple[int, int]) -> None:
+        """:meth:`put` for each ``(flow_key, value)`` pair in order."""
+        self._sync(generation)
+        entries = self._entries
+        for key, value in items:
+            entries[key] = value
+            entries.move_to_end(key)
+        # Evicting the oldest once at the end leaves the same entries
+        # as evicting after every insert: the front is always oldest.
+        for _ in range(len(entries) - self.capacity):
+            entries.popitem(last=False)
 
     def clear(self) -> None:
         """Explicitly drop every cached flow."""
         if self._entries:
             self.invalidations += 1
         self._entries.clear()
+        self.outcomes.clear()
         self._generation = None
 
 
@@ -239,6 +456,19 @@ class TelemetryTally:
         if verdict is not None:
             stats[2][verdict] += 1
 
+    def lookups(self, table: str, count: int, hits: int,
+                verdicts: Iterable[tuple[str, int]] = ()) -> None:
+        """Count ``count`` lookups at once; ``verdicts`` are ordered
+        ``(verdict, count)`` pairs (see :func:`first_appearance_counts`)."""
+        stats = self._tables.get(table)
+        if stats is None:
+            stats = [0, 0, Counter()]
+            self._tables[table] = stats
+        stats[0] += count
+        stats[1] += hits
+        for verdict, n in verdicts:
+            stats[2][verdict] += n
+
     def event(self, name: str, count: int = 1) -> None:
         """Count a named event."""
         self._events[name] += count
@@ -262,56 +492,75 @@ class TelemetryTally:
 
 def classify_chunk(batch: PacketBatch, firewall, lookup,
                    cache: FlowCache | None,
-                   tracer=None) -> tuple[list, list]:
-    """Vectorised ACL + LPM classification of one packet chunk.
+                   tracer=None) -> tuple[np.ndarray, list[tuple]]:
+    """Vectorised ACL + LPM classification of one chunk.
 
-    Returns ``(actions, next_hops)`` aligned with the batch.  Flow-
-    cached packets skip the TCAM entirely; the remaining *unique*
-    flows are deduplicated, searched in one firewall pass, and the
-    ACL survivors that carry a destination get one LPM pass.  The
-    lookup for denied or destination-less packets is skipped exactly
-    as the scalar reference skips it.
+    Returns ``(row_entry, entries)``: ``entries`` lists the chunk's
+    distinct ``(action, next_hop)`` outcome objects in order of first
+    appearance and ``row_entry[i]`` indexes row ``i``'s outcome (rows
+    are grouped by object identity, which interning makes coincide
+    with equal outcomes for cached flows).
+    Every row probes the flow cache first (so all rows of a flow new
+    to the chunk count as misses); the unique missing flows are then
+    searched in one firewall pass, the ACL survivors that carry a
+    destination get one LPM pass, and their outcomes are cached.  The lookup for denied or destination-less
+    flows is skipped exactly as the scalar reference skips it.
     """
     n = len(batch)
-    actions: list = [None] * n
-    hops: list = [None] * n
+    keys = batch.flow_keys
     generation = (firewall.generation, lookup.generation)
-    unique_order: list[int] = []          # first row of each new flow
-    unique_of_row: dict[tuple, int] = {}  # flow key -> unique position
-    member_rows: list[list[int]] = []     # unique position -> rows
-    for row, flow_key in enumerate(batch.flow_keys):
-        cached = cache.get(flow_key, generation) if cache is not None \
-            else None
-        if cached is not None:
-            actions[row], hops[row] = cached
-            continue
-        position = unique_of_row.get(flow_key)
-        if position is None:
-            unique_of_row[flow_key] = len(unique_order)
-            unique_order.append(row)
-            member_rows.append([row])
-        else:
-            member_rows[position].append(row)
-    if not unique_order:
-        return actions, hops
-    misses = batch.take(unique_order)
+    found = cache.probe(keys, generation) if cache is not None \
+        else [None] * n
+    # Rows sharing an outcome share its interned tuple: group by id.
+    ids = np.fromiter(map(id, found), dtype=np.int64, count=n)
+    missing = np.flatnonzero(ids == id(None))
+    if len(missing):
+        _classify_misses(batch, missing, found, firewall, lookup, cache,
+                         generation, tracer)
+        ids[missing] = [id(found[row]) for row in missing.tolist()]
+    _, first, inverse = np.unique(ids, return_index=True,
+                                  return_inverse=True)
+    # Number the outcomes in order of their first row.
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], [found[row] for row in first[order].tolist()]
+
+
+def _classify_misses(batch: PacketBatch, missing: np.ndarray,
+                     found: list, firewall, lookup,
+                     cache: FlowCache | None, generation,
+                     tracer) -> None:
+    """Search the chunk's unique missing flows; fill ``found`` in."""
+    keys = batch.flow_keys
+    rows = missing.tolist()
+    # Number the unique missing flows in first-appearance order.
+    position_of: dict[tuple, int] = {}
+    member_of = [position_of.setdefault(keys[row], len(position_of))
+                 for row in rows]
+    _, first = np.unique(member_of, return_index=True)
+    miss_rows = missing[first].tolist()
+    misses = batch.take(miss_rows)
     with maybe_span(tracer, "dataplane.firewall", batch=len(misses)):
         acl = firewall.check_batch(misses.firewall_key_bits())
-    routed_positions = [pos for pos in range(len(misses))
-                        if acl[pos] is not Action.DENY
-                        and misses.has_dst[pos]]
-    routed_hops: list = [None] * len(misses)
-    if routed_positions:
-        with maybe_span(tracer, "dataplane.ip_lookup",
-                        batch=len(routed_positions)):
-            results = lookup.lookup_batch(misses.dst_ip[
-                np.asarray(routed_positions, dtype=np.intp)])
-        for pos, hop in zip(routed_positions, results):
-            routed_hops[pos] = hop
-    for position, rows in enumerate(member_rows):
-        entry = (acl[position], routed_hops[position])
-        if cache is not None:
-            cache.put(misses.flow_keys[position], generation, entry)
-        for row in rows:
-            actions[row], hops[row] = entry
-    return actions, hops
+    deny = Action.DENY
+    has_dst = misses.has_dst.tolist()
+    routed = [pos for pos in range(len(misses))
+              if acl[pos] is not deny and has_dst[pos]]
+    hops: list = [None] * len(misses)
+    if routed:
+        with maybe_span(tracer, "dataplane.ip_lookup", batch=len(routed)):
+            resolved = lookup.lookup_batch(
+                misses.dst_ip[np.asarray(routed, dtype=np.intp)])
+        for pos, hop in zip(routed, resolved):
+            hops[pos] = hop
+    # Intern the outcomes (the cache's table outlives the chunk), so
+    # all flows with one outcome share one tuple.
+    outcomes = cache.outcomes if cache is not None else {}
+    fresh = [outcomes.setdefault(entry, entry)
+             for entry in zip(acl, hops)]
+    if cache is not None:
+        cache.put_many(zip([keys[row] for row in miss_rows], fresh),
+                       generation)
+    for row, position in zip(rows, member_of):
+        found[row] = fresh[position]

@@ -7,11 +7,16 @@ Wires together every block of the proposed architecture:
     Manager (pCAM-based AQM at egress) -> egress queues
 
 as stages on one :class:`repro.runtime.PipelineRuntime`.  Every entry
-point — ``process`` (scalar), ``process_batch`` (columnar),
-``process_frame``/``process_frames`` (wire format) — is a chunk
-through the same engine; the scalar path is literally a batch of one,
-so the paths cannot drift apart.  Cross-cutting concerns (span
-tracing, telemetry flushing, energy attribution) are middleware
+point — ``process_batch`` (columnar: a
+:class:`~repro.simnet.workloads.ChunkColumns` chunk natively, or a
+``Packet`` sequence extracted once at the edge), ``process`` (scalar)
+and ``process_frame``/``process_frames`` (wire format) — is a
+:class:`~repro.dataplane.fastpath.PacketBatch` chunk through the same
+engine; the scalar path is literally a batch of one, so the paths
+cannot drift apart.  Results come back as
+:class:`~repro.dataplane.results.BatchResults` (verdict/port arrays
+that also read as ``ProcessResult`` values).  Cross-cutting concerns
+(span tracing, telemetry flushing, energy attribution) are middleware
 registered once at assembly time; a per-component energy ledger
 attributes each packet's cost to the digital and analog domains.
 """
@@ -20,9 +25,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.control.cognitive import CognitiveNetworkController
-from repro.dataplane.fastpath import FlowCache, TelemetryTally
-from repro.dataplane.results import ProcessResult, Verdict
+from repro.dataplane.fastpath import FlowCache, PacketBatch, TelemetryTally
+from repro.dataplane.results import (
+    VERDICT_CODES,
+    BatchResults,
+    ProcessResult,
+    Verdict,
+)
 from repro.dataplane.stages import (
     DigitalMatsStage,
     EgressStage,
@@ -46,7 +58,8 @@ from repro.runtime import (
 )
 from repro.tcam.mtcam import MemristorTCAM
 
-__all__ = ["AnalogPacketProcessor", "ProcessResult", "Verdict"]
+__all__ = ["AnalogPacketProcessor", "BatchResults", "ProcessResult",
+           "Verdict"]
 
 
 class AnalogPacketProcessor:
@@ -296,7 +309,7 @@ class AnalogPacketProcessor:
         return self.process_frames([frame], now, chunk_size=1)[0]
 
     def process_frames(self, frames: Sequence[bytes], now: float = 0.0,
-                       chunk_size: int = 64) -> list[ProcessResult]:
+                       chunk_size: int = 64) -> BatchResults:
         """Parse and process a burst of wire-format frames.
 
         The whole burst is parsed in one columnar pass (malformed
@@ -305,17 +318,26 @@ class AnalogPacketProcessor:
         :meth:`process_batch`.  Results are returned in frame order.
         """
         self._set_time(now)
+        results = BatchResults.empty(len(frames), [None] * len(frames))
         if self._fused is not None:
-            return self._fused.process_frames(frames, now, chunk_size)
-        results: list[ProcessResult | None] = [None] * len(frames)
-        ctx = StageContext(now, self._emitter(results),
-                           indices=range(len(frames)),
-                           entry_name=None)
-        packets = self.runtime.run_chunk(list(frames), ctx,
-                                         self._frame_stages)
-        self._run_chunks(packets, ctx.columns["index"], now,
-                         chunk_size, results)
-        return results  # type: ignore[return-value]
+            self._fused.process_frames(frames, now, chunk_size, results)
+            return results
+        ctx = StageContext(now, self._emitter(results), entry_name=None)
+        ctx.columns["index"] = np.arange(len(frames))
+        batch = self.runtime.run_chunk(list(frames), ctx,
+                                       self._frame_stages)
+        self._run_parsed(batch, ctx.columns["index"], now, chunk_size,
+                         results)
+        return results
+
+    def _run_parsed(self, batch, index: np.ndarray, now: float,
+                    chunk_size: int, results: BatchResults) -> None:
+        """Chunk the parser's survivors through the match-action walk."""
+        if batch is None or not len(batch):
+            batch = PacketBatch([])
+        for row, packet in zip(index.tolist(), batch.packets):
+            results.packets[row] = packet
+        self._run_chunks(batch, index, now, chunk_size, results)
 
     def process(self, packet: Packet, now: float = 0.0) -> ProcessResult:
         """Run one parsed packet through the match-action pipeline.
@@ -323,63 +345,76 @@ class AnalogPacketProcessor:
         Literally a batch of one through the staged runtime, so the
         scalar and batched paths cannot drift apart.
         """
-        self._set_time(now)
-        if self._fused is not None:
-            return self._fused.process_one(packet, now)
-        results: list[ProcessResult | None] = [None]
-        ctx = StageContext(now, self._emitter(results), indices=[0],
-                           entry_name="dataplane.process")
-        self.runtime.run_chunk([packet], ctx, self._mat_stages)
-        assert results[0] is not None
-        return results[0]
+        return self._process([packet], now, 1, "dataplane.process")[0]
 
-    def process_batch(self, packets: Sequence[Packet], now: float = 0.0,
-                      chunk_size: int = 64) -> list[ProcessResult]:
-        """Run many packets through the pipeline in admission chunks.
+    def process_batch(self, packets, now: float = 0.0,
+                      chunk_size: int = 64) -> BatchResults:
+        """Run a batch through the pipeline in admission chunks.
 
-        Per chunk, the digital match-action tables (ACL, IP lookup)
-        are consulted in whole-batch vectorised TCAM passes over a
-        columnar packet view, with repeated flows answered from the
-        generation-keyed flow cache; egress admission is batched too:
-        all survivors of a chunk bound for the same port are judged by
-        that port's AQM in one vectorised pCAM search against the
-        chunk-start queue state.  Results are returned in input order;
-        ``chunk_size=1`` reproduces :meth:`process` exactly.
+        ``packets`` is a ``ChunkColumns`` chunk (the native path), a
+        :class:`PacketBatch`, or a ``Packet`` sequence (the scalar
+        edge: its columns are extracted once and the objects come back
+        on the results).  Per chunk, the digital match-action tables
+        (ACL, IP lookup) are consulted in whole-batch vectorised TCAM
+        passes, with repeated flows answered from the generation-keyed
+        flow cache; egress admission is batched too: all survivors of
+        a chunk bound for the same port are judged by that port's AQM
+        in one vectorised pCAM search against the chunk-start queue
+        state.  Results are returned in input order; ``chunk_size=1``
+        reproduces :meth:`process` exactly.
         """
-        self._set_time(now)
-        results: list[ProcessResult | None] = [None] * len(packets)
-        if self._fused is not None:
-            self._fused.run_chunks(packets, range(len(packets)), now,
-                                   chunk_size, results)
-        else:
-            self._run_chunks(packets, range(len(packets)), now,
-                             chunk_size, results)
-        return results  # type: ignore[return-value]
+        return self._process(packets, now, chunk_size,
+                             "dataplane.process_batch")
 
-    def _run_chunks(self, packets: Sequence[Packet],
-                    indices: Sequence[int], now: float, chunk_size: int,
-                    results: list[ProcessResult | None]) -> None:
-        """Chunk packets through the match-action stages."""
+    def _process(self, packets, now: float, chunk_size: int,
+                 entry_name: str) -> BatchResults:
+        self._set_time(now)
+        batch = PacketBatch.of(packets)
+        results = BatchResults.empty(
+            len(batch), None if batch.packets is None
+            else list(batch.packets))
+        self._run_chunks(batch, np.arange(len(batch)), now, chunk_size,
+                         results, entry_name)
+        return results
+
+    def _run_chunks(self, batch: PacketBatch, index: np.ndarray,
+                    now: float, chunk_size: int, results: BatchResults,
+                    entry_name: str = "dataplane.process_batch") -> None:
+        """Chunk a batch through the match-action stages."""
         if chunk_size < 1:
             raise ValueError(
                 f"chunk size must be >= 1: {chunk_size!r}")
         emit = self._emitter(results)
-        indices = list(indices)
-        for start in range(0, len(packets), chunk_size):
-            chunk = packets[start:start + chunk_size]
+        fused = self._fused
+        for start in range(0, len(batch), chunk_size):
+            stop = start + chunk_size
+            chunk = batch.slice(start, stop)
+            if fused is not None:
+                fused.run_chunk(chunk, index[start:stop], now, emit)
+                continue
             ctx = StageContext(
-                now, emit,
-                indices=indices[start:start + chunk_size],
-                entry_name="dataplane.process_batch",
+                now, emit, entry_name=entry_name,
                 entry_attributes={"chunk": len(chunk)})
+            ctx.columns["index"] = index[start:stop]
             self.runtime.run_chunk(chunk, ctx, self._mat_stages)
 
-    def _emitter(self, results: list[ProcessResult | None]):
-        """An emit callback recording verdicts into a result slot list."""
-        def emit(index: int, verdict: Verdict, port: int | None = None,
-                 packet: Packet | None = None) -> None:
-            results[index] = self._finish(verdict, port=port,
-                                          packet=packet)
+    def _emitter(self, results: BatchResults):
+        """An emit callback booking verdicts into the result arrays.
+
+        ``rows`` is one absolute index or an index array; counters
+        move once per call.
+        """
+        codes = results.codes
+        ports = results.ports
+        counts = self.verdict_counts
+
+        def emit(rows, verdict: Verdict, port: int | None = None) -> None:
+            codes[rows] = VERDICT_CODES[verdict]
+            if port is not None:
+                ports[rows] = port
+            n = np.size(rows)
+            self.processed += n
+            counts[verdict] += n
         return emit
 
     def _set_time(self, now: float) -> None:
@@ -397,12 +432,6 @@ class AnalogPacketProcessor:
                 break
             served.append(packet)
         return served
-
-    def _finish(self, verdict: Verdict, port: int | None = None,
-                packet: Packet | None = None) -> ProcessResult:
-        self.processed += 1
-        self.verdict_counts[verdict] += 1
-        return ProcessResult(verdict=verdict, port=port, packet=packet)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -2,14 +2,18 @@
 
 Each block of the paper's pipeline — parser, digital match-action
 tables, egress admission — is one :class:`repro.runtime.Stage`
-implementation over a plain list of packets (the columnar
-:class:`~repro.dataplane.fastpath.PacketBatch` view is built inside
-the digital stage, under its span, exactly where the old fused path
-built it).  Stages emit final verdicts through the
-:class:`~repro.runtime.stage.StageContext` and tally telemetry
+implementation over a :class:`~repro.dataplane.fastpath.PacketBatch`
+(the parser alone consumes wire frames and produces the batch).
+Stages emit final verdicts through the
+:class:`~repro.runtime.stage.StageContext` — one ``emit`` per verdict
+kind per chunk, over an index array — and tally telemetry in bulk
 through its per-chunk tally; tracing, flushing, energy attribution
 and supervision are middleware on the composing runtime, not code
 here.
+
+The work of each block lives in a ``*_pass`` function the stage
+wraps, so the fused kernel (:mod:`repro.runtime.compile`) runs the
+very same columnar code without the middleware machinery.
 
 Stages hold a reference to the owning
 :class:`~repro.dataplane.pipeline.AnalogPacketProcessor` and read its
@@ -22,23 +26,125 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.dataplane.fastpath import PacketBatch, classify_chunk
+import numpy as np
+
+from repro.dataplane.fastpath import (
+    PacketBatch,
+    classify_chunk,
+    first_appearance_counts,
+)
 from repro.dataplane.results import DROP_EVENTS, Verdict
-from repro.dataplane.telemetry import stamp_packet
-from repro.dataplane.traffic_manager import Admission
+from repro.dataplane.traffic_manager import ADMISSIONS, Admission
 from repro.netfunc.firewall import Action
-from repro.packet import Packet
 from repro.runtime import StageContext
 
 __all__ = ["ADMISSION_VERDICTS", "DigitalMatsStage", "EgressStage",
-           "ParserStage"]
+           "ParserStage", "egress_pass", "mats_pass", "parse_pass"]
 
-#: Egress admission outcome -> final packet verdict.
-ADMISSION_VERDICTS: dict[Admission, Verdict] = {
-    Admission.QUEUED: Verdict.QUEUED,
-    Admission.AQM_DROP: Verdict.DROPPED_AQM,
-    Admission.OVERFLOW_DROP: Verdict.DROPPED_OVERFLOW,
-}
+_VERDICT_OF = {Admission.QUEUED: Verdict.QUEUED,
+               Admission.AQM_DROP: Verdict.DROPPED_AQM,
+               Admission.OVERFLOW_DROP: Verdict.DROPPED_OVERFLOW}
+#: Egress admission code -> final packet verdict.
+ADMISSION_VERDICTS: tuple[Verdict, ...] = tuple(
+    _VERDICT_OF[admission] for admission in ADMISSIONS)
+
+
+def parse_pass(switch, frames: Sequence[bytes], index: np.ndarray,
+               now: float, tally, emit) -> tuple[PacketBatch, np.ndarray]:
+    """Parse a burst; emit parse drops; the survivors as a batch."""
+    parsed = switch.parser.parse_frames(frames, created_at=now)
+    dropped = [offset for offset, packet in enumerate(parsed)
+               if packet is None]
+    if dropped:
+        tally.event(DROP_EVENTS[Verdict.DROPPED_PARSE], len(dropped))
+        emit(index[dropped], Verdict.DROPPED_PARSE)
+        kept = np.flatnonzero([packet is not None for packet in parsed])
+        index = index[kept]
+    return PacketBatch([p for p in parsed if p is not None]), index
+
+
+def mats_pass(switch, batch: PacketBatch, index: np.ndarray, now: float,
+              tally, emit, tracer=None
+              ) -> tuple[PacketBatch, np.ndarray, np.ndarray]:
+    """ACL + LPM for one chunk: emit its drops, stamp its survivors.
+
+    Returns ``(survivors, their indices, their egress ports)``.  The
+    per-row outcome comes from :func:`classify_chunk` as an index into
+    the chunk's few distinct outcomes (in first-appearance order), so
+    the tallies are sums over outcomes and the verdicts and ports are
+    gathers over that index — no per-row Python.
+    """
+    if not len(batch):
+        return batch, index, np.zeros(0, dtype=np.intp)
+    row_entry, entries = classify_chunk(
+        batch, switch.firewall, switch.lookup, switch.flow_cache, tracer)
+    counts = np.bincount(row_entry, minlength=len(entries)).tolist()
+    default = switch.firewall.default_action
+    deny = Action.DENY
+    ports_by_hop = switch._ports_by_hop
+    acl_verdicts: dict = {}
+    hop_verdicts: dict = {}
+    acl_hits = routed = hop_hits = 0
+    # Per outcome: 0 = ACL drop, 1 = no route, 2 = egress port + 2.
+    kind = []
+    for (action, hop), count in zip(entries, counts):
+        value = action.value
+        acl_verdicts[value] = acl_verdicts.get(value, 0) + count
+        if action is not default:
+            acl_hits += count
+        if action is deny:
+            kind.append(0)
+            continue
+        routed += count
+        if hop is None:
+            kind.append(1)
+            continue
+        hop_hits += count
+        hop_verdicts[hop] = hop_verdicts.get(hop, 0) + count
+        kind.append(ports_by_hop[hop] + 2)
+    tally.lookups("firewall", len(batch), acl_hits, acl_verdicts.items())
+    if routed:
+        tally.lookups("ip_lookup", routed, hop_hits, hop_verdicts.items())
+    row_kind = np.array(kind, dtype=np.intp)[row_entry]
+    # Drop events in the order their first rows appear.
+    for code in sorted({0, 1} & set(kind), key=kind.index):
+        verdict = (Verdict.DROPPED_ACL, Verdict.DROPPED_NO_ROUTE)[code]
+        rows = np.flatnonzero(row_kind == code)
+        tally.event(DROP_EVENTS[verdict], len(rows))
+        batch.mark_dropped(rows)
+        emit(index[rows], verdict)
+    rows = np.flatnonzero(row_kind >= 2)
+    ports = row_kind[rows] - 2
+    survivors = batch if len(rows) == len(batch) else batch.take(rows)
+    if len(rows):
+        manager = switch.traffic_manager
+        backlogs = np.array([manager.backlog(port)
+                             for port in range(manager.n_ports)])
+        survivors.stamp(ports, backlogs[ports], now)
+    return survivors, index[rows], ports
+
+
+def egress_pass(switch, batch: PacketBatch, index: np.ndarray,
+                ports: np.ndarray, now: float, tally, emit) -> None:
+    """Per-port AQM admission of one chunk's survivors.
+
+    Port groups form in first-appearance order (the order each port's
+    AQM draws its uniforms in) and each is judged by one
+    ``enqueue_batch`` call against the chunk-start queue state.
+    """
+    manager = switch.traffic_manager
+    if not len(ports):
+        return
+    for port, _ in first_appearance_counts(ports):
+        rows = np.flatnonzero(ports == port)
+        group = batch if len(rows) == len(batch) else batch.take(rows)
+        codes = manager.enqueue_batch(port, group, now)
+        tally.gauge(f"port{port}.backlog", manager.backlog(port))
+        for code, count in first_appearance_counts(codes):
+            verdict = ADMISSION_VERDICTS[code]
+            if verdict.dropped:
+                tally.event(DROP_EVENTS[verdict], count)
+            emit(index[rows[codes == code]], verdict, port=port)
 
 
 class ParserStage:
@@ -54,27 +160,17 @@ class ParserStage:
         return {"frames": len(frames)}
 
     def process_batch(self, frames: Sequence[bytes],
-                      ctx: StageContext) -> list[Packet]:
-        parsed = self.switch.parser.parse_frames(frames,
-                                                 created_at=ctx.now)
-        indices = ctx.indices
-        survivors: list[Packet] = []
-        kept: list[int] = []
-        for offset, packet in enumerate(parsed):
-            if packet is None:
-                ctx.tally.event(DROP_EVENTS[Verdict.DROPPED_PARSE])
-                ctx.emit(indices[offset], Verdict.DROPPED_PARSE)
-            else:
-                survivors.append(packet)
-                kept.append(indices[offset])
-        ctx.columns["index"] = kept
-        return survivors
+                      ctx: StageContext) -> PacketBatch:
+        batch, ctx.columns["index"] = parse_pass(
+            self.switch, frames, ctx.indices, ctx.now, ctx.tally,
+            ctx.emit)
+        return batch
 
 
 class DigitalMatsStage:
     """ACL + LPM over the memristor TCAMs, one columnar pass per chunk.
 
-    Emits ``DROPPED_ACL``/``DROPPED_NO_ROUTE`` for the packets the
+    Emits ``DROPPED_ACL``/``DROPPED_NO_ROUTE`` for the rows the
     digital tables dispose of, INT-stamps the survivors with their
     egress queue state, and publishes the resolved ``egress_port``
     column for the egress stage.
@@ -86,52 +182,14 @@ class DigitalMatsStage:
     def __init__(self, switch) -> None:
         self.switch = switch
 
-    def span_attributes(self, packets: Sequence[Packet]) -> dict:
-        return {"chunk": len(packets)}
+    def span_attributes(self, batch: PacketBatch) -> dict:
+        return {"chunk": len(batch)}
 
-    def process_batch(self, packets: Sequence[Packet],
-                      ctx: StageContext) -> list[Packet]:
-        switch = self.switch
-        batch = PacketBatch(packets)
-        actions, hops = classify_chunk(
-            batch, switch.firewall, switch.lookup, switch.flow_cache,
-            ctx.tracer)
-        default = switch.firewall.default_action
-        manager = switch.traffic_manager
-        ports_by_hop = switch._ports_by_hop
-        indices = ctx.indices
-        tally = ctx.tally
-        now = ctx.now
-        survivors: list[Packet] = []
-        kept: list[int] = []
-        ports: list[int] = []
-        for offset, packet in enumerate(packets):
-            acl = actions[offset]
-            tally.lookup("firewall", hit=acl is not default,
-                         verdict=acl.value)
-            if acl is Action.DENY:
-                packet.dropped = True
-                tally.event(DROP_EVENTS[Verdict.DROPPED_ACL])
-                ctx.emit(indices[offset], Verdict.DROPPED_ACL,
-                         packet=packet)
-                continue
-            next_hop = hops[offset]
-            tally.lookup("ip_lookup", hit=next_hop is not None,
-                         verdict=next_hop)
-            if next_hop is None:
-                packet.dropped = True
-                tally.event(DROP_EVENTS[Verdict.DROPPED_NO_ROUTE])
-                ctx.emit(indices[offset], Verdict.DROPPED_NO_ROUTE,
-                         packet=packet)
-                continue
-            port = ports_by_hop[next_hop]
-            stamp_packet(packet, f"egress{port}", manager.backlog(port),
-                         now)
-            survivors.append(packet)
-            kept.append(indices[offset])
-            ports.append(port)
-        ctx.columns["index"] = kept
-        ctx.columns["egress_port"] = ports
+    def process_batch(self, batch: PacketBatch,
+                      ctx: StageContext) -> PacketBatch:
+        survivors, ctx.columns["index"], ctx.columns["egress_port"] = \
+            mats_pass(self.switch, batch, ctx.indices, ctx.now,
+                      ctx.tally, ctx.emit, ctx.tracer)
         return survivors
 
 
@@ -150,27 +208,15 @@ class EgressStage:
     def __init__(self, switch) -> None:
         self.switch = switch
 
-    def span_attributes(self, packets: Sequence[Packet]) -> dict:
-        return {"chunk": len(packets)}
+    def span_attributes(self, batch: PacketBatch) -> dict:
+        return {"chunk": len(batch)}
 
-    def process_batch(self, packets: Sequence[Packet],
-                      ctx: StageContext) -> list[Packet]:
-        manager = self.switch.traffic_manager
-        indices = ctx.indices
-        ports = ctx.columns["egress_port"]
-        tally = ctx.tally
-        staged: dict[int, list[tuple[int, Packet]]] = {}
-        for index, packet, port in zip(indices, packets, ports):
-            staged.setdefault(port, []).append((index, packet))
-        for port, entries in staged.items():
-            outcomes = manager.enqueue_batch(
-                port, [packet for _, packet in entries], ctx.now)
-            tally.gauge(f"port{port}.backlog", manager.backlog(port))
-            for (index, packet), outcome in zip(entries, outcomes):
-                verdict = ADMISSION_VERDICTS[outcome]
-                if verdict.dropped:
-                    tally.event(DROP_EVENTS[verdict])
-                ctx.emit(index, verdict, port=port, packet=packet)
-        ctx.columns["index"] = []
-        ctx.columns["egress_port"] = []
+    def process_batch(self, batch: PacketBatch,
+                      ctx: StageContext) -> list:
+        egress_pass(self.switch, batch, ctx.indices,
+                    ctx.columns["egress_port"], ctx.now, ctx.tally,
+                    ctx.emit)
+        empty = np.zeros(0, dtype=np.intp)
+        ctx.columns["index"] = empty
+        ctx.columns["egress_port"] = empty
         return []

@@ -8,11 +8,12 @@ multiprocessing execution mode that runs shards in separate processes
 over shared-memory columns.  See DESIGN.md §14.
 """
 
+from repro.dataplane.results import VERDICTS
 from repro.fabric.controller import FabricController
 from repro.fabric.fabric import SwitchFabric
 from repro.fabric.rss import SYMMETRIC_RSS_KEY, ToeplitzRSS
 from repro.fabric.scenario import build_fabric, fabric_scenario_factory
-from repro.fabric.shards import FABRIC_OPS, VERDICTS, InProcessShard
+from repro.fabric.shards import FABRIC_OPS, InProcessShard
 from repro.fabric.workers import WorkerShard
 
 __all__ = [

@@ -39,26 +39,25 @@ import time
 import numpy as np
 
 from repro.dataplane.fastpath import PacketBatch
-from repro.dataplane.results import ProcessResult, Verdict
+from repro.dataplane.results import (
+    VERDICTS,
+    BatchResults,
+    ProcessResult,
+    Verdict,
+)
+from repro.dataplane.traffic_manager import serve_each, spend_credit
 from repro.fabric.controller import FabricController
 from repro.fabric.rss import ToeplitzRSS
 from repro.fabric.shards import (
-    VERDICTS,
     InProcessShard,
     merge_ledgers,
     merge_telemetry,
 )
 from repro.fabric.workers import WorkerShard
-from repro.simnet.workloads import ChunkColumns
 
 __all__ = ["SwitchFabric"]
 
 _MODES = ("in_process", "multiprocessing")
-
-#: ChunkColumns field order — scatter slices all of them per shard.
-_COLUMN_FIELDS = ("times_s", "sizes_bytes", "flow_ids", "priorities",
-                  "src_ip", "dst_ip", "src_port", "dst_port",
-                  "protocol", "has_dst")
 
 
 class _MergedFlowCacheView:
@@ -137,91 +136,52 @@ class SwitchFabric:
         return shard_ids
 
     # ------------------------------------------------------------------
-    # Packet-object path
+    # Data path
     # ------------------------------------------------------------------
     def process(self, packet, now: float = 0.0) -> ProcessResult:
         """Steer and process one packet."""
         return self.process_batch([packet], now=now)[0]
 
     def process_batch(self, packets, now: float = 0.0,
-                      chunk_size: int = 4096) -> list[ProcessResult]:
+                      chunk_size: int = 4096) -> BatchResults:
         """Steer and process a batch, results in input order.
 
-        The batch is cut at the *serial* chunk boundaries first; each
-        chunk is then scattered across the shards and gathered back
-        before the next chunk starts, exactly mirroring the serial
-        admission loop.
+        ``packets`` is a ``ChunkColumns`` chunk, a
+        :class:`~repro.dataplane.fastpath.PacketBatch` or a ``Packet``
+        sequence; either way its columns are built once, steered, and
+        each shard gets its row slice (over shared memory in
+        multiprocessing mode).  The batch is cut at the *serial* chunk
+        boundaries first; each chunk is then scattered across the
+        shards and gathered back before the next chunk starts, exactly
+        mirroring the serial admission loop.  Verdict codes index
+        :data:`~repro.dataplane.results.VERDICTS`; ports are ``int16``
+        with ``-1`` for no egress.
         """
-        packets = list(packets)
-        results: list[ProcessResult | None] = [None] * len(packets)
+        batch = PacketBatch.of(packets)
+        results = BatchResults.empty(
+            len(batch), None if batch.packets is None
+            else list(batch.packets))
         step = max(int(chunk_size), 1)
-        for start in range(0, len(packets), step):
-            chunk = packets[start:start + step]
-            batch = PacketBatch(chunk)
-            shard_ids = self._steer(batch.src_ip, batch.dst_ip,
-                                    batch.src_port, batch.dst_port)
-            self._dispatch_packets(chunk, shard_ids, now, results, start)
-        return results  # type: ignore[return-value]
+        for start in range(0, len(batch), step):
+            chunk = batch.slice(start, start + step)
+            shard_ids = self._steer(chunk.src_ip, chunk.dst_ip,
+                                    chunk.src_port, chunk.dst_port)
+            self._dispatch(chunk, shard_ids, now, results, start)
+        return results
 
-    def _dispatch_packets(self, chunk, shard_ids, now, results,
-                          base: int) -> None:
-        groups: dict[int, list[int]] = {}
-        for row, shard in enumerate(shard_ids.tolist()):
-            groups.setdefault(shard, []).append(row)
+    def _dispatch(self, chunk: PacketBatch, shard_ids: np.ndarray,
+                  now: float, results: BatchResults, base: int) -> None:
+        rows_of = [(int(shard), np.flatnonzero(shard_ids == shard))
+                   for shard in np.unique(shard_ids)]
         with self._lock:
-            for shard, rows in groups.items():
-                self.shards[shard].begin_packets(
-                    [chunk[r] for r in rows], now)
-            for shard, rows in groups.items():
+            for shard, rows in rows_of:
+                self.shards[shard].begin(
+                    chunk if len(rows) == len(chunk)
+                    else chunk.take(rows), now)
+            for shard, rows in rows_of:
                 codes, ports = self.shards[shard].finish()
-                for row, code, port in zip(rows, codes.tolist(),
-                                           ports.tolist()):
-                    results[base + row] = ProcessResult(
-                        verdict=VERDICTS[code],
-                        port=None if port < 0 else int(port),
-                        packet=chunk[row])
-
-    # ------------------------------------------------------------------
-    # Columnar path
-    # ------------------------------------------------------------------
-    def process_columns(self, columns: ChunkColumns, now: float = 0.0,
-                        chunk_size: int | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Steer and process SoA columns; (verdict codes, ports).
-
-        Verdict codes index :data:`~repro.fabric.shards.VERDICTS`;
-        ports are ``int16`` with ``-1`` for no egress.  In
-        multiprocessing mode each shard's row slice crosses the
-        process boundary through shared memory.
-        """
-        n = len(columns.times_s)
-        codes = np.zeros(n, dtype=np.uint8)
-        ports = np.full(n, -1, dtype=np.int16)
-        step = max(int(chunk_size), 1) if chunk_size else max(n, 1)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            sl = slice(start, stop)
-            shard_ids = self._steer(columns.src_ip[sl], columns.dst_ip[sl],
-                                    columns.src_port[sl],
-                                    columns.dst_port[sl])
-            self._dispatch_columns(columns, sl, shard_ids, now,
-                                   codes, ports)
-        return codes, ports
-
-    def _dispatch_columns(self, columns, sl, shard_ids, now,
-                          codes, ports) -> None:
-        rows_of: dict[int, np.ndarray] = {
-            int(shard): np.flatnonzero(shard_ids == shard)
-            for shard in np.unique(shard_ids)}
-        with self._lock:
-            for shard, rows in rows_of.items():
-                sub = {name: getattr(columns, name)[sl][rows]
-                       for name in _COLUMN_FIELDS}
-                self.shards[shard].begin_columns(sub, now)
-            for shard, rows in rows_of.items():
-                shard_codes, shard_ports = self.shards[shard].finish()
-                codes[sl.start + rows] = shard_codes
-                ports[sl.start + rows] = shard_ports
+                results.codes[base + rows] = codes
+                results.ports[base + rows] = ports
 
     # ------------------------------------------------------------------
     # Transactions (driven by the controller)
@@ -341,6 +301,47 @@ class SwitchFabric:
     # ------------------------------------------------------------------
     # Egress service
     # ------------------------------------------------------------------
+    def serve(self, port: int, credit: float, now: float) -> float:
+        """Serve a fabric port with ``credit`` bytes; the credit left.
+
+        Bit-identical to :func:`~repro.dataplane.traffic_manager.
+        serve_each` over :meth:`dequeue`: every shard reports its
+        queued head sizes, the fabric lays them out in its round-robin
+        visiting order from the port's cursor (round r visits each
+        non-empty shard once), cuts that order with
+        :func:`~repro.dataplane.traffic_manager.spend_credit`, tells
+        each shard how many rows to serve, and moves the cursor past
+        the last shard served.  While any shard's AQM may drop at the
+        head, the per-packet loop runs instead.
+        """
+        if not credit > 0.0:
+            return credit
+        with self._lock:
+            queued = [shard.queued(port, credit) for shard in self.shards]
+            if not all(replays for replays, _ in queued):
+                return serve_each(lambda: self._dequeue(port, now),
+                                  credit)
+            sizes = [part for _, part in queued]
+            shard_of = np.concatenate(
+                [np.full(len(part), shard) for shard, part
+                 in enumerate(sizes)])
+            rank = np.concatenate([np.arange(len(part))
+                                   for part in sizes])
+            visit = (shard_of - self._dequeue_cursor[port]) \
+                % self.n_shards
+            order = np.lexsort((visit, rank))
+            served, left = spend_credit(credit,
+                                        np.concatenate(sizes)[order])
+            counts = np.bincount(shard_of[order[:served]],
+                                 minlength=self.n_shards)
+            for shard, count in enumerate(counts.tolist()):
+                if count:
+                    self.shards[shard].serve(port, count, now)
+            if served:
+                self._dequeue_cursor[port] = \
+                    (int(shard_of[order[served - 1]]) + 1) % self.n_shards
+            return left
+
     def dequeue(self, port: int, now: float):
         """Serve one packet from a fabric port.
 
@@ -348,16 +349,18 @@ class SwitchFabric:
         across calls) so no shard's queue starves the others.
         """
         with self._lock:
-            cursor = self._dequeue_cursor[port]
-            for step in range(self.n_shards):
-                shard = (cursor + step) % self.n_shards
-                packet = self.shards[shard].dequeue(port, now)
-                if packet is not None:
-                    self._dequeue_cursor[port] = \
-                        (shard + 1) % self.n_shards
-                    return packet
-            self._dequeue_cursor[port] = cursor
-            return None
+            return self._dequeue(port, now)
+
+    def _dequeue(self, port: int, now: float):
+        cursor = self._dequeue_cursor[port]
+        for step in range(self.n_shards):
+            shard = (cursor + step) % self.n_shards
+            packet = self.shards[shard].dequeue(port, now)
+            if packet is not None:
+                self._dequeue_cursor[port] = (shard + 1) % self.n_shards
+                return packet
+        self._dequeue_cursor[port] = cursor
+        return None
 
     def drain(self, port: int, now: float, limit: int | None = None
               ) -> list:

@@ -4,19 +4,23 @@ A *shard* is one full ``build_switch`` product — its own runtime,
 flow cache, energy ledger and telemetry domain — hidden behind a
 small command surface the fabric drives:
 
-* ``begin_packets`` / ``begin_columns`` then ``finish`` — process one
-  sub-chunk (always as a single admission chunk; the fabric chunks at
-  serial boundaries *before* scattering, which is what keeps dedup
-  sets, cache sequences and energy multisets identical to the serial
-  walk);
+* ``begin`` then ``finish`` — process one sub-chunk of a
+  :class:`~repro.dataplane.fastpath.PacketBatch` (always as a single
+  admission chunk; the fabric chunks at serial boundaries *before*
+  scattering, which is what keeps dedup sets, cache sequences and
+  energy multisets identical to the serial walk);
 * ``stage`` / ``flip`` — the two phases of a transactional fabric
   programming;
-* ``snapshot`` / ``extremes`` / ``dequeue`` — observability and
-  egress service.
+* ``snapshot`` / ``extremes`` — observability;
+* ``queued`` / ``serve`` / ``dequeue`` — egress service: the fabric
+  reads each shard's queued sizes for a port, computes its
+  round-robin interleave under the byte credit, and tells each shard
+  how many rows to serve (``dequeue`` is the per-packet reference,
+  used while a port's AQM may drop at the head).
 
 Everything a shard sends back is plain data (verdict codes, port
-integers, picklable snapshots), so the in-process shard here and the
-worker-process shard in :mod:`repro.fabric.workers` are
+integers, size arrays, picklable snapshots), so the in-process shard
+here and the worker-process shard in :mod:`repro.fabric.workers` are
 interchangeable behind the same protocol.
 """
 
@@ -24,25 +28,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataplane.results import ProcessResult, Verdict
 from repro.energy.ledger import EnergyLedger
-from repro.simnet.workloads import ChunkColumns
 
 __all__ = [
     "FABRIC_OPS",
     "InProcessShard",
-    "VERDICTS",
     "apply_op",
     "extremes_of",
     "merge_telemetry",
-    "process_columns_on",
-    "process_packets_on",
+    "process_on",
+    "queued_on",
     "snapshot_of",
 ]
-
-#: Stable verdict order: a verdict's wire code is its index here.
-VERDICTS: tuple[Verdict, ...] = tuple(Verdict)
-_CODE_OF: dict[Verdict, int] = {v: i for i, v in enumerate(VERDICTS)}
 
 #: Programming operations the fabric controller may stage.  Every op
 #: is a picklable ``(name, args)`` pair applied identically on every
@@ -87,41 +84,20 @@ def apply_op(processor, op: tuple[str, tuple]) -> None:
 # ----------------------------------------------------------------------
 # Processing kernels (one code path for both modes)
 # ----------------------------------------------------------------------
-def _encode(results) -> tuple[np.ndarray, np.ndarray]:
-    codes = np.fromiter((_CODE_OF[r.verdict] for r in results),
-                        dtype=np.uint8, count=len(results))
-    ports = np.fromiter((-1 if r.port is None else r.port
-                         for r in results),
-                        dtype=np.int16, count=len(results))
-    return codes, ports
+def process_on(processor, batch, now: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Run one sub-chunk as a single admission chunk; (codes, ports)."""
+    results = processor.process_batch(batch, now=now,
+                                      chunk_size=max(len(batch), 1))
+    return results.codes, results.ports
 
 
-def process_packets_on(processor, packets, now: float
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one sub-chunk of packets as a single admission chunk."""
-    results = processor.process_batch(packets, now=now,
-                                      chunk_size=max(len(packets), 1))
-    return _encode(results)
-
-
-def process_columns_on(processor, columns: dict, now: float
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one sub-chunk of SoA columns as a single admission chunk.
-
-    ``columns`` maps the :class:`~repro.simnet.workloads.ChunkColumns`
-    schema to row-sliced arrays; materialisation goes through
-    ``ChunkColumns.to_packets`` so a scattered chunk builds exactly
-    the packets the serial walk would have built.
-    """
-    packets = ChunkColumns(**columns).to_packets()
-    return process_packets_on(processor, packets, now)
-
-
-def decode_results(codes: np.ndarray, ports: np.ndarray) -> list:
-    """Wire codes back to :class:`ProcessResult` values."""
-    return [ProcessResult(verdict=VERDICTS[code],
-                          port=None if port < 0 else int(port))
-            for code, port in zip(codes.tolist(), ports.tolist())]
+def queued_on(processor, port: int, limit: float
+              ) -> tuple[bool, np.ndarray]:
+    """(whether the port replays dequeues, its queued head sizes)."""
+    manager = processor.traffic_manager
+    return (manager.replays_dequeues(port),
+            manager.queued_sizes(port, limit))
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +194,8 @@ class InProcessShard:
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- processing ----------------------------------------------------
-    def begin_packets(self, packets, now: float) -> None:
-        self._pending = process_packets_on(self.processor, packets, now)
-
-    def begin_columns(self, columns: dict, now: float) -> None:
-        self._pending = process_columns_on(self.processor, columns, now)
+    def begin(self, batch, now: float) -> None:
+        self._pending = process_on(self.processor, batch, now)
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         if self._pending is None:
@@ -252,6 +225,13 @@ class InProcessShard:
 
     def extremes(self) -> tuple[float, float, int]:
         return extremes_of(self.processor)
+
+    def queued(self, port: int, limit: float
+               ) -> tuple[bool, np.ndarray]:
+        return queued_on(self.processor, port, limit)
+
+    def serve(self, port: int, count: int, now: float) -> None:
+        self.processor.traffic_manager.serve_count(port, count, now)
 
     def dequeue(self, port: int, now: float):
         return self.processor.traffic_manager.dequeue(port, now)

@@ -12,11 +12,15 @@ Transport choices, in order of what matters:
   switch spec (and possibly an RNG seed recipe); fork inherits it
   without pickling.
 * **SoA columns ride shared memory** — a scatter materialises each
-  shard's row slice into one ``multiprocessing.shared_memory`` block
-  (column-major: contiguous per-column segments described by a small
-  ``(name, dtype, length, offset)`` manifest sent over the pipe).
-  Only verdict codes (1 byte/packet) and egress ports (2 B/packet)
-  come back.
+  shard's row slice of the batch into one ``multiprocessing.shared_memory``
+  block (column-major: contiguous per-column segments described by a
+  small ``(name, dtype, length, offset)`` manifest sent over the
+  pipe).  Only verdict codes (1 byte/packet) and egress ports
+  (2 B/packet) come back.
+* **Egress is one round trip per shard and port per drain** — the
+  fabric asks for the queued head sizes, then sends a one-way
+  ``serve`` count the worker applies before its next command (the
+  pipe is FIFO, so ordering holds without a reply).
 * **workers copy, parents unlink** — a worker ``np.frombuffer().copy()``s
   its columns and closes the block immediately; the parent unlinks
   after ``finish`` so no segment outlives its chunk.
@@ -32,13 +36,14 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
+from repro.dataplane.fastpath import PacketBatch
 from repro.fabric.shards import (
-    process_columns_on,
-    process_packets_on,
-    snapshot_of,
-    extremes_of,
-    apply_op,
     FABRIC_OPS,
+    apply_op,
+    extremes_of,
+    process_on,
+    queued_on,
+    snapshot_of,
 )
 
 __all__ = ["WorkerShard"]
@@ -94,14 +99,11 @@ def _worker_main(conn, shard_factory) -> None:
     while True:
         command = conn.recv()
         kind = command[0]
-        if kind == "packets":
-            _, packets, now = command
-            codes, ports = process_packets_on(processor, packets, now)
-            conn.send((codes.tobytes(), ports.tobytes()))
-        elif kind == "columns":
+        if kind == "batch":
             _, shm_name, manifest, now = command
-            columns = columns_from_shm(shm_name, manifest)
-            codes, ports = process_columns_on(processor, columns, now)
+            batch = PacketBatch.from_arrays(
+                columns_from_shm(shm_name, manifest))
+            codes, ports = process_on(processor, batch, now)
             conn.send((codes.tobytes(), ports.tobytes()))
         elif kind == "stage":
             staged.extend(command[1])
@@ -115,6 +117,12 @@ def _worker_main(conn, shard_factory) -> None:
             conn.send(snapshot_of(processor))
         elif kind == "extremes":
             conn.send(extremes_of(processor))
+        elif kind == "queued":
+            _, port, limit = command
+            conn.send(queued_on(processor, port, limit))
+        elif kind == "serve":  # one-way: no reply
+            _, port, count, now = command
+            processor.traffic_manager.serve_count(port, count, now)
         elif kind == "dequeue":
             _, port, now = command
             conn.send(processor.traffic_manager.dequeue(port, now))
@@ -157,14 +165,10 @@ class WorkerShard:
         self._in_flight = False
 
     # -- processing ----------------------------------------------------
-    def begin_packets(self, packets, now: float) -> None:
-        self._conn.send(("packets", packets, now))
-        self._in_flight = True
-
-    def begin_columns(self, columns: dict, now: float) -> None:
-        shm, manifest = columns_to_shm(columns)
+    def begin(self, batch, now: float) -> None:
+        shm, manifest = columns_to_shm(batch.arrays())
         self._pending_shm = shm
-        self._conn.send(("columns", shm.name, manifest, now))
+        self._conn.send(("batch", shm.name, manifest, now))
         self._in_flight = True
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
@@ -205,6 +209,14 @@ class WorkerShard:
     def extremes(self) -> tuple[float, float, int]:
         self._conn.send(("extremes",))
         return self._conn.recv()
+
+    def queued(self, port: int, limit: float
+               ) -> tuple[bool, np.ndarray]:
+        self._conn.send(("queued", port, limit))
+        return self._conn.recv()
+
+    def serve(self, port: int, count: int, now: float) -> None:
+        self._conn.send(("serve", port, count, now))
 
     def dequeue(self, port: int, now: float):
         self._conn.send(("dequeue", port, now))

@@ -9,6 +9,13 @@ and the paper's pCAM-based analog AQM — implements the same two hooks:
   head of line; returning True discards it instead of serving it
   (CoDel style).
 
+Both have batch forms.  ``on_enqueue_batch`` judges a whole batch of
+arrivals (a packet sequence, or a columnar batch exposing at least a
+``priorities`` column and iterating as packets).  A line-rate drain
+that knows no head drop can happen — :attr:`replays_dequeues` —
+serves by byte credit alone and then replays the served sojourns, in
+order, through ``on_dequeue_batch``.
+
 The queue exposes itself to the algorithm through the narrow
 :class:`QueueView` protocol so AQMs cannot reach into scheduling
 internals.
@@ -70,10 +77,13 @@ class AQMAlgorithm(abc.ABC):
                          queue: QueueView, now: float) -> np.ndarray:
         """Per-packet drop verdicts for a chunk of arrivals.
 
-        The default consults :meth:`on_enqueue` packet by packet;
+        The default consults :meth:`on_enqueue` packet by packet (and
+        skips the walk when that hook is the never-dropping default);
         batch-capable algorithms (the pCAM AQM) override this with a
         vectorised evaluation.
         """
+        if type(self).on_enqueue is AQMAlgorithm.on_enqueue:
+            return np.zeros(len(packets), dtype=bool)
         return np.array([self.on_enqueue(packet, queue, now)
                          for packet in packets], dtype=bool)
 
@@ -81,6 +91,25 @@ class AQMAlgorithm(abc.ABC):
                    now: float, sojourn_s: float) -> bool:
         """Return True to discard the head packet instead of serving it."""
         return False
+
+    @property
+    def replays_dequeues(self) -> bool:
+        """True when :meth:`on_dequeue` never drops and reads only the
+        sojourn, so a drain may serve by credit first and replay the
+        sojourns afterwards (:meth:`on_dequeue_batch`).
+
+        Holds by default only for algorithms that keep the inert base
+        :meth:`on_dequeue`; an override must opt in explicitly.
+        """
+        return type(self).on_dequeue is AQMAlgorithm.on_dequeue
+
+    def on_dequeue_batch(self, sojourns: np.ndarray, queue: QueueView,
+                         now: float) -> None:
+        """Replay the sojourns of packets a drain served, in order.
+
+        Only called while :attr:`replays_dequeues` holds; the base
+        :meth:`on_dequeue` has nothing to learn from them.
+        """
 
     def reset(self) -> None:
         """Clear any controller state between runs."""

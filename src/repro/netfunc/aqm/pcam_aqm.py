@@ -366,10 +366,17 @@ class PCAMAQM(AQMAlgorithm):
         if self.output_monitor is not None:
             self.output_monitor(batch, pdps)
         if priorities is not None:
-            weights = np.array([self.priority_weights.get(int(p), 1.0)
-                                for p in np.atleast_1d(priorities)])
-            pdps = pdps * weights
+            pdps = pdps * self._priority_weights(priorities)
         return pdps
+
+    def _priority_weights(self, priorities) -> np.ndarray:
+        """Per-packet drop weights: ``priority_weights`` or 1.0."""
+        classes = np.atleast_1d(np.asarray(priorities)).astype(
+            np.int64, copy=False)
+        weights = np.ones(classes.shape[0])
+        for priority, weight in self.priority_weights.items():
+            weights[classes == priority] = weight
+        return weights
 
     def enable_compiled_lane(self) -> bool:
         """Opt in to folded uniform admission (the compiler's hook).
@@ -426,10 +433,7 @@ class PCAMAQM(AQMAlgorithm):
         self.evaluations += n
         self._charge_searches(n)
         self.last_pdp = pdp
-        pdps = np.full(n, pdp)
-        weights = np.array([self.priority_weights.get(int(p), 1.0)
-                            for p in priorities])
-        return pdps * weights
+        return np.full(n, pdp) * self._priority_weights(priorities)
 
     def pdp(self, queue: QueueView, now: float) -> float:
         """Evaluate the pipeline: the raw Packet Drop Probability."""
@@ -535,7 +539,9 @@ class PCAMAQM(AQMAlgorithm):
         if queue.backlog_packets <= 2:
             return np.zeros(n, dtype=bool)
         raw = self._raw_features(queue, now)
-        priorities = np.array([packet.priority for packet in packets])
+        priorities = getattr(packets, "priorities", None)
+        if priorities is None:
+            priorities = np.array([packet.priority for packet in packets])
         pdps = None
         if self._compiled_lane:
             pdps = self._folded_drop_probabilities(raw, n, priorities)
@@ -547,8 +553,11 @@ class PCAMAQM(AQMAlgorithm):
         self._maybe_adapt(now)
         congested = self.drop_decisions(pdps)
         drops = np.array(congested, dtype=bool)
-        if self.ecn_enabled:
-            for index, packet in enumerate(packets):
+        # Columns carry no ``ect`` field: only packet objects can be
+        # ECN-capable, so a column-native batch is never marked.
+        objects = getattr(packets, "packets", packets)
+        if self.ecn_enabled and objects is not None:
+            for index, packet in enumerate(objects):
                 if drops[index] and packet.field("ect", False):
                     # Congestion Experienced: signal, don't discard.
                     packet.fields["ce"] = True
@@ -561,11 +570,22 @@ class PCAMAQM(AQMAlgorithm):
         # Never drops at the head; just tracks the measured delay for
         # the adaptation controller.
         """Track the measured delay EWMA (never drops at head)."""
-        if self._delay_ewma is None:
-            self._delay_ewma = sojourn_s
-        else:
-            self._delay_ewma += 0.05 * (sojourn_s - self._delay_ewma)
+        self.on_dequeue_batch(np.array([sojourn_s]), queue, now)
         return False
+
+    #: :meth:`on_dequeue` never drops and reads only the sojourn.
+    replays_dequeues = True
+
+    def on_dequeue_batch(self, sojourns: np.ndarray, queue: QueueView,
+                         now: float) -> None:
+        """Fold served sojourns into the delay EWMA, in order."""
+        ewma = self._delay_ewma
+        for sojourn in sojourns.tolist():
+            if ewma is None:
+                ewma = sojourn
+            else:
+                ewma += 0.05 * (sojourn - ewma)
+        self._delay_ewma = ewma
 
     @property
     def delay_ewma_s(self) -> float:

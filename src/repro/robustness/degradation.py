@@ -286,6 +286,18 @@ class DegradingAQM(AQMAlgorithm):
             return self.fallback.on_dequeue(packet, queue, now, sojourn_s)
         return self.analog.on_dequeue(packet, queue, now, sojourn_s)
 
+    @property
+    def replays_dequeues(self) -> bool:
+        """Whether the path now serving (analog or CoDel) is replayable."""
+        active = self.fallback if self.degraded else self.analog
+        return active.replays_dequeues
+
+    def on_dequeue_batch(self, sojourns: np.ndarray, queue: QueueView,
+                         now: float) -> None:
+        self._now = now
+        active = self.fallback if self.degraded else self.analog
+        active.on_dequeue_batch(sojourns, queue, now)
+
     def reset(self) -> None:
         """Reset both paths and return to analog service."""
         self.analog.reset()

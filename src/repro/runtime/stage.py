@@ -37,6 +37,10 @@ class NullTally:
                verdict: str | None = None) -> None:
         """Discard one table-lookup record."""
 
+    def lookups(self, table: str, count: int, hits: int,
+                verdicts=()) -> None:
+        """Discard a bulk table-lookup record."""
+
     def event(self, name: str, count: int = 1) -> None:
         """Discard one event count."""
 
@@ -59,10 +63,11 @@ class StageContext:
     now:
         Simulation timestamp of the chunk [s].
     emit:
-        ``emit(index, verdict, port=None, packet=None)`` — record the
-        final outcome of the input row with absolute index ``index``.
-        Supplied by the caller (the switch front-end), so the runtime
-        stays agnostic of the verdict vocabulary.
+        ``emit(index, verdict, ...)`` — record the final outcome of
+        the input row(s) with absolute index ``index`` (a caller may
+        accept an index array, as the switch front-end does, to book
+        a whole group of rows in one call).  Supplied by the caller,
+        so the runtime stays agnostic of the verdict vocabulary.
     columns:
         Auxiliary columns aligned with the *current* batch.  The
         caller seeds ``columns["index"]`` with the absolute input

@@ -297,7 +297,7 @@ def run_switch_path(processors: Sequence, stream, *,
         results = processors[hop].process_batch(
             batch, now=t_now, chunk_size=len(batch))
         admitted[hop] += len(batch)
-        verdicts[hop].update(r.verdict.value for r in results)
+        verdicts[hop].update(results.verdict_values)
 
     def step(t_from: float, t_until: float) -> None:
         for hop in range(n_hops):
@@ -317,7 +317,7 @@ def run_switch_path(processors: Sequence, stream, *,
             results = processors[0].process_batch(
                 piece, now=t_now, chunk_size=len(piece))
             admitted[0] += len(piece)
-            verdicts[0].update(r.verdict.value for r in results)
+            verdicts[0].update(results.verdict_values)
             t_prev = t_now
             t_last = max(t_last, float(piece[-1].created_at))
 

@@ -833,22 +833,17 @@ def _drain(processor, credits: list[float], t_from: float,
     """Serve egress queues at line rate over [t_from, t_until).
 
     Each port accrues byte credit for the elapsed simulated time and
-    dequeues (head drops included, via the traffic manager) until the
-    credit is spent; an idle port forfeits its credit, as real silicon
-    forfeits idle slots.
+    is served in one ``serve`` call (head drops included, via the
+    traffic manager) until the credit is spent; an idle port forfeits
+    its credit, as real silicon forfeits idle slots.
     """
     if t_until <= t_from:
         return
     manager = getattr(processor, "traffic_manager", processor)
     budget = (t_until - t_from) * port_rate_bps / 8.0
     for port in range(manager.n_ports):
-        credits[port] += budget
-        while credits[port] > 0.0:
-            packet = manager.dequeue(port, now=t_until)
-            if packet is None:
-                credits[port] = 0.0
-                break
-            credits[port] -= packet.size_bytes
+        credits[port] = manager.serve(port, credits[port] + budget,
+                                      now=t_until)
 
 
 def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
@@ -863,7 +858,8 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     memory) and admitted in ``admission_chunk`` slices so simulated
     time advances at sub-window granularity: before each slice the
     egress queues drain at line rate up to the slice's start time,
-    then the slice rides ``process_batch`` through the staged runtime.
+    then the slice's columns ride ``process_batch`` through the staged
+    runtime (no per-packet objects are built).
     Windowed counters (drops by cause, cache hits/misses, delay EWMA,
     backlog, last PDP) land in ``n_windows`` equal packet-count
     windows on the returned report.
@@ -880,7 +876,7 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     :class:`~repro.fabric.fabric.SwitchFabric` via
     :func:`~repro.fabric.scenario.fabric_scenario_factory`.  A
     processor without a ``traffic_manager`` must itself provide
-    ``n_ports``/``dequeue`` (egress), ``slice_extremes()`` (windowed
+    ``n_ports``/``serve`` (egress), ``slice_extremes()`` (windowed
     maxima) and ``robustness_stats()`` (fallbacks, retries, degraded
     tables); one with a ``close()`` is closed before returning.
     """
@@ -942,8 +938,6 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
                 max(_analog(manager.aqm(p)).last_pdp for p in ports),
                 max(manager.backlog(p) for p in ports))
 
-    boundaries = np.unique(
-        np.round(np.linspace(1, n, n_windows) * 1.0).astype(int))
     boundaries = [int(b) for b in
                   np.round(np.linspace(n / n_windows, n, n_windows))]
     windows: list[ScenarioWindow] = []
@@ -1001,18 +995,17 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
 
     for columns in entry.stream(seed=seed, n_packets=n,
                                 chunk_size=chunk_size):
-        packets = columns.to_packets()
         times = columns.times_s
-        for start in range(0, len(packets), admission_chunk):
-            chunk = packets[start:start + admission_chunk]
+        for start in range(0, len(columns), admission_chunk):
+            chunk = columns.slice(start, start + admission_chunk)
             t_now = float(times[start])
             _drain(processor, credits, t_prev, t_now,
                    spec.port_rate_bps)
             results = processor.process_batch(chunk, now=t_now,
                                               chunk_size=len(chunk))
             if verdicts is not None:
-                verdicts.extend(r.verdict.value for r in results)
-                out_ports.extend(r.port for r in results)
+                verdicts.extend(results.verdict_values)
+                out_ports.extend(results.port_values)
             t_prev = t_now
             t_last = float(times[min(start + len(chunk),
                                      len(times)) - 1])

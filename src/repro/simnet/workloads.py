@@ -14,8 +14,8 @@ SplitMix64 hash:
   helpers derived from it by inverse transform;
 * :class:`ChunkColumns` — the structure-of-arrays packet chunk every
   scenario emits (times, sizes, flow ids, priorities and the decoded
-  5-tuple), materialisable into :class:`repro.packet.Packet` lists for
-  the dataplane.
+  5-tuple), which the dataplane consumes natively (and which can
+  still be materialised into :class:`repro.packet.Packet` lists).
 
 Index-hashed randomness also makes streams trivially resumable (start
 at any index) and seeds trivially independent — properties the
@@ -174,6 +174,15 @@ class ChunkColumns:
 
     def __len__(self) -> int:
         return len(self.times_s)
+
+    def slice(self, start: int, stop: int) -> "ChunkColumns":
+        """Rows ``[start, stop)`` as a chunk of column views (no copy;
+        the parent already normalised and validated every column)."""
+        part = object.__new__(ChunkColumns)
+        for name in _COLUMNS:
+            object.__setattr__(part, name,
+                               getattr(self, name)[start:stop])
+        return part
 
     @property
     def nbytes(self) -> int:

@@ -1,0 +1,283 @@
+"""Columns end to end: the native batch path equals the Packet edge.
+
+Two equivalences pin the columnar switch:
+
+* **Columns vs Packet edge.**  A ``ChunkColumns`` chunk processed
+  natively must leave a switch in exactly the state the same chunk's
+  ``to_packets()`` materialisation does: verdict/port arrays,
+  telemetry, energy ledger, queue contents (a queued row materialises
+  into the packet the edge queued, INT trail included) and
+  ``PortStats`` — under the pCAM AQM, a forced-degraded
+  ``DegradingAQM`` (CoDel head drops) and tail drop, at admission
+  chunk sizes 1, 7 and 256.
+* **Drain.**  ``serve(port, credit, now)`` — one call per port per
+  slice — must match the per-packet reference loop bit for bit:
+  carried negative credit, idle-port forfeit, strict priority across
+  classes, AQM state, and on the fabric at N in {1, 2, 4} in both
+  execution modes, its round-robin cursor.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dataplane.switch import SwitchSpec, build_switch
+from repro.fabric import SwitchFabric
+from repro.netfunc.aqm.base import TailDropAQM
+from repro.netfunc.aqm.pcam_aqm import PCAMAQM
+from repro.netfunc.firewall import Action, FirewallRule
+from repro.robustness.degradation import DegradingAQM
+from repro.simnet.workloads import ChunkColumns
+
+N_PORTS = 3
+SPEC = SwitchSpec(
+    n_ports=N_PORTS,
+    routes=(("10.0.0.0/8", 0), ("192.168.0.0/16", 1),
+            ("172.16.0.0/12", 2)),
+    firewall_rules=(FirewallRule(action=Action.DENY,
+                                 dst_prefix="203.0.113.0/24"),),
+    port_rate_bps=2e6,
+    queue_capacity=48,
+    n_priorities=2)
+
+#: Destinations: routed, denied, unrouted and the zero address.
+DSTS = [0x0A010203, 0x0A010204, 0xC0A80707, 0xAC100005, 0xCB007109,
+        0xC6336401, 0]
+SRCS = [0x01020304, 0x05060708]
+
+
+def make_aqm(kind: str, port: int):
+    analog = PCAMAQM(rng=np.random.default_rng((11, port)))
+    if kind == "pcam":
+        return analog
+    if kind == "degraded":
+        degrading = DegradingAQM(analog, backoff_initial_s=1e6,
+                                 backoff_max_s=1e6)
+        degrading._trip()
+        return degrading
+    return TailDropAQM()
+
+
+def make_switch(kind: str):
+    ports = iter(range(N_PORTS))
+    return build_switch(SPEC, aqm_factory=lambda: make_aqm(kind,
+                                                           next(ports)))
+
+
+@st.composite
+def chunks(draw, max_rows=90):
+    n = draw(st.integers(min_value=1, max_value=max_rows))
+    pick = lambda values: np.array(  # noqa: E731
+        draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    return ChunkColumns(
+        times_s=np.linspace(0.0, 1e-3, n),
+        sizes_bytes=pick([64, 200, 577, 1500]),
+        flow_ids=np.arange(n),
+        priorities=pick([0, 1, 2]),
+        src_ip=pick(SRCS),
+        dst_ip=pick(DSTS),
+        src_port=pick([1024, 1025]),
+        dst_port=pick([80, 443]),
+        protocol=pick([6, 17]),
+        has_dst=pick([True, True, True, False]))
+
+
+def packet_view(packet) -> dict:
+    return {"size": packet.size_bytes, "flow": packet.flow_id,
+            "priority": packet.priority, "created": packet.created_at,
+            "fields": packet.fields, "enqueued": packet.enqueued_at,
+            "dequeued": packet.dequeued_at}
+
+
+def state(switch, results) -> dict:
+    manager = switch.traffic_manager
+    queues = {}
+    for port in range(N_PORTS):
+        for prio in range(manager.n_priorities):
+            queue = manager.queue(port, prio)
+            queues[f"{port}.{prio}"] = (len(queue), queue.backlog_bytes)
+    return {
+        "codes": results.codes.tolist(),
+        "ports": results.ports.tolist(),
+        "telemetry": json.dumps(switch.telemetry.snapshot()),
+        "ledger": switch.ledger.breakdown(),
+        "counts": dict(switch.verdict_counts),
+        "stats": [vars(s).copy() for s in manager.stats],
+        "queues": queues,
+        "cache": (switch.flow_cache.hits, switch.flow_cache.misses),
+    }
+
+
+def drained(switch, now: float) -> list:
+    manager = switch.traffic_manager
+    out = []
+    for port in range(N_PORTS):
+        while (packet := manager.dequeue(port, now)) is not None:
+            out.append((port, packet_view(packet)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["pcam", "degraded", "taildrop"])
+@pytest.mark.parametrize("chunk_size", [1, 7, 256])
+@given(columns=chunks())
+@settings(max_examples=15, deadline=None)
+def test_columns_entry_equals_packet_edge(kind, chunk_size, columns):
+    native, edge = make_switch(kind), make_switch(kind)
+    got = native.process_batch(columns, now=0.5, chunk_size=chunk_size)
+    want = edge.process_batch(columns.to_packets(), now=0.5,
+                              chunk_size=chunk_size)
+    assert state(native, got) == state(edge, want)
+    # A queued row materialises into the packet the edge queued.
+    assert drained(native, 0.75) == drained(edge, 0.75)
+    assert state(native, got) == state(edge, want)
+
+
+def test_zero_destination_reads_as_absent():
+    columns = ChunkColumns(
+        times_s=[0.0, 0.0], sizes_bytes=[100, 100], flow_ids=[1, 2],
+        priorities=[0, 0], src_ip=[1, 1], dst_ip=[0, 0x0A010203],
+        src_port=[1, 1], dst_port=[2, 2], protocol=[6, 6],
+        has_dst=[True, True])
+    results = make_switch("pcam").process_batch(columns)
+    assert [r.verdict.value for r in results] == ["dropped_no_route",
+                                                  "queued"]
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("sizes_bytes", 0, "size must be positive: 0"),
+    ("priorities", -1, "priority must be >= 0: -1"),
+])
+def test_bad_rows_raise_the_packet_error(column, value, message):
+    fields = dict(times_s=[0.0, 0.0], sizes_bytes=[100, 100],
+                  flow_ids=[1, 2], priorities=[0, 0], src_ip=[1, 1],
+                  dst_ip=[5, 5], src_port=[1, 1], dst_port=[2, 2],
+                  protocol=[6, 6], has_dst=[True, True])
+    fields[column] = [fields[column][0], value]
+    columns = ChunkColumns(**fields)
+    with pytest.raises(ValueError, match=message) as native:
+        make_switch("pcam").process_batch(columns)
+    with pytest.raises(ValueError) as edge:
+        columns.to_packets()
+    assert str(native.value) == str(edge.value)
+
+
+# ----------------------------------------------------------------------
+# Drain: serve() vs the per-packet reference loop
+# ----------------------------------------------------------------------
+def reference_serve(manager, port: int, credit: float,
+                    now: float) -> float:
+    while credit > 0.0:
+        packet = manager.dequeue(port, now)
+        if packet is None:
+            return 0.0
+        credit -= packet.size_bytes
+    return credit
+
+
+def aqm_state(aqm) -> tuple:
+    analog = getattr(aqm, "analog", aqm)
+    codel = getattr(aqm, "fallback", None)
+    return (getattr(analog, "_delay_ewma", None),
+            None if codel is None else vars(codel).copy())
+
+
+def manager_state(manager) -> tuple:
+    return ([vars(s).copy() for s in manager.stats],
+            [manager.backlog(p) for p in range(manager.n_ports)],
+            [manager.last_sojourn_s(p) for p in range(manager.n_ports)],
+            [aqm_state(manager.aqm(p)) for p in range(manager.n_ports)])
+
+
+#: (budget bytes, time step) per drain; fractional budgets exercise
+#: the carried float credit.
+drains = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=6000.0),
+              st.floats(min_value=1e-4, max_value=0.08)),
+    min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("kind", ["pcam", "degraded", "taildrop"])
+@given(columns=chunks(max_rows=120), schedule=drains)
+@settings(max_examples=20, deadline=None)
+def test_serve_matches_the_per_packet_loop(kind, columns, schedule):
+    vector, scalar = make_switch(kind), make_switch(kind)
+    vector.process_batch(columns, now=0.0, chunk_size=32)
+    scalar.process_batch(columns, now=0.0, chunk_size=32)
+    credits_v = [0.0] * N_PORTS
+    credits_s = [0.0] * N_PORTS
+    now = 0.0
+    for budget, step in schedule:
+        now += step
+        for port in range(N_PORTS):
+            credits_v[port] = vector.traffic_manager.serve(
+                port, credits_v[port] + budget, now)
+            credits_s[port] = reference_serve(
+                scalar.traffic_manager, port, credits_s[port] + budget,
+                now)
+        assert credits_v == credits_s  # bit-identical floats
+        assert manager_state(vector.traffic_manager) \
+            == manager_state(scalar.traffic_manager)
+
+
+def test_serve_keeps_strict_priority():
+    switch = make_switch("taildrop")
+    columns = ChunkColumns(
+        times_s=[0.0] * 4, sizes_bytes=[100, 200, 300, 400],
+        flow_ids=[1, 2, 3, 4], priorities=[1, 0, 1, 0],
+        src_ip=[1] * 4, dst_ip=[0x0A010203] * 4, src_port=[1] * 4,
+        dst_port=[2] * 4, protocol=[6] * 4, has_dst=[True] * 4)
+    switch.process_batch(columns, now=0.0)
+    manager = switch.traffic_manager
+    # 250 B of credit serves the 200 B class-0 head, then the 400 B
+    # one (credit still positive), and stops at -350 B.
+    assert manager.serve(0, 250.0, now=1.0) == -350.0
+    assert [manager.dequeue(0, 1.0).size_bytes for _ in range(2)] \
+        == [100, 300]
+    # An idle port forfeits whatever credit it is offered.
+    assert manager.serve(0, 500.0, now=1.0) == 0.0
+
+
+def fabric_traffic(n: int = 200) -> ChunkColumns:
+    rng = np.random.default_rng(3)
+    return ChunkColumns(
+        times_s=np.zeros(n), sizes_bytes=rng.integers(64, 1500, n),
+        flow_ids=np.arange(n), priorities=rng.integers(0, 2, n),
+        src_ip=rng.integers(1, 2**31, n),
+        dst_ip=rng.choice([0x0A010203, 0xC0A80707, 0xAC100005], n),
+        src_port=rng.integers(1024, 1100, n), dst_port=np.full(n, 80),
+        protocol=np.full(n, 6), has_dst=np.ones(n, dtype=bool))
+
+
+def fabric_state(fabric) -> tuple:
+    snaps = fabric._snapshots()
+    return ([s["extremes"] for s in snaps],
+            [s["verdict_counts"] for s in snaps],
+            list(fabric._dequeue_cursor))
+
+
+@pytest.mark.parametrize("mode", ["in_process", "multiprocessing"])
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_fabric_serve_matches_the_per_packet_loop(n_shards, mode):
+    def factory():
+        return make_switch("pcam")
+
+    with SwitchFabric(factory, n_shards, mode=mode) as vector, \
+            SwitchFabric(factory, n_shards, mode=mode) as scalar:
+        traffic = fabric_traffic()
+        vector.process_batch(traffic, now=0.0, chunk_size=64)
+        scalar.process_batch(traffic, now=0.0, chunk_size=64)
+        credits_v = [0.0] * N_PORTS
+        credits_s = [0.0] * N_PORTS
+        now = 0.0
+        for budget in (700.5, 1499.25, 0.0, 3000.0, 90.125, 1e6):
+            now += 0.01
+            for port in range(N_PORTS):
+                credits_v[port] = vector.serve(
+                    port, credits_v[port] + budget, now)
+                credits_s[port] = reference_serve(
+                    scalar, port, credits_s[port] + budget, now)
+            assert credits_v == credits_s
+            assert fabric_state(vector) == fabric_state(scalar)

@@ -148,8 +148,8 @@ def test_process_columns_equals_packet_path():
     try:
         for cols in chunks:
             now = float(cols.times_s[0])
-            codes, ports = a.process_columns(cols, now=now,
-                                             chunk_size=250)
+            native = a.process_batch(cols, now=now, chunk_size=250)
+            codes, ports = native.codes, native.ports
             results = b.process_batch(cols.to_packets(), now=now,
                                       chunk_size=250)
             assert [int(c) for c in codes] == \
