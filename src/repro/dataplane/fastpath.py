@@ -500,46 +500,51 @@ def classify_chunk(batch: PacketBatch, firewall, lookup,
     appearance and ``row_entry[i]`` indexes row ``i``'s outcome (rows
     are grouped by object identity, which interning makes coincide
     with equal outcomes for cached flows).
+
     Every row probes the flow cache first (so all rows of a flow new
     to the chunk count as misses); the unique missing flows are then
     searched in one firewall pass, the ACL survivors that carry a
-    destination get one LPM pass, and their outcomes are cached.  The lookup for denied or destination-less
-    flows is skipped exactly as the scalar reference skips it.
+    destination get one LPM pass, and their outcomes are cached.  The
+    lookup for denied or destination-less flows is skipped exactly as
+    the scalar reference skips it.
     """
     n = len(batch)
     keys = batch.flow_keys
     generation = (firewall.generation, lookup.generation)
     found = cache.probe(keys, generation) if cache is not None \
         else [None] * n
-    # Rows sharing an outcome share its interned tuple: group by id.
-    ids = np.fromiter(map(id, found), dtype=np.int64, count=n)
-    missing = np.flatnonzero(ids == id(None))
-    if len(missing):
-        _classify_misses(batch, missing, found, firewall, lookup, cache,
-                         generation, tracer)
-        ids[missing] = [id(found[row]) for row in missing.tolist()]
-    _, first, inverse = np.unique(ids, return_index=True,
-                                  return_inverse=True)
-    # Number the outcomes in order of their first row.
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], [found[row] for row in first[order].tolist()]
+    if None in found:
+        _classify_misses(batch, [row for row, entry in enumerate(found)
+                                 if entry is None],
+                         found, firewall, lookup, cache, generation,
+                         tracer)
+    # Rows sharing an outcome share its (interned) tuple: group them
+    # by identity, numbering groups in order of first appearance.
+    ids = list(map(id, found))
+    first = dict(zip(ids, found))
+    group = {key: position for position, key in enumerate(first)}
+    row_entry = np.fromiter(map(group.__getitem__, ids), dtype=np.intp,
+                            count=n)
+    return row_entry, list(first.values())
 
 
-def _classify_misses(batch: PacketBatch, missing: np.ndarray,
+def _classify_misses(batch: PacketBatch, missing: list[int],
                      found: list, firewall, lookup,
                      cache: FlowCache | None, generation,
                      tracer) -> None:
     """Search the chunk's unique missing flows; fill ``found`` in."""
     keys = batch.flow_keys
-    rows = missing.tolist()
     # Number the unique missing flows in first-appearance order.
     position_of: dict[tuple, int] = {}
-    member_of = [position_of.setdefault(keys[row], len(position_of))
-                 for row in rows]
-    _, first = np.unique(member_of, return_index=True)
-    miss_rows = missing[first].tolist()
+    miss_rows: list[int] = []              # first row of each miss
+    member_of = []                         # per missing row: its miss
+    for row in missing:
+        key = keys[row]
+        position = position_of.get(key)
+        if position is None:
+            position = position_of[key] = len(miss_rows)
+            miss_rows.append(row)
+        member_of.append(position)
     misses = batch.take(miss_rows)
     with maybe_span(tracer, "dataplane.firewall", batch=len(misses)):
         acl = firewall.check_batch(misses.firewall_key_bits())
@@ -562,5 +567,5 @@ def _classify_misses(batch: PacketBatch, missing: np.ndarray,
     if cache is not None:
         cache.put_many(zip([keys[row] for row in miss_rows], fresh),
                        generation)
-    for row, position in zip(rows, member_of):
+    for row, position in zip(missing, member_of):
         found[row] = fresh[position]

@@ -135,9 +135,11 @@ def egress_pass(switch, batch: PacketBatch, index: np.ndarray,
     manager = switch.traffic_manager
     if not len(ports):
         return
-    for port, _ in first_appearance_counts(ports):
-        rows = np.flatnonzero(ports == port)
-        group = batch if len(rows) == len(batch) else batch.take(rows)
+    groups = first_appearance_counts(ports)
+    for port, _ in groups:
+        rows = np.arange(len(ports)) if len(groups) == 1 \
+            else np.flatnonzero(ports == port)
+        group = batch if len(groups) == 1 else batch.take(rows)
         codes = manager.enqueue_batch(port, group, now)
         tally.gauge(f"port{port}.backlog", manager.backlog(port))
         for code, count in first_appearance_counts(codes):
