@@ -333,7 +333,7 @@ class AnalogPacketProcessor:
     def _run_parsed(self, batch, index: np.ndarray, now: float,
                     chunk_size: int, results: BatchResults) -> None:
         """Chunk the parser's survivors through the match-action walk."""
-        if batch is None or not len(batch):
+        if not len(batch):  # an empty burst comes back as the input list
             batch = PacketBatch([])
         for row, packet in zip(index.tolist(), batch.packets):
             results.packets[row] = packet
@@ -370,9 +370,7 @@ class AnalogPacketProcessor:
                  entry_name: str) -> BatchResults:
         self._set_time(now)
         batch = PacketBatch.of(packets)
-        results = BatchResults.empty(
-            len(batch), None if batch.packets is None
-            else list(batch.packets))
+        results = BatchResults.empty(len(batch), batch.packets)
         self._run_chunks(batch, np.arange(len(batch)), now, chunk_size,
                          results, entry_name)
         return results

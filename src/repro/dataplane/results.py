@@ -98,9 +98,11 @@ class BatchResults(Sequence):
 
     @classmethod
     def empty(cls, n: int, packets=None) -> "BatchResults":
-        """Results for ``n`` rows, every code and port still unset."""
+        """Results for ``n`` rows, every code and port still unset
+        (``packets``, when given, is copied)."""
         return cls(np.zeros(n, dtype=np.uint8),
-                   np.full(n, -1, dtype=np.int16), packets)
+                   np.full(n, -1, dtype=np.int16),
+                   None if packets is None else list(packets))
 
     def __len__(self) -> int:
         return len(self.codes)

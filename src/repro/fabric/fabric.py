@@ -158,9 +158,7 @@ class SwitchFabric:
         with ``-1`` for no egress.
         """
         batch = PacketBatch.of(packets)
-        results = BatchResults.empty(
-            len(batch), None if batch.packets is None
-            else list(batch.packets))
+        results = BatchResults.empty(len(batch), batch.packets)
         step = max(int(chunk_size), 1)
         for start in range(0, len(batch), step):
             chunk = batch.slice(start, start + step)

@@ -131,7 +131,7 @@ class FusedSwitchKernel:
         processor = self._processor
         emit = processor._emitter(results)
         index = np.arange(len(frames))
-        batch = None
+        batch = PacketBatch([])
         tally = self._begin_chunk()
         try:
             if frames:
