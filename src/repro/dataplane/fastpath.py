@@ -446,15 +446,8 @@ class TelemetryTally:
     def lookup(self, table: str, hit: bool,
                verdict: str | None = None) -> None:
         """Count one table lookup (and optionally its verdict)."""
-        stats = self._tables.get(table)
-        if stats is None:
-            stats = [0, 0, Counter()]
-            self._tables[table] = stats
-        stats[0] += 1
-        if hit:
-            stats[1] += 1
-        if verdict is not None:
-            stats[2][verdict] += 1
+        self.lookups(table, 1, int(hit),
+                     () if verdict is None else ((verdict, 1),))
 
     def lookups(self, table: str, count: int, hits: int,
                 verdicts: Iterable[tuple[str, int]] = ()) -> None:
