@@ -302,15 +302,14 @@ class SwitchFabric:
     def serve(self, port: int, credit: float, now: float) -> float:
         """Serve a fabric port with ``credit`` bytes; the credit left.
 
-        Bit-identical to :func:`~repro.dataplane.traffic_manager.
-        serve_each` over :meth:`dequeue`: every shard reports its
-        queued head sizes, the fabric lays them out in its round-robin
-        visiting order from the port's cursor (round r visits each
-        non-empty shard once), cuts that order with
-        :func:`~repro.dataplane.traffic_manager.spend_credit`, tells
-        each shard how many rows to serve, and moves the cursor past
-        the last shard served.  While any shard's AQM may drop at the
-        head, the per-packet loop runs instead.
+        Bit-identical to :func:`serve_each` over :meth:`dequeue`:
+        every shard reports its queued head sizes, the fabric lays
+        them out in its round-robin visiting order from the port's
+        cursor (round r visits each non-empty shard once), cuts that
+        order with :func:`spend_credit`, tells each shard how many
+        rows to serve, and moves the cursor past the last shard
+        served.  While any shard's AQM may drop at the head, the
+        per-packet loop runs instead.
         """
         if not credit > 0.0:
             return credit

@@ -17,10 +17,13 @@ Transport choices, in order of what matters:
   small ``(name, dtype, length, offset)`` manifest sent over the
   pipe).  Only verdict codes (1 byte/packet) and egress ports
   (2 B/packet) come back.
-* **Egress is one round trip per shard and port per drain** — the
-  fabric asks for the queued head sizes, then sends a one-way
+* **Egress is one round trip per shard per drain** — the first
+  ``queued`` query of a drain fetches every port's queued head sizes
+  at once; the parent keeps them as an exact mirror (only its own
+  commands can change the worker's queues), trims it by each one-way
   ``serve`` count the worker applies before its next command (the
-  pipe is FIFO, so ordering holds without a reply).
+  pipe is FIFO, so ordering holds without a reply), and drops it on
+  anything else that touches the queues.
 * **workers copy, parents unlink** — a worker ``np.frombuffer().copy()``s
   its columns and closes the block immediately; the parent unlinks
   after ``finish`` so no segment outlives its chunk.
@@ -88,6 +91,17 @@ def columns_from_shm(name: str, manifest: list) -> dict:
         shm.close()
 
 
+def _queued_heads(processor, limit: float) -> list:
+    """Per port: (replays dequeues, head sizes covering ``limit``,
+    whether those sizes are the whole queue)."""
+    manager = processor.traffic_manager
+    heads = []
+    for port in range(manager.n_ports):
+        replays, sizes = queued_on(processor, port, limit)
+        heads.append((replays, sizes, len(sizes) == manager.backlog(port)))
+    return heads
+
+
 # ----------------------------------------------------------------------
 # Worker loop
 # ----------------------------------------------------------------------
@@ -118,8 +132,7 @@ def _worker_main(conn, shard_factory) -> None:
         elif kind == "extremes":
             conn.send(extremes_of(processor))
         elif kind == "queued":
-            _, port, limit = command
-            conn.send(queued_on(processor, port, limit))
+            conn.send(_queued_heads(processor, command[1]))
         elif kind == "serve":  # one-way: no reply
             _, port, count, now = command
             processor.traffic_manager.serve_count(port, count, now)
@@ -163,9 +176,13 @@ class WorkerShard:
         self._staged_count = 0
         self._pending_shm: shared_memory.SharedMemory | None = None
         self._in_flight = False
+        #: Mirror of the worker's queued heads per port (see
+        #: :meth:`queued`); None once anything else touched the queues.
+        self._heads: list | None = None
 
     # -- processing ----------------------------------------------------
     def begin(self, batch, now: float) -> None:
+        self._heads = None
         shm, manifest = columns_to_shm(batch.arrays())
         self._pending_shm = shm
         self._conn.send(("batch", shm.name, manifest, now))
@@ -193,6 +210,7 @@ class WorkerShard:
         _, self._staged_count = self._conn.recv()
 
     def flip(self) -> None:
+        self._heads = None
         self._conn.send(("flip",))
         self._conn.recv()
         self._staged_count = 0
@@ -212,13 +230,23 @@ class WorkerShard:
 
     def queued(self, port: int, limit: float
                ) -> tuple[bool, np.ndarray]:
-        self._conn.send(("queued", port, limit))
-        return self._conn.recv()
+        """The port's head sizes, from the mirror while it covers
+        ``limit`` (every size but the last already reaches it, or it
+        is the whole queue), else fetched for all ports at once."""
+        head = None if self._heads is None else self._heads[port]
+        if head is None or not (head[2] or head[1][:-1].sum() >= limit):
+            self._conn.send(("queued", limit))
+            self._heads = self._conn.recv()
+            head = self._heads[port]
+        return head[0], head[1]
 
     def serve(self, port: int, count: int, now: float) -> None:
         self._conn.send(("serve", port, count, now))
+        replays, sizes, whole = self._heads[port]
+        self._heads[port] = (replays, sizes[count:], whole)
 
     def dequeue(self, port: int, now: float):
+        self._heads = None
         self._conn.send(("dequeue", port, now))
         return self._conn.recv()
 
