@@ -1,15 +1,12 @@
-"""End-to-end dataplane throughput: staged batch and compiled kernel.
+"""End-to-end dataplane throughput: the staged columnar batch path.
 
-Not a paper artifact — this pins the engineering payoff of two
-tentpoles: pushing a 10k-packet mixed-flow trace through the full
-Figure 5 pipeline (parser fields -> firewall ACL -> LPM route ->
-per-port AQM) with ``process_batch`` versus looping per-packet
-``process`` (the staged columnar fast path), and the same trace
-through the fused chunk kernel the pipeline compiler emits
-(``request_compile``, byte-identical results).  Measured numbers land
-in ``BENCH_fastpath.json`` / ``BENCH_fastpath_compiled.json`` so CI
-can archive them, and each speedup is gated against its committed
-baseline: a >20% regression of the advantage fails the run.
+Not a paper artifact — this pins the engineering payoff of pushing a
+10k-packet mixed-flow trace through the full Figure 5 pipeline
+(parser fields -> firewall ACL -> LPM route -> per-port AQM) with
+``process_batch`` versus looping per-packet ``process``.  Measured
+numbers land in ``BENCH_fastpath.json`` so CI can archive them, and
+the speedup is gated against its committed baseline: a >20%
+regression of the advantage fails the run.
 """
 
 import json
@@ -27,10 +24,6 @@ N_PACKETS = 10_000
 CHUNK_SIZE = 256
 RESULT_PATH = Path(__file__).parent / "BENCH_fastpath.json"
 BASELINE_PATH = Path(__file__).parent / "BENCH_fastpath_baseline.json"
-COMPILED_RESULT_PATH = Path(__file__).parent / \
-    "BENCH_fastpath_compiled.json"
-COMPILED_BASELINE_PATH = Path(__file__).parent / \
-    "BENCH_fastpath_compiled_baseline.json"
 
 #: Mixed flows: three routed prefixes, one denied prefix, one
 #: unrouted prefix, and the occasional destination-less packet.
@@ -137,78 +130,3 @@ def test_fastpath_speedup_and_regression_gate():
     assert speedup >= floor, (
         f"fast-path speedup regressed: {speedup:.1f}x < "
         f"{floor:.1f}x (80% of baseline {baseline['speedup']:.1f}x)")
-
-
-def test_compiled_kernel_speedup_and_regression_gate():
-    """The fused kernel: exact results, gated gains over both paths.
-
-    The compiled run must return byte-identical verdicts/ports to the
-    staged batch run (the golden tests pin telemetry and energy too),
-    beat it by the committed staged-vs-compiled floor, and hold the
-    committed end-to-end (scalar-vs-compiled) advantage within 20%.
-    """
-    packets = make_trace()
-
-    def scalar_pass():
-        processor = build_processor()
-        return processor, [processor.process(p, now=0.5)
-                           for p in packets]
-
-    def batch_pass():
-        processor = build_processor()
-        return processor, processor.process_batch(
-            packets, now=0.5, chunk_size=CHUNK_SIZE)
-
-    def compiled_pass():
-        processor = build_processor()
-        plan = processor.request_compile()
-        assert plan.fused, plan.reasons
-        return processor, processor.process_batch(
-            packets, now=0.5, chunk_size=CHUNK_SIZE)
-
-    _, reference = batch_pass()
-    compiled_processor, fused = compiled_pass()
-    assert [r.verdict for r in fused] == \
-        [r.verdict for r in reference]
-    assert [r.port for r in fused] == [r.port for r in reference]
-
-    scalar_s = _time(scalar_pass, repeats=1)
-    batch_s = _time(batch_pass, repeats=3)
-    compiled_s = _time(compiled_pass, repeats=3)
-    vs_staged = batch_s / compiled_s
-    vs_scalar = scalar_s / compiled_s
-
-    report = {
-        "n_packets": N_PACKETS,
-        "chunk_size": CHUNK_SIZE,
-        "lowering": compiled_processor.compiled_plan.lowering,
-        "scalar_s": round(scalar_s, 4),
-        "staged_batch_s": round(batch_s, 4),
-        "compiled_s": round(compiled_s, 4),
-        "compiled_pps": round(N_PACKETS / compiled_s),
-        "speedup_vs_staged": round(vs_staged, 2),
-        "speedup_vs_scalar": round(vs_scalar, 2),
-    }
-    COMPILED_RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    print(f"\n=== compiled kernel ({N_PACKETS} packets, "
-          f"{report['lowering']} lowering) ===")
-    print(f"{'path':>10}{'wall [s]':>14}{'packets/s':>16}")
-    print(f"{'scalar':>10}{scalar_s:>14.4f}"
-          f"{N_PACKETS / scalar_s:>16,.0f}")
-    print(f"{'staged':>10}{batch_s:>14.4f}"
-          f"{N_PACKETS / batch_s:>16,.0f}")
-    print(f"{'compiled':>10}{compiled_s:>14.4f}"
-          f"{N_PACKETS / compiled_s:>16,.0f}")
-    print(f"vs staged: {vs_staged:.2f}x   vs scalar: {vs_scalar:.1f}x")
-
-    baseline = json.loads(COMPILED_BASELINE_PATH.read_text())
-    assert vs_staged >= baseline["speedup_vs_staged"], (
-        f"compiled kernel no longer beats the staged walk: "
-        f"{vs_staged:.2f}x < committed floor "
-        f"{baseline['speedup_vs_staged']:.2f}x")
-    floor = 0.8 * baseline["speedup_vs_scalar"]
-    assert vs_scalar >= floor, (
-        f"compiled end-to-end speedup regressed: {vs_scalar:.1f}x < "
-        f"{floor:.1f}x (80% of baseline "
-        f"{baseline['speedup_vs_scalar']:.1f}x)")

@@ -1,13 +1,15 @@
 """Constant-folded uniform evaluation of a pCAM pipeline.
 
-The batched AQM admission path evaluates the whole pipeline over a
-chunk whose feature columns are *uniform* — every packet in the chunk
-is judged against the chunk-start queue state, so ``np.full(n, raw)``
-per stage feeds :meth:`PCAMPipeline.evaluate_batch` with ``n``
-identical rows and `n` identical outputs come back.  For plain
-healthy linear cells that is pure overhead: one scalar evaluation
-broadcast over the chunk is *bit-identical* (elementwise float64
-ufuncs do not depend on batch length) at a fraction of the cost.
+Batched AQM admission evaluates the whole pipeline over a chunk whose
+feature columns are *uniform*: every packet in the chunk is judged
+against the chunk-start queue state, so ``np.full(n, raw)`` per stage
+would feed :meth:`PCAMPipeline.evaluate_batch` ``n`` identical rows
+and get ``n`` identical outputs back.  For plain healthy linear cells
+that is pure overhead: one scalar evaluation broadcast over the chunk
+is *bit-identical* (elementwise float64 ufuncs do not depend on batch
+length) at a fraction of the cost.  This is the admission path of
+:meth:`repro.netfunc.aqm.pcam_aqm.PCAMAQM.on_enqueue_batch`; the
+``n``-row batch kernel serves only what the fold refuses.
 
 :func:`fold_pipeline` performs the constant-folding pass: it captures
 each stage's eight parameters — including the ramp intercepts, which
@@ -22,14 +24,20 @@ whose uniform output cannot be proven equal to the batch kernel's:
   be stochastic per element, or consume RNG state per draw);
 * cells with an injected fault (read-noise faults draw per-element);
 * non-linear ramp shapes (kept on the one true batch path);
-* a pipeline with a tracer or profiler attached (the folded kernel
-  opens no spans and bypasses the ``@profiled`` batch entry point).
+* the ``mean`` composition (see :func:`fold_pipeline`).
+
+Observing never changes the path: with a tracer or profiler attached
+to the pipeline, the folded evaluation opens the same
+``pcam.evaluate_batch`` span (one ``pcam.stage.<name>`` child per
+stage) and records the same ``pcam.evaluate_batch`` profiler site as
+the batch kernel.
 
 Validity is re-checked cheaply per call site via
 :meth:`FoldedPCAMPipeline.matches`: ``program()`` replaces a cell's
 frozen :class:`PCAMParams` object, so parameter *identity* plus the
-fault slot revalidates the fold — reprogramming or fault injection
-invalidates it naturally and the caller re-folds (or falls back).
+fault slot, the rail clip and the ramp shape revalidate the fold —
+reprogramming, fault injection or a shape change invalidates it and
+the caller re-folds (or falls back).
 
 When :mod:`numba` is importable the folded scalar kernel is
 additionally lowered to a jitted function over a constants matrix
@@ -46,6 +54,7 @@ import numpy as np
 
 from repro.core.pcam_cell import PCAMCell
 from repro.core.pcam_pipeline import BATCH_COMPOSITIONS, PCAMPipeline
+from repro.observability.profiling import profiled
 
 __all__ = ["FoldedPCAMPipeline", "FoldedStage", "LOWERING",
            "fold_pipeline"]
@@ -114,11 +123,13 @@ if _numba is not None:  # pragma: no cover - numba-only lowering
 class FoldedStage:
     """One stage's constants plus its validity tokens."""
 
-    __slots__ = ("cell", "params")
+    __slots__ = ("cell", "params", "clip", "nonlinearity")
 
     def __init__(self, cell: PCAMCell) -> None:
         self.cell = cell
         self.params = cell.params
+        self.clip = cell.clip_to_rails
+        self.nonlinearity = cell.nonlinearity
 
     def constants(self) -> list[float]:
         """The stage's row of the constants matrix."""
@@ -130,12 +141,14 @@ class FoldedStage:
         return [p.m1, p.m2, p.m3, p.m4, p.sa, p.sb, p.pmin, p.pmax,
                 (p.m2 * p.pmin - p.m1 * p.pmax) / rise_span,
                 (p.m4 * p.pmax - p.m3 * p.pmin) / fall_span,
-                1.0 if self.cell.clip_to_rails else 0.0]
+                1.0 if self.clip else 0.0]
 
     def valid(self) -> bool:
-        """Cheap revalidation: same frozen params, still healthy."""
+        """Cheap revalidation: same frozen params, healthy, same shape."""
         cell = self.cell
-        return cell.params is self.params and cell.fault is None
+        return (cell.params is self.params and cell.fault is None
+                and cell.clip_to_rails == self.clip
+                and cell.nonlinearity == self.nonlinearity)
 
 
 class FoldedPCAMPipeline:
@@ -173,16 +186,23 @@ class FoldedPCAMPipeline:
         """True while the fold still describes ``pipeline`` exactly.
 
         Reprogramming a stage (``update_pCAM``) replaces its frozen
-        params object and fault injection populates the fault slot, so
-        identity checks catch every invalidation; attaching a tracer
-        or profiler demotes to the batch path for observability.
+        params object, fault injection populates the fault slot, and
+        the rail clip and ramp shape are compared with their folded
+        values, so these checks catch every invalidation.
         """
         if pipeline is not self.pipeline:
             return False
-        if pipeline.tracer is not None or pipeline.profiler is not None:
-            return False
-        return all(stage.valid() for stage in self._stages)
+        for stage in self._stages:
+            if not stage.valid():
+                return False
+        return True
 
+    @property
+    def profiler(self):
+        """The pipeline's profiler (the ``@profiled`` site reports here)."""
+        return self.pipeline.profiler
+
+    @profiled("pcam.evaluate_batch")
     def evaluate_uniform(self, values: Sequence[float],
                          count: int = 1) -> float:
         """Composite probability of one feature vector, counted as
@@ -192,10 +212,22 @@ class FoldedPCAMPipeline:
         cell's evaluation counter advances by ``count`` — exactly what
         ``response_array`` over a ``count``-row uniform batch records
         — so hardware-utilisation accounting cannot tell the folded
-        and batch paths apart.
+        and batch paths apart.  Spans and the profiler sample are
+        those of :meth:`PCAMPipeline.evaluate_batch` over ``count``
+        rows.
         """
         for cell in self._cells:
             cell.tally_evaluations(count)
+        tracer = self.pipeline.tracer
+        if tracer is not None:
+            with tracer.span("pcam.evaluate_batch", batch=count):
+                probabilities = []
+                for name, row, value in zip(self.stage_names,
+                                            self._consts, values):
+                    with tracer.span(f"pcam.stage.{name}"):
+                        probabilities.append(
+                            _stage_response(row, float(value)))
+                return self._compose(probabilities)
         if self._lowered is not None:  # pragma: no cover - numba-only
             try:
                 return float(self._lowered(
@@ -205,8 +237,11 @@ class FoldedPCAMPipeline:
                 # to the pure-Python kernel permanently for this fold.
                 self._lowered = None
         consts = self._consts
-        probabilities = [_stage_response(consts[index], float(value))
-                         for index, value in enumerate(values)]
+        return self._compose([_stage_response(consts[index], float(value))
+                              for index, value in enumerate(values)])
+
+    def _compose(self, probabilities: list[float]) -> float:
+        """The pipeline's composition over one column of stage outputs."""
         if self.composition == "product":
             # np.prod reduces sequentially left-to-right for short
             # axes (pairwise blocking starts far above 8 stages), so a
@@ -229,12 +264,9 @@ def fold_pipeline(pipeline: PCAMPipeline) -> FoldedPCAMPipeline | None:
 
     Only plain healthy linear :class:`PCAMCell` stages fold — exactly
     the cases where broadcasting one scalar evaluation is bit-equal to
-    the batch kernel.  Device cells, injected faults, non-linear ramps
-    and attached observability hooks all refuse (the caller keeps the
-    staged/batched path).
+    the batch kernel.  Device cells, injected faults and non-linear
+    ramps refuse (the caller keeps the ``n``-row batch kernel).
     """
-    if pipeline.tracer is not None or pipeline.profiler is not None:
-        return None
     # "mean" reduces through np.add.reduce, whose pairwise summation
     # order depends on operand contiguity — a (n_stages, 1) column
     # and a (n_stages, n) matrix can round the last ulp differently,

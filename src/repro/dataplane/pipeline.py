@@ -155,12 +155,6 @@ class AnalogPacketProcessor:
             [self._parser_stage, self._digital_stage,
              self._egress_stage],
             self.default_middleware())
-        #: Fused chunk kernel (set by :meth:`request_compile` when the
-        #: compiler proves the staged walk reproducible); None keeps
-        #: every entry point on the staged runtime.
-        self._fused = None
-        self.compiled_plan = None
-        self._compile_requested = False
         if observability is not None:
             self._wire_observability(observability)
 
@@ -204,7 +198,6 @@ class AnalogPacketProcessor:
         else:
             mats.append(stage)
         self._mat_stages = tuple(mats)
-        self._recompile()
 
     def use_middleware(self, middleware: Sequence) -> None:
         """Replace the runtime's middleware (assembly-time hook).
@@ -214,44 +207,6 @@ class AnalogPacketProcessor:
         set without rebuilding the switch.
         """
         self.runtime.set_middleware(middleware)
-        self._recompile()
-
-    def request_compile(self):
-        """Opt into the fused chunk kernel (when provably exact).
-
-        Runs the pipeline compiler (:mod:`repro.runtime.compile`) over
-        the current stage/middleware assembly and returns its
-        :class:`~repro.runtime.compile.CompiledPlan`.  When the plan
-        fuses, every entry point dispatches to the fused kernel and
-        each port AQM's compiled (constant-folded) lane is enabled;
-        when it refuses — tracing middleware, exotic stages — the
-        staged walk stays in place and ``plan.reasons`` says why.  The
-        request is sticky: stage insertion and middleware replacement
-        recompile automatically.
-        """
-        self._compile_requested = True
-        return self._recompile()
-
-    def _recompile(self):
-        """Re-run the compiler after a structural change (if opted in)."""
-        if not self._compile_requested:
-            return None
-        # Deferred import: the compiler is the one runtime module
-        # allowed to see the dataplane, and plain (staged) assembly
-        # should not pay for loading it.
-        from repro.runtime.compile import compile_processor
-
-        plan = compile_processor(self)
-        self.compiled_plan = plan
-        self._fused = plan.kernel
-        hook_name = ("enable_compiled_lane" if plan.fused
-                     else "disable_compiled_lane")
-        for port in range(self.traffic_manager.n_ports):
-            hook = getattr(self.traffic_manager.aqm(port), hook_name,
-                           None)
-            if hook is not None:
-                hook()
-        return plan
 
     def _wire_observability(self, obs: Observability) -> None:
         """Bind every pipeline component to the shared hub."""
@@ -319,9 +274,6 @@ class AnalogPacketProcessor:
         """
         self._set_time(now)
         results = BatchResults.empty(len(frames), [None] * len(frames))
-        if self._fused is not None:
-            self._fused.process_frames(frames, now, chunk_size, results)
-            return results
         ctx = StageContext(now, self._emitter(results), entry_name=None)
         ctx.columns["index"] = np.arange(len(frames))
         batch = self.runtime.run_chunk(list(frames), ctx,
@@ -383,13 +335,9 @@ class AnalogPacketProcessor:
             raise ValueError(
                 f"chunk size must be >= 1: {chunk_size!r}")
         emit = self._emitter(results)
-        fused = self._fused
         for start in range(0, len(batch), chunk_size):
             stop = start + chunk_size
             chunk = batch.slice(start, stop)
-            if fused is not None:
-                fused.run_chunk(chunk, index[start:stop], now, emit)
-                continue
             ctx = StageContext(
                 now, emit, entry_name=entry_name,
                 entry_attributes={"chunk": len(chunk)})

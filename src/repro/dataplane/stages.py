@@ -11,10 +11,6 @@ through its per-chunk tally; tracing, flushing, energy attribution
 and supervision are middleware on the composing runtime, not code
 here.
 
-The work of each block lives in a ``*_pass`` function the stage
-wraps, so the fused kernel (:mod:`repro.runtime.compile`) runs the
-very same columnar code without the middleware machinery.
-
 Stages hold a reference to the owning
 :class:`~repro.dataplane.pipeline.AnalogPacketProcessor` and read its
 tables, flow cache and traffic manager at call time, so run-time
@@ -39,7 +35,7 @@ from repro.netfunc.firewall import Action
 from repro.runtime import StageContext
 
 __all__ = ["ADMISSION_VERDICTS", "DigitalMatsStage", "EgressStage",
-           "ParserStage", "egress_pass", "mats_pass", "parse_pass"]
+           "ParserStage"]
 
 _VERDICT_OF = {Admission.QUEUED: Verdict.QUEUED,
                Admission.AQM_DROP: Verdict.DROPPED_AQM,
@@ -47,106 +43,6 @@ _VERDICT_OF = {Admission.QUEUED: Verdict.QUEUED,
 #: Egress admission code -> final packet verdict.
 ADMISSION_VERDICTS: tuple[Verdict, ...] = tuple(
     _VERDICT_OF[admission] for admission in ADMISSIONS)
-
-
-def parse_pass(switch, frames: Sequence[bytes], index: np.ndarray,
-               now: float, tally, emit) -> tuple[PacketBatch, np.ndarray]:
-    """Parse a burst; emit parse drops; the survivors as a batch."""
-    parsed = switch.parser.parse_frames(frames, created_at=now)
-    dropped = [offset for offset, packet in enumerate(parsed)
-               if packet is None]
-    if dropped:
-        tally.event(DROP_EVENTS[Verdict.DROPPED_PARSE], len(dropped))
-        emit(index[dropped], Verdict.DROPPED_PARSE)
-        kept = np.flatnonzero([packet is not None for packet in parsed])
-        index = index[kept]
-    return PacketBatch([p for p in parsed if p is not None]), index
-
-
-def mats_pass(switch, batch: PacketBatch, index: np.ndarray, now: float,
-              tally, emit, tracer=None
-              ) -> tuple[PacketBatch, np.ndarray, np.ndarray]:
-    """ACL + LPM for one chunk: emit its drops, stamp its survivors.
-
-    Returns ``(survivors, their indices, their egress ports)``.  The
-    per-row outcome comes from :func:`classify_chunk` as an index into
-    the chunk's few distinct outcomes (in first-appearance order), so
-    the tallies are sums over outcomes and the verdicts and ports are
-    gathers over that index — no per-row Python.
-    """
-    if not len(batch):
-        return batch, index, np.zeros(0, dtype=np.intp)
-    row_entry, entries = classify_chunk(
-        batch, switch.firewall, switch.lookup, switch.flow_cache, tracer)
-    counts = np.bincount(row_entry, minlength=len(entries)).tolist()
-    default = switch.firewall.default_action
-    deny = Action.DENY
-    ports_by_hop = switch._ports_by_hop
-    acl_verdicts: dict = {}
-    hop_verdicts: dict = {}
-    acl_hits = routed = hop_hits = 0
-    # Per outcome: 0 = ACL drop, 1 = no route, 2 = egress port + 2.
-    kind = []
-    for (action, hop), count in zip(entries, counts):
-        value = action.value
-        acl_verdicts[value] = acl_verdicts.get(value, 0) + count
-        if action is not default:
-            acl_hits += count
-        if action is deny:
-            kind.append(0)
-            continue
-        routed += count
-        if hop is None:
-            kind.append(1)
-            continue
-        hop_hits += count
-        hop_verdicts[hop] = hop_verdicts.get(hop, 0) + count
-        kind.append(ports_by_hop[hop] + 2)
-    tally.lookups("firewall", len(batch), acl_hits, acl_verdicts.items())
-    if routed:
-        tally.lookups("ip_lookup", routed, hop_hits, hop_verdicts.items())
-    row_kind = np.array(kind, dtype=np.intp)[row_entry]
-    # Drop events in the order their first rows appear.
-    for code in sorted({0, 1} & set(kind), key=kind.index):
-        verdict = (Verdict.DROPPED_ACL, Verdict.DROPPED_NO_ROUTE)[code]
-        rows = np.flatnonzero(row_kind == code)
-        tally.event(DROP_EVENTS[verdict], len(rows))
-        batch.mark_dropped(rows)
-        emit(index[rows], verdict)
-    rows = np.flatnonzero(row_kind >= 2)
-    ports = row_kind[rows] - 2
-    survivors = batch if len(rows) == len(batch) else batch.take(rows)
-    if len(rows):
-        manager = switch.traffic_manager
-        backlogs = np.array([manager.backlog(port)
-                             for port in range(manager.n_ports)])
-        survivors.stamp(ports, backlogs[ports], now)
-    return survivors, index[rows], ports
-
-
-def egress_pass(switch, batch: PacketBatch, index: np.ndarray,
-                ports: np.ndarray, now: float, tally, emit) -> None:
-    """Per-port AQM admission of one chunk's survivors.
-
-    Port groups form in first-appearance order (the order each port's
-    AQM draws its uniforms in) and each is judged by one
-    ``enqueue_batch`` call against the chunk-start queue state.
-    """
-    manager = switch.traffic_manager
-    if not len(ports):
-        return
-    groups = first_appearance_counts(ports)
-    for port, _ in groups:
-        rows = np.arange(len(ports)) if len(groups) == 1 \
-            else np.flatnonzero(ports == port)
-        group = batch if len(groups) == 1 else batch.take(rows)
-        codes = manager.enqueue_batch(port, group, now)
-        tally.gauge(f"port{port}.backlog", manager.backlog(port))
-        for code, count in first_appearance_counts(codes):
-            verdict = ADMISSION_VERDICTS[code]
-            if verdict.dropped:
-                tally.event(DROP_EVENTS[verdict], count)
-            emit(index[rows[codes == code]], verdict, port=port)
 
 
 class ParserStage:
@@ -163,10 +59,17 @@ class ParserStage:
 
     def process_batch(self, frames: Sequence[bytes],
                       ctx: StageContext) -> PacketBatch:
-        batch, ctx.columns["index"] = parse_pass(
-            self.switch, frames, ctx.indices, ctx.now, ctx.tally,
-            ctx.emit)
-        return batch
+        parsed = self.switch.parser.parse_frames(frames, created_at=ctx.now)
+        index = ctx.indices
+        dropped = [offset for offset, packet in enumerate(parsed)
+                   if packet is None]
+        if dropped:
+            ctx.tally.event(DROP_EVENTS[Verdict.DROPPED_PARSE],
+                            len(dropped))
+            ctx.emit(index[dropped], Verdict.DROPPED_PARSE)
+            kept = np.flatnonzero([packet is not None for packet in parsed])
+            ctx.columns["index"] = index[kept]
+        return PacketBatch([p for p in parsed if p is not None])
 
 
 class DigitalMatsStage:
@@ -175,7 +78,11 @@ class DigitalMatsStage:
     Emits ``DROPPED_ACL``/``DROPPED_NO_ROUTE`` for the rows the
     digital tables dispose of, INT-stamps the survivors with their
     egress queue state, and publishes the resolved ``egress_port``
-    column for the egress stage.
+    column for the egress stage.  The per-row outcome comes from
+    :func:`classify_chunk` as an index into the chunk's few distinct
+    outcomes (in first-appearance order), so the tallies are sums over
+    outcomes and the verdicts and ports are gathers over that index —
+    no per-row Python.
     """
 
     name = "digital_mats"
@@ -189,9 +96,60 @@ class DigitalMatsStage:
 
     def process_batch(self, batch: PacketBatch,
                       ctx: StageContext) -> PacketBatch:
-        survivors, ctx.columns["index"], ctx.columns["egress_port"] = \
-            mats_pass(self.switch, batch, ctx.indices, ctx.now,
-                      ctx.tally, ctx.emit, ctx.tracer)
+        switch, tally, index = self.switch, ctx.tally, ctx.indices
+        if not len(batch):
+            ctx.columns["egress_port"] = np.zeros(0, dtype=np.intp)
+            return batch
+        row_entry, entries = classify_chunk(
+            batch, switch.firewall, switch.lookup, switch.flow_cache,
+            ctx.tracer)
+        counts = np.bincount(row_entry, minlength=len(entries)).tolist()
+        default = switch.firewall.default_action
+        deny = Action.DENY
+        ports_by_hop = switch._ports_by_hop
+        acl_verdicts: dict = {}
+        hop_verdicts: dict = {}
+        acl_hits = routed = hop_hits = 0
+        # Per outcome: 0 = ACL drop, 1 = no route, 2 = egress port + 2.
+        kind = []
+        for (action, hop), count in zip(entries, counts):
+            value = action.value
+            acl_verdicts[value] = acl_verdicts.get(value, 0) + count
+            if action is not default:
+                acl_hits += count
+            if action is deny:
+                kind.append(0)
+                continue
+            routed += count
+            if hop is None:
+                kind.append(1)
+                continue
+            hop_hits += count
+            hop_verdicts[hop] = hop_verdicts.get(hop, 0) + count
+            kind.append(ports_by_hop[hop] + 2)
+        tally.lookups("firewall", len(batch), acl_hits,
+                      acl_verdicts.items())
+        if routed:
+            tally.lookups("ip_lookup", routed, hop_hits,
+                          hop_verdicts.items())
+        row_kind = np.array(kind, dtype=np.intp)[row_entry]
+        # Drop events in the order their first rows appear.
+        for code in sorted({0, 1} & set(kind), key=kind.index):
+            verdict = (Verdict.DROPPED_ACL, Verdict.DROPPED_NO_ROUTE)[code]
+            rows = np.flatnonzero(row_kind == code)
+            tally.event(DROP_EVENTS[verdict], len(rows))
+            batch.mark_dropped(rows)
+            ctx.emit(index[rows], verdict)
+        rows = np.flatnonzero(row_kind >= 2)
+        ports = row_kind[rows] - 2
+        survivors = batch if len(rows) == len(batch) else batch.take(rows)
+        if len(rows):
+            manager = switch.traffic_manager
+            backlogs = np.array([manager.backlog(port)
+                                 for port in range(manager.n_ports)])
+            survivors.stamp(ports, backlogs[ports], ctx.now)
+        ctx.columns["index"] = index[rows]
+        ctx.columns["egress_port"] = ports
         return survivors
 
 
@@ -199,9 +157,10 @@ class EgressStage:
     """Batched per-port AQM admission into the egress queues.
 
     Groups the chunk's survivors by resolved port (first-appearance
-    order), lets each port's AQM judge its group against the
-    chunk-start queue state in one vectorised consultation, and emits
-    the final admission verdicts.
+    order: the order each port's AQM draws its uniforms in), lets each
+    port's AQM judge its group against the chunk-start queue state in
+    one ``enqueue_batch`` call, and emits the final admission
+    verdicts.
     """
 
     name = "egress"
@@ -215,9 +174,21 @@ class EgressStage:
 
     def process_batch(self, batch: PacketBatch,
                       ctx: StageContext) -> list:
-        egress_pass(self.switch, batch, ctx.indices,
-                    ctx.columns["egress_port"], ctx.now, ctx.tally,
-                    ctx.emit)
+        manager = self.switch.traffic_manager
+        ports = ctx.columns["egress_port"]
+        index = ctx.indices
+        groups = first_appearance_counts(ports) if len(ports) else ()
+        for port, _ in groups:
+            rows = np.arange(len(ports)) if len(groups) == 1 \
+                else np.flatnonzero(ports == port)
+            group = batch if len(groups) == 1 else batch.take(rows)
+            codes = manager.enqueue_batch(port, group, ctx.now)
+            ctx.tally.gauge(f"port{port}.backlog", manager.backlog(port))
+            for code, count in first_appearance_counts(codes):
+                verdict = ADMISSION_VERDICTS[code]
+                if verdict.dropped:
+                    ctx.tally.event(DROP_EVENTS[verdict], count)
+                ctx.emit(index[rows[codes == code]], verdict, port=port)
         empty = np.zeros(0, dtype=np.intp)
         ctx.columns["index"] = empty
         ctx.columns["egress_port"] = empty

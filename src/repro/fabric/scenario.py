@@ -23,8 +23,7 @@ __all__ = ["build_fabric", "fabric_scenario_factory"]
 
 def build_fabric(spec, seed: int, n_shards: int, *,
                  mode: str = "in_process",
-                 rss: ToeplitzRSS | None = None,
-                 compile: bool = False) -> SwitchFabric:
+                 rss: ToeplitzRSS | None = None) -> SwitchFabric:
     """A fabric of scenario-style switches for one (spec, seed).
 
     The shard factory mirrors ``run_scenario``'s default switch
@@ -48,8 +47,7 @@ def build_fabric(spec, seed: int, n_shards: int, *,
                 return DegradingAQM(analog)
             return analog
 
-        processor = build_switch(spec, aqm_factory=aqm_factory,
-                                 compile=compile)
+        processor = build_switch(spec, aqm_factory=aqm_factory)
         manager = processor.traffic_manager
         for port in range(spec.n_ports):
             aqm = manager.aqm(port)
@@ -59,8 +57,7 @@ def build_fabric(spec, seed: int, n_shards: int, *,
     return SwitchFabric(shard_factory, n_shards, mode=mode, rss=rss)
 
 
-def fabric_scenario_factory(n_shards: int, *, mode: str = "in_process",
-                            compile: bool = False):
+def fabric_scenario_factory(n_shards: int, *, mode: str = "in_process"):
     """A ``processor_factory`` for ``run_scenario``.
 
     Usage::
@@ -69,7 +66,6 @@ def fabric_scenario_factory(n_shards: int, *, mode: str = "in_process",
                      processor_factory=fabric_scenario_factory(4))
     """
     def factory(spec, seed: int) -> SwitchFabric:
-        return build_fabric(spec, seed, n_shards, mode=mode,
-                            compile=compile)
+        return build_fabric(spec, seed, n_shards, mode=mode)
 
     return factory

@@ -215,19 +215,16 @@ class PCAMAQM(AQMAlgorithm):
         self.ecn_enabled = ecn_enabled
         self._rng = rng or np.random.default_rng()
         #: Observation hook: called with (voltage-domain feature batch,
-        #: raw PDP array) after every pipeline evaluation, before
-        #: priority weighting.  The graceful-degradation shadow oracle
-        #: attaches here; None disables monitoring.
+        #: raw PDP array) once per pipeline evaluation, before priority
+        #: weighting.  A folded uniform chunk arrives as its one row,
+        #: where the n-row kernel passes n identical copies of it.  The
+        #: graceful-degradation shadow oracle attaches here; None
+        #: disables monitoring.
         self.output_monitor: Callable[[dict[str, np.ndarray], np.ndarray],
                                       None] | None = None
-        # The compiled admission lane (enabled by the pipeline
-        # compiler, never by default): uniform chunks are judged by
-        # one constant-folded scalar evaluation broadcast over the
-        # chunk instead of n redundant identical rows.  Inert until
-        # :meth:`enable_compiled_lane`, and silently demoted back to
-        # the batch kernel whenever the fold cannot prove exactness
-        # (fault injected, monitor attached, device cells, DACs).
-        self._compiled_lane = False
+        # The constant-folded pipeline judging uniform chunks (one
+        # scalar evaluation broadcast over the chunk); re-folded when
+        # reprogramming, a fault or a cell-shape change invalidates it.
         self._folded = None
 
         self._base_specs = (dict(stage_programs)
@@ -327,7 +324,7 @@ class PCAMAQM(AQMAlgorithm):
         """Book ``n`` per-packet pipeline searches.
 
         One quantum per packet (all stages' cells), identical in the
-        batch kernel and the folded lane, booked via
+        batch kernel and the folded path, booked via
         :meth:`~repro.energy.ledger.EnergyLedger.charge_quanta` so the
         joules are bit-identical however the same packets are chunked
         or sharded.
@@ -378,28 +375,6 @@ class PCAMAQM(AQMAlgorithm):
             weights[classes == priority] = weight
         return weights
 
-    def enable_compiled_lane(self) -> bool:
-        """Opt in to folded uniform admission (the compiler's hook).
-
-        Returns whether the pipeline folds *right now*; the lane
-        re-checks validity on every chunk regardless, so a later
-        reprogramming or fault injection demotes that chunk to the
-        batch kernel transparently.
-        """
-        self._compiled_lane = True
-        self._folded = None
-        return fold_pipeline(self.pipeline) is not None
-
-    def disable_compiled_lane(self) -> None:
-        """Return to the always-batch admission path."""
-        self._compiled_lane = False
-        self._folded = None
-
-    @property
-    def compiled_lane(self) -> bool:
-        """True when folded uniform admission is enabled."""
-        return self._compiled_lane
-
     def _folded_drop_probabilities(self, raw: Mapping[str, float],
                                    n: int,
                                    priorities: np.ndarray) -> \
@@ -409,13 +384,11 @@ class PCAMAQM(AQMAlgorithm):
         Bit-identical to ``drop_probabilities`` over ``np.full``
         columns: one scalar cap/DAC-scale/five-region evaluation per
         stage, broadcast over the chunk, with identical evaluation
-        counters, ledger charge, ``last_pdp`` and priority weighting.
-        ``None`` demotes the chunk to the batch kernel (fold invalid,
-        monitor attached, or a DAC-routed scaler whose quantisation
-        the fold does not model).
+        counters, ledger charge, ``last_pdp``, monitor verdict and
+        priority weighting.  ``None`` demotes the chunk to the batch
+        kernel (the pipeline does not fold, or a DAC-routed scaler
+        whose quantisation the fold does not model).
         """
-        if self.output_monitor is not None:
-            return None
         folded = self._folded
         if folded is None or not folded.matches(self.pipeline):
             folded = fold_pipeline(self.pipeline)
@@ -433,6 +406,11 @@ class PCAMAQM(AQMAlgorithm):
         self.evaluations += n
         self._charge_searches(n)
         self.last_pdp = pdp
+        if self.output_monitor is not None:
+            self.output_monitor(
+                {name: np.array([value])
+                 for name, value in zip(folded.stage_names, values)},
+                np.array([pdp]))
         return np.full(n, pdp) * self._priority_weights(priorities)
 
     def pdp(self, queue: QueueView, now: float) -> float:
@@ -528,10 +506,15 @@ class PCAMAQM(AQMAlgorithm):
 
         All packets in the chunk are judged against the queue state at
         chunk start (the scalar loop re-reads the backlog after every
-        admission; a chunk trades that refresh for one vectorised
-        evaluation).  One uniform variate is consumed per packet, in
-        packet order, so seeded runs stay reproducible chunk size
-        aside — and a chunk of one is exactly the scalar path.
+        admission; a chunk trades that refresh for one evaluation).
+        The chunk's features are uniform, so the constant-folded
+        pipeline evaluates them once and broadcasts the PDP; the
+        ``n``-row batch kernel runs only when the pipeline does not
+        fold (device cells, faults, non-linear ramps, ``mean``
+        composition, DAC-routed scalers).  One uniform variate is
+        consumed per packet, in packet order, so seeded runs stay
+        reproducible chunk size aside — and a chunk of one is exactly
+        the scalar path.
         """
         n = len(packets)
         if n == 0:
@@ -542,9 +525,7 @@ class PCAMAQM(AQMAlgorithm):
         priorities = getattr(packets, "priorities", None)
         if priorities is None:
             priorities = np.array([packet.priority for packet in packets])
-        pdps = None
-        if self._compiled_lane:
-            pdps = self._folded_drop_probabilities(raw, n, priorities)
+        pdps = self._folded_drop_probabilities(raw, n, priorities)
         if pdps is None:
             features = {name: np.full(n, raw[name])
                         for name in self.pipeline.stage_names}

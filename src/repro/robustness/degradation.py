@@ -203,6 +203,13 @@ class DegradingAQM(AQMAlgorithm):
     # ------------------------------------------------------------------
     def _monitor(self, features: dict[str, np.ndarray],
                  outputs: np.ndarray) -> None:
+        """The analog AQM's ``output_monitor``: one call per evaluation.
+
+        A folded uniform chunk arrives as one row and an ``n``-row
+        kernel call as ``n`` rows; the deviation is a max over rows,
+        and a uniform chunk's rows are identical, so the check cadence
+        and verdicts do not depend on which path evaluated the chunk.
+        """
         self._calls_since_check += 1
         if self._calls_since_check < self.check_interval:
             return

@@ -8,11 +8,7 @@ scalar API is a batch of one over the same engine.
 
 Layering contract (enforced by ``tools/check_layering.py``): this
 package never imports ``repro.dataplane`` or ``repro.netfunc`` — the
-concrete switch stages live with the dataplane and plug in here.  The
-single sanctioned exception is :mod:`repro.runtime.compile` (not
-imported by this package, only by opted-in processors), which must
-see the dataplane stage shapes to compile them; even it never
-imports ``repro.netfunc``.
+concrete switch stages live with the dataplane and plug in here.
 """
 
 from repro.runtime.engine import PipelineRuntime

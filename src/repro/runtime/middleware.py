@@ -140,17 +140,6 @@ class EnergyAttributionMiddleware(BaseMiddleware):
         """Accumulated joules per stage name."""
         return dict(self._joules)
 
-    def record(self, stage_name: str, joules: float) -> None:
-        """Attribute joules to a stage outside the staged walk.
-
-        The fused kernel (:mod:`repro.runtime.compile`) measures the
-        same ledger deltas ``around_stage`` would but without the
-        context-manager machinery; it books them here so
-        ``attribution()`` reads identically either way.
-        """
-        self._joules[stage_name] = \
-            self._joules.get(stage_name, 0.0) + joules
-
     @contextmanager
     def around_stage(self, stage: Stage, batch: Any,
                      ctx: StageContext):

@@ -90,27 +90,6 @@ def test_multiprocessing_fabric_matches_golden(config, n_shards):
             f"{config}/N={n_shards}/mp: {key} diverged"
 
 
-@pytest.mark.parametrize("n_shards", (2, 4))
-def test_compiled_shards_match_golden(n_shards):
-    """PR-8 compiled kernels run unchanged inside fabric shards."""
-    def compiled_processor():
-        processor = build_processor(4096, None)
-        processor.request_compile()
-        return processor
-
-    fabric = SwitchFabric(compiled_processor, n_shards)
-    try:
-        results = fabric.process_batch(make_traffic(), now=0.5,
-                                       chunk_size=64)
-        observed = canonical(observe_fabric(fabric, results))
-    finally:
-        fabric.close()
-    golden = GOLDEN["batch_c64"]
-    for key in golden:
-        assert observed[key] == golden[key], \
-            f"compiled/N={n_shards}: {key} diverged"
-
-
 def test_energy_merge_is_exact_not_approximate():
     """The merged total equals the serial total bit-for-bit."""
     serial = build_processor(4096, None)

@@ -84,12 +84,8 @@ def make_traffic(n=240, seed=17):
     return packets
 
 
-def observe(mode, chunk_size, flow_cache_size, fault_seed,
-            compiled=False):
+def observe(mode, chunk_size, flow_cache_size, fault_seed):
     processor = build_processor(flow_cache_size, fault_seed)
-    if compiled:
-        plan = processor.request_compile()
-        assert plan.fused, plan.reasons
     packets = make_traffic()
     if mode == "scalar":
         results = [processor.process(p, now=0.5) for p in packets]
@@ -122,25 +118,6 @@ def test_matches_pre_refactor_reference(name):
     for field in reference:
         assert actual[field] == reference[field], \
             f"{name}: field {field!r} diverged from the " \
-            f"pre-refactor reference"
-
-
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_compiled_mode_matches_the_same_reference(name):
-    # The fused kernel must be indistinguishable from the staged walk
-    # against the *same* committed payloads — across chunk sizes,
-    # cache on/off, and seeded faults.  The faulted configs double as
-    # the fold-invalid fallback check: the injected AQM faults make
-    # the analog constant-fold refuse, so the compiled dataplane runs
-    # over the unfolded (batch) AQM path and must still match.
-    mode, chunk, cache, faults = CONFIGS[name]
-    reference = GOLDEN[name]
-    actual = json.loads(json.dumps(
-        observe(mode, chunk, cache, faults, compiled=True),
-        sort_keys=True))
-    for field in reference:
-        assert actual[field] == reference[field], \
-            f"compiled {name}: field {field!r} diverged from the " \
             f"pre-refactor reference"
 
 

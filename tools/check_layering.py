@@ -18,15 +18,11 @@ the architectural layering the staged-runtime refactor established:
 4. ``repro.acam`` is a device-level subsystem like ``repro.core``:
    the dataplane's classification stage composes it, so it must
    never import ``repro.dataplane`` or ``repro.simnet`` back.
-5. One sanctioned exception: ``repro.runtime.compile`` (the pipeline
-   compiler) must see the dataplane stage shapes it compiles, so it
-   may import ``repro.dataplane`` — but still never ``repro.netfunc``
-   (table sentinels are recovered from live objects instead).
-6. ``repro.fabric`` is the top *composition* layer (it shards whole
+5. ``repro.fabric`` is the top *composition* layer (it shards whole
    switches): nothing below it — dataplane, simnet, netfunc,
    runtime — may import it back.  The scenario engine reaches
    fabrics only through its duck-typed ``processor_factory`` hook.
-7. ``repro.control`` is the *control plane* and sits above
+6. ``repro.control`` is the *control plane* and sits above
    everything it closes the loop over: dataplane, fabric,
    robustness and observability may not import it back.  The only
    sanctioned back-edges are the two deprecation shims left at the
@@ -65,11 +61,9 @@ FORBIDDEN = {
 }
 
 #: exact module -> prefixes its FORBIDDEN rules waive.  The waiver is
-#: per-module and per-prefix: ``repro.runtime.compile`` may see the
-#: dataplane it compiles, yet ``repro.netfunc`` stays banned for it.
+#: per-module and per-prefix.
 EXCEPTIONS = {
-    "repro.runtime.compile": ("repro.dataplane",),
-    # Sanctioned control-plane back-edges (rule 7): warn-on-import
+    # Sanctioned control-plane back-edges (rule 6): warn-on-import
     # deprecation shims, the facade's silent re-export, and the
     # pipeline's default-controller construction.
     "repro.dataplane": ("repro.control",),
