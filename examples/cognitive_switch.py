@@ -17,7 +17,8 @@ from repro.core.compiler import (
     NetworkFunctionSpec,
     PrecisionClass,
 )
-from repro.dataplane import CognitiveNetworkController, SwitchSpec
+from repro.control import CognitiveNetworkController
+from repro.dataplane import SwitchSpec
 from repro.dataplane.parser import build_ethernet_frame, build_ipv4_packet
 from repro.energy import format_energy
 from repro.netfunc.firewall import Action, FirewallRule

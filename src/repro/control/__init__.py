@@ -14,7 +14,7 @@ two-phase fabric commit (:mod:`repro.control.fleet`).
 Layering: ``repro.control`` sits *above* the dataplane, fabric,
 robustness and observability layers — it may import any of them
 (lazily where needed), and nothing below may import it back except
-the two deprecation shims left at the old dataplane paths.
+the switch pipeline's default-controller convenience.
 """
 
 from repro.control.loop import (

@@ -11,13 +11,6 @@ from repro.dataplane.classify import (
     ClassifierSpec,
     classifier_spec_from_tree,
 )
-# Control-plane classes moved up to repro.control; the facade keeps
-# re-exporting them (silently, like Packet) for compatibility.
-from repro.control.cognitive import (
-    CognitiveNetworkController,
-    RegisteredFunction,
-)
-from repro.control.intent import Intent, IntentController
 from repro.packet import FIVE_TUPLE_FIELDS, Packet
 from repro.dataplane.parser import (
     HeaderParser,
@@ -30,7 +23,7 @@ from repro.dataplane.pipeline import (
     ProcessResult,
     Verdict,
 )
-from repro.dataplane.queues import PacketQueue
+from repro.dataplane.queues import PacketQueue, PortQueue, PortStats
 from repro.dataplane.results import DROP_EVENTS, drop_event
 from repro.dataplane.stages import (
     DigitalMatsStage,
@@ -49,11 +42,7 @@ from repro.dataplane.tables import (
     FieldKeySpec,
     TableLookup,
 )
-from repro.dataplane.traffic_manager import (
-    CognitiveTrafficManager,
-    PortStats,
-    TrafficManager,
-)
+from repro.dataplane.traffic_manager import CognitiveTrafficManager
 
 __all__ = [
     "ABMPolicy",
@@ -66,15 +55,12 @@ __all__ = [
     "DigitalMatsStage",
     "DynamicThresholdPolicy",
     "EgressStage",
-    "Intent",
-    "IntentController",
     "ParserStage",
     "SwitchSpec",
     "TableStats",
     "TelemetryCollector",
     "int_metadata",
     "stamp_packet",
-    "CognitiveNetworkController",
     "CognitiveTrafficManager",
     "DigitalMatchActionTable",
     "FIVE_TUPLE_FIELDS",
@@ -83,11 +69,10 @@ __all__ = [
     "Packet",
     "PacketQueue",
     "ParseError",
+    "PortQueue",
     "PortStats",
     "ProcessResult",
-    "RegisteredFunction",
     "TableLookup",
-    "TrafficManager",
     "Verdict",
     "build_ethernet_frame",
     "build_ipv4_packet",

@@ -12,9 +12,9 @@ implements the two classic policies over a common buffer pool:
   is what preserves both burst headroom and fairness.
 
 The manager only answers admission questions; the queues themselves
-live wherever the caller keeps them (synchronous
-:class:`~repro.dataplane.queues.PacketQueue` or the event-driven
-simulator).
+live wherever the caller keeps them (a
+:class:`~repro.dataplane.queues.PortQueue`'s class queues, whether a
+switch port or the event-driven simulator's bottleneck).
 """
 
 from __future__ import annotations

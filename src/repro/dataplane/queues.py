@@ -1,27 +1,32 @@
-"""Ingress/egress packet buffers of the switch model (Figure 5).
+"""Port queues of the switch model (Figure 5) and of the simulator.
 
-Synchronous FIFO buffers used by the packet-processing pipeline (the
-event-driven queue with service dynamics lives in
-:mod:`repro.simnet.queue_sim`).  A buffer holds *column segments*:
-each admitted group of rows keeps its sizes, its enqueue time, the
-batch it came from and, for rows that entered as
+A :class:`PacketQueue` is one bounded FIFO.  It holds *column
+segments*: each admitted group of rows keeps its sizes, its enqueue
+time, the batch it came from and, for rows that entered as
 :class:`~repro.packet.Packet` objects, those objects — so
 :meth:`PacketQueue.pop` hands back the very object that was pushed,
 while column-native rows are materialised only if someone pops them
 one at a time.  Limits are enforced in both packets and bytes;
 overflow drops are counted.  Occupancy is two O(1) counters.
+
+A :class:`PortQueue`, one AQM-managed port, is the only queue model:
+the switch's traffic manager is ``n_ports`` of them and
+:class:`~repro.simnet.queue_sim.BottleneckQueue` drives one in event
+time.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from repro.netfunc.aqm.base import AQMAlgorithm
 from repro.packet import Packet
 
-__all__ = ["PacketQueue"]
+__all__ = ["PacketQueue", "PortQueue", "PortStats"]
 
 
 class _Segment:
@@ -62,7 +67,7 @@ class PacketQueue:
         self.name = name
         self.capacity_packets = capacity_packets
         self.capacity_bytes = capacity_bytes
-        self._segments: deque[_Segment] = deque()
+        self._segments: deque[_Segment | Packet] = deque()
         self._len = 0
         self._bytes = 0
         self.enqueued = 0
@@ -77,11 +82,6 @@ class PacketQueue:
         return self._bytes
 
     @property
-    def is_empty(self) -> bool:
-        """True when no packet is buffered."""
-        return self._len == 0
-
-    @property
     def is_full(self) -> bool:
         """True when a further push would overflow a limit."""
         if self._len >= self.capacity_packets:
@@ -89,21 +89,21 @@ class PacketQueue:
         return (self.capacity_bytes is not None
                 and self._bytes >= self.capacity_bytes)
 
-    def _append(self, segment: _Segment, n: int) -> None:
-        self._segments.append(segment)
-        self._len += n
-        self._bytes += segment.sizes.sum().item()
-        self.enqueued += n
-
     def push(self, packet: Packet, now: float = 0.0) -> bool:
-        """Enqueue; returns False (and counts a drop) on overflow."""
+        """Enqueue; returns False (and counts a drop) on overflow.
+
+        A pushed packet is its own one-row segment: the one-packet path
+        builds no array and no segment object.
+        """
         if self.is_full:
             packet.dropped = True
             self.dropped += 1
             return False
         packet.enqueued_at = now
-        self._append(_Segment(np.array([packet.size_bytes]), now, None,
-                              None, [packet]), 1)
+        self._segments.append(packet)
+        self._len += 1
+        self._bytes += packet.size_bytes
+        self.enqueued += 1
         return True
 
     def push_rows(self, batch, rows: np.ndarray, now: float = 0.0
@@ -135,8 +135,11 @@ class PacketQueue:
                 owned = [objects[row] for row in kept.tolist()]
                 for packet in owned:
                     packet.enqueued_at = now
-            self._append(_Segment(sizes[:fit], now, batch, kept, owned),
-                         fit)
+            self._segments.append(
+                _Segment(sizes[:fit], now, batch, kept, owned))
+            self._len += fit
+            self._bytes += sizes[:fit].sum().item()
+            self.enqueued += fit
         return fit
 
     def pop(self, now: float = 0.0) -> Packet | None:
@@ -144,8 +147,13 @@ class PacketQueue:
         if not self._len:
             return None
         segment = self._segments[0]
-        packet = segment.packet(segment.head)
-        self._advance(segment, 1)
+        if isinstance(segment, Packet):
+            packet = self._segments.popleft()
+            self._len -= 1
+            self._bytes -= packet.size_bytes
+        else:
+            packet = segment.packet(segment.head)
+            self._advance(segment, 1)
         packet.dequeued_at = now
         return packet
 
@@ -154,12 +162,16 @@ class PacketQueue:
         if not self._len:
             return None
         segment = self._segments[0]
+        if isinstance(segment, Packet):
+            return segment
         return segment.packet(segment.head)
 
     def segment_sizes(self) -> Iterator[np.ndarray]:
         """Queued sizes in service order, one array per segment."""
         for segment in self._segments:
-            yield segment.sizes[segment.head:]
+            yield np.array([segment.size_bytes]) \
+                if isinstance(segment, Packet) \
+                else segment.sizes[segment.head:]
 
     def serve(self, count: int, now: float = 0.0) -> np.ndarray:
         """Dequeue ``count`` head rows at once; their sojourns [s].
@@ -170,6 +182,11 @@ class PacketQueue:
         sojourns = []
         while count:
             segment = self._segments[0]
+            if isinstance(segment, Packet):
+                sojourns.append(np.full(1, now - segment.enqueued_at))
+                self.pop(now)
+                count -= 1
+                continue
             take = min(count, len(segment.sizes) - segment.head)
             if segment.objects is not None:
                 for packet in segment.objects[
@@ -185,10 +202,191 @@ class PacketQueue:
         start = segment.head
         segment.head = start + n
         self._len -= n
-        self._bytes -= segment.sizes[start:start + n].sum().item()
+        self._bytes -= int(segment.sizes[start]) if n == 1 \
+            else segment.sizes[start:start + n].sum().item()
         if segment.head == len(segment.sizes):
             self._segments.popleft()
 
     def __repr__(self) -> str:
         return (f"PacketQueue({self.name!r}, {self._len}/"
                 f"{self.capacity_packets} pkts, {self._bytes} B)")
+
+
+@dataclass
+class PortStats:
+    """Counters of one AQM-managed port."""
+
+    enqueued: int = 0
+    dequeued: int = 0
+    aqm_drops: int = 0
+    overflow_drops: int = 0
+
+
+class PortQueue:
+    """One AQM-managed port: the queue model of both time drivers.
+
+    Holds one :class:`PacketQueue` per priority class (served in
+    strict priority: the lowest-numbered non-empty class first), the
+    AQM that judges every admission and may drop at the head, the
+    port's :class:`PortStats` and the sojourn of the last packet to
+    leave.  The port is itself the
+    :class:`~repro.netfunc.aqm.base.QueueView` its AQM observes.
+
+    Where ``last_sojourn_s`` is set belongs to the time driver: here
+    (instantaneous service at slice time) every packet leaving the head
+    sets it through :meth:`departed`, head-dropped ones included and
+    before the AQM's ``on_dequeue`` sees it; an event-time driver
+    overrides :meth:`departed` and sets it at service completion.
+    """
+
+    def __init__(self, name: str, aqm: AQMAlgorithm, n_classes: int = 1,
+                 capacity_packets: int = 1024,
+                 service_rate_bps: float = 10e9) -> None:
+        if n_classes < 1:
+            raise ValueError(
+                f"need at least one priority class: {n_classes!r}")
+        if service_rate_bps <= 0:
+            raise ValueError(
+                f"service rate must be positive: {service_rate_bps!r}")
+        self.classes = [PacketQueue(f"{name}.prio{prio}",
+                                    capacity_packets=capacity_packets)
+                        for prio in range(n_classes)]
+        self.aqm = aqm
+        self.service_rate_bps = service_rate_bps
+        self.stats = PortStats()
+        self._last_sojourn_s = 0.0
+
+    @property
+    def backlog_packets(self) -> int:
+        """Packets queued across the classes."""
+        return sum([queue._len for queue in self.classes])
+
+    @property
+    def backlog_bytes(self) -> int:
+        """Bytes queued across the classes."""
+        return sum([queue._bytes for queue in self.classes])
+
+    @property
+    def capacity_packets(self) -> int:
+        """Aggregate packet capacity of the classes."""
+        return sum(queue.capacity_packets for queue in self.classes)
+
+    @property
+    def last_sojourn_s(self) -> float:
+        """Sojourn time of the most recently served packet [s]."""
+        return self._last_sojourn_s
+
+    def departed(self, sojourn_s: float) -> None:
+        """Record the sojourn of a packet leaving the head."""
+        self._last_sojourn_s = sojourn_s
+
+    def judge(self, packets, now: float) -> np.ndarray:
+        """The AQM's drop verdicts for an arrival group.
+
+        ``packets`` is a packet sequence or a columnar batch; all of
+        it is judged against the current queue state in one
+        ``on_enqueue_batch`` call.  The caller counts the drops into
+        ``stats.aqm_drops`` as it discards them.
+        """
+        return np.asarray(self.aqm.on_enqueue_batch(packets, self, now),
+                          dtype=bool)
+
+    def push(self, packet: Packet, now: float) -> bool:
+        """Queue one packet in its class; False on overflow."""
+        queue = self.classes[min(packet.priority, len(self.classes) - 1)]
+        if queue.push(packet, now):
+            self.stats.enqueued += 1
+            return True
+        self.stats.overflow_drops += 1
+        return False
+
+    def push_rows(self, batch, rows: np.ndarray, now: float
+                  ) -> np.ndarray:
+        """Queue batch rows per class, in order; the rows that overflowed.
+
+        Each class admits a prefix of its rows (exactly the per-row
+        :meth:`push` loop).
+        """
+        classes = np.minimum(batch.priorities[rows],
+                             len(self.classes) - 1)
+        overflow = []
+        admitted = 0
+        present = set(classes.tolist())
+        for prio in sorted(present):
+            members = rows if len(present) == 1 else rows[classes == prio]
+            fit = self.classes[prio].push_rows(batch, members, now)
+            admitted += fit
+            overflow.append(members[fit:])
+        dropped = np.concatenate(overflow) if overflow else rows[:0]
+        self.stats.enqueued += admitted
+        self.stats.overflow_drops += len(dropped)
+        return dropped
+
+    def pop(self, now: float) -> tuple[Packet | None, list[Packet]]:
+        """Serve the head in strict priority, honouring AQM head drops.
+
+        Returns the served packet (None once the port is empty) and
+        the packets the AQM dropped at the head before it, in order.
+        """
+        dropped: list[Packet] = []
+        while True:
+            for queue in self.classes:
+                packet = queue.pop(now)
+                if packet is not None:
+                    break
+            else:
+                return None, dropped
+            sojourn = now - packet.enqueued_at
+            self.departed(sojourn)
+            if not self.aqm.on_dequeue(packet, self, now, sojourn):
+                self.stats.dequeued += 1
+                return packet, dropped
+            packet.dropped = True
+            self.stats.aqm_drops += 1
+            dropped.append(packet)
+
+    @property
+    def replays_dequeues(self) -> bool:
+        """Whether a drain may pick served rows by credit alone."""
+        return self.aqm.replays_dequeues
+
+    def queued_sizes(self, limit: float | None = None) -> np.ndarray:
+        """Queued sizes in service order (strict priority, FIFO).
+
+        With ``limit`` only a head covering it is returned: whole
+        segments up to the first whose running total reaches
+        ``limit``, plus one more segment, so a byte-credit walk over
+        the head can never run past it.
+        """
+        parts = []
+        total = 0
+        reached = False
+        for queue in self.classes:
+            for sizes in queue.segment_sizes():
+                parts.append(sizes)
+                if reached:
+                    return np.concatenate(parts)
+                total += sizes.sum().item()
+                reached = limit is not None and total >= limit
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def serve_count(self, count: int, now: float) -> None:
+        """Dequeue the next ``count`` rows in service order.
+
+        Only valid while :attr:`replays_dequeues` holds (no head drop
+        can interleave); the served sojourns are replayed to the AQM
+        in order afterwards.
+        """
+        parts = []
+        for queue in self.classes:
+            if not count:
+                break
+            take = min(count, len(queue))
+            if take:
+                parts.append(queue.serve(take, now))
+                count -= take
+        if parts:
+            sojourns = np.concatenate(parts)
+            self.stats.dequeued += len(sojourns)
+            self.departed(float(sojourns[-1]))
+            self.aqm.on_dequeue_batch(sojourns, self, now)

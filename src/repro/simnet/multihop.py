@@ -15,7 +15,15 @@ Two path flavours live here:
   (``build_switch`` products or whole
   :class:`~repro.fabric.fabric.SwitchFabric` instances), admission
   slices riding hop to hop through line-rate drains and link delays,
-  so a topology of sharded switches is one scenario call.
+  so a topology of sharded switches is one scenario call.  Each drain
+  is the traffic manager's own per-packet line-rate loop
+  (:func:`~repro.dataplane.traffic_manager.serve_each`) over a
+  dequeue-and-forward step.
+
+Both flavours queue on the same port model,
+:class:`~repro.dataplane.queues.PortQueue`: event time drives it
+through ``BottleneckQueue``, slice time through the switches' traffic
+managers.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.dataplane.traffic_manager import serve_each
 from repro.netfunc.aqm.base import AQMAlgorithm, TailDropAQM
 from repro.packet import Packet
 from repro.simnet.engine import Simulator
@@ -272,20 +281,19 @@ def run_switch_path(processors: Sequence, stream, *,
             return
         manager = _manager_of(processors[hop])
         budget = (t_until - t_from) * port_rate_bps / 8.0
+        ready = t_until + delays[hop]
+
+        def forward(port: int) -> Packet | None:
+            packet = manager.dequeue(port, now=t_until)
+            if packet is not None and hop + 1 < n_hops:
+                heapq.heappush(ingress[hop + 1], (ready, next(seq), packet))
+            elif packet is not None:
+                delivered.append(ready - packet.created_at)
+            return packet
+
         for port in range(manager.n_ports):
-            credits[hop][port] += budget
-            while credits[hop][port] > 0.0:
-                packet = manager.dequeue(port, now=t_until)
-                if packet is None:
-                    credits[hop][port] = 0.0
-                    break
-                credits[hop][port] -= packet.size_bytes
-                ready = t_until + delays[hop]
-                if hop + 1 < n_hops:
-                    heapq.heappush(ingress[hop + 1],
-                                   (ready, next(seq), packet))
-                else:
-                    delivered.append(ready - packet.created_at)
+            credits[hop][port] = serve_each(
+                lambda: forward(port), credits[hop][port] + budget)
 
     def admit_hop(hop: int, t_now: float) -> None:
         batch = []

@@ -1,27 +1,34 @@
 """The bottleneck queue under study (Figure 8's simulated queue).
 
-A single FIFO served at a fixed line rate, with an AQM policy hooked
-at both the enqueue and dequeue sides, a hard capacity (tail drop as
-the last resort), and full metrics instrumentation.
+The event-time driver of one AQM-managed port: a single-class
+:class:`~repro.dataplane.queues.PortQueue` (the queue model the
+switch's traffic manager is built from) served at a fixed line rate
+inside the event simulator, with the AQM hooked at both the enqueue
+and dequeue sides, a hard capacity (tail drop as the last resort),
+and full metrics instrumentation.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from functools import partial
 from typing import Sequence
 
-import numpy as np
-
-from repro.packet import Packet
+from repro.dataplane.queues import PortQueue
 from repro.netfunc.aqm.base import AQMAlgorithm, TailDropAQM
+from repro.packet import Packet
 from repro.simnet.engine import Simulator
 from repro.simnet.metrics import DelayRecorder
 
 __all__ = ["BottleneckQueue"]
 
 
-class BottleneckQueue:
-    """A capacity-limited FIFO with pluggable AQM.
+class BottleneckQueue(PortQueue):
+    """A capacity-limited FIFO with pluggable AQM, in event time.
+
+    The packet in service has left the queue, so the
+    :class:`~repro.netfunc.aqm.base.QueueView` backlog excludes it,
+    and ``last_sojourn_s`` is set when service *completes* (it
+    includes the service time).
 
     Parameters
     ----------
@@ -47,24 +54,12 @@ class BottleneckQueue:
                  sample_interval_s: float = 0.0,
                  delivery_listener=None,
                  drop_listener=None) -> None:
-        if service_rate_bps <= 0:
-            raise ValueError(
-                f"service rate must be positive: {service_rate_bps!r}")
-        if capacity_packets < 1:
-            raise ValueError(
-                f"capacity must be >= 1 packet: {capacity_packets!r}")
+        super().__init__("bottleneck", aqm or TailDropAQM(),
+                         capacity_packets=capacity_packets,
+                         service_rate_bps=service_rate_bps)
         self.sim = sim
-        self.service_rate_bps = service_rate_bps
-        self.capacity_packets = capacity_packets
-        self.aqm = aqm or TailDropAQM()
         self.recorder = recorder or DelayRecorder()
-        self._queue: deque[Packet] = deque()
-        self._backlog_bytes = 0
         self._busy = False
-        self._last_sojourn_s = 0.0
-        self.admitted = 0
-        self.aqm_drops = 0
-        self.overflow_drops = 0
         #: Optional hooks for responsive sources (AIMD congestion
         #: control): called with the packet on service completion and
         #: on every drop, respectively.
@@ -73,94 +68,64 @@ class BottleneckQueue:
         if sample_interval_s > 0.0:
             sim.every(sample_interval_s, self._sample)
 
-    # ------------------------------------------------------------------
-    # QueueView protocol
-    # ------------------------------------------------------------------
     @property
-    def backlog_packets(self) -> int:
-        """Packets waiting (excluding the one in service)."""
-        return len(self._queue)
+    def admitted(self) -> int:
+        """Packets admitted to the buffer."""
+        return self.stats.enqueued
 
     @property
-    def backlog_bytes(self) -> int:
-        """Bytes waiting (excluding the one in service)."""
-        return self._backlog_bytes
+    def aqm_drops(self) -> int:
+        """Packets the AQM dropped, at the door or at the head."""
+        return self.stats.aqm_drops
 
     @property
-    def last_sojourn_s(self) -> float:
-        """Sojourn time of the most recently served packet [s]."""
-        return self._last_sojourn_s
+    def overflow_drops(self) -> int:
+        """Packets the full buffer refused."""
+        return self.stats.overflow_drops
+
+    def departed(self, sojourn_s: float) -> None:
+        """Leaving the head starts service; :meth:`_complete` records
+        the sojourn once service ends."""
 
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> None:
         """Arrival entry point (wired as the generators' sink)."""
-        now = self.sim.now
-        if self.aqm.on_enqueue(packet, self, now):
-            self._drop(packet, aqm=True)
-            return
-        if len(self._queue) >= self.capacity_packets:
-            self._drop(packet, aqm=False)
-            return
-        packet.enqueued_at = now
-        self._queue.append(packet)
-        self._backlog_bytes += packet.size_bytes
-        self.admitted += 1
-        if not self._busy:
-            self._serve_next()
+        self.enqueue_batch([packet])
 
     def enqueue_batch(self, packets: Sequence[Packet]) -> int:
         """Admit a chunk of simultaneous arrivals; returns how many.
 
-        The AQM is consulted once for the whole chunk through its
-        vectorised :meth:`~repro.netfunc.aqm.base.AQMAlgorithm.
-        on_enqueue_batch` hook — all verdicts are made against the
-        chunk-start queue state (a chunk of one is exactly
-        :meth:`enqueue`).  Capacity is still enforced per packet as
-        survivors are appended.
+        The AQM judges the whole chunk once, against the chunk-start
+        queue state (a chunk of one is exactly :meth:`enqueue`);
+        capacity is still enforced per packet as survivors are queued.
         """
         now = self.sim.now
-        verdicts = np.asarray(
-            self.aqm.on_enqueue_batch(packets, self, now), dtype=bool)
         admitted = 0
-        for packet, drop in zip(packets, verdicts):
+        for packet, drop in zip(packets, self.judge(packets, now).tolist()):
             if drop:
-                self._drop(packet, aqm=True)
+                self.stats.aqm_drops += 1
+            elif self.push(packet, now):
+                admitted += 1
                 continue
-            if len(self._queue) >= self.capacity_packets:
-                self._drop(packet, aqm=False)
-                continue
-            packet.enqueued_at = now
-            self._queue.append(packet)
-            self._backlog_bytes += packet.size_bytes
-            self.admitted += 1
-            admitted += 1
+            self._drop(packet)
         if admitted and not self._busy:
             self._serve_next()
         return admitted
 
     def _serve_next(self) -> None:
-        while self._queue:
-            packet = self._queue.popleft()
-            self._backlog_bytes -= packet.size_bytes
-            now = self.sim.now
-            assert packet.enqueued_at is not None
-            sojourn = now - packet.enqueued_at
-            if self.aqm.on_dequeue(packet, self, now, sojourn):
-                self._drop(packet, aqm=True)
-                continue
-            self._busy = True
+        packet, dropped = self.pop(self.sim.now)
+        for victim in dropped:
+            self._drop(victim)
+        self._busy = packet is not None
+        if packet is not None:
             service_time = packet.size_bytes * 8.0 / self.service_rate_bps
-            self.sim.schedule(
-                service_time, lambda p=packet: self._complete(p))
-            return
-        self._busy = False
+            self.sim.schedule(service_time, partial(self._complete, packet))
 
     def _complete(self, packet: Packet) -> None:
         now = self.sim.now
         packet.dequeued_at = now
-        assert packet.enqueued_at is not None
         sojourn = now - packet.enqueued_at
         self._last_sojourn_s = sojourn
         self.recorder.record_departure(now, sojourn, packet.priority)
@@ -168,16 +133,12 @@ class BottleneckQueue:
             self.delivery_listener(packet)
         self._serve_next()
 
-    def _drop(self, packet: Packet, *, aqm: bool) -> None:
+    def _drop(self, packet: Packet) -> None:
         packet.dropped = True
-        if aqm:
-            self.aqm_drops += 1
-        else:
-            self.overflow_drops += 1
         self.recorder.record_drop(self.sim.now, packet.priority)
         if self.drop_listener is not None:
             self.drop_listener(packet)
 
     def _sample(self) -> None:
         self.recorder.record_queue_sample(
-            self.sim.now, len(self._queue), self._backlog_bytes)
+            self.sim.now, self.backlog_packets, self.backlog_bytes)

@@ -16,8 +16,10 @@ ECN-marked.  This module provides that workload:
 
 The generator learns about deliveries and drops through the
 ``delivery_listener`` / ``drop_listener`` hooks of
-:class:`~repro.simnet.queue_sim.BottleneckQueue`; a
-:class:`FeedbackRouter` fans those signals out per flow.
+:class:`~repro.simnet.queue_sim.BottleneckQueue` (the event-time
+driver of a :class:`~repro.dataplane.queues.PortQueue`): deliveries
+at service completion, drops at the door, on overflow and at the
+head.  A :class:`FeedbackRouter` fans those signals out per flow.
 """
 
 from __future__ import annotations

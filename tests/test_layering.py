@@ -6,8 +6,7 @@ refactor established: runtime must stay generic (no dataplane or
 netfunc imports), netfunc must not reach up into the dataplane,
 ``repro.packet`` stays a leaf, and ``repro.control`` sits above
 dataplane/fabric/robustness/observability — nothing imports it from
-below except the sanctioned deprecation shims and the dataplane
-facade's re-export.
+below except the pipeline's default-controller convenience.
 """
 
 import importlib.util
@@ -57,12 +56,15 @@ def test_checker_catches_a_planted_violation(tmp_path, monkeypatch):
         # The control plane itself may import everything below it...
         "repro/control/good.py": "import repro.fabric\n"
                                  "from repro.dataplane import switch\n",
-        # ...and the sanctioned shim back-edges stay waived.
+        # The old shim paths and the facade get no waiver any more...
         "repro/dataplane/control_loop.py":
             "from repro.control.intent import Intent\n",
         "repro/dataplane/controller.py":
             "from repro.control.cognitive import "
             "CognitiveNetworkController\n",
+        "repro/dataplane/__init__.py":
+            "from repro.control.intent import IntentController\n",
+        # ...while the pipeline's default controller stays waived.
         "repro/dataplane/pipeline.py":
             "from repro.control.cognitive import "
             "CognitiveNetworkController\n",
@@ -81,7 +83,10 @@ def test_checker_catches_a_planted_violation(tmp_path, monkeypatch):
                        "src/repro/fabric/bad_d.py",
                        "src/repro/robustness/bad_e.py",
                        "src/repro/observability/bad_f.py",
-                       "src/repro/dataplane/bad_g.py"}
+                       "src/repro/dataplane/bad_g.py",
+                       "src/repro/dataplane/control_loop.py",
+                       "src/repro/dataplane/controller.py",
+                       "src/repro/dataplane/__init__.py"}
 
 
 def test_relative_imports_resolved(tmp_path, monkeypatch):

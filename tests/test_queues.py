@@ -1,7 +1,9 @@
 """Synchronous packet buffers."""
 
+import numpy as np
 import pytest
 
+from repro.dataplane.fastpath import PacketBatch
 from repro.dataplane.queues import PacketQueue
 from repro.packet import Packet
 
@@ -48,6 +50,24 @@ def test_timestamps_set_on_push_pop():
     queue.push(packet, now=1.0)
     queue.pop(now=2.5)
     assert packet.sojourn_time == pytest.approx(1.5)
+
+
+def test_pushed_packets_serve_like_admitted_rows():
+    # A pushed packet is its own one-row segment; the credit path
+    # (segment_sizes + serve) sees it exactly like admitted rows.
+    queue = PacketQueue("q")
+    first = Packet(size_bytes=100)
+    queue.push(first, now=0.0)
+    batch = PacketBatch.of([Packet(size_bytes=200), Packet(size_bytes=300)])
+    queue.push_rows(batch, np.arange(2), now=1.0)
+    queue.push(Packet(size_bytes=400), now=2.0)
+    sizes = np.concatenate(list(queue.segment_sizes()))
+    assert sizes.tolist() == [100, 200, 300, 400]
+    assert queue.serve(3, now=4.0).tolist() == [4.0, 3.0, 3.0]
+    assert first.dequeued_at == 4.0
+    assert len(queue) == 1 and queue.backlog_bytes == 400
+    assert queue.pop(now=5.0).sojourn_time == pytest.approx(3.0)
+    assert queue.backlog_bytes == 0
 
 
 def test_pop_empty_returns_none():

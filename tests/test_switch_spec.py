@@ -5,12 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.dataplane import (
-    CognitiveNetworkController,
-    SwitchSpec,
-    Verdict,
-    build_switch,
-)
+from repro.control import CognitiveNetworkController
+from repro.dataplane import SwitchSpec, Verdict, build_switch
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.netfunc.firewall import Action, FirewallRule
 from repro.packet import Packet

@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.dataplane.traffic_manager import (
-    CognitiveTrafficManager,
-    TrafficManager,
-)
+from repro.dataplane.traffic_manager import CognitiveTrafficManager
 from repro.netfunc.aqm.base import AQMAlgorithm
 from repro.packet import Packet
 
@@ -31,8 +28,9 @@ class DropAtDequeueAQM(AQMAlgorithm):
 
 
 class TestTrafficManager:
+    # No AQM factory: every port is plain tail drop.
     def test_strict_priority_scheduling(self):
-        manager = TrafficManager(n_ports=1, n_priorities=2)
+        manager = CognitiveTrafficManager(n_ports=1, n_priorities=2)
         low = Packet(priority=1)
         high = Packet(priority=0)
         manager.enqueue(0, low)
@@ -41,33 +39,62 @@ class TestTrafficManager:
         assert manager.dequeue(0) is low
 
     def test_priority_clamped_to_classes(self):
-        manager = TrafficManager(n_ports=1, n_priorities=2)
+        manager = CognitiveTrafficManager(n_ports=1, n_priorities=2)
         manager.enqueue(0, Packet(priority=7))
         assert manager.backlog(0) == 1
 
     def test_overflow_counted(self):
-        manager = TrafficManager(n_ports=1, queue_capacity=1)
+        manager = CognitiveTrafficManager(n_ports=1, queue_capacity=1)
         manager.enqueue(0, Packet())
         assert not manager.enqueue(0, Packet())
         assert manager.stats[0].overflow_drops == 1
 
     def test_dequeue_empty_port(self):
-        assert TrafficManager(n_ports=1).dequeue(0) is None
+        assert CognitiveTrafficManager(n_ports=1).dequeue(0) is None
 
     def test_port_bounds_checked(self):
-        manager = TrafficManager(n_ports=2)
+        manager = CognitiveTrafficManager(n_ports=2)
         with pytest.raises(IndexError):
             manager.enqueue(5, Packet())
         with pytest.raises(IndexError):
             manager.dequeue(-1)
         with pytest.raises(IndexError):
             manager.queue(9, 0)
+        with pytest.raises(IndexError):
+            manager.queue(0, 2)
+
+    @pytest.mark.parametrize("port", [-1, 2])
+    @pytest.mark.parametrize("call", [
+        lambda m, port: m.enqueue(port, Packet()),
+        lambda m, port: m.enqueue_batch(port, [Packet()]),
+        lambda m, port: m.dequeue(port),
+        lambda m, port: m.serve(port, 100.0, 0.5),
+        lambda m, port: m.aqm(port),
+        lambda m, port: m.queue_view(port),
+        lambda m, port: m.queue(port, 0),
+        lambda m, port: m.backlog(port),
+        lambda m, port: m.last_sojourn_s(port),
+        lambda m, port: m.queued_sizes(port),
+        lambda m, port: m.serve_count(port, 1, 0.5),
+        lambda m, port: m.replays_dequeues(port),
+    ], ids=["enqueue", "enqueue_batch", "dequeue", "serve", "aqm",
+            "queue_view", "queue", "backlog", "last_sojourn_s",
+            "queued_sizes", "serve_count", "replays_dequeues"])
+    def test_every_port_accessor_checks_range(self, call, port):
+        # -1 must not wrap around to the last port: a 2-port manager
+        # holding one packet on port 1 keeps it.
+        manager = CognitiveTrafficManager(n_ports=2)
+        manager.enqueue(1, Packet(size_bytes=100))
+        with pytest.raises(IndexError):
+            call(manager, port)
+        assert manager.backlog(1) == 1
+        assert manager.stats[1].dequeued == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrafficManager(n_ports=0)
+            CognitiveTrafficManager(n_ports=0)
         with pytest.raises(ValueError):
-            TrafficManager(n_ports=1, n_priorities=0)
+            CognitiveTrafficManager(n_ports=1, n_priorities=0)
 
 
 class TestCognitiveTrafficManager:
@@ -101,6 +128,22 @@ class TestCognitiveTrafficManager:
         manager.enqueue(0, Packet(), now=0.0)
         manager.dequeue(0, now=0.25)
         assert manager.last_sojourn_s(0) == pytest.approx(0.25)
+
+    def test_sojourn_visible_to_on_dequeue_including_head_drops(self):
+        # Slice time: service is instantaneous, so a packet leaving the
+        # head sets the port's last sojourn before its AQM judges it.
+        seen = []
+
+        class Peek(DropAtDequeueAQM):
+            def on_dequeue(self, packet, queue, now, sojourn_s):
+                seen.append((queue.last_sojourn_s, sojourn_s))
+                return super().on_dequeue(packet, queue, now, sojourn_s)
+
+        manager = CognitiveTrafficManager(1, Peek)
+        manager.enqueue(0, Packet(), now=0.0)
+        manager.enqueue(0, Packet(), now=0.5)
+        manager.dequeue(0, now=1.0)
+        assert seen == [(1.0, 1.0), (0.5, 0.5)]
 
     def test_port_rate_validated(self):
         with pytest.raises(ValueError):

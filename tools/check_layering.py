@@ -24,12 +24,10 @@ the architectural layering the staged-runtime refactor established:
    fabrics only through its duck-typed ``processor_factory`` hook.
 6. ``repro.control`` is the *control plane* and sits above
    everything it closes the loop over: dataplane, fabric,
-   robustness and observability may not import it back.  The only
-   sanctioned back-edges are the two deprecation shims left at the
-   old dataplane paths (``repro.dataplane.control_loop``,
-   ``repro.dataplane.controller``), the package facade's silent
-   re-export (``repro.dataplane.__init__``), and the pipeline's
-   default-controller convenience — all re-export/instantiate only.
+   robustness and observability may not import it back.  The one
+   sanctioned back-edge is the pipeline's default-controller
+   convenience (``repro.dataplane.pipeline``), which only
+   instantiates.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -63,12 +61,8 @@ FORBIDDEN = {
 #: exact module -> prefixes its FORBIDDEN rules waive.  The waiver is
 #: per-module and per-prefix.
 EXCEPTIONS = {
-    # Sanctioned control-plane back-edges (rule 6): warn-on-import
-    # deprecation shims, the facade's silent re-export, and the
-    # pipeline's default-controller construction.
-    "repro.dataplane": ("repro.control",),
-    "repro.dataplane.control_loop": ("repro.control",),
-    "repro.dataplane.controller": ("repro.control",),
+    # The sanctioned control-plane back-edge (rule 6): the pipeline's
+    # default-controller construction.
     "repro.dataplane.pipeline": ("repro.control",),
 }
 
