@@ -285,9 +285,11 @@ def run_switch_path(processors: Sequence, stream, *,
 
         def forward(port: int) -> Packet | None:
             packet = manager.dequeue(port, now=t_until)
-            if packet is not None and hop + 1 < n_hops:
+            if packet is None:
+                return None
+            if hop + 1 < n_hops:
                 heapq.heappush(ingress[hop + 1], (ready, next(seq), packet))
-            elif packet is not None:
+            else:
                 delivered.append(ready - packet.created_at)
             return packet
 
