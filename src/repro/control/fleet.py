@@ -31,7 +31,7 @@ what makes the learned programming independent of the shard count
 
 from __future__ import annotations
 
-from repro.control.loop import Action, ControlLoop
+from repro.control.loop import Action, ControlLoop, queue_drops
 from repro.control.learning import EnvelopeGate
 
 __all__ = ["FleetActuator", "FleetLearningController", "FleetSensor"]
@@ -44,7 +44,9 @@ class FleetSensor:
     document (a :class:`~repro.fabric.controller.FabricController` or
     the fabric itself).  ``drain_pps`` — the per-port egress service
     rate — selects the backlog-implied delay signal; without it the
-    sensor falls back to the worst per-shard delay EWMA.
+    sensor falls back to the worst per-shard delay EWMA.  Drops are
+    the shards' queue losses (AQM and overflow), counted exactly as
+    :class:`~repro.control.loop.SwitchSensor` counts one switch's.
     """
 
     def __init__(self, controller, *, drain_pps: float | None = None
@@ -53,10 +55,6 @@ class FleetSensor:
         self._drain_pps = drain_pps
         self._last_processed = 0
         self._last_drops = 0
-
-    @staticmethod
-    def _row_drops(row: dict) -> int:
-        return int(row.get("aqm_drops", 0))
 
     def _implied_delay_s(self, metrics: dict) -> float:
         gauges = metrics["telemetry"]["gauges"]
@@ -69,7 +67,7 @@ class FleetSensor:
         metrics = self._controller.poll_metrics()
         rows = metrics["shards"]
         processed = metrics["processed"]
-        drops = sum(self._row_drops(row) for row in rows)
+        drops = sum(queue_drops(row["verdict_counts"]) for row in rows)
         window_packets = processed - self._last_processed
         window_drops = drops - self._last_drops
         self._last_processed = processed

@@ -37,6 +37,7 @@ __all__ = [
     "Policy",
     "Sensor",
     "SwitchSensor",
+    "queue_drops",
 ]
 
 
@@ -162,6 +163,24 @@ class CounterSensor:
         return observation
 
 
+#: Queue-loss verdicts: what congestion costs traffic.  Both count —
+#: an AQM drop and a tail-overflow drop are the same lost packet, and a
+#: policy scored only on AQM drops would learn to prefer programmings
+#: loose enough to shift loss into (unpenalised) overflow.
+_LOSS_VERDICTS = ("dropped_aqm", "dropped_overflow")
+
+
+def queue_drops(counts: dict) -> int:
+    """Queue-loss packets in a verdict-count map.
+
+    Keys may be verdict enums or their values: they are matched by
+    value so this module never imports the dataplane (layering:
+    control sits above it).
+    """
+    return sum(count for verdict, count in counts.items()
+               if getattr(verdict, "value", verdict) in _LOSS_VERDICTS)
+
+
 class SwitchSensor:
     """Windows one switch's verdict counters and delay telemetry.
 
@@ -197,25 +216,10 @@ class SwitchSensor:
         self._last_total = 0
         self._last_drops = 0
 
-    #: Queue-loss verdicts: what congestion costs traffic.  Both count
-    #: — an AQM drop and a tail-overflow drop are the same lost packet,
-    #: and a policy scored only on AQM drops would learn to prefer
-    #: programmings loose enough to shift loss into (unpenalised)
-    #: overflow.
-    _LOSS_VERDICTS = ("dropped_aqm", "dropped_overflow")
-
-    @staticmethod
-    def _queue_drops(counts: dict) -> int:
-        # Verdict enums are matched by value so this module never
-        # imports the dataplane (layering: control sits above it).
-        return sum(count for verdict, count in counts.items()
-                   if getattr(verdict, "value", verdict)
-                   in SwitchSensor._LOSS_VERDICTS)
-
     def sense(self, now: float) -> dict:
         counts = self._processor.verdict_counts
         total = sum(counts.values())
-        drops = self._queue_drops(counts)
+        drops = queue_drops(counts)
         window_total = total - self._last_total
         window_drops = drops - self._last_drops
         self._last_total = total

@@ -190,7 +190,7 @@ class ClassificationStage:
                         in enumerate(classifier.labels.tolist())}
         codes = np.array([row_of_label[label]
                           for label in labels.tolist()], dtype=np.intp)
-        ctx.tally.lookups(
+        ctx.telemetry.record_lookup_batch(
             "acam_classifier", len(batch),
             int(np.count_nonzero(deterministic)),
             [(values[code], count)

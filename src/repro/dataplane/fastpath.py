@@ -12,9 +12,6 @@ The switch moves fixed-width header columns, not per-packet objects:
   on (flow key, table generation): repeated flows skip classification
   entirely, and any table mutation bumps the generation, so the next
   probe of a stale entry misses and the cache flushes itself.
-* :class:`TelemetryTally` — per-chunk counter aggregation flushed into
-  the :class:`~repro.dataplane.telemetry.TelemetryCollector` once per
-  chunk instead of three calls per packet.
 
 Everything here is a pure re-expression of the scalar reference:
 verdicts, drop reasons and telemetry totals are pinned equal by
@@ -38,8 +35,8 @@ from repro.dataplane.telemetry import stamp_packet
 from repro.packet import Packet
 from repro.tcam.tcam import key_matrix
 
-__all__ = ["FlowCache", "PacketBatch", "TelemetryTally",
-           "first_appearance_counts", "ip_to_u32"]
+__all__ = ["FlowCache", "PacketBatch", "first_appearance_counts",
+           "ip_to_u32"]
 
 #: Bound on the dotted-quad -> uint32 memo (flows repeat; header
 #: variety does not grow without limit in practice, but a rotating
@@ -425,62 +422,6 @@ class FlowCache:
         self._entries.clear()
         self.outcomes.clear()
         self._generation = None
-
-
-class TelemetryTally:
-    """Per-chunk telemetry aggregation, flushed in one call per table.
-
-    Accumulates exactly the counters the scalar path records per
-    packet (table lookups/hits/verdicts and named events), then folds
-    them into the shared collector once — totals are identical, the
-    per-packet method-call overhead is not.
-    """
-
-    __slots__ = ("_tables", "_events", "_gauges")
-
-    def __init__(self) -> None:
-        self._tables: dict[str, list] = {}
-        self._events: Counter[str] = Counter()
-        self._gauges: dict[str, float] = {}
-
-    def lookup(self, table: str, hit: bool,
-               verdict: str | None = None) -> None:
-        """Count one table lookup (and optionally its verdict)."""
-        self.lookups(table, 1, int(hit),
-                     () if verdict is None else ((verdict, 1),))
-
-    def lookups(self, table: str, count: int, hits: int,
-                verdicts: Iterable[tuple[str, int]] = ()) -> None:
-        """Count ``count`` lookups at once; ``verdicts`` are ordered
-        ``(verdict, count)`` pairs (see :func:`first_appearance_counts`)."""
-        stats = self._tables.get(table)
-        if stats is None:
-            stats = [0, 0, Counter()]
-            self._tables[table] = stats
-        stats[0] += count
-        stats[1] += hits
-        for verdict, n in verdicts:
-            stats[2][verdict] += n
-
-    def event(self, name: str, count: int = 1) -> None:
-        """Count a named event."""
-        self._events[name] += count
-
-    def gauge(self, name: str, value: float) -> None:
-        """Stage the latest sample of a named gauge (last write wins)."""
-        self._gauges[name] = float(value)
-
-    def flush(self, collector) -> None:
-        """Fold everything into a TelemetryCollector and reset."""
-        for table, (lookups, hits, verdicts) in self._tables.items():
-            collector.record_lookup_batch(table, lookups, hits, verdicts)
-        if self._events:
-            collector.record_events(self._events)
-        for name, value in self._gauges.items():
-            collector.set_gauge(name, value)
-        self._tables = {}
-        self._events = Counter()
-        self._gauges = {}
 
 
 def classify_chunk(batch: PacketBatch, firewall, lookup,

@@ -16,9 +16,10 @@ engine; the scalar path is literally a batch of one, so the paths
 cannot drift apart.  Results come back as
 :class:`~repro.dataplane.results.BatchResults` (verdict/port arrays
 that also read as ``ProcessResult`` values).  Cross-cutting concerns
-(span tracing, telemetry flushing, energy attribution) are middleware
-registered once at assembly time; a per-component energy ledger
-attributes each packet's cost to the digital and analog domains.
+(span tracing, energy attribution) are middleware registered once at
+assembly time; stages write their counters straight into the switch's
+telemetry collector, and a per-component energy ledger attributes each
+packet's cost to the digital and analog domains.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.control.cognitive import CognitiveNetworkController
-from repro.dataplane.fastpath import FlowCache, PacketBatch, TelemetryTally
+from repro.dataplane.fastpath import FlowCache, PacketBatch
 from repro.dataplane.results import (
     VERDICT_CODES,
     BatchResults,
@@ -53,7 +54,6 @@ from repro.runtime import (
     EnergyAttributionMiddleware,
     PipelineRuntime,
     StageContext,
-    TelemetryMiddleware,
     TracingMiddleware,
 )
 from repro.tcam.mtcam import MemristorTCAM
@@ -164,13 +164,11 @@ class AnalogPacketProcessor:
     def default_middleware(self) -> list:
         """The stock middleware set the switch is assembled with.
 
-        Telemetry flushing and energy attribution always; span tracing
-        only when an observability hub is attached.  Each concern is
-        registered exactly once here instead of being open-coded in
-        every stage.
+        Energy attribution always; span tracing only when an
+        observability hub is attached.  Each concern is registered
+        exactly once here instead of being open-coded in every stage.
         """
-        middleware: list = [
-            TelemetryMiddleware(self.telemetry, TelemetryTally)]
+        middleware: list = []
         if self.observability is not None:
             middleware.append(
                 TracingMiddleware(self.observability.tracer))
@@ -274,7 +272,8 @@ class AnalogPacketProcessor:
         """
         self._set_time(now)
         results = BatchResults.empty(len(frames), [None] * len(frames))
-        ctx = StageContext(now, self._emitter(results), entry_name=None)
+        ctx = StageContext(now, self._emitter(results),
+                           telemetry=self.telemetry, entry_name=None)
         ctx.columns["index"] = np.arange(len(frames))
         batch = self.runtime.run_chunk(list(frames), ctx,
                                        self._frame_stages)
@@ -339,7 +338,7 @@ class AnalogPacketProcessor:
             stop = start + chunk_size
             chunk = batch.slice(start, stop)
             ctx = StageContext(
-                now, emit, entry_name=entry_name,
+                now, emit, telemetry=self.telemetry, entry_name=entry_name,
                 entry_attributes={"chunk": len(chunk)})
             ctx.columns["index"] = index[start:stop]
             self.runtime.run_chunk(chunk, ctx, self._mat_stages)
@@ -393,3 +392,25 @@ class AnalogPacketProcessor:
     def energy_by_stage(self) -> dict[str, float]:
         """Joules attributed to each runtime stage (middleware view)."""
         return self.runtime.energy_attribution()
+
+    def slice_extremes(self) -> tuple[float, float, int]:
+        """(max delay EWMA, max PDP, max backlog) across the ports."""
+        manager = self.traffic_manager
+        ports = range(manager.n_ports)
+        analog = [getattr(aqm, "analog", aqm)
+                  for aqm in map(manager.aqm, ports)]
+        return (max(aqm.delay_ewma_s for aqm in analog),
+                max(aqm.last_pdp for aqm in analog),
+                max(map(manager.backlog, ports)))
+
+    def robustness_stats(self) -> dict:
+        """Fallback events and retries summed over the ports, plus the
+        tables currently degraded to their fallback."""
+        manager = self.traffic_manager
+        aqms = list(map(manager.aqm, range(manager.n_ports)))
+        return {
+            "fallback_events": sum(getattr(aqm, "fallback_events", 0)
+                                   for aqm in aqms),
+            "retries": sum(getattr(aqm, "retries", 0) for aqm in aqms),
+            "degraded_tables": self.controller.degraded_tables(),
+        }

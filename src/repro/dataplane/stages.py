@@ -6,10 +6,9 @@ implementation over a :class:`~repro.dataplane.fastpath.PacketBatch`
 (the parser alone consumes wire frames and produces the batch).
 Stages emit final verdicts through the
 :class:`~repro.runtime.stage.StageContext` — one ``emit`` per verdict
-kind per chunk, over an index array — and tally telemetry in bulk
-through its per-chunk tally; tracing, flushing, energy attribution
-and supervision are middleware on the composing runtime, not code
-here.
+kind per chunk, over an index array — and write telemetry in bulk
+into the context's collector; tracing, energy attribution and
+supervision are middleware on the composing runtime, not code here.
 
 Stages hold a reference to the owning
 :class:`~repro.dataplane.pipeline.AnalogPacketProcessor` and read its
@@ -64,8 +63,8 @@ class ParserStage:
         dropped = [offset for offset, packet in enumerate(parsed)
                    if packet is None]
         if dropped:
-            ctx.tally.event(DROP_EVENTS[Verdict.DROPPED_PARSE],
-                            len(dropped))
+            ctx.telemetry.record_event(DROP_EVENTS[Verdict.DROPPED_PARSE],
+                                       len(dropped))
             ctx.emit(index[dropped], Verdict.DROPPED_PARSE)
             kept = np.flatnonzero([packet is not None for packet in parsed])
             ctx.columns["index"] = index[kept]
@@ -96,7 +95,7 @@ class DigitalMatsStage:
 
     def process_batch(self, batch: PacketBatch,
                       ctx: StageContext) -> PacketBatch:
-        switch, tally, index = self.switch, ctx.tally, ctx.indices
+        switch, telemetry, index = self.switch, ctx.telemetry, ctx.indices
         if not len(batch):
             ctx.columns["egress_port"] = np.zeros(0, dtype=np.intp)
             return batch
@@ -127,17 +126,17 @@ class DigitalMatsStage:
             hop_hits += count
             hop_verdicts[hop] = hop_verdicts.get(hop, 0) + count
             kind.append(ports_by_hop[hop] + 2)
-        tally.lookups("firewall", len(batch), acl_hits,
-                      acl_verdicts.items())
+        telemetry.record_lookup_batch("firewall", len(batch), acl_hits,
+                                      acl_verdicts.items())
         if routed:
-            tally.lookups("ip_lookup", routed, hop_hits,
-                          hop_verdicts.items())
+            telemetry.record_lookup_batch("ip_lookup", routed, hop_hits,
+                                          hop_verdicts.items())
         row_kind = np.array(kind, dtype=np.intp)[row_entry]
         # Drop events in the order their first rows appear.
         for code in sorted({0, 1} & set(kind), key=kind.index):
             verdict = (Verdict.DROPPED_ACL, Verdict.DROPPED_NO_ROUTE)[code]
             rows = np.flatnonzero(row_kind == code)
-            tally.event(DROP_EVENTS[verdict], len(rows))
+            telemetry.record_event(DROP_EVENTS[verdict], len(rows))
             batch.mark_dropped(rows)
             ctx.emit(index[rows], verdict)
         rows = np.flatnonzero(row_kind >= 2)
@@ -183,11 +182,12 @@ class EgressStage:
                 else np.flatnonzero(ports == port)
             group = batch if len(groups) == 1 else batch.take(rows)
             codes = manager.enqueue_batch(port, group, ctx.now)
-            ctx.tally.gauge(f"port{port}.backlog", manager.backlog(port))
+            ctx.telemetry.set_gauge(f"port{port}.backlog",
+                                    manager.backlog(port))
             for code, count in first_appearance_counts(codes):
                 verdict = ADMISSION_VERDICTS[code]
                 if verdict.dropped:
-                    ctx.tally.event(DROP_EVENTS[verdict], count)
+                    ctx.telemetry.record_event(DROP_EVENTS[verdict], count)
                 ctx.emit(index[rows[codes == code]], verdict, port=port)
         empty = np.zeros(0, dtype=np.intp)
         ctx.columns["index"] = empty

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.packet import Packet
 
@@ -91,13 +92,15 @@ class TelemetryCollector:
             stats.verdicts[verdict] += 1
 
     def record_lookup_batch(self, table: str, lookups: int, hits: int,
-                            verdicts: Counter | dict | None = None
+                            verdicts: Iterable[tuple[str, int]] = ()
                             ) -> None:
-        """Fold pre-aggregated lookup counters into one table.
+        """Count ``lookups`` lookups of one table at once.
 
-        The fast path tallies a whole chunk locally and flushes it
-        here in one call; totals are indistinguishable from calling
-        :meth:`record_lookup` per packet.
+        ``verdicts`` are ordered ``(verdict, count)`` pairs (see
+        :func:`~repro.dataplane.fastpath.first_appearance_counts`);
+        they sum exactly as a ``Counter`` would, so totals are
+        indistinguishable from calling :meth:`record_lookup` per
+        packet.
         """
         if lookups < 0 or hits < 0 or hits > lookups:
             raise ValueError(
@@ -105,19 +108,15 @@ class TelemetryCollector:
         stats = self._tables.setdefault(table, TableStats())
         stats.lookups += lookups
         stats.hits += hits
-        if verdicts:
-            stats.verdicts.update(verdicts)
+        counts = stats.verdicts
+        for verdict, count in verdicts:
+            counts[verdict] += count
 
     def record_event(self, name: str, count: int = 1) -> None:
         """Count a named event (drop, mark, adaptation, ...)."""
         if count < 0:
             raise ValueError(f"count must be non-negative: {count!r}")
         self._events[name] += count
-
-    def record_events(self, counts: Counter | dict) -> None:
-        """Fold a batch of pre-aggregated event counts in one call."""
-        for name, count in counts.items():
-            self.record_event(name, count)
 
     def set_gauge(self, name: str, value: float) -> None:
         """Publish the latest value of a continuously-varying signal."""
@@ -158,6 +157,23 @@ class TelemetryCollector:
             "gauges": dict(self._gauges),
             "events": dict(self._events),
         }
+
+    def merge(self, other: "TelemetryCollector") -> None:
+        """Fold another collector into this one.
+
+        Tables and events are pure counters and sum exactly (hit rates
+        follow from the summed counters).  Gauges sum too: the stock
+        gauges are per-port backlogs, and a sharded port's backlog is
+        the sum of its shards' backlogs.
+        """
+        if other is self:
+            return
+        for name, stats in other._tables.items():
+            self.record_lookup_batch(name, stats.lookups, stats.hits,
+                                     stats.verdicts.items())
+        self._events.update(other._events)
+        for name, value in other._gauges.items():
+            self._gauges[name] = self._gauges.get(name, 0.0) + value
 
     def reset(self) -> None:
         """Drop all collected statistics."""

@@ -45,14 +45,12 @@ from repro.dataplane.results import (
     ProcessResult,
     Verdict,
 )
+from repro.dataplane.telemetry import TelemetryCollector
 from repro.dataplane.traffic_manager import serve_each, spend_credit
+from repro.energy.ledger import EnergyLedger
 from repro.fabric.controller import FabricController
 from repro.fabric.rss import ToeplitzRSS
-from repro.fabric.shards import (
-    InProcessShard,
-    merge_ledgers,
-    merge_telemetry,
-)
+from repro.fabric.shards import InProcessShard, merged
 from repro.fabric.workers import WorkerShard
 
 __all__ = ["SwitchFabric"]
@@ -229,11 +227,13 @@ class SwitchFabric:
         return _MergedFlowCacheView(self._snapshots())
 
     def telemetry_snapshot(self) -> dict:
-        return merge_telemetry(
-            [s["telemetry"] for s in self._snapshots()])
+        return merged(TelemetryCollector(),
+                      (s["telemetry"] for s in self._snapshots())
+                      ).snapshot()
 
-    def energy_ledger(self):
-        return merge_ledgers(s["ledger"] for s in self._snapshots())
+    def energy_ledger(self) -> EnergyLedger:
+        return merged(EnergyLedger(),
+                      (s["ledger"] for s in self._snapshots()))
 
     def energy_total_j(self) -> float:
         return self.energy_ledger().total
@@ -252,13 +252,13 @@ class SwitchFabric:
                 max(e[2] for e in extremes))
 
     def robustness_stats(self) -> dict:
-        snaps = self._snapshots()
+        stats = [s["robustness"] for s in self._snapshots()]
         return {
-            "fallback_events": sum(s["fallback_events"] for s in snaps),
-            "retries": sum(s["retries"] for s in snaps),
+            "fallback_events": sum(s["fallback_events"] for s in stats),
+            "retries": sum(s["retries"] for s in stats),
             "degraded_tables": sorted(
                 f"shard{i}.{table}"
-                for i, s in enumerate(snaps)
+                for i, s in enumerate(stats)
                 for table in s["degraded_tables"]),
         }
 
@@ -273,17 +273,19 @@ class SwitchFabric:
             "mode": self.mode,
             "n_shards": self.n_shards,
             "processed": sum(s["processed"] for s in snaps),
-            "telemetry": merge_telemetry([s["telemetry"] for s in snaps]),
-            "energy_total_j": merge_ledgers(
-                s["ledger"] for s in snaps).total,
+            "telemetry": merged(TelemetryCollector(),
+                                (s["telemetry"] for s in snaps)).snapshot(),
+            "energy_total_j": merged(EnergyLedger(),
+                                     (s["ledger"] for s in snaps)).total,
             "shards": [{"processed": s["processed"],
                         "cache_hits": s["cache_hits"],
                         "cache_misses": s["cache_misses"],
-                        "degraded_tables": list(s["degraded_tables"]),
-                        # Per-shard AQM extremes and drop counts: the
-                        # sensing surface of the fleet learning loop.
-                        "aqm_drops": s["verdict_counts"].get(
-                            "dropped_aqm", 0),
+                        "degraded_tables": list(
+                            s["robustness"]["degraded_tables"]),
+                        # Per-shard AQM extremes and verdict counts:
+                        # the sensing surface of the fleet learning
+                        # loop.
+                        "verdict_counts": s["verdict_counts"],
                         "delay_ewma_s": s["extremes"][0],
                         "last_pdp": s["extremes"][1],
                         "backlog": s["extremes"][2]}

@@ -28,14 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.energy.ledger import EnergyLedger
-
 __all__ = [
     "FABRIC_OPS",
     "InProcessShard",
     "apply_op",
-    "extremes_of",
-    "merge_telemetry",
+    "merged",
     "process_on",
     "queued_on",
     "snapshot_of",
@@ -104,81 +101,35 @@ def queued_on(processor, port: int, limit: float
 # Observability payloads
 # ----------------------------------------------------------------------
 def snapshot_of(processor) -> dict:
-    """One shard's complete observable state, as picklable data."""
+    """One shard's complete observable state, as picklable data.
+
+    The ledger and the telemetry collector ship whole: the fabric
+    merges them with their own ``merge`` methods.
+    """
     cache = processor.flow_cache
-    manager = processor.traffic_manager
-    ports = range(manager.n_ports)
     return {
         "ledger": processor.ledger,
-        "telemetry": processor.telemetry.snapshot(),
+        "telemetry": processor.telemetry,
         "verdict_counts": {v.value: c for v, c
                            in processor.verdict_counts.items()},
         "processed": processor.processed,
         "cache_hits": cache.hits if cache is not None else 0,
         "cache_misses": cache.misses if cache is not None else 0,
         "cache_entries": len(cache) if cache is not None else 0,
-        "degraded_tables": tuple(
-            processor.controller.degraded_tables()),
-        "extremes": extremes_of(processor),
-        "fallback_events": sum(
-            getattr(manager.aqm(p), "fallback_events", 0)
-            for p in ports),
-        "retries": sum(getattr(manager.aqm(p), "retries", 0)
-                       for p in ports),
+        "extremes": processor.slice_extremes(),
+        "robustness": processor.robustness_stats(),
     }
 
 
-def extremes_of(processor) -> tuple[float, float, int]:
-    """(max delay EWMA, max PDP, max backlog) across a shard's ports."""
-    manager = processor.traffic_manager
-    ports = range(manager.n_ports)
-    return (
-        max(_analog(manager.aqm(p)).delay_ewma_s for p in ports),
-        max(_analog(manager.aqm(p)).last_pdp for p in ports),
-        max(manager.backlog(p) for p in ports),
-    )
+def merged(empty, parts):
+    """Fold shard ledgers or telemetry collectors into ``empty``.
 
-
-def merge_telemetry(snapshots: list[dict]) -> dict:
-    """Fold per-shard telemetry snapshots into one fabric view.
-
-    Tables and events are pure counters and sum exactly; hit rates
-    are recomputed from the summed counters.  Gauges are summed too:
-    the only stock gauges are per-port backlogs, and a fabric port's
-    backlog *is* the sum of its shards' backlogs.
+    Both merges are exact and partition invariant, so the result is
+    what one serial switch would have recorded.
     """
-    tables: dict[str, list] = {}
-    gauges: dict[str, float] = {}
-    events: dict[str, int] = {}
-    for snap in snapshots:
-        for name, stats in snap["tables"].items():
-            entry = tables.setdefault(name, [0, 0, {}])
-            entry[0] += stats["lookups"]
-            entry[1] += stats["hits"]
-            for verdict, count in stats["verdicts"].items():
-                entry[2][verdict] = entry[2].get(verdict, 0) + count
-        for name, value in snap["gauges"].items():
-            gauges[name] = gauges.get(name, 0.0) + value
-        for name, count in snap["events"].items():
-            events[name] = events.get(name, 0) + count
-    return {
-        "tables": {name: {"lookups": lookups,
-                          "hits": hits,
-                          "hit_rate": hits / lookups if lookups else 0.0,
-                          "verdicts": verdicts}
-                   for name, (lookups, hits, verdicts)
-                   in tables.items()},
-        "gauges": gauges,
-        "events": events,
-    }
-
-
-def merge_ledgers(ledgers) -> EnergyLedger:
-    """Fold shard ledgers into one (exact, partition-invariant)."""
-    merged = EnergyLedger()
-    for ledger in ledgers:
-        merged.merge(ledger)
-    return merged
+    for part in parts:
+        empty.merge(part)
+    return empty
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +175,7 @@ class InProcessShard:
         return snapshot_of(self.processor)
 
     def extremes(self) -> tuple[float, float, int]:
-        return extremes_of(self.processor)
+        return self.processor.slice_extremes()
 
     def queued(self, port: int, limit: float
                ) -> tuple[bool, np.ndarray]:

@@ -43,7 +43,6 @@ from repro.dataplane.fastpath import PacketBatch
 from repro.fabric.shards import (
     FABRIC_OPS,
     apply_op,
-    extremes_of,
     process_on,
     queued_on,
     snapshot_of,
@@ -130,7 +129,7 @@ def _worker_main(conn, shard_factory) -> None:
         elif kind == "snapshot":
             conn.send(snapshot_of(processor))
         elif kind == "extremes":
-            conn.send(extremes_of(processor))
+            conn.send(processor.slice_extremes())
         elif kind == "queued":
             conn.send(_queued_heads(processor, command[1]))
         elif kind == "serve":  # one-way: no reply

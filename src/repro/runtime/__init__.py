@@ -1,10 +1,10 @@
 """The columnar staged runtime: Stage protocol, middleware, engine.
 
 One execution engine for every dataplane entry point: stages are
-columnar batch transforms, cross-cutting concerns (tracing,
-telemetry, energy attribution, fault installation, degradation
-supervision) are middleware registered once at assembly time, and the
-scalar API is a batch of one over the same engine.
+columnar batch transforms, cross-cutting concerns (tracing, energy
+attribution, degradation supervision) are middleware registered once
+at assembly time, and the scalar API is a batch of one over the same
+engine.
 
 Layering contract (enforced by ``tools/check_layering.py``): this
 package never imports ``repro.dataplane`` or ``repro.netfunc`` — the
@@ -15,22 +15,17 @@ from repro.runtime.engine import PipelineRuntime
 from repro.runtime.middleware import (
     BaseMiddleware,
     EnergyAttributionMiddleware,
-    FaultPlanMiddleware,
     SupervisionMiddleware,
-    TelemetryMiddleware,
     TracingMiddleware,
 )
-from repro.runtime.stage import NullTally, Stage, StageContext
+from repro.runtime.stage import Stage, StageContext
 
 __all__ = [
     "BaseMiddleware",
     "EnergyAttributionMiddleware",
-    "FaultPlanMiddleware",
-    "NullTally",
     "PipelineRuntime",
     "Stage",
     "StageContext",
     "SupervisionMiddleware",
-    "TelemetryMiddleware",
     "TracingMiddleware",
 ]

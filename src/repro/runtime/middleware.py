@@ -1,10 +1,10 @@
 """Cross-cutting middleware for the staged pipeline runtime.
 
 Each concern that used to be hand-threaded through both the scalar
-and the batched dataplane paths — span tracing, telemetry flushing,
-energy-ledger attribution, fault-plan installation, degradation
-supervision — is one middleware registered once on the
-:class:`~repro.runtime.engine.PipelineRuntime` at assembly time.
+and the batched dataplane paths — span tracing, energy-ledger
+attribution, degradation supervision — is one middleware registered
+once on the :class:`~repro.runtime.engine.PipelineRuntime` at
+assembly time.
 
 A middleware wraps execution at two grains:
 
@@ -15,17 +15,16 @@ A middleware wraps execution at two grains:
 
 Both are context managers entered in registration order and exited in
 reverse.  The stock middleware below are written to be *order
-independent*: tracing is the only one that opens spans, telemetry
-only swaps the chunk tally in and flushes it, energy attribution only
-reads ledger totals — so any registration order yields identical
-verdicts, span nesting and ledger totals (pinned by
-``tests/test_runtime_middleware.py``).
+independent*: tracing is the only one that opens spans and energy
+attribution only reads ledger totals — so any registration order
+yields identical verdicts, span nesting, telemetry and ledger totals
+(pinned by ``tests/test_runtime_middleware.py``).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
 from repro.observability.tracing import maybe_span
 from repro.runtime.stage import Stage, StageContext
@@ -33,9 +32,7 @@ from repro.runtime.stage import Stage, StageContext
 __all__ = [
     "BaseMiddleware",
     "EnergyAttributionMiddleware",
-    "FaultPlanMiddleware",
     "SupervisionMiddleware",
-    "TelemetryMiddleware",
     "TracingMiddleware",
 ]
 
@@ -96,33 +93,6 @@ class TracingMiddleware(BaseMiddleware):
             yield
 
 
-class TelemetryMiddleware(BaseMiddleware):
-    """Installs a per-chunk tally and flushes it once at chunk end.
-
-    ``tally_factory`` builds the chunk-local aggregation object (the
-    dataplane injects its
-    :class:`~repro.dataplane.fastpath.TelemetryTally`); the runtime
-    package itself stays agnostic of the tally's shape beyond the
-    ``flush(collector)`` call.
-    """
-
-    def __init__(self, collector, tally_factory: Callable[[], Any]
-                 ) -> None:
-        self.collector = collector
-        self.tally_factory = tally_factory
-
-    @contextmanager
-    def around_chunk(self, ctx: StageContext):
-        previous = ctx.tally
-        tally = self.tally_factory()
-        ctx.tally = tally
-        try:
-            yield
-        finally:
-            ctx.tally = previous
-            tally.flush(self.collector)
-
-
 class EnergyAttributionMiddleware(BaseMiddleware):
     """Attributes ledger energy deltas to the stage that spent them.
 
@@ -150,28 +120,6 @@ class EnergyAttributionMiddleware(BaseMiddleware):
             delta = self.ledger.total - before
             self._joules[stage.name] = \
                 self._joules.get(stage.name, 0.0) + delta
-
-
-class FaultPlanMiddleware(BaseMiddleware):
-    """Installs fault plans once when the runtime is assembled.
-
-    ``installers`` are zero-argument callables (typically closures
-    over a :class:`~repro.robustness.injector.FaultInjector` and its
-    target) run exactly once at attach time — fault installation is a
-    cross-cutting assembly decision, not per-chunk work.
-    """
-
-    def __init__(self, installers: Iterable[Callable[[], Any]]
-                 ) -> None:
-        self.installers: Sequence[Callable[[], Any]] = list(installers)
-        self.installed = 0
-
-    def on_attach(self, runtime) -> None:
-        if self.installed:
-            return
-        for install in self.installers:
-            install()
-            self.installed += 1
 
 
 class SupervisionMiddleware(BaseMiddleware):

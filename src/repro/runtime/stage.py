@@ -3,11 +3,12 @@
 A :class:`Stage` is one block of the Figure 5 switch (parser, digital
 MATs, analog MAT / traffic manager with egress queues) expressed as a
 columnar transform: it consumes a batch, emits verdicts for the rows
-it disposes of through the context, and returns the surviving batch
-for the next stage.  Cross-cutting concerns (tracing, telemetry,
-energy attribution, fault installation, degradation supervision) do
-*not* appear here — they are middleware, registered once on the
-:class:`~repro.runtime.engine.PipelineRuntime` at assembly time.
+it disposes of through the context, writes its counters into the
+context's telemetry collector, and returns the surviving batch for
+the next stage.  Cross-cutting concerns (tracing, energy attribution,
+degradation supervision) do *not* appear here — they are middleware,
+registered once on the :class:`~repro.runtime.engine.PipelineRuntime`
+at assembly time.
 
 This module is deliberately generic: it knows nothing about packets,
 tables or verdict enums.  The concrete stages and the verdict
@@ -19,40 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Protocol, runtime_checkable
 
-__all__ = ["NullTally", "Stage", "StageContext"]
-
-
-class NullTally:
-    """Inert telemetry sink installed when no telemetry middleware is.
-
-    Stages tally lookups, events and gauges unconditionally through
-    ``ctx.tally``; without a telemetry middleware every call lands
-    here and disappears, so stage code never branches on observability
-    being wired.
-    """
-
-    __slots__ = ()
-
-    def lookup(self, table: str, hit: bool,
-               verdict: str | None = None) -> None:
-        """Discard one table-lookup record."""
-
-    def lookups(self, table: str, count: int, hits: int,
-                verdicts=()) -> None:
-        """Discard a bulk table-lookup record."""
-
-    def event(self, name: str, count: int = 1) -> None:
-        """Discard one event count."""
-
-    def gauge(self, name: str, value: float) -> None:
-        """Discard one gauge sample."""
-
-    def flush(self, collector: Any) -> None:
-        """Nothing to flush."""
-
-
-#: Shared inert sink (stateless, so one instance serves every chunk).
-NULL_TALLY = NullTally()
+__all__ = ["Stage", "StageContext"]
 
 
 class StageContext:
@@ -74,9 +42,10 @@ class StageContext:
         indices of the chunk rows; a stage that filters its batch must
         filter every column it consumes the same way (and may add new
         ones, e.g. the digital MATs publish ``"egress_port"``).
-    tally:
-        Per-chunk telemetry sink (:class:`NullTally` unless a
-        telemetry middleware swapped a live tally in).
+    telemetry:
+        The composing processor's telemetry collector, which stages
+        write their lookup, event and gauge counts straight into
+        (None for a runtime with no telemetry domain).
     tracer:
         Span tracer for stage-internal kernel spans, or None.  Set by
         the tracing middleware; stages must tolerate None (the
@@ -85,12 +54,13 @@ class StageContext:
         Free-form per-chunk storage for middleware/stage cooperation.
     """
 
-    __slots__ = ("now", "emit", "columns", "tally", "tracer",
+    __slots__ = ("now", "emit", "columns", "telemetry", "tracer",
                  "entry_name", "entry_attributes", "scratch")
 
     def __init__(self, now: float,
                  emit: Callable[..., None],
                  indices: "list[int] | range | None" = None,
+                 telemetry: Any = None,
                  entry_name: str | None = None,
                  entry_attributes: dict | None = None) -> None:
         self.now = now
@@ -98,7 +68,7 @@ class StageContext:
         self.columns: dict[str, Any] = {}
         if indices is not None:
             self.columns["index"] = list(indices)
-        self.tally: Any = NULL_TALLY
+        self.telemetry = telemetry
         self.tracer: Any = None
         #: Name/attributes of the chunk-level span the tracing
         #: middleware opens around the whole stage walk (None skips

@@ -70,6 +70,7 @@ __all__ = [
     "run_scenario",
     "scenario",
     "scenario_names",
+    "scenario_switch",
     "traffic_classes_expected",
     "traffic_classes_spec",
     "traffic_classes_tree",
@@ -823,9 +824,38 @@ class ScenarioReport:
         return payload
 
 
-def _analog(aqm):
-    """The analog AQM inside a possibly-degradation-wrapped table."""
-    return getattr(aqm, "analog", aqm)
+def scenario_switch(spec, seed: int, *, observability=None,
+                    **aqm_kwargs):
+    """The switch :func:`run_scenario` stands for one (spec, seed).
+
+    Each port's AQM is a ``PCAMAQM(**aqm_kwargs)`` seeded by ``(seed,
+    port, 0xA11A)``, wrapped in a
+    :class:`~repro.robustness.degradation.DegradingAQM` when the spec
+    asks for graceful degradation, and booking its searches into the
+    switch's pipeline ledger, so the whole switch is one energy
+    account.  Fabric shards and the control gate build the same
+    switch, so a one-shard fabric is behaviourally this one.
+    """
+    from repro.dataplane.switch import build_switch
+    from repro.netfunc.aqm.pcam_aqm import PCAMAQM
+    from repro.robustness.degradation import DegradingAQM
+
+    ports = iter(range(spec.n_ports))
+
+    def aqm_factory():
+        analog = PCAMAQM(
+            rng=np.random.default_rng((seed, next(ports), 0xA11A)),
+            **aqm_kwargs)
+        return DegradingAQM(analog) if spec.graceful_degradation \
+            else analog
+
+    processor = build_switch(spec, observability=observability,
+                             aqm_factory=aqm_factory)
+    manager = processor.traffic_manager
+    for port in range(spec.n_ports):
+        aqm = manager.aqm(port)
+        getattr(aqm, "analog", aqm).ledger = processor.ledger
+    return processor
 
 
 def _drain(processor, credits: list[float], t_from: float,
@@ -871,19 +901,18 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     per-packet verdict/port sequences — the golden tests digest them.
 
     ``processor_factory(spec, seed)``, when given, replaces the
-    default ``build_switch`` product with any processor exposing the
+    default :func:`scenario_switch` with any processor exposing the
     duck-typed surface — e.g. a
     :class:`~repro.fabric.fabric.SwitchFabric` via
-    :func:`~repro.fabric.scenario.fabric_scenario_factory`.  A
-    processor without a ``traffic_manager`` must itself provide
-    ``n_ports``/``serve`` (egress), ``slice_extremes()`` (windowed
-    maxima) and ``robustness_stats()`` (fallbacks, retries, degraded
-    tables); one with a ``close()`` is closed before returning.
+    :func:`~repro.fabric.scenario.fabric_scenario_factory`.  Besides
+    ``process_batch``, the verdict counters, ``flow_cache`` and the
+    energy totals, that surface is egress service (a
+    ``traffic_manager``, or ``n_ports``/``serve`` on the processor
+    itself), ``slice_extremes()`` (windowed maxima) and
+    ``robustness_stats()`` (fallbacks, retries, degraded tables); a
+    processor with a ``close()`` is closed before returning.
     """
     from repro.dataplane.results import Verdict
-    from repro.dataplane.switch import build_switch
-    from repro.netfunc.aqm.pcam_aqm import PCAMAQM
-    from repro.robustness.degradation import DegradingAQM
 
     entry = scenario_or_name if isinstance(scenario_or_name, Scenario) \
         else scenario(scenario_or_name)
@@ -906,37 +935,8 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     if processor_factory is not None:
         processor = processor_factory(spec, seed)
     else:
-        built_ports = iter(range(spec.n_ports))
-
-        def aqm_factory():
-            port = next(built_ports)
-            analog = PCAMAQM(
-                rng=np.random.default_rng((seed, port, 0xA11A)))
-            if spec.graceful_degradation:
-                return DegradingAQM(analog)
-            return analog
-
-        processor = build_switch(spec, observability=observability,
-                                 aqm_factory=aqm_factory)
-        for port in range(spec.n_ports):
-            # One energy account for the whole switch: fold the
-            # analog AQM searches into the pipeline ledger the spec's
-            # default factory would have used.
-            _analog(processor.traffic_manager.aqm(port)).ledger = \
-                processor.ledger
-
-    # A fabric (or any sharded processor) serves egress itself and
-    # summarises its ports; a single switch exposes them through its
-    # traffic manager.
-    manager = getattr(processor, "traffic_manager", None)
-
-    def slice_extremes() -> tuple[float, float, int]:
-        if manager is None:
-            return processor.slice_extremes()
-        ports = range(spec.n_ports)
-        return (max(_analog(manager.aqm(p)).delay_ewma_s for p in ports),
-                max(_analog(manager.aqm(p)).last_pdp for p in ports),
-                max(manager.backlog(p) for p in ports))
+        processor = scenario_switch(spec, seed,
+                                    observability=observability)
 
     boundaries = [int(b) for b in
                   np.round(np.linspace(n / n_windows, n, n_windows))]
@@ -1010,7 +1010,7 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
             t_last = float(times[min(start + len(chunk),
                                      len(times)) - 1])
             processed += len(chunk)
-            delay_max, pdp_max, backlog_max = slice_extremes()
+            delay_max, pdp_max, backlog_max = processor.slice_extremes()
             delay_sum += delay_max
             delay_ticks += 1
             current.max_delay_ewma_s = max(
@@ -1031,18 +1031,7 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
 
     wall = time.perf_counter() - started
     totals = cumulative()
-    if manager is not None:
-        fallback_events = sum(
-            getattr(manager.aqm(port), "fallback_events", 0)
-            for port in range(spec.n_ports))
-        retries = sum(getattr(manager.aqm(port), "retries", 0)
-                      for port in range(spec.n_ports))
-        degraded = tuple(processor.controller.degraded_tables())
-    else:
-        stats = processor.robustness_stats()
-        fallback_events = stats["fallback_events"]
-        retries = stats["retries"]
-        degraded = tuple(stats["degraded_tables"])
+    robustness = processor.robustness_stats()
     if observability is not None:
         metrics = observability.snapshot()
     elif observe and hasattr(processor, "poll_metrics"):
@@ -1063,9 +1052,9 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
         windows=windows,
         cache_hits=totals["hits"],
         cache_misses=totals["misses"],
-        degraded_tables=degraded,
-        fallback_events=fallback_events,
-        retries=retries,
+        degraded_tables=tuple(robustness["degraded_tables"]),
+        fallback_events=robustness["fallback_events"],
+        retries=robustness["retries"],
         energy_total_j=processor.energy_total_j(),
         energy_breakdown=processor.energy_breakdown(),
         verdicts=verdicts,

@@ -20,8 +20,19 @@ from repro.control.learning import (
     ProgramBounds,
     SPSAPolicy,
 )
-from repro.control.loop import Action, AQMActuator, ControlLoop, SwitchSensor
+from repro.control.fleet import FleetSensor
+from repro.control.loop import (
+    Action,
+    AQMActuator,
+    ControlLoop,
+    SwitchSensor,
+    queue_drops,
+)
+from repro.dataplane.results import Verdict
+from repro.fabric.scenario import build_fabric
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
+from repro.packet import Packet
+from repro.simnet.scenarios import default_switch_spec
 
 
 def congested(delay_s: float, drop_rate: float = 0.0) -> dict:
@@ -296,7 +307,27 @@ class TestSensingAndActuation:
                   FakeVerdict("dropped_aqm"): 6,
                   FakeVerdict("dropped_overflow"): 3,
                   FakeVerdict("dropped_acl"): 1}
-        assert SwitchSensor._queue_drops(counts) == 9
+        assert queue_drops(counts) == 9
+
+    def test_fleet_sensor_counts_overflow_like_the_switch_sensor(self):
+        # 64 packets into one 8-deep queue: 56 tail-overflow losses,
+        # which both sensors must report as drops.
+        fabric = build_fabric(default_switch_spec(queue_capacity=8,
+                                                  n_priorities=1), 0, 1)
+        try:
+            packets = [Packet(size_bytes=1500,
+                              fields={"src_ip": "1.2.3.4",
+                                      "dst_ip": "10.0.0.1",
+                                      "src_port": 1000, "dst_port": 80,
+                                      "protocol": 6})
+                       for _ in range(64)]
+            fabric.process_batch(packets, now=0.5)
+            switch = fabric.shards[0].processor
+            assert switch.verdict_counts[Verdict.DROPPED_OVERFLOW] == 56
+            assert SwitchSensor(switch).sense(0.5)["drops"] == 56
+            assert FleetSensor(fabric).sense(0.5)["drops"] == 56
+        finally:
+            fabric.close()
 
     def test_switch_sensor_rejects_unknown_source(self):
         with pytest.raises(ValueError):

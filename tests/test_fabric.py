@@ -7,8 +7,12 @@ from tests.test_runtime_golden import build_processor, make_traffic
 
 from repro.dataplane.results import Verdict
 from repro.fabric import SwitchFabric, ToeplitzRSS
-from repro.fabric.shards import merge_telemetry
-from repro.simnet.scenarios import default_switch_spec, scenario
+from repro.dataplane.telemetry import TelemetryCollector
+from repro.simnet.scenarios import (
+    default_switch_spec,
+    scenario,
+    scenario_switch,
+)
 from repro.fabric.scenario import build_fabric
 
 
@@ -122,21 +126,48 @@ def test_robustness_stats_prefixes_shard_names():
 
 
 def test_merge_telemetry_recomputes_hit_rate():
-    merged = merge_telemetry([
-        {"tables": {"t": {"lookups": 10, "hits": 5, "hit_rate": 0.5,
-                          "verdicts": {"allow": 5}}},
-         "gauges": {"port0.backlog": 2.0}, "events": {"drop": 1}},
-        {"tables": {"t": {"lookups": 30, "hits": 5, "hit_rate": 1 / 6,
-                          "verdicts": {"allow": 3, "deny": 2}}},
-         "gauges": {"port0.backlog": 3.0}, "events": {"drop": 2}},
-    ])
-    table = merged["tables"]["t"]
+    first, second = TelemetryCollector(), TelemetryCollector()
+    first.record_lookup_batch("t", 10, 5, [("allow", 5)])
+    first.set_gauge("port0.backlog", 2.0)
+    first.record_event("drop", 1)
+    second.record_lookup_batch("t", 30, 5, [("allow", 3), ("deny", 2)])
+    second.set_gauge("port0.backlog", 3.0)
+    second.record_event("drop", 2)
+    merged = TelemetryCollector()
+    merged.merge(first)
+    merged.merge(second)
+    snapshot = merged.snapshot()
+    table = snapshot["tables"]["t"]
     assert table["lookups"] == 40
     assert table["hits"] == 10
     assert table["hit_rate"] == pytest.approx(0.25)
     assert table["verdicts"] == {"allow": 8, "deny": 2}
-    assert merged["gauges"]["port0.backlog"] == 5.0
-    assert merged["events"]["drop"] == 3
+    assert snapshot["gauges"]["port0.backlog"] == 5.0
+    assert snapshot["events"]["drop"] == 3
+    # The inputs are folded, not aliased.
+    assert first.table("t").lookups == 10
+    assert first.table("t").verdicts == {"allow": 5}
+
+
+def test_one_shard_fabric_reports_the_switch_observables():
+    spec = default_switch_spec()
+    switch = scenario_switch(spec, 3)
+    fabric = build_fabric(spec, 3, 1)
+    try:
+        for cols in scenario("flash_crowd").stream(
+                seed=3, n_packets=3000, chunk_size=256):
+            now = float(cols.times_s[0])
+            switch.process_batch(cols, now=now, chunk_size=len(cols))
+            fabric.process_batch(cols, now=now, chunk_size=len(cols))
+            assert switch.slice_extremes() == fabric.slice_extremes()
+        assert switch.slice_extremes()[2] > 0
+        ours, theirs = switch.robustness_stats(), fabric.robustness_stats()
+        assert ours["fallback_events"] == theirs["fallback_events"]
+        assert ours["retries"] == theirs["retries"]
+        assert [f"shard0.{table}" for table in ours["degraded_tables"]] \
+            == theirs["degraded_tables"]
+    finally:
+        fabric.close()
 
 
 def test_process_columns_equals_packet_path():

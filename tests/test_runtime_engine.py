@@ -12,7 +12,6 @@ import pytest
 
 from repro.runtime import (
     BaseMiddleware,
-    NullTally,
     PipelineRuntime,
     StageContext,
     TracingMiddleware,
@@ -186,14 +185,6 @@ class TestEngine:
 
 
 class TestContext:
-    def test_null_tally_is_inert_default(self):
-        ctx = StageContext(0.0, lambda *a, **k: None)
-        assert isinstance(ctx.tally, NullTally)
-        ctx.tally.lookup("t", hit=True, verdict="v")
-        ctx.tally.event("e", 3)
-        ctx.tally.gauge("g", 1.0)
-        ctx.tally.flush(None)  # must not touch the collector
-
     def test_tracer_defaults_to_none(self):
         ctx = StageContext(0.0, lambda *a, **k: None)
         assert ctx.tracer is None

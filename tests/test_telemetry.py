@@ -92,3 +92,30 @@ class TestTelemetryCollector:
         collector.record_lookup("t", hit=True)
         collector.reset()
         assert collector.tables == {}
+
+    def test_batch_pairs_sum_like_per_packet_lookups(self):
+        batched, scalar = TelemetryCollector(), TelemetryCollector()
+        batched.record_lookup_batch(
+            "acl", 5, 3, [("permit", 2), ("deny", 1), ("permit", 2)])
+        for hit, verdict in [(True, "permit"), (True, "deny"),
+                             (True, "permit"), (False, "permit"),
+                             (False, "permit")]:
+            scalar.record_lookup("acl", hit=hit, verdict=verdict)
+        assert batched.snapshot() == scalar.snapshot()
+        with pytest.raises(ValueError):
+            batched.record_lookup_batch("acl", 1, 2)
+
+    def test_merge_sums_every_counter_and_gauge(self):
+        shards = [TelemetryCollector() for _ in range(2)]
+        for backlog, collector in enumerate(shards, start=1):
+            collector.record_lookup("lpm", hit=True, verdict="port0")
+            collector.record_event("aqm_drop", backlog)
+            collector.set_gauge("port0.backlog", backlog)
+        merged = TelemetryCollector()
+        for collector in shards:
+            merged.merge(collector)
+        merged.merge(merged)  # self-merge is a no-op
+        assert merged.table("lpm").lookups == 2
+        assert merged.table("lpm").verdicts == {"port0": 2}
+        assert merged.event_count("aqm_drop") == 3
+        assert merged.gauge("port0.backlog") == 3.0
