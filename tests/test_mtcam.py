@@ -1,10 +1,13 @@
 """Memristor-based TCAM: same semantics, device-derived energy."""
 
+import numpy as np
 import pytest
 
 from repro.energy.ledger import ACCOUNT_COMPUTE, ACCOUNT_MOVEMENT
 from repro.tcam.mtcam import MemristorTCAM
 from repro.tcam.tcam import TCAM
+from tests.test_tcam import (assert_same_ledger, keys_hitting,
+                             random_ternary_table)
 
 
 def make_pair(width=8):
@@ -78,7 +81,6 @@ def test_key_width_validated():
 
 
 def test_batch_search_energy_matches_scalar_loop():
-    import numpy as np
     from repro.tcam.tcam import key_matrix
 
     _, batch = make_pair()
@@ -94,5 +96,43 @@ def test_batch_search_energy_matches_scalar_loop():
     assert result.energy_j == pytest.approx(scalar_energy)
     # Colocalized compute/storage: everything on the compute account.
     assert batch.ledger.account(ACCOUNT_MOVEMENT) == 0.0
-    assert batch.ledger.account(ACCOUNT_COMPUTE) == pytest.approx(
-        scalar.ledger.account(ACCOUNT_COMPUTE))
+    assert_same_ledger(batch.ledger, scalar.ledger)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_word_table_batch_equals_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    batch, scalar = MemristorTCAM(104), MemristorTCAM(104)
+    patterns = random_ternary_table(batch, rng)
+    for pattern, priority in zip(patterns, batch._priorities):
+        scalar.add(pattern, priority=priority)
+    keys = keys_hitting(patterns, rng, 104)
+    result = batch.search_batch(keys)
+    scalar_energy = 0.0
+    for got, key in zip(result.best_indices, keys):
+        outcome = scalar.search(key)
+        scalar_energy += outcome.energy_j
+        assert got == (-1 if outcome.best_index is None
+                       else outcome.best_index)
+    assert result.hit_mask.sum() >= len(keys) // 2
+    assert result.energy_j == pytest.approx(scalar_energy)
+    assert_same_ledger(batch.ledger, scalar.ledger)
+
+
+def test_forced_slices_keep_energy_and_events(monkeypatch):
+    rng = np.random.default_rng(7)
+    whole, sliced = MemristorTCAM(104), MemristorTCAM(104)
+    patterns = random_ternary_table(whole, rng, n_entries=5)
+    for pattern, priority in zip(patterns, whole._priorities):
+        sliced.add(pattern, priority=priority)
+    keys = keys_hitting(patterns, rng, 104, n_keys=31)
+    expected = whole.search_batch(keys)
+    monkeypatch.setattr(TCAM, "_MAX_BATCH_CELLS", 104 * 5 * 4)
+    result = sliced.search_batch(keys)
+    np.testing.assert_array_equal(result.best_indices,
+                                  expected.best_indices)
+    assert result.energy_j == pytest.approx(expected.energy_j)
+    assert_same_ledger(sliced.ledger, whole.ledger)
+    # Discharge, leakage and (empty) movement charges per slice.
+    assert whole.ledger.events == 3
+    assert sliced.ledger.events == 3 * 8

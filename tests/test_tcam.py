@@ -8,6 +8,40 @@ from repro.tcam.tcam import (TCAM, TernaryPattern, key_from_int,
                              key_matrix)
 
 
+def assert_same_ledger(batch, scalar):
+    """Every account, and the total, equal to the last bit."""
+    assert batch.breakdown() == scalar.breakdown()
+    for account in (ACCOUNT_MOVEMENT, ACCOUNT_COMPUTE):
+        assert batch.account(account) == scalar.account(account)
+    assert batch.total == scalar.total
+
+
+def random_ternary_table(cam, rng, n_entries=12):
+    """Random ternary words across the whole width (both key words of
+    a 104-bit table), with a spread of explicit priorities."""
+    patterns = []
+    for _ in range(n_entries):
+        bits = rng.random(cam.width_bits) < 0.5
+        care = rng.random(cam.width_bits) < rng.choice([0.2, 0.6, 0.95])
+        pattern = TernaryPattern(bits=bits, care=care)
+        cam.add(pattern, priority=int(rng.integers(0, 4)))
+        patterns.append(pattern)
+    return patterns
+
+
+def keys_hitting(patterns, rng, width, n_keys=48):
+    """Keys that agree with a random stored word on every cared-for bit
+    (so they hit through both 64-bit words), plus random keys."""
+    keys = []
+    for index in range(n_keys):
+        key = rng.random(width) < 0.5
+        if index % 3:
+            pattern = patterns[int(rng.integers(len(patterns)))]
+            key = np.where(pattern.care, pattern.bits, key)
+        keys.append(key)
+    return np.array(keys)
+
+
 class TestTernaryPattern:
     def test_parse_and_str_round_trip(self):
         pattern = TernaryPattern.parse("10x1")
@@ -211,10 +245,7 @@ class TestSearchBatch:
                             for value in range(16))
         assert result.energy_j == pytest.approx(scalar_energy)
         assert batch.searches == scalar.searches == 16
-        assert batch.ledger.total == pytest.approx(scalar.ledger.total)
-        for account in (ACCOUNT_MOVEMENT, ACCOUNT_COMPUTE):
-            assert batch.ledger.account(account) == pytest.approx(
-                scalar.ledger.account(account))
+        assert_same_ledger(batch.ledger, scalar.ledger)
 
     def test_priority_tie_break_matches_scalar(self):
         batch = TCAM(4)
@@ -238,6 +269,7 @@ class TestSearchBatch:
         scalar_energy = sum(scalar.search(value).energy_j
                             for value in range(16))
         assert result.energy_j == pytest.approx(scalar_energy)
+        assert_same_ledger(batch.ledger, scalar.ledger)
 
     def test_empty_batch(self):
         result = self.make().search_batch(
@@ -262,6 +294,9 @@ class TestSearchBatch:
         np.testing.assert_array_equal(result.best_indices,
                                       expected.best_indices)
         assert result.energy_j == pytest.approx(expected.energy_j)
+        assert_same_ledger(batch.ledger, reference.ledger)
+        # One movement and one compute charge per 2-key slice.
+        assert batch.ledger.events == 2 * 8
 
 
 class TestGenerationCounter:
@@ -281,3 +316,41 @@ class TestGenerationCounter:
         tcam.search(0)
         tcam.search_batch(key_matrix(np.arange(4, dtype=np.uint64), 4))
         assert tcam.generation == generation
+
+
+class TestTwoWordTable:
+    """104-bit (two 64-bit words) tables with random ternary masks."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_equals_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        batch, scalar = TCAM(104), TCAM(104)
+        patterns = random_ternary_table(batch, rng)
+        for pattern, priority in zip(patterns, batch._priorities):
+            scalar.add(pattern, priority=priority)
+        keys = keys_hitting(patterns, rng, 104)
+        result = batch.search_batch(keys)
+        expected = [scalar.search(key) for key in keys]
+        for got, want, key in zip(result.best_indices, expected, keys):
+            assert got == (-1 if want.best_index is None
+                           else want.best_index)
+            assert want.matched_indices == tuple(
+                i for i, p in enumerate(patterns) if p.matches(key))
+        assert result.hit_mask.sum() >= len(keys) // 2
+        assert_same_ledger(batch.ledger, scalar.ledger)
+
+    def test_forced_slices_keep_energy_and_events(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        whole, sliced = TCAM(104), TCAM(104)
+        patterns = random_ternary_table(whole, rng, n_entries=5)
+        for pattern, priority in zip(patterns, whole._priorities):
+            sliced.add(pattern, priority=priority)
+        keys = keys_hitting(patterns, rng, 104, n_keys=31)
+        expected = whole.search_batch(keys)
+        monkeypatch.setattr(TCAM, "_MAX_BATCH_CELLS", 104 * 5 * 4)
+        result = sliced.search_batch(keys)
+        np.testing.assert_array_equal(result.best_indices,
+                                      expected.best_indices)
+        assert_same_ledger(sliced.ledger, whole.ledger)
+        assert whole.ledger.events == 2          # one slice
+        assert sliced.ledger.events == 2 * 8     # ceil(31 / 4) slices
