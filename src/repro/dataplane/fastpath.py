@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import ipaddress
 from collections import Counter, OrderedDict, deque
-from itertools import compress, repeat
-from operator import is_not
-from typing import Iterable, Sequence
+from itertools import chain, compress, repeat
+from operator import is_, is_not
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.netfunc.firewall import Action
 from repro.observability.tracing import maybe_span
 from repro.dataplane.telemetry import stamp_packet
 from repro.packet import Packet
-from repro.tcam.tcam import key_matrix
+from repro.tcam.tcam import fit_width
 
 __all__ = ["FlowCache", "PacketBatch", "first_appearance_counts",
            "ip_to_u32"]
@@ -48,17 +48,18 @@ _ip_memo: dict[object, int] = {}
 def ip_to_u32(value: object) -> int:
     """Decode an IPv4 field (dotted quad or int) to a uint32, memoised.
 
-    Matches the scalar reference (``int(ipaddress.ip_address(v))``)
-    exactly, including its rejection of malformed addresses; a plain
-    ``int`` already in range is returned as is, and repeated dotted
-    quads hit a bounded dictionary instead of re-parsing.
+    Matches the scalar reference (``int(ipaddress.IPv4Address(v))``)
+    exactly, including its ``ValueError`` for malformed or IPv6
+    addresses; a plain ``int`` already in range is returned as is, and
+    repeated dotted quads hit a bounded dictionary instead of
+    re-parsing.
     """
     if type(value) is int and 0 <= value < 1 << 32:
         return value
     cached = _ip_memo.get(value)
     if cached is not None:
         return cached
-    decoded = int(ipaddress.ip_address(value))
+    decoded = int(ipaddress.IPv4Address(value))
     if len(_ip_memo) >= _IP_MEMO_LIMIT:
         _ip_memo.clear()
     _ip_memo[value] = decoded
@@ -90,6 +91,18 @@ def _check_rows(sizes: np.ndarray, priorities: np.ndarray) -> None:
 BATCH_COLUMNS = ("sizes", "flow_ids", "priorities", "times", "src_ip",
                  "dst_ip", "src_port", "dst_port", "protocol", "has_dst")
 
+#: The 5-tuple columns in flow-key order, with their header widths.
+_KEY_FIELDS = (("src_ip", 32), ("dst_ip", 32), ("src_port", 16),
+               ("dst_port", 16), ("protocol", 8))
+_KEY_COLUMNS = tuple(name for name, _ in _KEY_FIELDS) + ("has_dst",)
+#: Shift amounts as uint64 scalars (a Python int shift promotes
+#: uint64 columns to float64 under NumPy 1.x value-based casting).
+_U64 = {bits: np.uint64(bits) for bits in (1, 8, 16, 32)}
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+#: Batches shorter than this pack their flow keys in Python.
+_SMALL_BATCH = 16
+
 #: Packet attribute / header field -> the batch column holding it.
 _FEATURE_COLUMNS = {"size_bytes": "sizes", "priority": "priorities",
                     "flow_id": "flow_ids", "created_at": "times",
@@ -107,9 +120,10 @@ class PacketBatch:
     reference, which treats a zero destination as absent (the parser
     and ``Packet`` path test ``bool(dst_ip)``), and ``dst_ip`` reads 0
     wherever the mask is clear.  ``flow_keys[i]`` is the hashable
-    per-row cache key: the 5-tuple plus the dst-present flag, so a
-    packet with an explicit ``0.0.0.0`` destination never shares a
-    cache line with one missing the field.
+    per-row cache key: the 5-tuple plus the dst-present flag packed
+    into two 64-bit words (:meth:`flow_words`), so a packet with an
+    explicit ``0.0.0.0`` destination never shares a cache line with
+    one missing the field.
 
     Built from a :class:`~repro.simnet.workloads.ChunkColumns` chunk
     the batch wraps its arrays; built from ``Packet`` objects it
@@ -215,14 +229,55 @@ class PacketBatch:
         return (self[row] for row in range(len(self)))
 
     @property
-    def flow_keys(self) -> list[tuple]:
-        """Per-row hashable flow keys, built once per batch."""
+    def flow_keys(self) -> list[tuple[int, int]]:
+        """Per-row hashable ``(hi, lo)`` flow keys, built once per batch.
+
+        Below :data:`_SMALL_BATCH` rows (the scalar edge) the words are
+        packed in Python, where NumPy's per-call overhead would cost
+        more than the rows; the values are the same either way.
+        """
         keys = self._flow_keys
         if keys is None:
-            keys = self._flow_keys = list(zip(
-                self.src_ip.tolist(), self.dst_ip.tolist(),
-                self.src_port.tolist(), self.dst_port.tolist(),
-                self.protocol.tolist(), self.has_dst.tolist()))
+            if len(self) < _SMALL_BATCH:
+                keys = self._pack_small()
+            else:
+                hi, lo = self.flow_words()
+                keys = list(zip(hi.tolist(), lo.tolist()))
+            self._flow_keys = keys
+        return keys
+
+    def flow_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flow key as two uint64 columns ``(hi, lo)``.
+
+        ``hi = src << 32 | dst`` and ``lo = sport << 25 | dport << 9 |
+        proto << 1 | has_dst``, so ``(hi, lo >> 1)`` is the firewall's
+        104-bit ACL key in :func:`~repro.tcam.tcam.pack_bits` layout
+        and ``hi & 0xFFFFFFFF`` is the LPM key.  Raises
+        :func:`~repro.tcam.tcam.key_matrix`'s ``ValueError`` for a
+        field wider than its header slot.
+        """
+        src, dst, sport, dport, proto = (
+            fit_width(getattr(self, name), width)
+            for name, width in _KEY_FIELDS)
+        hi = src << _U64[32]
+        hi |= dst
+        lo = sport << _U64[16]
+        lo |= dport
+        lo <<= _U64[8]
+        lo |= proto
+        lo <<= _U64[1]
+        lo |= self.has_dst
+        return hi, lo
+
+    def _pack_small(self) -> list[tuple[int, int]]:
+        """:meth:`flow_words` as Python ints, for a few rows."""
+        keys = []
+        for src, dst, sport, dport, proto, has in zip(
+                *[getattr(self, name).tolist() for name in _KEY_COLUMNS]):
+            if (src | dst) >> 32 or (sport | dport) >> 16 or proto >> 8:
+                self.flow_words()           # raises the width error
+            keys.append((src << 32 | dst,
+                         sport << 25 | dport << 9 | proto << 1 | has))
         return keys
 
     def _derive(self, pick) -> "PacketBatch":
@@ -313,40 +368,22 @@ class PacketBatch:
                 values.append(float(packet.field(name) or 0.0))
         return np.array(values, dtype=float)
 
-    def firewall_key_bits(self) -> np.ndarray:
-        """The (batch, 104) ACL key matrix: src dst sport dport proto.
-
-        Field layout matches :attr:`repro.netfunc.firewall.Firewall`
-        (MSB first), built column-wise in one NumPy pass per field.
-        """
-        return np.concatenate([
-            key_matrix(self.src_ip, 32),
-            key_matrix(self.dst_ip, 32),
-            key_matrix(self.src_port, 16),
-            key_matrix(self.dst_port, 16),
-            key_matrix(self.protocol, 8),
-        ], axis=1)
-
-
 class FlowCache:
     """LRU cache of digital classification results, generation-keyed.
 
-    Entries map a :class:`PacketBatch` flow key to the pair
-    ``(acl_action, next_hop)`` the digital tables produced.  The cache
-    carries the (firewall, lookup) generation pair it was filled
-    under: probing with a different pair flushes everything, so a
-    controller table update can never serve a stale verdict — there is
-    no time-based staleness, only explicit invalidation.
+    Entries map a :class:`PacketBatch` flow key to the outcome code
+    :func:`classify_chunk` computed for it.  The cache carries the
+    (firewall, lookup) generation pair it was filled under: probing
+    with a different pair flushes everything, so a controller table
+    update can never serve a stale verdict — there is no time-based
+    staleness, only explicit invalidation.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity!r}")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        #: Interned ``(action, next_hop)`` values: flows with the same
-        #: outcome share one tuple (see :func:`classify_chunk`).
-        self.outcomes: dict[tuple, tuple] = {}
+        self._entries: OrderedDict = OrderedDict()
         self._generation: tuple[int, int] | None = None
         self.hits = 0
         self.misses = 0
@@ -361,20 +398,18 @@ class FlowCache:
             if self._entries:
                 self.invalidations += 1
                 self._entries.clear()
-                self.outcomes.clear()
             self._generation = generation
 
-    def get(self, flow_key: tuple,
-            generation: tuple[int, int]) -> tuple | None:
-        """The cached (action, next_hop), or None on a miss.
+    def get(self, flow_key, generation: tuple[int, int]):
+        """The cached value, or None on a miss.
 
         A generation mismatch counts as an invalidation and empties
         the cache before the probe is answered.
         """
         return self.probe([flow_key], generation)[0]
 
-    def probe(self, flow_keys: Sequence[tuple],
-              generation: tuple[int, int]) -> list:
+    def probe(self, flow_keys: Sequence, generation: tuple[int, int]
+              ) -> list:
         """:meth:`get` for each key in order: entries or None.
 
         The lookups and the LRU touches of the hits (in key order,
@@ -392,36 +427,41 @@ class FlowCache:
         self.misses += len(found) - hits
         return found
 
-    def put(self, flow_key: tuple, generation: tuple[int, int],
-            value: tuple) -> None:
+    def put(self, flow_key, generation: tuple[int, int], value) -> None:
         """Install one classification result under the generation.
 
         A generation mismatch invalidates exactly as :meth:`get` does
         — counted once per flush — so write-first workloads report the
         same invalidation totals as probe-first ones.
         """
-        self.put_many([(flow_key, value)], generation)
+        self.put_many([flow_key], [value], generation)
 
-    def put_many(self, items: Iterable[tuple[tuple, tuple]],
+    def put_many(self, flow_keys: Collection, values: Iterable,
                  generation: tuple[int, int]) -> None:
-        """:meth:`put` for each ``(flow_key, value)`` pair in order."""
+        """:meth:`put` for each of the distinct ``flow_keys`` in order.
+
+        Popping the keys, appending them all and evicting from the
+        front once leaves the entries and order one-by-one puts would.
+        """
         self._sync(generation)
         entries = self._entries
-        for key, value in items:
-            entries[key] = value
-            entries.move_to_end(key)
-        # Evicting the oldest once at the end leaves the same entries
-        # as evicting after every insert: the front is always oldest.
-        for _ in range(len(entries) - self.capacity):
-            entries.popitem(last=False)
+        deque(map(entries.pop, flow_keys, repeat(None)), maxlen=0)
+        entries.update(zip(flow_keys, values))
+        excess = len(entries) - self.capacity
+        if excess > 0:
+            deque(map(entries.popitem, repeat(False, excess)), maxlen=0)
 
     def clear(self) -> None:
         """Explicitly drop every cached flow."""
         if self._entries:
             self.invalidations += 1
         self._entries.clear()
-        self.outcomes.clear()
         self._generation = None
+
+
+#: Firewall verdicts in outcome-code order (see :func:`classify_chunk`).
+_ACTIONS = tuple(Action)
+_DENY = _ACTIONS.index(Action.DENY)
 
 
 def classify_chunk(batch: PacketBatch, firewall, lookup,
@@ -429,77 +469,62 @@ def classify_chunk(batch: PacketBatch, firewall, lookup,
                    tracer=None) -> tuple[np.ndarray, list[tuple]]:
     """Vectorised ACL + LPM classification of one chunk.
 
-    Returns ``(row_entry, entries)``: ``entries`` lists the chunk's
-    distinct ``(action, next_hop)`` outcome objects in order of first
-    appearance and ``row_entry[i]`` indexes row ``i``'s outcome (rows
-    are grouped by object identity, which interning makes coincide
-    with equal outcomes for cached flows).
+    An outcome is the integer code ``action * (routes + 1) + route +
+    1`` (the action's index in :class:`Action`, the winning LPM entry
+    or ``-1``), which is what the flow cache stores.  Returns
+    ``(row_entry, entries)``: ``entries`` holds the ``(action,
+    next_hop)`` of each distinct code in order of first appearance and
+    ``row_entry[i]`` indexes row ``i``'s, so no ``Action`` is hashed
+    per row.
 
-    Every row probes the flow cache first (so all rows of a flow new
+    Field widths are checked once (:meth:`PacketBatch.flow_words`)
+    before every row probes the flow cache (so all rows of a flow new
     to the chunk count as misses); the unique missing flows are then
     searched in one firewall pass, the ACL survivors that carry a
-    destination get one LPM pass, and their outcomes are cached.  The
+    destination get one LPM pass, and their codes are cached.  The
     lookup for denied or destination-less flows is skipped exactly as
     the scalar reference skips it.
     """
-    n = len(batch)
     keys = batch.flow_keys
+    if not keys:
+        return np.zeros(0, dtype=np.intp), []
     generation = (firewall.generation, lookup.generation)
     found = cache.probe(keys, generation) if cache is not None \
-        else [None] * n
+        else [None] * len(keys)
     if None in found:
-        _classify_misses(batch, [row for row, entry in enumerate(found)
-                                 if entry is None],
-                         found, firewall, lookup, cache, generation,
-                         tracer)
-    # Rows sharing an outcome share its (interned) tuple: group them
-    # by identity, numbering groups in order of first appearance.
-    ids = list(map(id, found))
-    first = dict(zip(ids, found))
-    group = {key: position for position, key in enumerate(first)}
-    row_entry = np.fromiter(map(group.__getitem__, ids), dtype=np.intp,
-                            count=n)
-    return row_entry, list(first.values())
+        found = _classify_misses(keys, found, firewall, lookup, cache,
+                                 generation, tracer)
+    codes = list(dict.fromkeys(found))
+    position = np.zeros(max(codes) + 1, dtype=np.intp)
+    position[codes] = np.arange(len(codes))
+    stride = len(lookup) + 1
+    routes = lookup.routes
+    entries = [(_ACTIONS[code // stride],
+                routes[code % stride - 1].next_hop if code % stride
+                else None) for code in codes]
+    return position[np.array(found, dtype=np.intp)], entries
 
 
-def _classify_misses(batch: PacketBatch, missing: list[int],
-                     found: list, firewall, lookup,
+def _classify_misses(keys: list, found: list, firewall, lookup,
                      cache: FlowCache | None, generation,
-                     tracer) -> None:
-    """Search the chunk's unique missing flows; fill ``found`` in."""
-    keys = batch.flow_keys
-    # Number the unique missing flows in first-appearance order.
-    position_of: dict[tuple, int] = {}
-    miss_rows: list[int] = []              # first row of each miss
-    member_of = []                         # per missing row: its miss
-    for row in missing:
-        key = keys[row]
-        position = position_of.get(key)
-        if position is None:
-            position = position_of[key] = len(miss_rows)
-            miss_rows.append(row)
-        member_of.append(position)
-    misses = batch.take(miss_rows)
-    with maybe_span(tracer, "dataplane.firewall", batch=len(misses)):
-        acl = firewall.check_batch(misses.firewall_key_bits())
-    deny = Action.DENY
-    has_dst = misses.has_dst.tolist()
-    routed = [pos for pos in range(len(misses))
-              if acl[pos] is not deny and has_dst[pos]]
-    hops: list = [None] * len(misses)
-    if routed:
+                     tracer) -> list[int]:
+    """Search the chunk's unique missing flows; every row's code."""
+    # Probes precede puts, so a flow misses on all of its rows or on
+    # none: one dict pass numbers the missing flows in first-row order.
+    missing = dict.fromkeys(compress(keys, map(is_, found, repeat(None))))
+    words = np.fromiter(chain.from_iterable(missing), dtype=np.uint64,
+                        count=2 * len(missing)).reshape(-1, 2)
+    hi, lo = words[:, 0], words[:, 1]
+    with maybe_span(tracer, "dataplane.firewall", batch=len(words)):
+        acl = firewall.check_batch(np.column_stack((hi, lo >> _U64[1])))
+    action = firewall.action_codes(acl)
+    route = np.full(len(words), -1, dtype=np.intp)
+    routed = np.flatnonzero((action != _DENY) & ((lo & _U64[1]) != 0))
+    if len(routed):
         with maybe_span(tracer, "dataplane.ip_lookup", batch=len(routed)):
-            resolved = lookup.lookup_batch(
-                misses.dst_ip[np.asarray(routed, dtype=np.intp)])
-        for pos, hop in zip(routed, resolved):
-            hops[pos] = hop
-    # Intern the outcomes (the cache's table outlives the chunk), so
-    # all flows with one outcome share one tuple.
-    outcomes = cache.outcomes if cache is not None else {}
-    fresh = [outcomes.setdefault(entry, entry)
-             for entry in zip(acl, hops)]
+            route[routed] = lookup.lookup_batch(hi[routed] & _LOW32)
+    codes = (action * (len(lookup) + 1) + route + 1).tolist()
     if cache is not None:
-        cache.put_many(zip([keys[row] for row in miss_rows], fresh),
-                       generation)
-    for row, position in zip(missing, member_of):
-        found[row] = fresh[position]
+        cache.put_many(missing, codes, generation)
+    code_of = dict(zip(missing, codes))
+    return list(map(code_of.get, keys, found))

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.packet import Packet
 from repro.energy.ledger import EnergyLedger
-from repro.tcam.tcam import TCAM, TernaryPattern, key_from_int, key_matrix
+from repro.tcam.tcam import TCAM, TernaryPattern, key_from_int
 
 __all__ = ["DigitalMatchActionTable", "FieldKeySpec", "TableLookup"]
 
@@ -33,7 +33,7 @@ class FieldKeySpec:
     """How one packet field contributes bits to the search key.
 
     ``encoder`` turns the field value into an unsigned int of
-    ``width`` bits; IP address strings are handled natively.
+    ``width`` bits; IPv4 address strings are handled natively.
     """
 
     field: str
@@ -45,7 +45,7 @@ class FieldKeySpec:
         if self.encoder is not None:
             encoded = self.encoder(value)
         elif isinstance(value, str) and self.width == 32:
-            encoded = int(ipaddress.ip_address(value))
+            encoded = int(ipaddress.IPv4Address(value))
         elif isinstance(value, bool):
             encoded = int(value)
         elif isinstance(value, int):
@@ -128,41 +128,9 @@ class DigitalMatchActionTable:
 
     def lookup(self, packet: Packet) -> TableLookup:
         """Search, run the winning entry's action, return the verdict."""
-        result = self.tcam.search(
-            key_from_int(self.key_for(packet), self.width))
+        result = self.tcam.search(self.key_for(packet))
         self._lookups += 1
-        if result.best_index is None:
-            return TableLookup(hit=False, verdict=self.default_verdict,
-                               entry_index=None, energy_j=result.energy_j)
-        verdict = self._verdicts[result.best_index]
-        action = self._actions[result.best_index]
-        if action is not None:
-            action_verdict = action(packet)
-            if action_verdict is not None:
-                verdict = action_verdict
-        return TableLookup(hit=True, verdict=verdict,
-                           entry_index=result.best_index,
-                           energy_j=result.energy_j)
-
-    def key_bits_for(self, packets: Sequence[Packet]) -> np.ndarray:
-        """The (batch, width) key-bit matrix of a packet chunk.
-
-        Fields are encoded column-wise — one :func:`key_matrix` pass
-        per key-spec field — and concatenated in spec order, matching
-        :meth:`key_for` bit for bit.
-        """
-        columns = []
-        for spec in self.key_spec:
-            encoded = np.empty(len(packets), dtype=np.uint64)
-            for row, packet in enumerate(packets):
-                value = packet.field(spec.field)
-                if value is None:
-                    raise KeyError(
-                        f"packet missing field {spec.field!r} for table "
-                        f"{self.name!r}")
-                encoded[row] = spec.encode(value)
-            columns.append(key_matrix(encoded, spec.width))
-        return np.concatenate(columns, axis=1)
+        return self._outcome(packet, result.best_index, result.energy_j)
 
     def lookup_batch(self, packets: Sequence[Packet]
                      ) -> list[TableLookup]:
@@ -174,23 +142,26 @@ class DigitalMatchActionTable:
         """
         if not packets:
             return []
-        result = self.tcam.search_batch(self.key_bits_for(packets))
+        result = self.tcam.search_batch(np.array(
+            [key_from_int(self.key_for(packet), self.width)
+             for packet in packets]))
         self._lookups += len(packets)
         share = result.energy_j / len(packets)
-        outcomes: list[TableLookup] = []
-        for packet, index in zip(packets, result.best_indices):
-            if index < 0:
-                outcomes.append(TableLookup(
-                    hit=False, verdict=self.default_verdict,
-                    entry_index=None, energy_j=share))
-                continue
-            verdict = self._verdicts[index]
-            action = self._actions[index]
-            if action is not None:
-                action_verdict = action(packet)
-                if action_verdict is not None:
-                    verdict = action_verdict
-            outcomes.append(TableLookup(hit=True, verdict=verdict,
-                                        entry_index=int(index),
-                                        energy_j=share))
-        return outcomes
+        return [self._outcome(packet, index if index >= 0 else None, share)
+                for packet, index in zip(packets,
+                                         result.best_indices.tolist())]
+
+    def _outcome(self, packet: Packet, index: int | None,
+                 energy_j: float) -> TableLookup:
+        """Run the winning entry's action (if any) into a lookup."""
+        if index is None:
+            return TableLookup(hit=False, verdict=self.default_verdict,
+                               entry_index=None, energy_j=energy_j)
+        verdict = self._verdicts[index]
+        action = self._actions[index]
+        if action is not None:
+            action_verdict = action(packet)
+            if action_verdict is not None:
+                verdict = action_verdict
+        return TableLookup(hit=True, verdict=verdict, entry_index=index,
+                           energy_j=energy_j)

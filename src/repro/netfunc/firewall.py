@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.packet import Packet
 from repro.energy.ledger import EnergyLedger
-from repro.tcam.tcam import TCAM, TernaryPattern, key_from_int
+from repro.tcam.tcam import TCAM, TernaryPattern
 
 __all__ = ["Action", "Firewall", "FirewallRule"]
 
@@ -24,6 +24,9 @@ class Action(enum.Enum):
     """Verdict of an ACL rule: permit or deny."""
     PERMIT = "permit"
     DENY = "deny"
+
+
+_ACTION_CODES = {action: code for code, action in enumerate(Action)}
 
 
 def _prefix_bits(prefix: str | None, width: int) -> tuple[int, int]:
@@ -109,37 +112,49 @@ class Firewall:
         self._rules.append(rule)
 
     def _key_for(self, packet: Packet) -> int:
-        src = int(ipaddress.ip_address(packet.field("src_ip", "0.0.0.0")))
-        dst = int(ipaddress.ip_address(packet.field("dst_ip", "0.0.0.0")))
-        sport = int(packet.field("src_port", 0))
-        dport = int(packet.field("dst_port", 0))
-        proto = int(packet.field("protocol", 0))
-        key = src
-        key = (key << 32) | dst
-        key = (key << 16) | sport
-        key = (key << 16) | dport
-        key = (key << 8) | proto
+        """The packet's 104-bit ACL key.
+
+        Raises :class:`ValueError` for a non-IPv4 address or a field
+        that does not fit its slot, as the batched path does.
+        """
+        key = 0
+        for name in ("src_ip", "dst_ip"):
+            address = ipaddress.IPv4Address(packet.field(name, "0.0.0.0"))
+            key = (key << 32) | int(address)
+        for name, width in (("src_port", 16), ("dst_port", 16),
+                            ("protocol", 8)):
+            value, _ = _exact_bits(int(packet.field(name, 0)), width)
+            key = (key << width) | value
         return key
 
     def check(self, packet: Packet) -> Action:
         """First-match decision for a parsed packet."""
-        result = self.tcam.search(
-            key_from_int(self._key_for(packet), self.WIDTH))
+        result = self.tcam.search(self._key_for(packet))
         if result.best_index is None:
             return self.default_action
         return self._actions[result.best_index]
 
-    def check_batch(self, key_bits: np.ndarray) -> list[Action]:
-        """First-match decisions for a (batch, WIDTH) bit-key matrix.
+    def check_batch(self, keys: np.ndarray) -> np.ndarray:
+        """Winning rule per packed key; ``-1`` where the default applies.
 
-        One vectorised TCAM pass over the whole batch; per-key match
-        semantics and charged energy are identical to calling
-        :meth:`check` in a loop.  Build the key matrix columnar-style
-        with :class:`repro.dataplane.fastpath.PacketBatch`.
+        ``keys`` is a (batch, 2) uint64 array of 104-bit keys packed as
+        :func:`repro.tcam.tcam.pack_bits` lays them out: word 0 is
+        ``src << 32 | dst``, word 1 is ``sport << 24 | dport << 8 |
+        proto``.  One vectorised TCAM pass; per-key match semantics
+        and charged energy are identical to calling :meth:`check` in
+        a loop.  :meth:`action_codes` turns the result into verdicts.
         """
-        result = self.tcam.search_batch(key_bits)
-        return [self._actions[index] if index >= 0 else
-                self.default_action for index in result.best_indices]
+        return self.tcam.search_words(keys).best_indices
+
+    def action_codes(self, entries: np.ndarray) -> np.ndarray:
+        """Each entry's action as an index into ``tuple(Action)``.
+
+        ``entries`` holds :meth:`check_batch` results; ``-1`` reads the
+        default action.
+        """
+        table = [_ACTION_CODES[action] for action in self._actions]
+        table.append(_ACTION_CODES[self.default_action])
+        return np.array(table, dtype=np.intp)[entries]
 
     def permits(self, packet: Packet) -> bool:
         """True when the ACL verdict for the packet is PERMIT."""

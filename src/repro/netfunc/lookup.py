@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.energy.ledger import EnergyLedger
-from repro.tcam.tcam import TCAM, TernaryPattern, key_from_int, key_matrix
+from repro.tcam.tcam import TCAM, TernaryPattern
 
 __all__ = ["IPLookup", "Route"]
 
@@ -79,24 +79,27 @@ class IPLookup:
         self._next_hops.append(next_hop)
         self._routes.append(route)
 
-    def lookup(self, address: str) -> str | None:
-        """Next hop for ``address``, or None if no route matches."""
-        value = int(ipaddress.ip_address(address))
-        result = self.tcam.search(key_from_int(value, self.WIDTH))
+    def lookup(self, address: str | int) -> str | None:
+        """Next hop for an IPv4 ``address``, or None if no route matches.
+
+        Raises :class:`ValueError` for anything but an IPv4 address.
+        """
+        value = int(ipaddress.IPv4Address(address))
+        result = self.tcam.search(value)
         if result.best_index is None:
             return None
         return self._next_hops[result.best_index]
 
-    def lookup_batch(self, addresses: np.ndarray) -> list[str | None]:
-        """Next hops for a column of uint32 destination addresses.
+    def lookup_batch(self, addresses: np.ndarray) -> np.ndarray:
+        """Winning route per uint32 destination; ``-1`` where none does.
 
-        One vectorised longest-prefix-match pass; per-address results
-        and charged energy are identical to looping :meth:`lookup`.
+        Each address is its own one-word packed key.  One vectorised
+        longest-prefix-match pass; per-address results and charged
+        energy are identical to looping :meth:`lookup`, and
+        :attr:`routes` names each winner's next hop.
         """
-        result = self.tcam.search_batch(
-            key_matrix(addresses, self.WIDTH))
-        return [self._next_hops[index] if index >= 0 else None
-                for index in result.best_indices]
+        keys = np.asarray(addresses, dtype=np.uint64).reshape(-1, 1)
+        return self.tcam.search_words(keys).best_indices
 
     @property
     def routes(self) -> tuple[Route, ...]:

@@ -32,19 +32,26 @@ from repro.energy.ledger import (
     ACCOUNT_MOVEMENT,
     EnergyLedger,
 )
-from repro.tcam.tcam import SearchResult, TCAM, key_from_int
+from repro.tcam.tcam import TCAM
 
 #: Search (read) voltage applied to cells during a match cycle [V].
 DEFAULT_SEARCH_VOLTAGE_V = 1.0
 #: Match-line precharge capacitance per cell [F].
 DEFAULT_MATCHLINE_CAP_PER_CELL_F = 1.0e-15
 
+#: Set bits of every byte value (a popcount table that needs no
+#: ``np.bitwise_count``, which only exists from NumPy 2.0).
+_POPCOUNT8 = np.array([bin(byte).count("1") for byte in range(256)],
+                      dtype=np.uint8)
+
 
 class MemristorTCAM(TCAM):
     """TCAM with device-derived energy and near-zero movement cost.
 
     Inherits the match semantics (patterns, priorities, search) from
-    :class:`~repro.tcam.tcam.TCAM` and replaces the energy model.
+    :class:`~repro.tcam.tcam.TCAM` and replaces the energy model: the
+    searches of one batch slice are charged per cell, from the popcount
+    of the masked XOR the shared search kernel computes.
     """
 
     def __init__(self, width_bits: int,
@@ -82,74 +89,26 @@ class MemristorTCAM(TCAM):
             noisy=False).energy_j
         return self._REFRESH_FRACTION * precharge + leakage
 
-    def search(self, key: np.ndarray | int) -> SearchResult:
-        """Search with device-physics energy accounting.
+    def _charge_slice(self, diff: np.ndarray, n_keys: int) -> float:
+        """Book a burst of searches from its masked XOR; return joules.
 
-        Energy = HRS leakage of agreeing/don't-care cells + LRS
-        discharge of disagreeing cells + match-line precharge, all
-        charged to the compute account (colocalized compute/storage).
+        Every stored cell takes part in every key's search: a
+        mismatching cell (a set bit of ``diff = (key ^ bits) & care``,
+        counted by an 8-bit popcount table) discharges its match-line
+        slice, the rest leak.  All of it is computation (colocalized
+        storage, nothing to shuttle).  Integer cell counts partition
+        linearly across keys, so the booked joules are bit-identical
+        however the same keys are batched or sharded.
         """
-        if isinstance(key, int):
-            key = key_from_int(key, self.width_bits)
-        if key.shape != (self.width_bits,):
-            raise ValueError(
-                f"key shape {key.shape} != ({self.width_bits},)")
-        bits, care = self._ensure_matrices()
-        agree = ~care | (bits == key[None, :])
-        matched = np.flatnonzero(agree.all(axis=1))
-        best: int | None = None
-        if matched.size:
-            priorities = np.array([self._priorities[i] for i in matched])
-            best = int(matched[int(np.argmin(priorities))])
-
-        total_cells = agree.size
-        mismatching = int(total_cells - np.count_nonzero(agree))
-        energy = (mismatching * self._cell_energy(mismatch=True)
-                  + (total_cells - mismatching)
-                  * self._cell_energy(mismatch=False))
-        self._charge_cells(mismatching, total_cells)
-        self._searches += 1
-        return SearchResult(matched_indices=tuple(int(i) for i in matched),
-                            best_index=best,
-                            energy_j=energy,
-                            latency_s=self.search_latency_s)
-
-    def _batch_energy_j(self, agree: np.ndarray, n_keys: int) -> float:
-        """Device-physics energy of a search burst.
-
-        Same per-cell accounting as the scalar :meth:`search`: every
-        stored cell participates in every key's search, mismatching
-        cells discharge their match-line slice, the rest leak.
-        """
-        total_cells = agree.size
-        mismatching = int(total_cells - np.count_nonzero(agree))
-        return (mismatching * self._cell_energy(mismatch=True)
-                + (total_cells - mismatching)
-                * self._cell_energy(mismatch=False))
-
-    def _charge_agree(self, agree: np.ndarray, n_keys: int) -> None:
-        """Book one slice's searches from its agreement tensor."""
-        total_cells = agree.size
-        mismatching = int(total_cells - np.count_nonzero(agree))
-        self._charge_cells(mismatching, total_cells)
-
-    def _charge_cells(self, mismatching: int, total_cells: int) -> None:
-        """Charge per-cell quanta for one burst of searches.
-
-        Colocalized compute/storage: everything is computation; there
-        is no storage-to-ALU shuttling to charge.  Cell counts are
-        integers and partition linearly across keys, so booking
-        ``mismatching`` discharge quanta plus ``total - mismatching``
-        leakage quanta yields bit-identical joules however the same
-        keys are batched or sharded.
-        """
-        self.ledger.charge_quanta(ACCOUNT_COMPUTE,
-                                  self._cell_energy(mismatch=True),
-                                  mismatching)
-        self.ledger.charge_quanta(ACCOUNT_COMPUTE,
-                                  self._cell_energy(mismatch=False),
+        total_cells = diff.shape[0] * diff.shape[1] * self.width_bits
+        mismatching = int(_POPCOUNT8[diff.view(np.uint8)].sum())
+        discharge = self._cell_energy(mismatch=True)
+        leak = self._cell_energy(mismatch=False)
+        self.ledger.charge_quanta(ACCOUNT_COMPUTE, discharge, mismatching)
+        self.ledger.charge_quanta(ACCOUNT_COMPUTE, leak,
                                   total_cells - mismatching)
         self.ledger.charge_quanta(ACCOUNT_MOVEMENT, 0.0, total_cells)
+        return mismatching * discharge + (total_cells - mismatching) * leak
 
     def energy_per_bit_for(self, mismatch_fraction: float = 0.5) -> float:
         """Expected per-bit search energy at a given mismatch rate [J].

@@ -34,6 +34,8 @@ DEFAULT_MOVEMENT_FRACTION = 0.9
 
 #: Wildcard character in ternary pattern strings.
 WILDCARD = "x"
+#: Bits per packed key and storage word.
+WORD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,9 @@ class TernaryPattern:
         """
         if width < 1:
             raise ValueError(f"width must be >= 1: {width!r}")
-        if value < 0 or value >= (1 << width):
-            raise ValueError(f"value {value} does not fit in {width} bits")
         care_mask = (1 << width) - 1 if mask is None else mask
-        bits = np.array([(value >> (width - 1 - i)) & 1 == 1
-                         for i in range(width)])
-        care = np.array([(care_mask >> (width - 1 - i)) & 1 == 1
-                         for i in range(width)])
-        return cls(bits=bits, care=care)
+        return cls(bits=key_from_int(value, width),
+                   care=key_from_int(care_mask, width))
 
     def matches(self, key: np.ndarray) -> bool:
         """True iff the key agrees on every cared-for bit."""
@@ -113,6 +110,22 @@ def key_from_int(value: int, width: int) -> np.ndarray:
                      for i in range(width)])
 
 
+def fit_width(values: np.ndarray, width: int) -> np.ndarray:
+    """A column of unsigned ints as uint64, each checked to fit ``width``.
+
+    Raises :class:`ValueError` naming the largest value when any needs
+    more than ``width`` bits (negative inputs wrap to huge values and
+    fail the same way).
+    """
+    column = np.asarray(values, dtype=np.uint64)
+    if column.ndim != 1:
+        raise ValueError(f"values must be 1-D, got shape {column.shape}")
+    if width < 64 and column.size and int(column.max()) >= (1 << width):
+        raise ValueError(
+            f"value {int(column.max())} does not fit in {width} bits")
+    return column
+
+
 def key_matrix(values: np.ndarray, width: int) -> np.ndarray:
     """Encode a column of unsigned ints as a (batch, width) bit matrix.
 
@@ -122,15 +135,27 @@ def key_matrix(values: np.ndarray, width: int) -> np.ndarray:
     """
     if not 1 <= width <= 64:
         raise ValueError(f"width must be in [1, 64]: {width!r}")
-    column = np.asarray(values, dtype=np.uint64)
-    if column.ndim != 1:
-        raise ValueError(f"values must be 1-D, got shape {column.shape}")
-    if width < 64 and column.size and int(column.max()) >= (1 << width):
-        raise ValueError(
-            f"value {int(column.max())} does not fit in {width} bits")
+    column = fit_width(values, width)
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     return ((column[:, None] >> shifts[None, :]) & np.uint64(1)
             ).astype(bool)
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack (rows, width) MSB-first bit rows into (rows, words) uint64.
+
+    Word ``i`` holds bits ``[64 i, 64 i + 64)`` of a row, MSB first, so
+    a width that is not a multiple of 64 leaves the last word
+    right-aligned: a 104-bit key is a full 64-bit word plus a 40-bit
+    one.  This is the layout :meth:`TCAM.search_words` matches.
+    """
+    rows, width = bits.shape
+    words = np.empty((rows, -(-width // WORD_BITS)), dtype=np.uint64)
+    for word, start in enumerate(range(0, width, WORD_BITS)):
+        chunk = bits[:, start:start + WORD_BITS].astype(np.uint64)
+        shifts = np.arange(chunk.shape[1] - 1, -1, -1, dtype=np.uint64)
+        words[:, word] = np.bitwise_or.reduce(chunk << shifts, axis=1)
+    return words
 
 
 @dataclass(frozen=True)
@@ -196,10 +221,9 @@ class TCAM:
         self._priorities: list[int] = []
         self._searches = 0
         self._generation = 0
-        # Dense matrices rebuilt lazily for vectorised search.
-        self._bits_matrix: np.ndarray | None = None
-        self._care_matrix: np.ndarray | None = None
-        self._priority_vector: np.ndarray | None = None
+        # (priority order, packed bits, packed care), rebuilt lazily.
+        self._words: tuple[np.ndarray, np.ndarray, np.ndarray] | None \
+            = None
 
     def __len__(self) -> int:
         return len(self._patterns)
@@ -242,124 +266,125 @@ class TCAM:
         self._invalidate()
 
     def _invalidate(self) -> None:
-        """Drop the dense matrices and advance the table generation."""
-        self._bits_matrix = None
-        self._care_matrix = None
-        self._priority_vector = None
+        """Drop the packed words and advance the table generation."""
+        self._words = None
         self._generation += 1
 
-    def _ensure_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._bits_matrix is None or self._care_matrix is None:
-            if self._patterns:
-                self._bits_matrix = np.stack(
-                    [p.bits for p in self._patterns])
-                self._care_matrix = np.stack(
-                    [p.care for p in self._patterns])
-            else:
-                self._bits_matrix = np.zeros((0, self.width_bits), dtype=bool)
-                self._care_matrix = np.zeros((0, self.width_bits), dtype=bool)
-            self._priority_vector = np.asarray(self._priorities,
-                                               dtype=float)
-        return self._bits_matrix, self._care_matrix
+    def _ensure_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, bits, care)``: the entries as packed match words.
+
+        Rows are in priority order (lower value first, insertion order
+        breaking ties) and ``order[j]`` is row ``j``'s entry index, so
+        a key's winner is simply its first matching row.  ``bits`` is
+        stored pre-masked (``bits & care``).
+        """
+        if self._words is None:
+            order = np.argsort(self._priorities, kind="stable")
+            patterns = [self._patterns[i] for i in order.tolist()]
+            care = np.array([p.care for p in patterns], dtype=bool)
+            bits = np.array([p.bits for p in patterns], dtype=bool) & care
+            self._words = (order, pack_bits(bits.reshape(-1, self.width_bits)),
+                           pack_bits(care.reshape(-1, self.width_bits)))
+        return self._words
+
+    def _match(self, keys: np.ndarray) -> tuple[np.ndarray, float]:
+        """One match-line evaluation of packed ``keys`` against every row.
+
+        A key matches a row when ``((key ^ bits) & care) == 0`` in every
+        word.  Returns the (keys, rows) match matrix in priority order
+        and the energy booked for the searches (one ledger charge per
+        call).
+        """
+        _, bits, care = self._ensure_words()
+        diff = (keys[:, None, :] ^ bits[None, :, :]) & care[None, :, :]
+        return ~diff.any(axis=2), self._charge_slice(diff, len(keys))
 
     def search(self, key: np.ndarray | int) -> SearchResult:
         """One-cycle search of all entries against ``key``.
 
         Returns every matching entry plus the highest-priority one and
-        charges the digital search energy to the ledger.
+        charges the search energy to the ledger.
         """
         if isinstance(key, int):
             key = key_from_int(key, self.width_bits)
         if key.shape != (self.width_bits,):
             raise ValueError(
                 f"key shape {key.shape} != ({self.width_bits},)")
-        bits, care = self._ensure_matrices()
-        agree = ~care | (bits == key[None, :])
-        matched = np.flatnonzero(agree.all(axis=1))
-        best: int | None = None
-        if matched.size:
-            priorities = np.array([self._priorities[i] for i in matched])
-            best = int(matched[int(np.argmin(priorities))])
-
-        energy = self._search_energy_quantum_j()
-        self._charge_searches(1)
+        order = self._ensure_words()[0]
+        matched, energy = self._match(pack_bits(key[None, :]))
+        hits = order[matched[0]].tolist()
         self._searches += 1
-        return SearchResult(matched_indices=tuple(int(i) for i in matched),
-                            best_index=best,
+        return SearchResult(matched_indices=tuple(sorted(hits)),
+                            best_index=hits[0] if hits else None,
                             energy_j=energy,
                             latency_s=self.search_latency_s)
 
-    #: Upper bound on the (slice, entries, width) agree tensor one
-    #: vectorised slice may allocate (cells, i.e. bools).
+    #: Upper bound on the cells (keys x entries x width) one vectorised
+    #: slice may search; each slice is one ledger charge.
     _MAX_BATCH_CELLS = 1 << 24
 
     def search_batch(self, keys: np.ndarray) -> BatchSearchResult:
-        """Search many keys against all entries in one NumPy pass.
-
-        ``keys`` is a (batch, width) boolean matrix — one
-        :func:`key_from_int`-style row per key (build it with
-        :func:`key_matrix`).  Match semantics, priority resolution and
-        the charged energy are exactly ``batch`` scalar
-        :meth:`search` calls; only the interpreter round trips are
-        removed.  Large batches are internally sliced so the
-        (batch, entries, width) agreement tensor stays bounded.
-        """
-        key_matrix_ = np.asarray(keys, dtype=bool)
-        if key_matrix_.ndim != 2 or key_matrix_.shape[1] != self.width_bits:
+        """Search a (batch, width) boolean key matrix (one
+        :func:`key_from_int`-style row per key; build it with
+        :func:`key_matrix`): the rows are packed and handed to
+        :meth:`search_words`."""
+        key_bits = np.asarray(keys, dtype=bool)
+        if key_bits.ndim != 2 or key_bits.shape[1] != self.width_bits:
             raise ValueError(
-                f"keys shape {key_matrix_.shape} != "
+                f"keys shape {key_bits.shape} != "
                 f"(batch, {self.width_bits})")
-        n_keys = key_matrix_.shape[0]
-        bits, care = self._ensure_matrices()
-        n_entries = bits.shape[0]
+        return self.search_words(pack_bits(key_bits))
+
+    def search_words(self, keys: np.ndarray) -> BatchSearchResult:
+        """Search many packed keys against all entries in one NumPy pass.
+
+        ``keys`` is a (batch, words) uint64 array in the
+        :func:`pack_bits` layout.  Match semantics, priority resolution
+        and the charged energy are exactly ``batch`` scalar
+        :meth:`search` calls; only the interpreter round trips are
+        removed.  Large batches are sliced so no slice searches more
+        than :attr:`_MAX_BATCH_CELLS` cells.
+        """
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        n_words = -(-self.width_bits // WORD_BITS)
+        if keys.ndim != 2 or keys.shape[1] != n_words:
+            raise ValueError(
+                f"keys shape {keys.shape} != (batch, {n_words})")
+        fit_width(keys[:, -1], self.width_bits - WORD_BITS * (n_words - 1))
+        order = self._ensure_words()[0]
+        n_keys, n_entries = len(keys), len(order)
         best = np.full(n_keys, -1, dtype=np.int64)
         energy = 0.0
-        cells_per_key = max(n_entries * self.width_bits, 1)
-        step = max(1, self._MAX_BATCH_CELLS // cells_per_key)
+        step = max(1, self._MAX_BATCH_CELLS
+                   // max(n_entries * self.width_bits, 1))
         for start in range(0, n_keys, step):
-            chunk = key_matrix_[start:start + step]
-            agree = ~care[None, :, :] | (bits[None, :, :]
-                                         == chunk[:, None, :])
-            energy += self._batch_energy_j(agree, chunk.shape[0])
-            self._charge_agree(agree, chunk.shape[0])
+            matched, slice_energy = self._match(keys[start:start + step])
+            energy += slice_energy
             if n_entries:
-                matched = agree.all(axis=2)
-                masked = np.where(matched,
-                                  self._priority_vector[None, :], np.inf)
-                winners = np.argmin(masked, axis=1)
+                first = matched.argmax(axis=1)
                 best[start:start + step] = np.where(
-                    matched.any(axis=1), winners, -1)
+                    matched.any(axis=1), order[first], -1)
         self._searches += n_keys
         return BatchSearchResult(best_indices=best, energy_j=energy,
                                  latency_s=self.search_latency_s)
 
-    def _batch_energy_j(self, agree: np.ndarray, n_keys: int) -> float:
-        """Energy of ``n_keys`` searches (agreement-independent here)."""
-        return (self.energy_per_bit_j * self.width_bits
-                * max(len(self._patterns), 1) * n_keys)
+    def _charge_slice(self, diff: np.ndarray, n_keys: int) -> float:
+        """Book ``n_keys`` searches; return their energy [J].
 
-    def _search_energy_quantum_j(self) -> float:
-        """The per-key search energy [J] — the ledger charging unit."""
-        return (self.energy_per_bit_j * self.width_bits
-                * max(len(self._patterns), 1))
-
-    def _charge_searches(self, n_keys: int) -> None:
-        """Book ``n_keys`` searches with the per-key movement split.
-
-        Charged as ``n_keys`` identical quanta
-        (:meth:`~repro.energy.ledger.EnergyLedger.charge_quanta`), so
-        the booked joules are an exact function of the key count —
-        identical whether the keys arrive one by one, in one burst, or
-        split across shard pipelines.
+        A transistor TCAM's search energy is data-independent: every
+        key drives every stored cell.  The searches are booked as
+        ``n_keys`` identical quanta
+        (:meth:`~repro.energy.ledger.EnergyLedger.charge_quanta`) with
+        the per-key movement split, so the joules are an exact function
+        of the key count — identical whether the keys arrive one by
+        one, in one burst, or split across shard pipelines.
         """
-        quantum = self._search_energy_quantum_j()
+        quantum = (self.energy_per_bit_j * self.width_bits
+                   * max(len(self._patterns), 1))
         self.ledger.charge_quanta(ACCOUNT_MOVEMENT,
                                   quantum * self.movement_fraction,
                                   n_keys)
         self.ledger.charge_quanta(ACCOUNT_COMPUTE,
                                   quantum * (1.0 - self.movement_fraction),
                                   n_keys)
-
-    def _charge_agree(self, agree: np.ndarray, n_keys: int) -> None:
-        """Book one batch slice's searches (agreement-independent)."""
-        self._charge_searches(n_keys)
+        return quantum * n_keys

@@ -170,3 +170,36 @@ class TestScalarDelegation:
         assert scalar.port == batch.port
         assert a.firewall.tcam.searches == b.firewall.tcam.searches
         assert a.telemetry.snapshot() == b.telemetry.snapshot()
+
+
+class TestMalformedHeaders:
+    """The scalar and batched paths refuse the same bad headers."""
+
+    @pytest.mark.parametrize("fields", [
+        {"dst_port": 65616},                   # 80 + 2**16
+        {"protocol": 262},                     # spills into dst_port
+        {"dst_ip": "::a00:1"},                 # IPv6, not 10.0.0.1
+        {"src_ip": "::a00:1"},
+    ])
+    def test_process_and_scalar_check_both_raise(self, fields):
+        header = {"src_ip": "1.2.3.4", "dst_ip": "10.1.2.3",
+                  "src_port": 1024, "dst_port": 80, "protocol": 6}
+        header.update(fields)
+        packet = Packet(fields=header)
+        processor = build_processor()
+        with pytest.raises(ValueError):
+            processor.firewall.check(packet)
+        with pytest.raises(ValueError):
+            processor.process(packet)
+        for rows in (3, 20):        # packed in Python, then in NumPy
+            with pytest.raises(ValueError):
+                processor.process_batch([packet] * rows)
+        assert processor.traffic_manager.backlog(0) == 0
+
+    def test_ipv6_text_is_not_an_ipv4_integer(self):
+        from repro.dataplane.fastpath import ip_to_u32
+        assert ip_to_u32("10.0.0.1") == ip_to_u32(0x0A000001)
+        with pytest.raises(ValueError):
+            ip_to_u32("::a00:1")
+        with pytest.raises(ValueError):
+            ip_to_u32(1 << 32)

@@ -86,3 +86,26 @@ def test_bad_port_rejected():
     firewall = Firewall()
     with pytest.raises(ValueError):
         firewall.add_rule(FirewallRule(Action.PERMIT, src_port=70000))
+
+
+@pytest.mark.parametrize("field, value", [("dport", 65616),
+                                          ("sport", 1 << 16),
+                                          ("proto", 262)])
+def test_scalar_check_rejects_fields_wider_than_their_slot(field, value):
+    # Regression: the scalar key shifted fields together unchecked, so
+    # dst_port 65616 (= 80 + 2**16) read as port 80 and protocol 262
+    # spilled into dst_port; the batched path always raised.
+    firewall = Firewall(default_action=Action.PERMIT)
+    firewall.add_rule(FirewallRule(Action.DENY, dst_port=80))
+    with pytest.raises(ValueError, match="does not fit"):
+        firewall.check(make_packet(**{field: value}))
+
+
+@pytest.mark.parametrize("field", ["src_ip", "dst_ip"])
+def test_ipv6_address_rejected(field):
+    # Regression: "::a00:1" decoded to the integer of 10.0.0.1.
+    firewall = Firewall(default_action=Action.PERMIT)
+    fields = {"src_ip": "10.0.0.1", "dst_ip": "10.0.0.2"}
+    fields[field] = "::a00:1"
+    with pytest.raises(ValueError):
+        firewall.check(Packet(fields=fields))

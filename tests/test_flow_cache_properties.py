@@ -144,3 +144,19 @@ def test_classify_chunk_matches_probe_then_put_reference(chunks, capacity,
         assert (cache.hits, cache.misses, cache.invalidations) == (
             reference.hits, reference.misses, reference.invalidations)
         assert list(cache._entries) == list(reference.entries)
+
+
+@settings(max_examples=40)
+@given(flows_=st.lists(flows, min_size=1, max_size=40))
+def test_flow_keys_pack_the_documented_layout_at_every_batch_size(flows_):
+    # Small batches pack in Python, larger ones in NumPy: both must
+    # produce hi = src<<32 | dst, lo = sport<<25 | dport<<9 | proto<<1
+    # | has_dst, row for row.
+    packets = [make_packet(flow) for flow in flows_]
+    expected = [((src << 32) | (dst or 0),
+                 (sport << 25) | (dport << 9) | (proto << 1)
+                 | (dst is not None))
+                for src, dst, sport, dport, proto in flows_]
+    assert PacketBatch(packets).flow_keys == expected
+    for size in (1, 15, 16, 17):
+        assert PacketBatch(packets[:size]).flow_keys == expected[:size]

@@ -72,3 +72,9 @@ def test_memristor_backed_lookup_agrees():
         memristor.add_route(route.prefix, route.next_hop)
     for address in ("10.1.2.3", "10.1.9.9", "10.200.0.1", "8.8.8.8"):
         assert memristor.lookup(address) == transistor.lookup(address)
+
+
+def test_ipv6_address_lookup_rejected():
+    # Regression: "::a00:1" used to be looked up as 10.0.0.1.
+    with pytest.raises(ValueError):
+        make_table().lookup("::a00:1")

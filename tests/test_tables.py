@@ -25,6 +25,12 @@ class TestFieldKeySpec:
         spec = FieldKeySpec("dst_ip", 32)
         assert spec.encode("10.0.0.1") == (10 << 24) | 1
 
+    def test_ipv6_string_rejected(self):
+        # Regression: an IPv6 string small enough to fit 32 bits used
+        # to encode as the IPv4 address with the same integer.
+        with pytest.raises(ValueError):
+            FieldKeySpec("dst_ip", 32).encode("::a00:1")
+
     def test_int_encoding_with_bounds(self):
         spec = FieldKeySpec("protocol", 8)
         assert spec.encode(17) == 17
@@ -86,6 +92,29 @@ class TestLookups:
         table.lookup(make_packet())
         assert table.ledger.total > 0.0
         assert table.lookups == 1
+
+    def test_lookup_batch_equals_lookup_loop(self):
+        def build():
+            table = make_table(default_verdict="deny")
+            table.add_entry(TernaryPattern.from_value(
+                ((10 << 24) | 1) << 8 | 6, 40), verdict="static",
+                action=lambda p: "dynamic")
+            table.add_entry(TernaryPattern.from_value(
+                10 << 32, 40, mask=0xFF << 32), verdict="net10")
+            return table
+
+        packets = [make_packet(), make_packet(protocol=17),
+                   make_packet(dst="10.9.9.9"), make_packet(dst="11.0.0.1")]
+        batch, scalar = build(), build()
+        got = batch.lookup_batch(packets)
+        want = [scalar.lookup(packet) for packet in packets]
+        assert [(r.hit, r.verdict, r.entry_index) for r in got] == [
+            (r.hit, r.verdict, r.entry_index) for r in want] == [
+            (True, "dynamic", 0), (True, "net10", 1), (True, "net10", 1),
+            (False, "deny", None)]
+        assert batch.ledger.breakdown() == scalar.ledger.breakdown()
+        assert batch.lookups == scalar.lookups == 4
+        assert batch.lookup_batch([]) == []
 
     def test_len(self):
         table = make_table()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.energy.ledger import ACCOUNT_COMPUTE, ACCOUNT_MOVEMENT
 from repro.tcam.tcam import (TCAM, TernaryPattern, key_from_int,
-                             key_matrix)
+                             key_matrix, pack_bits)
 
 
 def assert_same_ledger(batch, scalar):
@@ -354,3 +354,34 @@ class TestTwoWordTable:
         assert_same_ledger(sliced.ledger, whole.ledger)
         assert whole.ledger.events == 2          # one slice
         assert sliced.ledger.events == 2 * 8     # ceil(31 / 4) slices
+
+
+class TestPackedWords:
+    def test_pack_bits_layout(self):
+        # 104 bits: one full 64-bit word, then a right-aligned 40-bit one.
+        value = (0x0102030405060708 << 40) | 0x090A0B0C0D
+        words = pack_bits(key_from_int(value, 104)[None, :])
+        assert words.dtype == np.uint64
+        assert words.tolist() == [[0x0102030405060708, 0x090A0B0C0D]]
+        assert pack_bits(key_matrix(np.arange(3), 4)).tolist() == [
+            [0], [1], [2]]
+
+    def test_search_words_is_search_batch_packed(self):
+        rng = np.random.default_rng(3)
+        packed, boolean = TCAM(104), TCAM(104)
+        patterns = random_ternary_table(packed, rng)
+        for pattern, priority in zip(patterns, packed._priorities):
+            boolean.add(pattern, priority=priority)
+        keys = keys_hitting(patterns, rng, 104)
+        np.testing.assert_array_equal(
+            packed.search_words(pack_bits(keys)).best_indices,
+            boolean.search_batch(keys).best_indices)
+        assert_same_ledger(packed.ledger, boolean.ledger)
+
+    def test_search_words_validates_shape_and_width(self):
+        tcam = TCAM(104)
+        tcam.add("x" * 104)
+        with pytest.raises(ValueError):
+            tcam.search_words(np.zeros((2, 1), dtype=np.uint64))
+        with pytest.raises(ValueError, match="does not fit in 40 bits"):
+            tcam.search_words(np.array([[0, 1 << 40]], dtype=np.uint64))
