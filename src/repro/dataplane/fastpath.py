@@ -489,15 +489,15 @@ def classify_chunk(batch: PacketBatch, firewall, lookup,
     if not keys:
         return np.zeros(0, dtype=np.intp), []
     generation = (firewall.generation, lookup.generation)
+    stride = len(lookup.tcam) + 1
     found = cache.probe(keys, generation) if cache is not None \
         else [None] * len(keys)
     if None in found:
-        found = _classify_misses(keys, found, firewall, lookup, cache,
-                                 generation, tracer)
+        found = _classify_misses(keys, found, firewall, lookup, stride,
+                                 cache, generation, tracer)
     codes = list(dict.fromkeys(found))
     position = np.zeros(max(codes) + 1, dtype=np.intp)
     position[codes] = np.arange(len(codes))
-    stride = len(lookup) + 1
     routes = lookup.routes
     entries = [(_ACTIONS[code // stride],
                 routes[code % stride - 1].next_hop if code % stride
@@ -506,7 +506,7 @@ def classify_chunk(batch: PacketBatch, firewall, lookup,
 
 
 def _classify_misses(keys: list, found: list, firewall, lookup,
-                     cache: FlowCache | None, generation,
+                     stride: int, cache: FlowCache | None, generation,
                      tracer) -> list[int]:
     """Search the chunk's unique missing flows; every row's code."""
     # Probes precede puts, so a flow misses on all of its rows or on
@@ -523,7 +523,7 @@ def _classify_misses(keys: list, found: list, firewall, lookup,
     if len(routed):
         with maybe_span(tracer, "dataplane.ip_lookup", batch=len(routed)):
             route[routed] = lookup.lookup_batch(hi[routed] & _LOW32)
-    codes = (action * (len(lookup) + 1) + route + 1).tolist()
+    codes = (action * stride + route + 1).tolist()
     if cache is not None:
         cache.put_many(missing, codes, generation)
     code_of = dict(zip(missing, codes))
