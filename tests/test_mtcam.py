@@ -103,9 +103,7 @@ def test_batch_search_energy_matches_scalar_loop():
 def test_two_word_table_batch_equals_scalar_loop(seed):
     rng = np.random.default_rng(seed)
     batch, scalar = MemristorTCAM(104), MemristorTCAM(104)
-    patterns = random_ternary_table(batch, rng)
-    for pattern, priority in zip(patterns, batch._priorities):
-        scalar.add(pattern, priority=priority)
+    patterns = random_ternary_table(rng, batch, scalar)
     keys = keys_hitting(patterns, rng, 104)
     result = batch.search_batch(keys)
     scalar_energy = 0.0
@@ -122,9 +120,7 @@ def test_two_word_table_batch_equals_scalar_loop(seed):
 def test_forced_slices_keep_energy_and_events(monkeypatch):
     rng = np.random.default_rng(7)
     whole, sliced = MemristorTCAM(104), MemristorTCAM(104)
-    patterns = random_ternary_table(whole, rng, n_entries=5)
-    for pattern, priority in zip(patterns, whole._priorities):
-        sliced.add(pattern, priority=priority)
+    patterns = random_ternary_table(rng, whole, sliced, n_entries=5)
     keys = keys_hitting(patterns, rng, 104, n_keys=31)
     expected = whole.search_batch(keys)
     monkeypatch.setattr(TCAM, "_MAX_BATCH_CELLS", 104 * 5 * 4)

@@ -16,15 +16,19 @@ def assert_same_ledger(batch, scalar):
     assert batch.total == scalar.total
 
 
-def random_ternary_table(cam, rng, n_entries=12):
-    """Random ternary words across the whole width (both key words of
-    a 104-bit table), with a spread of explicit priorities."""
+def random_ternary_table(rng, *cams, n_entries=12):
+    """Install the same random ternary words, spanning the whole width
+    (both key words of a 104-bit table) with a spread of explicit
+    priorities, in every given CAM; returns the patterns."""
+    width = cams[0].width_bits
     patterns = []
     for _ in range(n_entries):
-        bits = rng.random(cam.width_bits) < 0.5
-        care = rng.random(cam.width_bits) < rng.choice([0.2, 0.6, 0.95])
+        bits = rng.random(width) < 0.5
+        care = rng.random(width) < rng.choice([0.2, 0.6, 0.95])
         pattern = TernaryPattern(bits=bits, care=care)
-        cam.add(pattern, priority=int(rng.integers(0, 4)))
+        priority = int(rng.integers(0, 4))
+        for cam in cams:
+            cam.add(pattern, priority=priority)
         patterns.append(pattern)
     return patterns
 
@@ -325,9 +329,7 @@ class TestTwoWordTable:
     def test_batch_equals_scalar_loop(self, seed):
         rng = np.random.default_rng(seed)
         batch, scalar = TCAM(104), TCAM(104)
-        patterns = random_ternary_table(batch, rng)
-        for pattern, priority in zip(patterns, batch._priorities):
-            scalar.add(pattern, priority=priority)
+        patterns = random_ternary_table(rng, batch, scalar)
         keys = keys_hitting(patterns, rng, 104)
         result = batch.search_batch(keys)
         expected = [scalar.search(key) for key in keys]
@@ -342,9 +344,7 @@ class TestTwoWordTable:
     def test_forced_slices_keep_energy_and_events(self, monkeypatch):
         rng = np.random.default_rng(7)
         whole, sliced = TCAM(104), TCAM(104)
-        patterns = random_ternary_table(whole, rng, n_entries=5)
-        for pattern, priority in zip(patterns, whole._priorities):
-            sliced.add(pattern, priority=priority)
+        patterns = random_ternary_table(rng, whole, sliced, n_entries=5)
         keys = keys_hitting(patterns, rng, 104, n_keys=31)
         expected = whole.search_batch(keys)
         monkeypatch.setattr(TCAM, "_MAX_BATCH_CELLS", 104 * 5 * 4)
@@ -369,9 +369,7 @@ class TestPackedWords:
     def test_search_words_is_search_batch_packed(self):
         rng = np.random.default_rng(3)
         packed, boolean = TCAM(104), TCAM(104)
-        patterns = random_ternary_table(packed, rng)
-        for pattern, priority in zip(patterns, packed._priorities):
-            boolean.add(pattern, priority=priority)
+        patterns = random_ternary_table(rng, packed, boolean)
         keys = keys_hitting(patterns, rng, 104)
         np.testing.assert_array_equal(
             packed.search_words(pack_bits(keys)).best_indices,
