@@ -324,10 +324,12 @@ class TCAM:
     _MAX_BATCH_CELLS = 1 << 24
 
     def search_batch(self, keys: np.ndarray) -> BatchSearchResult:
-        """Search a (batch, width) boolean key matrix (one
-        :func:`key_from_int`-style row per key; build it with
-        :func:`key_matrix`): the rows are packed and handed to
-        :meth:`search_words`."""
+        """Search a (batch, width) boolean key matrix.
+
+        One :func:`key_from_int`-style row per key (build it with
+        :func:`key_matrix`); the rows are packed and searched by
+        :meth:`search_words`.
+        """
         key_bits = np.asarray(keys, dtype=bool)
         if key_bits.ndim != 2 or key_bits.shape[1] != self.width_bits:
             raise ValueError(
