@@ -8,7 +8,7 @@ same programmed AQM pipeline on the Figure 8 workload.
 
 import numpy as np
 
-from repro.core.pcam_pipeline import COMPOSITIONS
+from repro.core.pcam_pipeline import BATCH_COMPOSITIONS
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.simnet.topology import DumbbellExperiment, overload_profile
 
@@ -19,7 +19,7 @@ def run_compositions():
         capacity_packets=1500, duration_s=5.0,
         rate_fn=overload_profile(1.0, 4.0, 1.6), seed=3)
     results = {}
-    for composition in COMPOSITIONS:
+    for composition in BATCH_COMPOSITIONS:
         aqm = PCAMAQM(composition=composition,
                       rng=np.random.default_rng(5))
         results[composition] = experiment.run(aqm).recorder.summary()

@@ -48,7 +48,6 @@ from repro.core.pcam_array import (
 from repro.core.pcam_cell import MatchRegion, PCAMCell, PCAMParams, prog_pcam
 from repro.core.pcam_pipeline import (
     BATCH_COMPOSITIONS,
-    COMPOSITIONS,
     MissingFeatureError,
     PCAMPipeline,
     PipelineFeatureError,
@@ -67,7 +66,6 @@ __all__ = [
     "ArraySearchResult",
     "BATCH_COMPOSITIONS",
     "BatchSearchResult",
-    "COMPOSITIONS",
     "CognitiveCompiler",
     "CompilationError",
     "CrossbarPCAMArray",

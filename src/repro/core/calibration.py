@@ -5,8 +5,9 @@ analog input (sojourn time and buffer size) mapped to hardware
 voltages (DACs)".  This module provides that mapping and the
 dataset-driven calibration utilities:
 
-* :class:`FeatureScaler` — affine feature <-> voltage mapping with
-  optional DAC quantization,
+* :class:`FeatureScaler` — affine feature <-> voltage mapping (the
+  converter quantisation of the AQM's DACs is modelled by
+  :class:`repro.robustness.models.ConverterQuantization`),
 * :func:`scale_params` — translate pCAM parameters expressed in
   feature units (e.g. milliseconds of sojourn time) into the voltage
   domain the hardware matches in,
@@ -24,7 +25,6 @@ import numpy as np
 
 from repro.core.device_cell import DevicePCAMCell
 from repro.core.pcam_cell import PCAMParams
-from repro.crossbar.converters import DAC
 from repro.device.dataset import MemristorDataset
 from repro.device.energy import energy_statistics
 
@@ -48,7 +48,6 @@ class FeatureScaler:
     feature_hi: float
     v_lo: float
     v_hi: float
-    dac: DAC | None = None
 
     def __post_init__(self) -> None:
         if self.feature_lo >= self.feature_hi:
@@ -70,35 +69,16 @@ class FeatureScaler:
         clipped = min(self.feature_hi, max(self.feature_lo, feature))
         fraction = ((clipped - self.feature_lo)
                     / (self.feature_hi - self.feature_lo))
-        voltage = self.v_lo + fraction * (self.v_hi - self.v_lo)
-        if self.dac is None:
-            return voltage
-        # Route through the DAC's code grid (quantization + INL).
-        dac_fraction = ((voltage - self.dac.v_min)
-                        / (self.dac.v_max - self.dac.v_min))
-        return self.dac.quantize(dac_fraction)
-
-    def to_voltage_array(self, features: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`to_voltage` over a feature array."""
-        clipped = np.clip(np.asarray(features, dtype=float),
-                          self.feature_lo, self.feature_hi)
-        fraction = ((clipped - self.feature_lo)
-                    / (self.feature_hi - self.feature_lo))
-        voltages = self.v_lo + fraction * (self.v_hi - self.v_lo)
-        if self.dac is None:
-            return voltages
-        dac_fraction = ((voltages - self.dac.v_min)
-                        / (self.dac.v_max - self.dac.v_min))
-        return self.dac.quantize_array(dac_fraction)
+        return self.v_lo + fraction * (self.v_hi - self.v_lo)
 
     def from_voltage(self, voltage: float) -> float:
-        """Inverse mapping (no quantization on the way back)."""
+        """Inverse of :meth:`to_voltage` inside the feature range."""
         fraction = (voltage - self.v_lo) / (self.v_hi - self.v_lo)
         return self.feature_lo + fraction * (self.feature_hi
                                              - self.feature_lo)
 
     def to_voltage_array(self, features: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`to_voltage` (without DAC routing)."""
+        """Vectorised :meth:`to_voltage` over a feature array."""
         clipped = np.clip(np.asarray(features, dtype=float),
                           self.feature_lo, self.feature_hi)
         fraction = ((clipped - self.feature_lo)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.pcam_cell import PCAMCell, PCAMParams
+from repro.core.pcam_cell import CellStack, PCAMCell, PCAMParams
 
 __all__ = ["PCAMWord", "PCAMArray", "ArraySearchResult",
            "BatchSearchResult"]
@@ -33,6 +33,7 @@ class PCAMWord:
         if not cells:
             raise ValueError("a word needs at least one cell")
         self._cells = dict(cells)
+        self._stack = CellStack()
 
     @classmethod
     def from_params(cls, params: Mapping[str, PCAMParams]) -> "PCAMWord":
@@ -77,20 +78,11 @@ class PCAMWord:
         """Vectorised match: per-field arrays -> (batch,) probabilities.
 
         ``queries`` maps each field to an array of per-query values;
-        every field is pushed through its cell's vectorised transfer
-        function and the per-field responses are multiplied, exactly
-        as :meth:`match` does one query at a time.
+        every cell is evaluated in one stacked kernel call and the
+        per-field responses are multiplied in the word's field order,
+        exactly as :meth:`match` does one query at a time.
         """
-        probability: np.ndarray | None = None
-        for field, cell in self._cells.items():
-            if field not in queries:
-                raise KeyError(f"query missing field {field!r}")
-            values = np.atleast_1d(np.asarray(queries[field], dtype=float))
-            response = cell.response_array(values)
-            probability = (response if probability is None
-                           else probability * response)
-        assert probability is not None
-        return probability
+        return _match_words(self._stack, (self,), queries)[:, 0]
 
     def deterministic_match(self, query: Mapping[str, float]) -> bool:
         """TCAM-compatible view: all fields inside their [M2, M3]."""
@@ -99,6 +91,34 @@ class PCAMWord:
 
     def __len__(self) -> int:
         return len(self._cells)
+
+
+def _match_words(stack: CellStack, words: Sequence[PCAMWord],
+                 queries: Mapping[str, np.ndarray]) -> np.ndarray:
+    """(n_queries, n_words) match probabilities of equal-length words.
+
+    Every cell of every word is one row of a single stacked kernel
+    call; each word then multiplies its field responses in its own
+    field order.
+    """
+    fields = [field for word in words for field in word._cells]
+    cells = [cell for word in words for cell in word._cells.values()]
+    columns = {}
+    for field in fields:
+        if field not in columns:
+            if field not in queries:
+                raise KeyError(f"query missing field {field!r}")
+            columns[field] = np.atleast_1d(
+                np.asarray(queries[field], dtype=float))
+    columns = dict(zip(columns, np.broadcast_arrays(*columns.values())))
+    x = np.array([columns[field] for field in fields])
+    count = x.shape[1]
+    responses = stack.responses(cells, x, count).reshape(
+        len(words), -1, count)
+    probability = responses[:, 0].copy()
+    for index in range(1, responses.shape[1]):
+        probability *= responses[:, index]
+    return np.ascontiguousarray(probability.T)
 
 
 @dataclass(frozen=True)
@@ -169,6 +189,7 @@ class PCAMArray:
         self.search_latency_s = search_latency_s
         self._words: list[PCAMWord] = []
         self._searches = 0
+        self._stack = CellStack()
 
     def __len__(self) -> int:
         return len(self._words)
@@ -253,8 +274,7 @@ class PCAMArray:
         batch_size = self._batch_length(queries)
         if not self._words:
             return np.zeros((batch_size, 0))
-        return np.stack([word.match_batch(queries)
-                         for word in self._words], axis=1)
+        return _match_words(self._stack, self._words, queries)
 
     def search_batch(self, queries: Mapping[str, np.ndarray]
                      ) -> BatchSearchResult:

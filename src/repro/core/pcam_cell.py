@@ -23,16 +23,25 @@ With the *canonical* slopes ``Sa = (pmax-pmin)/(M2-M1)`` and
 other slopes is allowed (the parameters are independent in the paper's
 abstraction) and the physical output is clipped to the [pmin, pmax]
 rails of the sensing circuit.
+
+One kernel evaluates that function for every caller.  Each cell
+caches its row of a constants matrix (thresholds, slopes, rails, the
+two precomputed ramp intercepts and the clip rails), and
+:class:`CellStack` evaluates the rows of many cells — the stages of a
+pipeline, the cells of every stored word — in one stacked NumPy pass.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
+    "CellStack",
     "MatchRegion",
     "PCAMParams",
     "PCAMCell",
@@ -213,24 +222,45 @@ class PCAMCell:
         self._evaluations = 0
         self._intended_params = params
         self._fault = None
+        self._row_params: PCAMParams | None = None
+        self._row_clip = clip_to_rails
+        self._row: tuple[float, ...] = ()
 
     @property
     def evaluations(self) -> int:
         """Number of match evaluations performed."""
         return self._evaluations
 
-    def tally_evaluations(self, count: int) -> None:
-        """Count evaluations performed on the cell's behalf.
+    def _kernel_row(self) -> tuple[float, ...] | None:
+        """This cell's row of the stacked kernel's constants matrix.
 
-        The folded uniform evaluator
-        (:mod:`repro.core.pcam_fold`) computes one scalar response and
-        broadcasts it over a batch; this hook keeps the cell's
-        evaluation counter identical to what ``response_array`` over
-        the full batch would have recorded.
+        ``None`` when the stacked kernel cannot stand in for
+        :meth:`response_array`: an injected fault hooks the signal
+        path, and non-linear ramps have their own shape.  The row is
+        cached until :attr:`params` is replaced or
+        :attr:`clip_to_rails` flips.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0: {count!r}")
-        self._evaluations += count
+        if self._fault is not None or self.nonlinearity != "linear":
+            return None
+        return self._constants()
+
+    def _constants(self) -> tuple[float, ...]:
+        p = self.params
+        if p is not self._row_params or self.clip_to_rails != self._row_clip:
+            # A zero-width ramp region is empty — no input ever selects
+            # it — so substitute a unit denominator rather than
+            # dividing by zero.
+            rise_span = (p.m2 - p.m1) if p.m2 > p.m1 else 1.0
+            fall_span = (p.m4 - p.m3) if p.m4 > p.m3 else 1.0
+            lo, hi = ((p.pmin, p.pmax) if self.clip_to_rails
+                      else (-np.inf, np.inf))
+            self._row = (p.m1, p.m2, p.m3, p.m4, p.sa, p.sb, p.pmin, p.pmax,
+                         (p.m2 * p.pmin - p.m1 * p.pmax) / rise_span,
+                         (p.m4 * p.pmax - p.m3 * p.pmin) / fall_span,
+                         lo, hi)
+            self._row_params = p
+            self._row_clip = self.clip_to_rails
+        return self._row
 
     @property
     def intended_params(self) -> PCAMParams:
@@ -303,35 +333,19 @@ class PCAMCell:
         x = np.asarray(values, dtype=float)
         if self._fault is not None:
             x = self._fault.transform_input(x)
-        p = self.params
         self._evaluations += x.size
-
+        row = self._constants()
         if self.nonlinearity == "linear":
-            # A zero-width ramp region is empty — np.select never picks
-            # its branch — so substitute a unit denominator rather than
-            # dividing by zero.
-            rise_span = (p.m2 - p.m1) if p.m2 > p.m1 else 1.0
-            fall_span = (p.m4 - p.m3) if p.m4 > p.m3 else 1.0
-            rising = p.sa * x + (p.m2 * p.pmin - p.m1 * p.pmax) / rise_span
-            falling = p.sb * x + (p.m4 * p.pmax - p.m3 * p.pmin) / fall_span
+            output = _linear(row, x)
         else:
-            rising = self._shaped_ramp(x, p.m1, p.m2, ascending=True)
-            falling = self._shaped_ramp(x, p.m3, p.m4, ascending=False)
-
-        output = np.select(
-            condlist=[
-                (x <= p.m1) | (x >= p.m4),
-                x > p.m3,
-                x < p.m2,
-            ],
-            choicelist=[np.full_like(x, p.pmin), falling, rising],
-            default=p.pmax,
-        )
+            p = self.params
+            output = _five_regions(
+                row, x,
+                self._shaped_ramp(x, p.m1, p.m2, ascending=True),
+                self._shaped_ramp(x, p.m3, p.m4, ascending=False))
         if self._fault is not None:
             output = self._fault.transform_response(x, output)
-        if self.clip_to_rails:
-            output = np.clip(output, p.pmin, p.pmax)
-        return output
+        return output.clip(row[10], row[11])
 
     def _shaped_ramp(self, x: np.ndarray, lo: float, hi: float, *,
                      ascending: bool) -> np.ndarray:
@@ -376,3 +390,108 @@ class PCAMCell:
         p = self.params
         return (f"PCAMCell(M=[{p.m1:g}, {p.m2:g}, {p.m3:g}, {p.m4:g}], "
                 f"p=[{p.pmin:g}, {p.pmax:g}], {self.nonlinearity})")
+
+
+def _five_regions(c, x: np.ndarray, rising: np.ndarray,
+                  falling: np.ndarray) -> np.ndarray:
+    """Route each input to its region's output (before the rail clip).
+
+    ``c`` is a constants row (see :meth:`PCAMCell._kernel_row`) or a
+    stack of rows whose columns broadcast against ``x``.
+    """
+    inner = np.where(x > c[2], falling, np.where(x < c[1], rising, c[7]))
+    return np.where((x <= c[0]) | (x >= c[3]), c[6], inner)
+
+
+def _linear(c, x: np.ndarray) -> np.ndarray:
+    """The paper's ``pCAM()`` with linear ramps, before the rail clip."""
+    return _five_regions(c, x, c[4] * x + c[8], c[5] * x + c[9])
+
+
+def _kernel(c, x: np.ndarray) -> np.ndarray:
+    """Stacked linear responses, clipped to each row's rails."""
+    return _linear(c, x).clip(c[10], c[11])
+
+
+class CellStack:
+    """Evaluates many cells, one per row of a feature matrix, at once.
+
+    Rows whose cell is a plain :class:`PCAMCell` with a
+    :meth:`~PCAMCell._kernel_row` share one stacked kernel call over
+    the (columns × rows) constants matrix — the software analogue of
+    an analog array matching every cell in one cycle.  Every other row
+    (device-realised, subclassed, faulted or non-linear cells) calls
+    its cell's own ``response_array``, in row order, so per-element
+    RNG draws are exactly those of a per-cell loop.  The stacked
+    constants are rebuilt only when some cell's row changes.
+    """
+
+    def __init__(self) -> None:
+        self._rows: tuple = ()
+        self._kernel: list[int] = []
+        self._own: list[int] = []
+        self._slots: list[int | None] = []
+        self._consts: tuple[np.ndarray, ...] = ()
+
+    def _plan(self, cells: Sequence) -> None:
+        rows = tuple(cell._kernel_row() if type(cell) is PCAMCell else None
+                     for cell in cells)
+        if len(rows) == len(self._rows) and \
+                all(map(operator.is_, rows, self._rows)):
+            return
+        self._rows = rows
+        self._kernel = [i for i, row in enumerate(rows) if row is not None]
+        self._own = [i for i, row in enumerate(rows) if row is None]
+        self._slots = [None] * len(rows)
+        for slot, index in enumerate(self._kernel):
+            self._slots[index] = slot
+        matrix = np.array([rows[i] for i in self._kernel],
+                          dtype=float).reshape(-1, 12)
+        # One (rows, 1) column per constant, broadcasting over inputs.
+        self._consts = tuple(np.ascontiguousarray(matrix.T)[:, :, None])
+
+    def responses(self, cells: Sequence, x: np.ndarray, count: int, *,
+                  own: Callable[[object, np.ndarray], np.ndarray]
+                  | None = None,
+                  tracer=None, spans: Sequence[str] = ()) -> np.ndarray:
+        """Row ``i`` of the result is ``cells[i]``'s response to ``x[i]``.
+
+        ``x`` has one row per cell and either ``count`` columns, or one
+        column standing for ``count`` identical ones (a uniform
+        batch).  A uniform batch runs the kernel rows once, while own
+        rows still evaluate ``count`` values, so the result has one
+        column when every row is on the kernel and ``count`` columns
+        otherwise.  Every cell's evaluation counter advances by
+        ``count``.  ``own(cell, values)`` replaces ``response_array``
+        for own rows; with a ``tracer``, row ``i`` runs alone inside a
+        span named ``spans[i]``.
+        """
+        self._plan(cells)
+        kernel, consts = self._kernel, self._consts
+        uniform = x.shape[1] != count
+
+        def call(index: int) -> np.ndarray:
+            values = np.full(count, x[index, 0]) if uniform else x[index]
+            if own is None:
+                return cells[index].response_array(values)
+            return own(cells[index], values)
+
+        if tracer is None and not self._own:
+            out = _kernel(consts, x)
+        else:
+            width = count if self._own else x.shape[1]
+            out = np.empty((len(cells), width))
+            if tracer is None:
+                if kernel:
+                    out[kernel] = _kernel(consts, x[kernel])
+                for index in self._own:
+                    out[index] = call(index)
+            else:
+                for index, slot in enumerate(self._slots):
+                    with tracer.span(spans[index]):
+                        out[index] = (
+                            call(index) if slot is None else
+                            _kernel([c[slot] for c in consts], x[index]))
+        for index in kernel:
+            cells[index]._evaluations += count
+        return out

@@ -15,12 +15,14 @@ Batch evaluation
 ----------------
 The analog array matches every applied input in a single cycle, so
 the software model must not pay a Python-interpreter round trip per
-packet.  :meth:`PCAMPipeline.evaluate_batch` (and the batch variants
-of the trace/energy entry points) evaluate a whole feature matrix
-through :meth:`PCAMCell.response_array` in one NumPy pass.  The
-scalar entry points delegate to the batch kernels with size-1 arrays,
-so there is exactly one evaluation code path; equivalence is pinned
-by ``tests/test_batch_equivalence.py``.
+packet or per stage.  Every entry point evaluates the stages through
+one :class:`~repro.core.pcam_cell.CellStack`: healthy linear cells as
+one stacked kernel over their constants matrix, every other stage
+through its own ``response_array``.  :meth:`PCAMPipeline.evaluate_uniform`
+judges ``count`` identical feature vectors (a batched AQM admission)
+by evaluating the kernel rows once.  The scalar entry points delegate
+to the batch kernels with size-1 arrays; equivalence is pinned by
+``tests/test_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from typing import Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from repro.core.device_cell import DevicePCAMCell
-from repro.core.pcam_cell import PCAMCell, PCAMParams
+from repro.core.pcam_cell import CellStack, PCAMCell, PCAMParams
 from repro.observability.profiling import profiled
 from repro.observability.tracing import maybe_span
 
 __all__ = [
     "BATCH_COMPOSITIONS",
-    "COMPOSITIONS",
     "MatchStage",
     "MissingFeatureError",
     "PCAMPipeline",
@@ -100,57 +101,40 @@ class MatchStage(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Composition rules.  The batch forms reduce a (n_stages, batch) matrix
-# along axis 0; the scalar forms are retained for API compatibility and
-# reduce a 1-D per-stage vector exactly the way one batch column does.
+# Composition rules: each reduces a (n_stages, batch) matrix along
+# axis 0.  Every rule reduces the stage rows in order, so a column's
+# result does not depend on how many columns the matrix has.
 # ----------------------------------------------------------------------
 def _batch_product(probabilities: np.ndarray) -> np.ndarray:
-    return np.prod(probabilities, axis=0)
+    return np.multiply.reduce(probabilities, axis=0)
 
 
 def _batch_min(probabilities: np.ndarray) -> np.ndarray:
-    return np.min(probabilities, axis=0)
+    return np.minimum.reduce(probabilities, axis=0)
 
 
 def _batch_geometric(probabilities: np.ndarray) -> np.ndarray:
-    return np.prod(probabilities, axis=0) ** (1.0 / probabilities.shape[0])
+    return (np.multiply.reduce(probabilities, axis=0)
+            ** (1.0 / probabilities.shape[0]))
 
 
 def _batch_mean(probabilities: np.ndarray) -> np.ndarray:
-    return np.mean(probabilities, axis=0)
+    # np.mean sums a one-column matrix pairwise but a wider one row by
+    # row; the explicit row-by-row sum is what np.mean computes for
+    # two or more columns, for every width.
+    total = probabilities[0].copy()
+    for row in probabilities[1:]:
+        total += row
+    return total / probabilities.shape[0]
 
 
-#: Batch composition rules over a (n_stages, batch) probability matrix.
+#: Composition rules over a (n_stages, batch) probability matrix.
+#: ``"product"`` is the paper's.
 BATCH_COMPOSITIONS: Mapping[str, Callable[[np.ndarray], np.ndarray]] = {
     "product": _batch_product,
     "min": _batch_min,
     "geometric": _batch_geometric,
     "mean": _batch_mean,
-}
-
-
-def _compose_product(probabilities: np.ndarray) -> float:
-    return float(np.prod(probabilities))
-
-
-def _compose_min(probabilities: np.ndarray) -> float:
-    return float(np.min(probabilities))
-
-
-def _compose_geometric(probabilities: np.ndarray) -> float:
-    return float(np.prod(probabilities) ** (1.0 / len(probabilities)))
-
-
-def _compose_mean(probabilities: np.ndarray) -> float:
-    return float(np.mean(probabilities))
-
-
-#: Available stage-composition rules.  ``"product"`` is the paper's.
-COMPOSITIONS: Mapping[str, Callable[[np.ndarray], float]] = {
-    "product": _compose_product,
-    "min": _compose_min,
-    "geometric": _compose_geometric,
-    "mean": _compose_mean,
 }
 
 
@@ -172,7 +156,7 @@ class PCAMPipeline:
         Mapping of stage name to match stage.  Iteration order is the
         physical series order.
     composition:
-        Key into :data:`COMPOSITIONS`; ``"product"`` reproduces the
+        Key into :data:`BATCH_COMPOSITIONS`; ``"product"`` reproduces the
         paper's Figure 4b behaviour.
     """
 
@@ -180,13 +164,15 @@ class PCAMPipeline:
                  composition: str = "product") -> None:
         if not stages:
             raise ValueError("pipeline needs at least one stage")
-        if composition not in COMPOSITIONS:
+        if composition not in BATCH_COMPOSITIONS:
             raise ValueError(
                 f"unknown composition {composition!r}; "
-                f"choose from {sorted(COMPOSITIONS)}")
+                f"choose from {sorted(BATCH_COMPOSITIONS)}")
         self._stages = dict(stages)
+        self._cells = tuple(self._stages.values())
+        self._spans = tuple(f"pcam.stage.{name}" for name in self._stages)
+        self._stack = CellStack()
         self.composition = composition
-        self._compose = COMPOSITIONS[composition]
         self._compose_batch = BATCH_COMPOSITIONS[composition]
         #: Optional observability hooks (set by the hub wiring): a
         #: :class:`repro.observability.tracing.Tracer` emitting one
@@ -276,17 +262,20 @@ class PCAMPipeline:
                 f"{len(self._stages)}), got {matrix.shape}")
         return matrix.T.copy()
 
-    def _stage_probabilities(self, matrix: np.ndarray) -> np.ndarray:
-        """(n_stages, batch) probabilities from a feature matrix."""
-        if self.tracer is None:
-            return np.stack([
-                stage.response_array(matrix[index])
-                for index, stage in enumerate(self._stages.values())])
-        rows = []
-        for index, (name, stage) in enumerate(self._stages.items()):
-            with self.tracer.span(f"pcam.stage.{name}"):
-                rows.append(stage.response_array(matrix[index]))
-        return np.stack(rows)
+    def _evaluate(self, matrix: np.ndarray, count: int, own=None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """(stage probabilities, composite) for a feature matrix.
+
+        ``matrix`` has one row per stage; ``count`` and ``own`` are
+        those of :meth:`~repro.core.pcam_cell.CellStack.responses`.
+        With a tracer attached every stage runs alone inside its
+        ``pcam.stage.<name>`` span; the outputs are the same.
+        """
+        with maybe_span(self.tracer, "pcam.evaluate_batch", batch=count):
+            probabilities = self._stack.responses(
+                self._cells, matrix, count, own=own, tracer=self.tracer,
+                spans=self._spans)
+            return probabilities, self._compose_batch(probabilities)
 
     # ------------------------------------------------------------------
     # Batch evaluation (the one true code path)
@@ -303,9 +292,27 @@ class PCAMPipeline:
         pass.
         """
         matrix = self._feature_matrix(features)
-        with maybe_span(self.tracer, "pcam.evaluate_batch",
-                        batch=int(matrix.shape[1])):
-            return self._compose_batch(self._stage_probabilities(matrix))
+        return self._evaluate(matrix, int(matrix.shape[1]))[1]
+
+    @profiled("pcam.evaluate_batch")
+    def evaluate_uniform(self, features: Mapping[str, float] |
+                         Sequence[float], count: int) -> np.ndarray:
+        """Composite probabilities of ``count`` identical feature vectors.
+
+        Equal to :meth:`evaluate_batch` over ``count`` copies of
+        ``features`` — same outputs, evaluation counters, RNG draws,
+        span and profiler site — but the kernel evaluates its rows
+        once; only stages outside the kernel (device-realised,
+        subclassed, faulted or non-linear cells) still evaluate
+        ``count`` values.  Returns a (count,) array.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0: {count!r}")
+        column = self._row_matrix(self._feature_vector(features)).T
+        composite = self._evaluate(column, count)[1]
+        if composite.shape[0] != count:
+            composite = composite.repeat(count)
+        return composite
 
     def evaluate_trace_batch(self, features: Mapping[str, np.ndarray] |
                              np.ndarray
@@ -316,10 +323,8 @@ class PCAMPipeline:
         each stage name to its (batch,)-shaped probability array.
         """
         matrix = self._feature_matrix(features)
-        with maybe_span(self.tracer, "pcam.evaluate_batch",
-                        batch=int(matrix.shape[1])):
-            probabilities = self._stage_probabilities(matrix)
-            composite = self._compose_batch(probabilities)
+        probabilities, composite = self._evaluate(matrix,
+                                                  int(matrix.shape[1]))
         per_stage = {name: probabilities[index]
                      for index, name in enumerate(self._stages)}
         return composite, per_stage
@@ -333,20 +338,18 @@ class PCAMPipeline:
         their per-read evaluation energy summed over the batch.
         """
         matrix = self._feature_matrix(features)
-        rows = []
         energy = 0.0
-        with maybe_span(self.tracer, "pcam.evaluate_batch",
-                        batch=int(matrix.shape[1])):
-            for index, (name, stage) in enumerate(self._stages.items()):
-                with maybe_span(self.tracer, f"pcam.stage.{name}"):
-                    if isinstance(stage, DevicePCAMCell):
-                        probabilities, stage_energy = stage.evaluate_array(
-                            matrix[index])
-                        rows.append(probabilities)
-                        energy += stage_energy
-                    else:
-                        rows.append(stage.response_array(matrix[index]))
-            return self._compose_batch(np.stack(rows)), energy
+
+        def own(stage: MatchStage, values: np.ndarray) -> np.ndarray:
+            nonlocal energy
+            if not isinstance(stage, DevicePCAMCell):
+                return stage.response_array(values)
+            probabilities, stage_energy = stage.evaluate_array(values)
+            energy += stage_energy
+            return probabilities
+
+        composite = self._evaluate(matrix, int(matrix.shape[1]), own)[1]
+        return composite, energy
 
     # ------------------------------------------------------------------
     # Scalar evaluation (delegates to the batch kernels)

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.core.calibration import FeatureScaler, scale_params
 from repro.core.pcam_cell import PCAMParams, prog_pcam
-from repro.core.pcam_fold import fold_pipeline
 from repro.core.pcam_pipeline import PCAMPipeline
 from repro.core.programming import update_pcam
 from repro.packet import Packet
@@ -216,16 +215,12 @@ class PCAMAQM(AQMAlgorithm):
         self._rng = rng or np.random.default_rng()
         #: Observation hook: called with (voltage-domain feature batch,
         #: raw PDP array) once per pipeline evaluation, before priority
-        #: weighting.  A folded uniform chunk arrives as its one row,
-        #: where the n-row kernel passes n identical copies of it.  The
-        #: graceful-degradation shadow oracle attaches here; None
-        #: disables monitoring.
+        #: weighting.  An admission chunk arrives as its one feature
+        #: row with one PDP per packet (identical unless a stage draws
+        #: per-element noise).  The graceful-degradation shadow oracle
+        #: attaches here; None disables monitoring.
         self.output_monitor: Callable[[dict[str, np.ndarray], np.ndarray],
                                       None] | None = None
-        # The constant-folded pipeline judging uniform chunks (one
-        # scalar evaluation broadcast over the chunk); re-folded when
-        # reprogramming, a fault or a cell-shape change invalidates it.
-        self._folded = None
 
         self._base_specs = (dict(stage_programs)
                             if stage_programs is not None
@@ -312,19 +307,11 @@ class PCAMAQM(AQMAlgorithm):
         sojourn = max(queue.last_sojourn_s, backlog_delay)
         return self._extractor.update(now, sojourn, backlog_delay)
 
-    def _features(self, queue: QueueView, now: float) -> dict[str, float]:
-        raw = self._raw_features(queue, now)
-        features: dict[str, float] = {}
-        for name in self.pipeline.stage_names:
-            capped = min(raw[name], self._input_caps[name])
-            features[name] = self._scalers[name].to_voltage(capped)
-        return features
-
     def _charge_searches(self, n: int) -> None:
         """Book ``n`` per-packet pipeline searches.
 
-        One quantum per packet (all stages' cells), identical in the
-        batch kernel and the folded path, booked via
+        One quantum per packet (all stages' cells), however the
+        packets were evaluated, booked via
         :meth:`~repro.energy.ledger.EnergyLedger.charge_quanta` so the
         joules are bit-identical however the same packets are chunked
         or sharded.
@@ -355,7 +342,12 @@ class PCAMAQM(AQMAlgorithm):
             raw = np.atleast_1d(np.asarray(features[name], dtype=float))
             capped = np.minimum(raw, self._input_caps[name])
             batch[name] = self._scalers[name].to_voltage_array(capped)
-        pdps = self.pipeline.evaluate_batch(batch)
+        return self._judged(batch, self.pipeline.evaluate_batch(batch),
+                            priorities)
+
+    def _judged(self, batch: dict[str, np.ndarray], pdps: np.ndarray,
+                priorities: np.ndarray | None) -> np.ndarray:
+        """Book one pipeline evaluation and weight its PDPs by class."""
         n = int(pdps.shape[0])
         self.evaluations += n
         self._charge_searches(n)
@@ -374,44 +366,6 @@ class PCAMAQM(AQMAlgorithm):
         for priority, weight in self.priority_weights.items():
             weights[classes == priority] = weight
         return weights
-
-    def _folded_drop_probabilities(self, raw: Mapping[str, float],
-                                   n: int,
-                                   priorities: np.ndarray) -> \
-            np.ndarray | None:
-        """PDPs via the constant-folded scalar kernel, or None.
-
-        Bit-identical to ``drop_probabilities`` over ``np.full``
-        columns: one scalar cap/DAC-scale/five-region evaluation per
-        stage, broadcast over the chunk, with identical evaluation
-        counters, ledger charge, ``last_pdp``, monitor verdict and
-        priority weighting.  ``None`` demotes the chunk to the batch
-        kernel (the pipeline does not fold, or a DAC-routed scaler
-        whose quantisation the fold does not model).
-        """
-        folded = self._folded
-        if folded is None or not folded.matches(self.pipeline):
-            folded = fold_pipeline(self.pipeline)
-            self._folded = folded
-            if folded is None:
-                return None
-        values = []
-        for name in folded.stage_names:
-            scaler = self._scalers[name]
-            if scaler.dac is not None:
-                return None
-            capped = min(raw[name], self._input_caps[name])
-            values.append(scaler.to_voltage(capped))
-        pdp = float(folded.evaluate_uniform(values, count=n))
-        self.evaluations += n
-        self._charge_searches(n)
-        self.last_pdp = pdp
-        if self.output_monitor is not None:
-            self.output_monitor(
-                {name: np.array([value])
-                 for name, value in zip(folded.stage_names, values)},
-                np.array([pdp]))
-        return np.full(n, pdp) * self._priority_weights(priorities)
 
     def pdp(self, queue: QueueView, now: float) -> float:
         """Evaluate the pipeline: the raw Packet Drop Probability."""
@@ -507,14 +461,13 @@ class PCAMAQM(AQMAlgorithm):
         All packets in the chunk are judged against the queue state at
         chunk start (the scalar loop re-reads the backlog after every
         admission; a chunk trades that refresh for one evaluation).
-        The chunk's features are uniform, so the constant-folded
-        pipeline evaluates them once and broadcasts the PDP; the
-        ``n``-row batch kernel runs only when the pipeline does not
-        fold (device cells, faults, non-linear ramps, ``mean``
-        composition, DAC-routed scalers).  One uniform variate is
-        consumed per packet, in packet order, so seeded runs stay
-        reproducible chunk size aside — and a chunk of one is exactly
-        the scalar path.
+        The chunk's features are uniform, so
+        :meth:`~repro.core.pcam_pipeline.PCAMPipeline.evaluate_uniform`
+        runs the kernel over one feature column, counted once per
+        packet; stages that draw per-element noise still draw one
+        value per packet.  One uniform variate is consumed per packet,
+        in packet order, so seeded runs stay reproducible chunk size
+        aside — and a chunk of one is exactly the scalar path.
         """
         n = len(packets)
         if n == 0:
@@ -525,12 +478,15 @@ class PCAMAQM(AQMAlgorithm):
         priorities = getattr(packets, "priorities", None)
         if priorities is None:
             priorities = np.array([packet.priority for packet in packets])
-        pdps = self._folded_drop_probabilities(raw, n, priorities)
-        if pdps is None:
-            features = {name: np.full(n, raw[name])
-                        for name in self.pipeline.stage_names}
-            pdps = self.drop_probabilities(features,
-                                           priorities=priorities)
+        names = self.pipeline.stage_names
+        voltages = [self._scalers[name].to_voltage(
+            min(raw[name], self._input_caps[name])) for name in names]
+        batch = ({name: np.array([value])
+                  for name, value in zip(names, voltages)}
+                 if self.output_monitor is not None else {})
+        pdps = self._judged(batch,
+                            self.pipeline.evaluate_uniform(voltages, n),
+                            priorities)
         self._maybe_adapt(now)
         congested = self.drop_decisions(pdps)
         drops = np.array(congested, dtype=bool)

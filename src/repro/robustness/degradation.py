@@ -26,13 +26,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.pcam_cell import PCAMCell, PCAMParams
-from repro.core.pcam_pipeline import BATCH_COMPOSITIONS, PCAMPipeline
+from repro.core.pcam_pipeline import PCAMPipeline
 from repro.dataplane.telemetry import TelemetryCollector
 from repro.netfunc.aqm.base import AQMAlgorithm, QueueView
 from repro.netfunc.aqm.codel import CoDelAqm
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.packet import Packet
+from repro.robustness.oracle import intended_pipeline
 
 __all__ = ["DegradingAQM", "ShadowOracle"]
 
@@ -40,34 +40,34 @@ __all__ = ["DegradingAQM", "ShadowOracle"]
 class ShadowOracle:
     """A digital twin of an analog pipeline, built from intent.
 
-    Evaluates the composition over fresh ideal cells programmed with
-    each stage's :attr:`~repro.core.pcam_cell.PCAMCell.intended_params`
-    (cached until the intent changes), so injected faults never leak
-    into the shadow.  This is the "cheap shadow digital oracle" the
-    traffic manager uses to detect out-of-envelope analog outputs.
+    Evaluates an ideal pipeline programmed with each stage's
+    :attr:`~repro.core.pcam_cell.PCAMCell.intended_params` — the
+    :func:`~repro.robustness.oracle.intended_pipeline` the differential
+    oracle compares against, rebuilt when the intent changes — so
+    injected faults never leak into the shadow.  This is the "cheap
+    shadow digital oracle" the traffic manager uses to detect
+    out-of-envelope analog outputs.
     """
 
     def __init__(self, pipeline: PCAMPipeline) -> None:
         self.pipeline = pipeline
-        self._cache: dict[str, tuple[PCAMParams, PCAMCell]] = {}
+        #: The intent-built pipeline, built on the first check.
+        self.reference: PCAMPipeline | None = None
         self.checks = 0
-
-    def _shadow_cell(self, name: str) -> PCAMCell:
-        stage = self.pipeline.stage(name)
-        intended = getattr(stage, "intended_params", stage.params)
-        cached = self._cache.get(name)
-        if cached is None or cached[0] != intended:
-            cached = (intended, PCAMCell(intended))
-            self._cache[name] = cached
-        return cached[1]
 
     def evaluate(self, features: Mapping[str, np.ndarray]) -> np.ndarray:
         """Digital composite probabilities for a voltage-domain batch."""
-        rows = [self._shadow_cell(name).response_array(
-            np.atleast_1d(np.asarray(features[name], dtype=float)))
-            for name in self.pipeline.stage_names]
+        reference = self.reference
+        for name in self.pipeline.stage_names:
+            stage = self.pipeline.stage(name)
+            intended = getattr(stage, "intended_params", stage.params)
+            if reference is None or \
+                    reference.stage(name).params is not intended:
+                reference = self.reference = intended_pipeline(
+                    self.pipeline)
+                break
         self.checks += 1
-        return BATCH_COMPOSITIONS[self.pipeline.composition](np.stack(rows))
+        return reference.evaluate_batch(features)
 
     def deviation(self, features: Mapping[str, np.ndarray],
                   outputs: np.ndarray) -> float:
@@ -205,10 +205,9 @@ class DegradingAQM(AQMAlgorithm):
                  outputs: np.ndarray) -> None:
         """The analog AQM's ``output_monitor``: one call per evaluation.
 
-        A folded uniform chunk arrives as one row and an ``n``-row
-        kernel call as ``n`` rows; the deviation is a max over rows,
-        and a uniform chunk's rows are identical, so the check cadence
-        and verdicts do not depend on which path evaluated the chunk.
+        An admission chunk arrives as its one feature row with one PDP
+        per packet; the shadow evaluates the row once and the
+        deviation is the max over the PDPs.
         """
         self._calls_since_check += 1
         if self._calls_since_check < self.check_interval:

@@ -24,15 +24,29 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.pcam_cell import PCAMCell
 from repro.core.pcam_pipeline import PCAMPipeline
 
 __all__ = ["DegradationEnvelope", "DeviationReport", "DifferentialOracle",
-           "EnvelopeViolation"]
+           "EnvelopeViolation", "intended_pipeline"]
 
 #: Tolerance for the scalar-vs-batch equivalence leg (vectorisation
 #: must be a pure re-expression of the scalar reference).
 EQUIVALENCE_RTOL = 1e-9
+
+
+def intended_pipeline(pipeline: PCAMPipeline) -> PCAMPipeline:
+    """A clean ideal pipeline programmed with each stage's intent.
+
+    Works on faulted pipelines because the injection hook keeps
+    :attr:`~repro.core.pcam_cell.PCAMCell.intended_params` clean;
+    device-realised stages contribute their programmed params.
+    """
+    params = {}
+    for name in pipeline.stage_names:
+        stage = pipeline.stage(name)
+        params[name] = getattr(stage, "intended_params", stage.params)
+    return PCAMPipeline.from_params(params,
+                                    composition=pipeline.composition)
 
 
 class EnvelopeViolation(AssertionError):
@@ -126,20 +140,8 @@ class DifferentialOracle:
     def from_intended(cls, pipeline: PCAMPipeline,
                       envelope: DegradationEnvelope | None = None
                       ) -> "DifferentialOracle":
-        """Build the clean reference from each stage's intended params.
-
-        Works on faulted pipelines because the injection hook keeps
-        :attr:`~repro.core.pcam_cell.PCAMCell.intended_params` clean;
-        device-realised stages fall back to their programmed params.
-        """
-        params = {}
-        for name in pipeline.stage_names:
-            stage = pipeline.stage(name)
-            params[name] = (stage.intended_params
-                            if isinstance(stage, PCAMCell)
-                            else stage.params)
-        return cls(PCAMPipeline.from_params(
-            params, composition=pipeline.composition), envelope)
+        """Build the clean reference with :func:`intended_pipeline`."""
+        return cls(intended_pipeline(pipeline), envelope)
 
     def compare(self, faulty: PCAMPipeline,
                 probes: Mapping[str, np.ndarray]) -> DeviationReport:

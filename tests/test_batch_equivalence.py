@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pcam_array import PCAMArray, PCAMWord
 from repro.core.pcam_cell import PCAMCell, PCAMParams
-from repro.core.pcam_pipeline import COMPOSITIONS, PCAMPipeline
+from repro.core.pcam_pipeline import BATCH_COMPOSITIONS, PCAMPipeline
 from repro.robustness.models import (
     CompositeFaultModel,
     ConductanceDrift,
@@ -88,7 +88,8 @@ def test_cell_response_array_without_rail_clipping(data):
 # Pipeline level — every composition
 # ----------------------------------------------------------------------
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), composition=st.sampled_from(sorted(COMPOSITIONS)))
+@given(data=st.data(),
+       composition=st.sampled_from(sorted(BATCH_COMPOSITIONS)))
 def test_pipeline_evaluate_batch_matches_scalar(data, composition):
     stage_params = {name: data.draw(arbitrary_params())
                     for name in ("a", "b", "c")}

@@ -11,7 +11,6 @@ from repro.core.calibration import (
 )
 from repro.core.device_cell import DevicePCAMCell
 from repro.core.pcam_cell import PCAMCell, prog_pcam
-from repro.crossbar.converters import DAC
 from repro.device.variability import VariabilityModel
 
 
@@ -50,16 +49,6 @@ class TestFeatureScaler:
         array = scaler.to_voltage_array(features)
         scalar = [scaler.to_voltage(float(f)) for f in features]
         np.testing.assert_allclose(array, scalar)
-
-    def test_dac_routing_quantizes(self):
-        coarse = self.make(dac=DAC(bits=3, v_min=0.0, v_max=4.0))
-        smooth = self.make()
-        voltage = coarse.to_voltage(0.0333)
-        # Must land exactly on one of the 8 DAC levels.
-        levels = [coarse.dac.convert(code) for code in range(8)]
-        assert any(voltage == pytest.approx(level) for level in levels)
-        assert voltage != pytest.approx(smooth.to_voltage(0.0333),
-                                        abs=1e-6)
 
     def test_validation(self):
         with pytest.raises(ValueError):

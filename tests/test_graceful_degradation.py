@@ -18,7 +18,12 @@ from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.packet import Packet
 from repro.robustness.degradation import DegradingAQM, ShadowOracle
 from repro.robustness.injector import FaultInjector
-from repro.robustness.models import ConductanceDrift, StuckAtFault
+from repro.robustness.models import (
+    ConductanceDrift,
+    StuckAtFault,
+    TransientReadNoise,
+)
+from repro.robustness.oracle import DifferentialOracle
 
 
 def make_degrader(**kwargs):
@@ -84,6 +89,17 @@ class TestShadowOracle:
         assert not np.array_equal(before, after)
         np.testing.assert_array_equal(after,
                                       aqm.pipeline.evaluate_batch(batch))
+
+    def test_equals_the_differential_oracles_reference(self):
+        aqm = PCAMAQM(adaptation=False)
+        inject(aqm, TransientReadNoise(sigma=0.05))
+        shadow = ShadowOracle(aqm.pipeline)
+        batch = {name: np.linspace(-1.8, 3.8, 23)
+                 for name in aqm.pipeline.stage_names}
+        reference = DifferentialOracle.from_intended(aqm.pipeline).reference
+        clean = reference.evaluate_batch(batch)
+        np.testing.assert_array_equal(shadow.evaluate(batch), clean)
+        assert not np.array_equal(aqm.pipeline.evaluate_batch(batch), clean)
 
 
 # ----------------------------------------------------------------------

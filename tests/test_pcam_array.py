@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.pcam_array import PCAMArray, PCAMWord
-from repro.core.pcam_cell import prog_pcam
+from repro.core.pcam_cell import PCAMCell, prog_pcam
+from repro.robustness import TransientReadNoise
 
 FIELDS = ("dst_port", "size")
 
@@ -115,3 +116,63 @@ class TestManagement:
             PCAMArray(())
         with pytest.raises(ValueError):
             PCAMArray(FIELDS, match_threshold=0.0)
+
+
+def reference_match(array, queries):
+    """Per-word, per-cell ``response_array`` products, words in order."""
+    columns = []
+    for word in array.words:
+        probability = None
+        for field, cell in word.cells.items():
+            response = cell.response_array(
+                np.atleast_1d(np.asarray(queries[field], dtype=float)))
+            probability = (response if probability is None
+                           else probability * response)
+        columns.append(probability)
+    return np.stack(columns, axis=1)
+
+
+def noisy_array(reversed_word):
+    """Three words, word 0 with a seeded read-noise fault; word 2
+    optionally stores its fields in reverse order."""
+    array = make_array()
+    cells = {"dst_port": PCAMCell(prog_pcam(60, 75, 85, 100)),
+             "size": PCAMCell(prog_pcam(0, 200, 400, 900))}
+    if reversed_word:
+        cells = {"size": cells["size"], "dst_port": cells["dst_port"]}
+    array.add(PCAMWord(cells))
+    cell = array.word(0).cell("size")
+    cell.inject_fault(TransientReadNoise(sigma=0.05).materialise(
+        cell.intended_params, np.random.default_rng(4)))
+    return array
+
+
+class TestStackedMatch:
+    @pytest.mark.parametrize("n_queries", [1, 33])
+    @pytest.mark.parametrize("reversed_word", [False, True])
+    def test_match_batch_equals_per_cell_reference(self, n_queries,
+                                                   reversed_word):
+        rng = np.random.default_rng(n_queries)
+        queries = {"dst_port": rng.uniform(50, 120, n_queries),
+                   "size": rng.uniform(0, 1000, n_queries)}
+        stacked, reference = (noisy_array(reversed_word)
+                              for _ in range(2))
+        if reversed_word:
+            assert stacked.word(2).fields == ("size", "dst_port")
+        got = stacked.match_batch(queries)
+        expected = reference_match(reference, queries)
+        assert got.shape == (n_queries, 3)
+        assert np.array_equal(got, expected)  # bit-exact, same RNG draws
+        for word_a, word_b in zip(stacked.words, reference.words):
+            for field in FIELDS:
+                assert word_a.cell(field).evaluations == \
+                    word_b.cell(field).evaluations == n_queries
+        assert np.array_equal(
+            stacked.word(1).match_batch(queries),
+            reference_match(reference, queries)[:, 1])
+
+    def test_empty_array_match_batch(self):
+        array = PCAMArray(FIELDS)
+        got = array.match_batch({"dst_port": np.arange(4.0),
+                                 "size": np.arange(4.0)})
+        assert got.shape == (4, 0)

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.pcam_cell import PCAMCell, prog_pcam
+from repro.core.pcam_cell import PCAMCell, PCAMParams, prog_pcam
 from repro.core.pcam_pipeline import (
-    COMPOSITIONS,
+    BATCH_COMPOSITIONS,
     MissingFeatureError,
     PCAMPipeline,
     PipelineFeatureError,
     UnknownFeatureError,
 )
+from repro.observability import Observability
+from repro.robustness import FaultInjector, StuckAtFault, TransientReadNoise
 
 P1 = prog_pcam(0.0, 1.0, 2.0, 3.0)
 P2 = prog_pcam(-1.0, 0.0, 1.0, 2.0)
@@ -101,8 +105,8 @@ class TestEvaluation:
 
 class TestCompositions:
     def test_all_compositions_available(self):
-        assert set(COMPOSITIONS) == {"product", "min", "geometric",
-                                     "mean"}
+        assert set(BATCH_COMPOSITIONS) == {"product", "min",
+                                           "geometric", "mean"}
 
     def test_min_composition(self):
         pipeline = make_pipeline("min")
@@ -179,3 +183,220 @@ class TestManagement:
         assert energy > 0.0
         assert probability == pytest.approx(1.0, abs=0.05)
         assert pipeline.programming_energy_j() > 0.0
+
+
+# ----------------------------------------------------------------------
+# The stacked kernel: uniform columns, own rows and the constants cache
+# ----------------------------------------------------------------------
+P3 = prog_pcam(0.2, 0.9, 1.1, 1.8)
+COMPOSITION_NAMES = ["product", "min", "geometric", "mean"]
+
+
+def make_stack(composition="product", params=(P1, P2, P3)):
+    return PCAMPipeline.from_params(
+        {f"s{i}": p for i, p in enumerate(params)},
+        composition=composition)
+
+
+def uniform_batch(pipeline, value, n):
+    return {name: np.full(n, value) for name in pipeline.stage_names}
+
+
+@st.composite
+def arbitrary_params(draw):
+    """Valid params, canonical slopes NOT required, ramps may be
+    degenerate (zero width)."""
+    m1 = draw(st.floats(-10.0, 10.0, allow_nan=False))
+    gap1 = draw(st.floats(0.0, 5.0))
+    gap2 = draw(st.floats(0.0, 5.0))
+    gap3 = draw(st.floats(0.0, 5.0))
+    pmin = draw(st.floats(0.0, 0.5))
+    pmax = draw(st.floats(0.5, 1.0))
+    sa = draw(st.floats(-20.0, 20.0, allow_nan=False))
+    sb = draw(st.floats(-20.0, 20.0, allow_nan=False))
+    return PCAMParams(m1=m1, m2=m1 + gap1, m3=m1 + gap1 + gap2,
+                      m4=m1 + gap1 + gap2 + gap3, sa=sa, sb=sb,
+                      pmax=pmax, pmin=pmin)
+
+
+class TestUniformEvaluation:
+    @pytest.mark.parametrize("composition", COMPOSITION_NAMES)
+    @settings(max_examples=120, deadline=None)
+    @given(params=st.lists(arbitrary_params(), min_size=1, max_size=8),
+           value=st.floats(-20.0, 20.0, allow_nan=False),
+           n=st.integers(2, 64))
+    def test_one_column_equals_n_columns(self, composition, params,
+                                         value, n):
+        pipeline = make_stack(composition, params)
+        expected = pipeline.evaluate_batch(uniform_batch(pipeline, value, n))
+        assert np.all(expected == expected[0])
+        # Bit-exact, no tolerance: one column, its uniform broadcast,
+        # and n columns agree.
+        one = pipeline.evaluate_batch(uniform_batch(pipeline, value, 1))
+        assert one[0] == expected[0]
+        got = pipeline.evaluate_uniform([value] * len(params), count=n)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("composition", COMPOSITION_NAMES)
+    def test_column_count_never_changes_a_column(self, composition):
+        # Eight stages: np.mean sums one column pairwise but wider
+        # matrices row by row, so a plain np.mean fails this for mean.
+        rng = np.random.default_rng(5)
+        params = [prog_pcam(0.0, 0.3, 0.6, 1.0, pmin=float(pmin))
+                  for pmin in rng.uniform(0.0, 0.9, 8)]
+        pipeline = make_stack(composition, params)
+        matrix = rng.uniform(0.0, 0.3, (400, 8))
+        wide = pipeline.evaluate_batch(matrix)
+        narrow = np.concatenate([pipeline.evaluate_batch(matrix[i:i + 1])
+                                 for i in range(len(matrix))])
+        assert np.array_equal(wide, narrow)
+
+    @pytest.mark.parametrize("composition", COMPOSITION_NAMES)
+    def test_healthy_stages_evaluate_one_column(self, composition,
+                                                monkeypatch):
+        pipeline = make_stack(composition)
+        widths = []
+        compose = pipeline._compose_batch
+        monkeypatch.setattr(pipeline, "_compose_batch", lambda matrix: (
+            widths.append(matrix.shape[1]), compose(matrix))[1])
+        got = pipeline.evaluate_uniform([0.5, 0.5, 0.5], count=1000)
+        assert widths == [1]  # the kernel evaluated one column
+        assert got.shape == (1000,)
+        assert np.all(got == pipeline.evaluate([0.5, 0.5, 0.5]))
+
+    def test_counters_advance_like_n_rows(self):
+        pipeline = make_stack()
+        pipeline.evaluate_uniform([0.5, 0.5, 0.5], count=17)
+        for name in pipeline.stage_names:
+            assert pipeline.stage(name).evaluations == 17
+
+    def test_count_validation_guards_accounting(self):
+        pipeline = make_stack()
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            pipeline.evaluate_uniform([0.5, 0.5, 0.5], count=-1)
+        assert pipeline.stage("s0").evaluations == 0
+
+
+def read_noise_twins(seed=3):
+    """Two identical pipelines carrying identically seeded read noise."""
+    twins = []
+    for _ in range(2):
+        pipeline = make_stack()
+        FaultInjector(TransientReadNoise(sigma=0.05), cell_fraction=0.5,
+                      rng=np.random.default_rng(seed)) \
+            .inject_pipeline(pipeline)
+        twins.append(pipeline)
+    return twins
+
+
+class TestOwnRows:
+    """Stages the kernel cannot express keep their own response_array."""
+
+    def test_faulted_cell_keeps_its_own_row(self):
+        uniform, reference = read_noise_twins()
+        got = uniform.evaluate_uniform([0.5, 0.5, 0.5], count=12)
+        expected = reference.evaluate_batch(
+            uniform_batch(reference, 0.5, 12))
+        # The noisy stage drew one value per packet, in order.
+        assert np.array_equal(got, expected)
+        assert len(set(got.tolist())) > 1
+        for name in uniform.stage_names:
+            assert uniform.stage(name).evaluations == \
+                reference.stage(name).evaluations == 12
+
+    def test_nonlinear_cell_keeps_its_own_row(self):
+        pipeline = PCAMPipeline({
+            "a": PCAMCell(P1),
+            "b": PCAMCell(prog_pcam(0.0, 1.0, 2.0, 3.0),
+                          nonlinearity="sigmoid")})
+        got = pipeline.evaluate_uniform([0.4, 0.4], count=5)
+        sigmoid = PCAMCell(prog_pcam(0.0, 1.0, 2.0, 3.0),
+                           nonlinearity="sigmoid").response(0.4)
+        assert np.array_equal(got, np.full(5, PCAMCell(P1).response(0.4)
+                                           * sigmoid))
+        assert pipeline.stage("b").evaluations == 5
+
+    def test_subclassed_cell_keeps_its_own_row(self):
+        class RecordingCell(PCAMCell):
+            seen = []
+
+            def response_array(self, values):
+                self.seen.append(np.array(values))
+                return super().response_array(values)
+
+        pipeline = PCAMPipeline({"a": RecordingCell(P1),
+                                 "b": PCAMCell(P2)})
+        got = pipeline.evaluate_uniform([0.5, 0.5], count=4)
+        assert [v.tolist() for v in RecordingCell.seen] == [[0.5] * 4]
+        assert np.array_equal(
+            got, pipeline.evaluate_batch({"a": np.full(4, 0.5),
+                                          "b": np.full(4, 0.5)}))
+
+
+class TestKernelCache:
+    def test_reprogram_refreshes_the_constants(self):
+        pipeline = make_stack()
+        pipeline.evaluate_uniform([0.75] * 3, count=2)
+        fresh = prog_pcam(0.0, 0.5, 1.0, 1.5)
+        pipeline.program_stage("s1", fresh)
+        expected = make_stack(params=(P1, fresh, P3)).evaluate([0.75] * 3)
+        assert pipeline.evaluate_uniform([0.75] * 3, count=2)[0] == expected
+
+    def test_fault_injection_and_clearing_refresh_the_stack(self):
+        pipeline = make_stack()
+        clean = pipeline.evaluate_uniform([0.5] * 3, count=3)[0]
+        cell = pipeline.stage("s0")
+        cell.inject_fault(StuckAtFault(state="hrs").materialise(
+            cell.params, np.random.default_rng(0)))
+        stuck = pipeline.evaluate_uniform([0.5] * 3, count=3)
+        assert stuck[0] != clean
+        assert np.array_equal(stuck, pipeline.evaluate_batch(
+            uniform_batch(pipeline, 0.5, 3)))
+        cell.clear_fault()
+        assert pipeline.evaluate_uniform([0.5] * 3, count=3)[0] == clean
+
+    def test_attached_tracer_keeps_the_outputs(self):
+        plain, observed = make_stack(), make_stack()
+        obs = Observability()
+        observed.tracer, observed.profiler = obs.tracer, obs.profiler
+        features = np.random.default_rng(2).uniform(-1.0, 3.0, (9, 3))
+        assert np.array_equal(observed.evaluate_batch(features),
+                              plain.evaluate_batch(features))
+        assert np.array_equal(observed.evaluate_uniform([0.6] * 3, 5),
+                              plain.evaluate_uniform([0.6] * 3, 5))
+        names = [span.name for span in obs.tracer.finished]
+        assert names.count("pcam.evaluate_batch") == 2
+        for name in observed.stage_names:
+            assert names.count(f"pcam.stage.{name}") == 2
+
+    def test_profiler_records_the_uniform_evaluation(self):
+        pipeline = make_stack()
+        obs = Observability()
+        pipeline.profiler = obs.profiler
+        pipeline.evaluate_uniform([0.5] * 3, count=8)
+        pipeline.evaluate_batch(uniform_batch(pipeline, 0.5, 8))
+        assert obs.profiler.site_histogram(
+            "pcam.evaluate_batch").count == 2
+
+    def test_clip_flip_refreshes_the_constants(self):
+        # Non-canonical steep ramp: the rail clip changes the output.
+        steep = prog_pcam(0.0, 1.0, 2.0, 3.0, sa=3.0, pmin=0.2,
+                          pmax=0.8)
+        pipeline = make_stack(params=(steep,))
+        clipped = pipeline.evaluate_uniform([0.9], count=4)[0]
+        pipeline.stage("s0").clip_to_rails = False
+        unclipped = pipeline.evaluate_uniform([0.9], count=4)[0]
+        raw = PCAMCell(steep, clip_to_rails=False).response(0.9)
+        assert unclipped == raw != clipped
+
+    def test_nonlinearity_flip_moves_the_stage_to_its_own_row(self):
+        pipeline = make_stack()
+        on_ramps = [0.5, -0.5, 1.0]
+        linear = pipeline.evaluate_uniform(on_ramps, count=2)[0]
+        pipeline.stage("s1").nonlinearity = "sigmoid"
+        shaped = pipeline.evaluate_uniform(on_ramps, count=2)
+        expected = PCAMPipeline({
+            "s0": PCAMCell(P1),
+            "s1": PCAMCell(P2, nonlinearity="sigmoid"),
+            "s2": PCAMCell(P3)}).evaluate(on_ramps)
+        assert shaped[0] == expected != linear

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pcam_cell import PCAMParams
-from repro.core.pcam_pipeline import COMPOSITIONS, PCAMPipeline
+from repro.core.pcam_pipeline import BATCH_COMPOSITIONS, PCAMPipeline
 from repro.robustness.injector import FaultInjector
 from repro.robustness.models import StuckAtFault, TransientReadNoise
 from repro.robustness.oracle import (
@@ -42,7 +42,7 @@ def make_pipeline(composition="product"):
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
-       composition=st.sampled_from(sorted(COMPOSITIONS)))
+       composition=st.sampled_from(sorted(BATCH_COMPOSITIONS)))
 def test_fault_free_pipeline_reports_zero_deviation(data, seed,
                                                     composition):
     params = {name: data.draw(canonical_params()) for name in ("a", "b")}
