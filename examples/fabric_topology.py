@@ -6,7 +6,8 @@ Stands up a two-hop path where each hop is a whole
 switches behind a symmetric Toeplitz RSS front end — then:
 
 1. reprograms the ingress fabric transactionally (two-phase commit:
-   staged on every shard, flipped under one generation);
+   every op checked first, then applied to every shard under one
+   generation);
 2. streams a flash-crowd scenario through the path with line-rate
    drains and link delays between hops;
 3. prints per-hop verdicts, fabric steering balance, and the exact

@@ -1,8 +1,8 @@
 """Fleet-scale closed-loop learning over a sharded fabric.
 
 The fabric's programming vocabulary is fleet-wide by construction —
-:class:`~repro.fabric.controller.FabricController` stages an op on
-*every* shard and flips them under the chunk-dispatch lock — so a
+:class:`~repro.fabric.controller.FabricController` applies each
+committed op to *every* shard under the chunk-dispatch lock — so a
 learned candidate is always deployed uniformly: no chunk can observe
 shard 0 running one programming and shard 1 another.  This module
 closes the learning loop over that primitive:
@@ -17,7 +17,7 @@ closes the learning loop over that primitive:
   (:class:`~repro.control.learning.SPSAPolicy` or
   :class:`~repro.control.learning.CEMPolicy`) through both, with the
   :class:`~repro.control.learning.EnvelopeGate` interlock when the
-  shard hardware is reachable, and :meth:`finalise` shares the
+  shard AQMs are handed in, and :meth:`finalise` shares the
   winning programming fleet-wide through one final commit.
 
 The default delay signal is *backlog-implied* (worst per-port queue
@@ -116,10 +116,11 @@ class FleetLearningController:
     :meth:`finalise` deploys the best-scoring programming the same
     way and returns it.
 
-    ``gate_aqms`` — the shard AQMs (reachable in in-process fabrics)
-    — arms the :class:`~repro.control.learning.EnvelopeGate`
-    interlock: candidates are refused while any table is degraded and
-    rolled back when a write lands outside the PDP envelope.
+    ``gate_aqms`` — the shard AQMs (each shard's
+    ``processor.traffic_manager.aqm(port)``) — arms the
+    :class:`~repro.control.learning.EnvelopeGate` interlock:
+    candidates are refused while any table is degraded and rolled
+    back when a write lands outside the PDP envelope.
     """
 
     def __init__(self, fabric_controller, policy, *,

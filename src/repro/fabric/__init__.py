@@ -3,9 +3,8 @@
 The fabric is the repo's horizontal-scale layer: N complete cognitive
 switches (each its own runtime, flow cache, energy ledger and
 telemetry domain) behind a symmetric Toeplitz RSS front end, with a
-two-phase controller that reprograms all shards atomically and a
-multiprocessing execution mode that runs shards in separate processes
-over shared-memory columns.  See DESIGN.md §14.
+two-phase controller that reprograms all shards atomically.  Every
+shard runs in the caller's process.  See DESIGN.md §14.
 """
 
 from repro.dataplane.results import VERDICTS
@@ -13,18 +12,16 @@ from repro.fabric.controller import FabricController
 from repro.fabric.fabric import SwitchFabric
 from repro.fabric.rss import SYMMETRIC_RSS_KEY, ToeplitzRSS
 from repro.fabric.scenario import build_fabric, fabric_scenario_factory
-from repro.fabric.shards import FABRIC_OPS, InProcessShard
-from repro.fabric.workers import WorkerShard
+from repro.fabric.shards import FABRIC_OPS, Shard
 
 __all__ = [
     "FABRIC_OPS",
     "FabricController",
-    "InProcessShard",
     "SYMMETRIC_RSS_KEY",
+    "Shard",
     "SwitchFabric",
     "ToeplitzRSS",
     "VERDICTS",
-    "WorkerShard",
     "build_fabric",
     "fabric_scenario_factory",
 ]

@@ -4,22 +4,25 @@ An NMS reprogramming a sharded switch must never let traffic observe
 half a rule update: a chunk classified while shard 0 has the new
 route and shard 1 still has the old one could split a flow's verdicts
 across configurations.  :class:`FabricController` closes that window
-with a two-phase protocol:
+with a two-phase protocol over its own list of staged ops:
 
-1. **stage** — every pending op is buffered on every shard.  Staged
-   ops are invisible to classification: buffering changes no table,
-   no cache, no AQM.
-2. **flip** — under the fabric's chunk-dispatch lock, every shard
-   applies its buffer and the fabric generation increments once.
+1. **prepare** — every staged op's name and arguments are checked
+   (port range, prefix parse, retarget band) before any shard
+   changes.  One refused op refuses the whole transaction: every
+   shard and the generation stay as they were.
+2. **apply** — under the fabric's chunk-dispatch lock, every shard
+   applies the ops and the fabric generation increments once.
 
-Because chunk dispatch holds the same lock from first ``begin`` to
-last ``finish``, a chunk sees either the pre-flip configuration on
-*all* shards or the post-flip configuration on *all* shards — never a
+Because chunk dispatch holds the same lock while a chunk runs on its
+shards, a chunk sees either the pre-commit configuration on *all*
+shards or the post-commit configuration on *all* shards — never a
 mix.  The generation number names the configuration a chunk ran
 under.
 """
 
 from __future__ import annotations
+
+from repro.fabric.shards import check_op
 
 __all__ = ["FabricController"]
 
@@ -62,29 +65,28 @@ class FabricController:
 
     @property
     def staged(self) -> tuple[tuple[str, tuple], ...]:
-        """Ops queued locally, not yet pushed to any shard."""
+        """Ops staged for the next commit, not yet on any shard."""
         return tuple(self._pending)
 
     # ------------------------------------------------------------------
     # Two-phase commit
     # ------------------------------------------------------------------
     def commit(self) -> int:
-        """Push staged ops to all shards, then flip atomically.
+        """Check every staged op, then apply them to all shards at once.
 
         Returns the new fabric generation.  A commit with nothing
-        staged still flips (generation advances) — useful as a
-        barrier.
+        staged still advances the generation — useful as a barrier.
+        A refused commit raises the refusing op's error, discards the
+        staged ops and leaves every shard and the generation
+        unchanged.
         """
         ops, self._pending = self._pending, []
-        # Phase 1: replicate to every shard's buffer.  Chunks
-        # dispatched between the phases still classify under the old
-        # configuration on every shard.
-        self._fabric._stage_on_all(ops)
-        # Phase 2: apply everywhere under the chunk-dispatch lock.
-        return self._fabric._flip_all()
+        for op in ops:
+            check_op(op, self._fabric.n_ports)
+        return self._fabric._apply_all(ops)
 
     def abort(self) -> int:
-        """Discard locally staged ops (nothing was pushed yet)."""
+        """Discard the staged ops; the number discarded."""
         dropped, self._pending = len(self._pending), []
         return dropped
 

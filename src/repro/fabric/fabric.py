@@ -24,11 +24,10 @@ per-shard LRU can differ from the global one — throughput, not
 identity, is the contract there.
 
 **Generation purity.**  One lock orders chunk dispatch against
-transaction commits: a chunk begins and finishes on all its shards
-under the lock, and a commit flips all shards under the same lock, so
-no chunk can observe two fabric generations.  Within a chunk the
-worker shards still run in parallel — the lock serialises *chunks
-against commits*, not shard against shard.
+transaction commits, which may arrive from another thread: a chunk
+runs on all its shards under the lock, and a commit applies its ops
+to all shards under the same lock, so no chunk can observe two
+fabric generations.
 """
 
 from __future__ import annotations
@@ -50,12 +49,9 @@ from repro.dataplane.traffic_manager import serve_each, spend_credit
 from repro.energy.ledger import EnergyLedger
 from repro.fabric.controller import FabricController
 from repro.fabric.rss import ToeplitzRSS
-from repro.fabric.shards import InProcessShard, merged
-from repro.fabric.workers import WorkerShard
+from repro.fabric.shards import Shard
 
 __all__ = ["SwitchFabric"]
-
-_MODES = ("in_process", "multiprocessing")
 
 
 class _MergedFlowCacheView:
@@ -63,13 +59,34 @@ class _MergedFlowCacheView:
 
     __slots__ = ("hits", "misses", "entries")
 
-    def __init__(self, snapshots) -> None:
-        self.hits = sum(s["cache_hits"] for s in snapshots)
-        self.misses = sum(s["cache_misses"] for s in snapshots)
-        self.entries = sum(s["cache_entries"] for s in snapshots)
+    def __init__(self, caches) -> None:
+        caches = [cache for cache in caches if cache is not None]
+        self.hits = sum(cache.hits for cache in caches)
+        self.misses = sum(cache.misses for cache in caches)
+        self.entries = sum(len(cache) for cache in caches)
 
     def __len__(self) -> int:
         return self.entries
+
+
+def _poll_row(processor) -> dict:
+    """One shard's row of :meth:`SwitchFabric.poll_metrics`.
+
+    The AQM extremes and verdict counts are the sensing surface of
+    the fleet learning loop.
+    """
+    cache = processor.flow_cache
+    delay_ewma_s, last_pdp, backlog = processor.slice_extremes()
+    return {"processed": processor.processed,
+            "cache_hits": cache.hits if cache is not None else 0,
+            "cache_misses": cache.misses if cache is not None else 0,
+            "degraded_tables": list(
+                processor.robustness_stats()["degraded_tables"]),
+            "verdict_counts": {v.value: c for v, c
+                               in processor.verdict_counts.items()},
+            "delay_ewma_s": delay_ewma_s,
+            "last_pdp": last_pdp,
+            "backlog": backlog}
 
 
 class SwitchFabric:
@@ -79,37 +96,24 @@ class SwitchFabric:
     ----------
     shard_factory:
         Zero-argument callable building one complete processor (a
-        ``build_switch`` product).  Called once per shard; in
-        multiprocessing mode it runs inside the forked worker, so it
-        may close over unpicklable state.
+        ``build_switch`` product).  Called once per shard.
     n_shards:
         Number of shard pipelines.
-    mode:
-        ``"in_process"`` (shards in the caller's process, serial per
-        chunk) or ``"multiprocessing"`` (one forked worker process
-        per shard, parallel within each chunk, columns over shared
-        memory).
     rss:
         Optional pre-built :class:`ToeplitzRSS`; defaults to the
         symmetric key with a 128-entry round-robin indirection table.
     """
 
     def __init__(self, shard_factory, n_shards: int, *,
-                 mode: str = "in_process",
                  rss: ToeplitzRSS | None = None) -> None:
         if n_shards < 1:
             raise ValueError(f"need at least one shard: {n_shards!r}")
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {_MODES}")
         if rss is not None and rss.n_shards != n_shards:
             raise ValueError(
                 f"rss steers {rss.n_shards} shards, fabric has {n_shards}")
         self.n_shards = n_shards
-        self.mode = mode
         self.rss = rss or ToeplitzRSS(n_shards)
-        shard_cls = (WorkerShard if mode == "multiprocessing"
-                     else InProcessShard)
-        self.shards = [shard_cls(shard_factory) for _ in range(n_shards)]
+        self.shards = [Shard(shard_factory()) for _ in range(n_shards)]
         self.n_ports = self.shards[0].n_ports
         self.controller = FabricController(self)
         self._lock = threading.Lock()
@@ -118,7 +122,6 @@ class SwitchFabric:
         self._per_shard_packets = np.zeros(n_shards, dtype=np.int64)
         self._steering_seconds = 0.0
         self._dequeue_cursor = [0] * self.n_ports
-        self._closed = False
 
     # ------------------------------------------------------------------
     # Steering
@@ -147,13 +150,12 @@ class SwitchFabric:
         ``packets`` is a ``ChunkColumns`` chunk, a
         :class:`~repro.dataplane.fastpath.PacketBatch` or a ``Packet``
         sequence; either way its columns are built once, steered, and
-        each shard gets its row slice (over shared memory in
-        multiprocessing mode).  The batch is cut at the *serial* chunk
-        boundaries first; each chunk is then scattered across the
-        shards and gathered back before the next chunk starts, exactly
-        mirroring the serial admission loop.  Verdict codes index
-        :data:`~repro.dataplane.results.VERDICTS`; ports are ``int16``
-        with ``-1`` for no egress.
+        each shard gets its row slice.  The batch is cut at the
+        *serial* chunk boundaries first; each chunk is then scattered
+        across the shards and gathered back before the next chunk
+        starts, exactly mirroring the serial admission loop.  Verdict
+        codes index :data:`~repro.dataplane.results.VERDICTS`; ports
+        are ``int16`` with ``-1`` for no egress.
         """
         batch = PacketBatch.of(packets)
         results = BatchResults.empty(len(batch), batch.packets)
@@ -171,31 +173,21 @@ class SwitchFabric:
                    for shard in np.unique(shard_ids)]
         with self._lock:
             for shard, rows in rows_of:
-                self.shards[shard].begin(
+                codes, ports = self.shards[shard].process(
                     chunk if len(rows) == len(chunk)
                     else chunk.take(rows), now)
-            for shard, rows in rows_of:
-                codes, ports = self.shards[shard].finish()
                 results.codes[base + rows] = codes
                 results.ports[base + rows] = ports
 
     # ------------------------------------------------------------------
     # Transactions (driven by the controller)
     # ------------------------------------------------------------------
-    def _stage_on_all(self, ops) -> None:
-        # Under the lock for pipe discipline, not for semantics: a
-        # worker shard's command pipe is strictly FIFO, so staging
-        # must not interleave with an in-flight chunk's begin/finish
-        # pair.  Staged ops remain invisible until the flip either
-        # way.
+    def _apply_all(self, ops) -> int:
+        """Apply checked ops to every shard; the new generation."""
         with self._lock:
             for shard in self.shards:
-                shard.stage(ops)
-
-    def _flip_all(self) -> int:
-        with self._lock:
-            for shard in self.shards:
-                shard.flip()
+                for op in ops:
+                    shard.apply(op)
             self._generation += 1
             return self._generation
 
@@ -206,34 +198,45 @@ class SwitchFabric:
     # ------------------------------------------------------------------
     # Merged observability
     # ------------------------------------------------------------------
-    def _snapshots(self) -> list[dict]:
+    def _read(self, read) -> list:
+        """``read(processor)`` for every shard, under the dispatch lock."""
         with self._lock:
-            return [shard.snapshot() for shard in self.shards]
+            return [read(shard.processor) for shard in self.shards]
 
     @property
     def processed(self) -> int:
-        return sum(s["processed"] for s in self._snapshots())
+        return sum(self._read(lambda p: p.processed))
 
     @property
     def verdict_counts(self) -> dict[Verdict, int]:
         counts = {v: 0 for v in VERDICTS}
-        for snap in self._snapshots():
-            for value, count in snap["verdict_counts"].items():
-                counts[Verdict(value)] += count
+        for shard_counts in self._read(lambda p: dict(p.verdict_counts)):
+            for verdict, count in shard_counts.items():
+                counts[verdict] += count
         return counts
 
     @property
     def flow_cache(self) -> _MergedFlowCacheView:
-        return _MergedFlowCacheView(self._snapshots())
+        return _MergedFlowCacheView(self._read(lambda p: p.flow_cache))
+
+    def _merged(self, empty, part):
+        """Fold every shard's ``part(processor)`` into ``empty``.
+
+        Ledgers and telemetry collectors merge exactly and partition
+        invariantly, so the result is what one serial switch would
+        have recorded.
+        """
+        with self._lock:
+            for shard in self.shards:
+                empty.merge(part(shard.processor))
+        return empty
 
     def telemetry_snapshot(self) -> dict:
-        return merged(TelemetryCollector(),
-                      (s["telemetry"] for s in self._snapshots())
-                      ).snapshot()
+        return self._merged(TelemetryCollector(),
+                            lambda p: p.telemetry).snapshot()
 
     def energy_ledger(self) -> EnergyLedger:
-        return merged(EnergyLedger(),
-                      (s["ledger"] for s in self._snapshots()))
+        return self._merged(EnergyLedger(), lambda p: p.ledger)
 
     def energy_total_j(self) -> float:
         return self.energy_ledger().total
@@ -245,14 +248,13 @@ class SwitchFabric:
 
     def slice_extremes(self) -> tuple[float, float, int]:
         """(max delay EWMA, max PDP, max backlog) across all shards."""
-        with self._lock:
-            extremes = [shard.extremes() for shard in self.shards]
+        extremes = self._read(lambda p: p.slice_extremes())
         return (max(e[0] for e in extremes),
                 max(e[1] for e in extremes),
                 max(e[2] for e in extremes))
 
     def robustness_stats(self) -> dict:
-        stats = [s["robustness"] for s in self._snapshots()]
+        stats = self._read(lambda p: p.robustness_stats())
         return {
             "fallback_events": sum(s["fallback_events"] for s in stats),
             "retries": sum(s["retries"] for s in stats),
@@ -264,32 +266,17 @@ class SwitchFabric:
 
     def poll_metrics(self) -> dict:
         """One fabric-wide metrics document (the NMS poll surface)."""
-        snaps = self._snapshots()
+        rows = self._read(_poll_row)
         per_shard = self._per_shard_packets.tolist()
         mean = (self._hashed_packets / self.n_shards
                 if self._hashed_packets else 0.0)
         return {
             "generation": self._generation,
-            "mode": self.mode,
             "n_shards": self.n_shards,
-            "processed": sum(s["processed"] for s in snaps),
-            "telemetry": merged(TelemetryCollector(),
-                                (s["telemetry"] for s in snaps)).snapshot(),
-            "energy_total_j": merged(EnergyLedger(),
-                                     (s["ledger"] for s in snaps)).total,
-            "shards": [{"processed": s["processed"],
-                        "cache_hits": s["cache_hits"],
-                        "cache_misses": s["cache_misses"],
-                        "degraded_tables": list(
-                            s["robustness"]["degraded_tables"]),
-                        # Per-shard AQM extremes and verdict counts:
-                        # the sensing surface of the fleet learning
-                        # loop.
-                        "verdict_counts": s["verdict_counts"],
-                        "delay_ewma_s": s["extremes"][0],
-                        "last_pdp": s["extremes"][1],
-                        "backlog": s["extremes"][2]}
-                       for s in snaps],
+            "processed": sum(row["processed"] for row in rows),
+            "telemetry": self.telemetry_snapshot(),
+            "energy_total_j": self.energy_total_j(),
+            "shards": rows,
             "steering": {
                 "hashed_packets": self._hashed_packets,
                 "per_shard_packets": per_shard,
@@ -376,11 +363,7 @@ class SwitchFabric:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for shard in self.shards:
-            shard.close()
+        """Nothing to release: the shards live in this process."""
 
     def __enter__(self) -> "SwitchFabric":
         return self

@@ -19,19 +19,17 @@ __all__ = ["build_fabric", "fabric_scenario_factory"]
 
 
 def build_fabric(spec, seed: int, n_shards: int, *,
-                 mode: str = "in_process",
                  rss: ToeplitzRSS | None = None) -> SwitchFabric:
     """A fabric of scenario switches for one (spec, seed).
 
     Every shard is :func:`~repro.simnet.scenarios.scenario_switch`'s
-    product, built inside the forked worker in multiprocessing mode —
-    nothing here needs to pickle.
+    product for the same (spec, seed).
     """
     return SwitchFabric(lambda: scenario_switch(spec, seed), n_shards,
-                        mode=mode, rss=rss)
+                        rss=rss)
 
 
-def fabric_scenario_factory(n_shards: int, *, mode: str = "in_process"):
+def fabric_scenario_factory(n_shards: int):
     """A ``processor_factory`` for ``run_scenario``.
 
     Usage::
@@ -40,6 +38,6 @@ def fabric_scenario_factory(n_shards: int, *, mode: str = "in_process"):
                      processor_factory=fabric_scenario_factory(4))
     """
     def factory(spec, seed: int) -> SwitchFabric:
-        return build_fabric(spec, seed, n_shards, mode=mode)
+        return build_fabric(spec, seed, n_shards)
 
     return factory

@@ -1,46 +1,38 @@
-"""Shard plumbing shared by both fabric execution modes.
+"""One fabric shard and the programming ops the fabric commits to it.
 
 A *shard* is one full ``build_switch`` product — its own runtime,
-flow cache, energy ledger and telemetry domain — hidden behind a
-small command surface the fabric drives:
+flow cache, energy ledger and telemetry domain — behind the few calls
+the fabric makes:
 
-* ``begin`` then ``finish`` — process one sub-chunk of a
-  :class:`~repro.dataplane.fastpath.PacketBatch` (always as a single
-  admission chunk; the fabric chunks at serial boundaries *before*
+* ``process`` — run one sub-chunk of a
+  :class:`~repro.dataplane.fastpath.PacketBatch` as a single
+  admission chunk (the fabric chunks at serial boundaries *before*
   scattering, which is what keeps dedup sets, cache sequences and
   energy multisets identical to the serial walk);
-* ``stage`` / ``flip`` — the two phases of a transactional fabric
-  programming;
-* ``snapshot`` / ``extremes`` — observability;
+* ``apply`` — one committed programming op;
 * ``queued`` / ``serve`` / ``dequeue`` — egress service: the fabric
   reads each shard's queued sizes for a port, computes its
   round-robin interleave under the byte credit, and tells each shard
   how many rows to serve (``dequeue`` is the per-packet reference,
   used while a port's AQM may drop at the head).
 
-Everything a shard sends back is plain data (verdict codes, port
-integers, size arrays, picklable snapshots), so the in-process shard
-here and the worker-process shard in :mod:`repro.fabric.workers` are
-interchangeable behind the same protocol.
+A commit checks every op with :func:`check_op` before any shard
+applies one, so an op that would fail is refused with every shard
+untouched.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "FABRIC_OPS",
-    "InProcessShard",
-    "apply_op",
-    "merged",
-    "process_on",
-    "queued_on",
-    "snapshot_of",
-]
+from repro.netfunc.firewall import Firewall
+from repro.netfunc.lookup import IPLookup
+
+__all__ = ["FABRIC_OPS", "Shard", "check_op"]
 
 #: Programming operations the fabric controller may stage.  Every op
-#: is a picklable ``(name, args)`` pair applied identically on every
-#: shard, so one committed transaction leaves all shards in the same
+#: is a ``(name, args)`` pair applied identically on every shard, so
+#: one committed transaction leaves all shards in the same
 #: configuration.
 FABRIC_OPS = frozenset({
     "add_route",
@@ -56,136 +48,81 @@ def _analog(aqm):
     return getattr(aqm, "analog", aqm)
 
 
-def apply_op(processor, op: tuple[str, tuple]) -> None:
-    """Apply one staged programming op to a shard's processor."""
+def _check_route(n_ports: int, prefix: str, port: int) -> None:
+    if not 0 <= port < n_ports:
+        raise IndexError(f"port {port} out of range")
+    IPLookup().add_route(prefix, f"port{port}")
+
+
+def _check_retarget(target_delay_s: float,
+                    max_deviation_s: float | None = None) -> None:
+    if not target_delay_s > 0:
+        raise ValueError(f"target must be positive: {target_delay_s!r}")
+    if max_deviation_s is not None \
+            and not 0 < max_deviation_s < target_delay_s:
+        raise ValueError(f"deviation must lie in (0, target): "
+                         f"{max_deviation_s!r}")
+
+
+def check_op(op: tuple[str, tuple], n_ports: int) -> None:
+    """Phase 1 of a commit: raise if ``op`` would fail on a shard.
+
+    Routes and firewall rules are installed on throwaway tables, so
+    their own parsers judge them; nothing here touches a shard.
+    """
     name, args = op
     if name == "add_route":
-        processor.add_route(*args)
+        _check_route(n_ports, *args)
     elif name == "add_firewall_rule":
-        processor.add_firewall_rule(*args)
-    elif name == "invalidate_flow_cache":
-        processor.invalidate_flow_cache()
+        Firewall().add_rule(*args)
     elif name == "retarget":
-        manager = processor.traffic_manager
-        for port in range(manager.n_ports):
-            _analog(manager.aqm(port)).retarget(*args)
-    elif name == "reprogram_intended":
-        manager = processor.traffic_manager
-        for port in range(manager.n_ports):
-            _analog(manager.aqm(port)).reprogram_intended(*args)
-    else:
+        _check_retarget(*args)
+    elif name not in FABRIC_OPS:
         raise ValueError(f"unknown fabric op {name!r}; "
                          f"known: {sorted(FABRIC_OPS)}")
 
 
-# ----------------------------------------------------------------------
-# Processing kernels (one code path for both modes)
-# ----------------------------------------------------------------------
-def process_on(processor, batch, now: float
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one sub-chunk as a single admission chunk; (codes, ports)."""
-    results = processor.process_batch(batch, now=now,
-                                      chunk_size=max(len(batch), 1))
-    return results.codes, results.ports
+class Shard:
+    """One complete switch behind the fabric."""
 
+    def __init__(self, processor) -> None:
+        self.processor = processor
+        self.n_ports = processor.traffic_manager.n_ports
 
-def queued_on(processor, port: int, limit: float
-              ) -> tuple[bool, np.ndarray]:
-    """(whether the port replays dequeues, its queued head sizes)."""
-    manager = processor.traffic_manager
-    return (manager.replays_dequeues(port),
-            manager.queued_sizes(port, limit))
+    def process(self, batch, now: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Run one sub-chunk as a single admission chunk; (codes, ports)."""
+        results = self.processor.process_batch(
+            batch, now=now, chunk_size=max(len(batch), 1))
+        return results.codes, results.ports
 
-
-# ----------------------------------------------------------------------
-# Observability payloads
-# ----------------------------------------------------------------------
-def snapshot_of(processor) -> dict:
-    """One shard's complete observable state, as picklable data.
-
-    The ledger and the telemetry collector ship whole: the fabric
-    merges them with their own ``merge`` methods.
-    """
-    cache = processor.flow_cache
-    return {
-        "ledger": processor.ledger,
-        "telemetry": processor.telemetry,
-        "verdict_counts": {v.value: c for v, c
-                           in processor.verdict_counts.items()},
-        "processed": processor.processed,
-        "cache_hits": cache.hits if cache is not None else 0,
-        "cache_misses": cache.misses if cache is not None else 0,
-        "cache_entries": len(cache) if cache is not None else 0,
-        "extremes": processor.slice_extremes(),
-        "robustness": processor.robustness_stats(),
-    }
-
-
-def merged(empty, parts):
-    """Fold shard ledgers or telemetry collectors into ``empty``.
-
-    Both merges are exact and partition invariant, so the result is
-    what one serial switch would have recorded.
-    """
-    for part in parts:
-        empty.merge(part)
-    return empty
-
-
-# ----------------------------------------------------------------------
-# The in-process execution mode
-# ----------------------------------------------------------------------
-class InProcessShard:
-    """A shard living in the caller's process (the test/debug mode)."""
-
-    def __init__(self, shard_factory) -> None:
-        self.processor = shard_factory()
-        self.n_ports = self.processor.traffic_manager.n_ports
-        self._staged: list[tuple[str, tuple]] = []
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None
-
-    # -- processing ----------------------------------------------------
-    def begin(self, batch, now: float) -> None:
-        self._pending = process_on(self.processor, batch, now)
-
-    def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._pending is None:
-            raise RuntimeError("finish() without a pending chunk")
-        pending, self._pending = self._pending, None
-        return pending
-
-    # -- transactional programming ------------------------------------
-    def stage(self, ops) -> None:
-        for op in ops:
-            if op[0] not in FABRIC_OPS:
-                raise ValueError(f"unknown fabric op {op[0]!r}")
-        self._staged.extend(ops)
-
-    def flip(self) -> None:
-        staged, self._staged = self._staged, []
-        for op in staged:
-            apply_op(self.processor, op)
-
-    @property
-    def staged_ops(self) -> int:
-        return len(self._staged)
-
-    # -- observability / egress ---------------------------------------
-    def snapshot(self) -> dict:
-        return snapshot_of(self.processor)
-
-    def extremes(self) -> tuple[float, float, int]:
-        return self.processor.slice_extremes()
+    def apply(self, op: tuple[str, tuple]) -> None:
+        """Apply one committed programming op."""
+        name, args = op
+        processor = self.processor
+        manager = processor.traffic_manager
+        if name == "add_route":
+            processor.add_route(*args)
+        elif name == "add_firewall_rule":
+            processor.add_firewall_rule(*args)
+        elif name == "invalidate_flow_cache":
+            processor.invalidate_flow_cache()
+        elif name == "retarget":
+            for port in range(self.n_ports):
+                _analog(manager.aqm(port)).retarget(*args)
+        elif name == "reprogram_intended":
+            for port in range(self.n_ports):
+                _analog(manager.aqm(port)).reprogram_intended(*args)
 
     def queued(self, port: int, limit: float
                ) -> tuple[bool, np.ndarray]:
-        return queued_on(self.processor, port, limit)
+        """(whether the port replays dequeues, its queued head sizes)."""
+        manager = self.processor.traffic_manager
+        return (manager.replays_dequeues(port),
+                manager.queued_sizes(port, limit))
 
     def serve(self, port: int, count: int, now: float) -> None:
         self.processor.traffic_manager.serve_count(port, count, now)
 
     def dequeue(self, port: int, now: float):
         return self.processor.traffic_manager.dequeue(port, now)
-
-    def close(self) -> None:
-        self._pending = None

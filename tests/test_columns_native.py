@@ -252,20 +252,21 @@ def fabric_traffic(n: int = 200) -> ChunkColumns:
 
 
 def fabric_state(fabric) -> tuple:
-    snaps = fabric._snapshots()
-    return ([s["extremes"] for s in snaps],
-            [s["verdict_counts"] for s in snaps],
+    switches = [shard.processor for shard in fabric.shards]
+    return ([switch.slice_extremes() for switch in switches],
+            [switch.verdict_counts for switch in switches],
             list(fabric._dequeue_cursor))
 
 
-@pytest.mark.parametrize("mode", ["in_process", "multiprocessing"])
-@pytest.mark.parametrize("n_shards", [1, 2, 4])
-def test_fabric_serve_matches_the_per_packet_loop(n_shards, mode):
+# The ids name where the shards run: in the caller's process.
+@pytest.mark.parametrize("n_shards", [1, 2, 4],
+                         ids=lambda n: f"{n}-in_process")
+def test_fabric_serve_matches_the_per_packet_loop(n_shards):
     def factory():
         return make_switch("pcam")
 
-    with SwitchFabric(factory, n_shards, mode=mode) as vector, \
-            SwitchFabric(factory, n_shards, mode=mode) as scalar:
+    with SwitchFabric(factory, n_shards) as vector, \
+            SwitchFabric(factory, n_shards) as scalar:
         traffic = fabric_traffic()
         vector.process_batch(traffic, now=0.0, chunk_size=64)
         scalar.process_batch(traffic, now=0.0, chunk_size=64)

@@ -25,8 +25,6 @@ def test_rejects_bad_construction():
     with pytest.raises(ValueError):
         small_fabric(0)
     with pytest.raises(ValueError):
-        small_fabric(2, mode="threads")
-    with pytest.raises(ValueError):
         small_fabric(2, rss=ToeplitzRSS(3))
 
 
@@ -93,7 +91,6 @@ def test_poll_metrics_shape_and_steering():
                              chunk_size=60)
         metrics = fabric.poll_metrics()
         assert metrics["generation"] == 0
-        assert metrics["mode"] == "in_process"
         assert metrics["n_shards"] == 2
         assert metrics["processed"] == 240
         assert len(metrics["shards"]) == 2
@@ -110,7 +107,8 @@ def test_slice_extremes_takes_max_over_shards():
     with small_fabric(2) as fabric:
         fabric.process_batch(make_traffic(n=240), now=0.5)
         delay, pdp, backlog = fabric.slice_extremes()
-        per_shard = [shard.extremes() for shard in fabric.shards]
+        per_shard = [shard.processor.slice_extremes()
+                     for shard in fabric.shards]
         assert delay == max(e[0] for e in per_shard)
         assert pdp == max(e[1] for e in per_shard)
         assert backlog == max(e[2] for e in per_shard)
@@ -194,18 +192,10 @@ def test_process_columns_equals_packet_path():
 
 
 def test_close_is_idempotent_and_context_manager_closes():
-    fabric = small_fabric(2, mode="multiprocessing")
+    fabric = small_fabric(2)
     with fabric:
         fabric.process_batch(make_traffic(n=30), now=0.5)
     fabric.close()  # second close: no-op
-
-
-def test_multiprocessing_workers_survive_many_chunks():
-    with small_fabric(2, mode="multiprocessing") as fabric:
-        for _ in range(5):
-            fabric.process_batch(make_traffic(n=60), now=0.5,
-                                 chunk_size=16)
-        assert fabric.processed == 300
 
 
 def test_fabric_runs_scenario_end_to_end():

@@ -1,8 +1,8 @@
 """Fabric replay identity: N shards == the serial walk, byte for byte.
 
 Replays the pinned runtime-golden traffic through fabrics of 1, 2 and
-4 shards in both execution modes and demands *byte identity* with the
-serial golden reference for every observable: verdict and port
+4 shards and demands *byte identity* with the serial golden
+reference for every observable: verdict and port
 sequences, verdict counts, telemetry tables/events/gauges, and the
 energy breakdown (exact dyadic merge of the shard ledgers).
 
@@ -53,10 +53,10 @@ def observe_fabric(fabric, results):
     }
 
 
-def replay(config: str, n_shards: int, mode: str) -> dict:
+def replay(config: str, n_shards: int) -> dict:
     kind, chunk, cache, fault_seed = CONFIGS[config]
     fabric = SwitchFabric(lambda: build_processor(cache, fault_seed),
-                          n_shards, mode=mode)
+                          n_shards)
     try:
         packets = make_traffic()
         if kind == "scalar":
@@ -72,22 +72,11 @@ def replay(config: str, n_shards: int, mode: str) -> dict:
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_in_process_fabric_matches_golden(config, n_shards):
-    observed = canonical(replay(config, n_shards, "in_process"))
+    observed = canonical(replay(config, n_shards))
     golden = GOLDEN[config]
     for key in golden:
         assert observed[key] == golden[key], \
             f"{config}/N={n_shards}: {key} diverged"
-
-
-@pytest.mark.parametrize("config", ["batch_c64", "batch_c64_nocache",
-                                    "scalar_cached"])
-@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_multiprocessing_fabric_matches_golden(config, n_shards):
-    observed = canonical(replay(config, n_shards, "multiprocessing"))
-    golden = GOLDEN[config]
-    for key in golden:
-        assert observed[key] == golden[key], \
-            f"{config}/N={n_shards}/mp: {key} diverged"
 
 
 def test_energy_merge_is_exact_not_approximate():

@@ -15,6 +15,7 @@ import pytest
 from repro.dataplane.results import Verdict
 from repro.dataplane.switch import SwitchSpec, build_switch
 from repro.fabric import SwitchFabric
+from repro.netfunc.firewall import Action, FirewallRule
 from repro.packet import Packet
 
 #: Probe destinations chosen to spread across shards (distinct
@@ -70,15 +71,16 @@ def test_empty_commit_is_a_generation_barrier():
         assert fabric.generation == 2
 
 
-@pytest.mark.parametrize("mode", ["in_process", "multiprocessing"])
-def test_no_chunk_observes_mixed_generations(mode):
+# The id names where the shards run: in the caller's process.
+@pytest.mark.parametrize("n_shards", [4], ids=["in_process"])
+def test_no_chunk_observes_mixed_generations(n_shards):
     """Commit storm against a chunk stream: every chunk is pure.
 
     Before the commit the probe flows all drop (no route); after it
     they all queue.  A chunk that mixes QUEUED with DROPPED_NO_ROUTE
     would prove one shard flipped mid-chunk.
     """
-    with SwitchFabric(build_shard, 4, mode=mode) as fabric:
+    with SwitchFabric(build_shard, n_shards) as fabric:
         stop = threading.Event()
         impure = []
         chunks_seen = [0]
@@ -140,6 +142,38 @@ def test_unknown_op_rejected_at_stage_time():
         fabric.controller.stage("format_tables")
         with pytest.raises(ValueError):
             fabric.controller.commit()
+
+
+def shard_routes(fabric) -> list[int]:
+    return [len(shard.processor.lookup) for shard in fabric.shards]
+
+
+@pytest.mark.parametrize("bad_op, error", [
+    (("add_route", "203.0.113.0/24", 7), IndexError),
+    (("retarget", -0.01), ValueError),
+    (("retarget", 0.01, 0.02), ValueError),
+    (("add_route", "203.0.113.0/99", 1), ValueError),
+    (("add_firewall_rule", FirewallRule(Action.DENY, dst_port=70000)),
+     ValueError),
+], ids=["port_out_of_range", "negative_target", "wide_deviation",
+        "bad_prefix", "bad_rule"])
+def test_refused_commit_changes_no_shard(bad_op, error):
+    """A valid op followed by a failing one: the commit is refused
+    whole, before any shard applies anything."""
+    with SwitchFabric(build_shard, 2) as fabric:
+        before = shard_programmings(fabric)
+        fabric.controller.add_route("198.51.100.0/24", 1)
+        fabric.controller.stage(*bad_op)
+        with pytest.raises(error):
+            fabric.controller.commit()
+        assert fabric.generation == 0
+        assert shard_routes(fabric) == [1, 1]
+        assert shard_programmings(fabric) == before
+        results = fabric.process_batch(probe_chunk(0.0), now=0.0)
+        assert chunk_verdicts(results) == {Verdict.DROPPED_NO_ROUTE}
+        # The refused ops are discarded: the next commit is clean.
+        assert fabric.controller.staged == ()
+        assert fabric.controller.commit() == 1
 
 
 # ----------------------------------------------------------------------
