@@ -15,8 +15,8 @@ This is the former ``repro.dataplane.controller``, moved up into the
 unified control layer.  New here: the controller can own any number
 of :class:`~repro.control.loop.ControlLoop` s (intent retargeting,
 learned programming sweeps, ...) via :meth:`attach_loop`; its
-periodic :meth:`tick` — already driven once per processed chunk by
-the supervision middleware — then paces every attached loop on the
+periodic :meth:`tick` — already driven once per processed chunk as
+the runtime's supervision hook — then paces every attached loop on the
 same sim clock.  With no loops attached, ``tick`` behaves exactly as
 before (pinned by the runtime/fabric golden suites).
 """

@@ -166,7 +166,7 @@ class ClassificationStage:
     digital tables resolved, and the per-packet class is published as
     the ``traffic_class`` column for downstream stages and tests.
     Search energy lands on the shared ledger under ``acam.search``,
-    which the energy-attribution middleware books to this stage.
+    which the runtime's energy attribution books to this stage.
     """
 
     name = "acam_classifier"

@@ -87,7 +87,7 @@ def _check_rows(sizes: np.ndarray, priorities: np.ndarray) -> None:
             f"priority must be >= 0: {priorities[row].item()!r}")
 
 
-#: Columns a batch carries, in wire order (the fabric ships these).
+#: Columns a batch carries.
 BATCH_COLUMNS = ("sizes", "flow_ids", "priorities", "times", "src_ip",
                  "dst_ip", "src_port", "dst_port", "protocol", "has_dst")
 
@@ -199,24 +199,6 @@ class PacketBatch:
         """``source`` itself when already a batch, else a new batch."""
         return source if isinstance(source, cls) else cls(source)
 
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "PacketBatch":
-        """A batch over already-normalised :data:`BATCH_COLUMNS` arrays
-        (e.g. a fabric shard's slice rebuilt from shared memory)."""
-        batch = cls.__new__(cls)
-        for name in BATCH_COLUMNS:
-            setattr(batch, name, arrays[name])
-        batch.packets = None
-        batch.int_port = None
-        batch.int_depth = None
-        batch.int_time = 0.0
-        batch._flow_keys = None
-        return batch
-
-    def arrays(self) -> dict:
-        """The :data:`BATCH_COLUMNS` arrays by name (for shipping)."""
-        return {name: getattr(self, name) for name in BATCH_COLUMNS}
-
     def __len__(self) -> int:
         return len(self.sizes)
 
@@ -256,9 +238,9 @@ class PacketBatch:
         :func:`~repro.tcam.tcam.key_matrix`'s ``ValueError`` for a
         field wider than its header slot.
         """
-        src, dst, sport, dport, proto = (
+        src, dst, sport, dport, proto = [
             fit_width(getattr(self, name), width)
-            for name, width in _KEY_FIELDS)
+            for name, width in _KEY_FIELDS]
         hi = src << _U64[32]
         hi |= dst
         lo = sport << _U64[16]
@@ -282,8 +264,16 @@ class PacketBatch:
 
     def _derive(self, pick) -> "PacketBatch":
         sub = PacketBatch.__new__(PacketBatch)
-        for name in BATCH_COLUMNS:
-            setattr(sub, name, getattr(self, name)[pick])
+        sub.sizes = self.sizes[pick]
+        sub.flow_ids = self.flow_ids[pick]
+        sub.priorities = self.priorities[pick]
+        sub.times = self.times[pick]
+        sub.src_ip = self.src_ip[pick]
+        sub.dst_ip = self.dst_ip[pick]
+        sub.src_port = self.src_port[pick]
+        sub.dst_port = self.dst_port[pick]
+        sub.protocol = self.protocol[pick]
+        sub.has_dst = self.has_dst[pick]
         sub.int_port = None if self.int_port is None \
             else self.int_port[pick]
         sub.int_depth = None if self.int_depth is None \
@@ -301,7 +291,10 @@ class PacketBatch:
         return sub
 
     def slice(self, start: int, stop: int) -> "PacketBatch":
-        """A sub-batch over rows ``[start, stop)`` (column views)."""
+        """A sub-batch over rows ``[start, stop)`` (column views); the
+        batch itself when that covers every row."""
+        if start <= 0 and stop >= len(self):
+            return self
         sub = self._derive(slice(start, stop))
         sub.packets = None if self.packets is None \
             else self.packets[start:stop]

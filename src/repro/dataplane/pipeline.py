@@ -15,11 +15,12 @@ and ``process_frame``/``process_frames`` (wire format) — is a
 engine; the scalar path is literally a batch of one, so the paths
 cannot drift apart.  Results come back as
 :class:`~repro.dataplane.results.BatchResults` (verdict/port arrays
-that also read as ``ProcessResult`` values).  Cross-cutting concerns
-(span tracing, energy attribution) are middleware registered once at
-assembly time; stages write their counters straight into the switch's
-telemetry collector, and a per-component energy ledger attributes each
-packet's cost to the digital and analog domains.
+that also read as ``ProcessResult`` values).  The runtime is assembled
+with the switch's ledger (per-stage energy attribution) and, with an
+observability hub, its tracer (chunk and stage spans); stages write
+their counters straight into the switch's telemetry collector, and a
+per-component energy ledger attributes each packet's cost to the
+digital and analog domains.
 """
 
 from __future__ import annotations
@@ -50,12 +51,7 @@ from repro.netfunc.firewall import Action, Firewall, FirewallRule
 from repro.netfunc.lookup import IPLookup
 from repro.observability.hub import Observability
 from repro.packet import Packet
-from repro.runtime import (
-    EnergyAttributionMiddleware,
-    PipelineRuntime,
-    StageContext,
-    TracingMiddleware,
-)
+from repro.runtime import PipelineRuntime, StageContext
 from repro.tcam.mtcam import MemristorTCAM
 
 __all__ = ["AnalogPacketProcessor", "BatchResults", "ProcessResult",
@@ -89,9 +85,9 @@ class AnalogPacketProcessor:
         Optional :class:`~repro.observability.hub.Observability` hub.
         When given, the pipeline's telemetry collector and energy
         ledger are folded onto the hub's registry, degradation-capable
-        AQMs are bound as fallback/retry metrics, the shared tracer is
-        registered as tracing middleware (parser -> tables -> traffic
-        manager -> queues -> pCAM pipeline), and the batch kernels
+        AQMs are bound as fallback/retry metrics, the shared tracer
+        spans the runtime's chunks and stages (parser -> tables ->
+        traffic manager -> queues -> pCAM pipeline), and the batch kernels
         report to the hub's profiler.  Without a hub every hook stays
         inert.
     """
@@ -154,35 +150,21 @@ class AnalogPacketProcessor:
         self.runtime = PipelineRuntime(
             [self._parser_stage, self._digital_stage,
              self._egress_stage],
-            self.default_middleware())
+            ledger=self.ledger, tracer=tracer)
         if observability is not None:
             self._wire_observability(observability)
 
     # ------------------------------------------------------------------
     # Runtime assembly
     # ------------------------------------------------------------------
-    def default_middleware(self) -> list:
-        """The stock middleware set the switch is assembled with.
-
-        Energy attribution always; span tracing only when an
-        observability hub is attached.  Each concern is registered
-        exactly once here instead of being open-coded in every stage.
-        """
-        middleware: list = []
-        if self.observability is not None:
-            middleware.append(
-                TracingMiddleware(self.observability.tracer))
-        middleware.append(EnergyAttributionMiddleware(self.ledger))
-        return middleware
-
     def insert_stage(self, stage, *, before: str) -> None:
         """Slot an extra stage into the match-action walk.
 
         The stage lands immediately before the named composed stage —
         both in the runtime's full stage list and in the match-action
         subsequence the packet entry points run — on the *existing*
-        runtime object, so observability collectors and middleware
-        bound at assembly keep working unchanged.
+        runtime object, so observability collectors bound at assembly
+        keep working unchanged.
         """
         anchor = self.runtime.stage(before)
         if any(s.name == stage.name for s in self.runtime.stages):
@@ -196,15 +178,6 @@ class AnalogPacketProcessor:
         else:
             mats.append(stage)
         self._mat_stages = tuple(mats)
-
-    def use_middleware(self, middleware: Sequence) -> None:
-        """Replace the runtime's middleware (assembly-time hook).
-
-        The stock middleware are order independent; this exists so
-        experiments (and the ordering tests) can permute or extend the
-        set without rebuilding the switch.
-        """
-        self.runtime.set_middleware(middleware)
 
     def _wire_observability(self, obs: Observability) -> None:
         """Bind every pipeline component to the shared hub."""
@@ -346,14 +319,14 @@ class AnalogPacketProcessor:
     def _emitter(self, results: BatchResults):
         """An emit callback booking verdicts into the result arrays.
 
-        ``rows`` is one absolute index or an index array; counters
-        move once per call.
+        ``rows`` is one absolute index or an index array, and ``port``
+        one port or a port per row; counters move once per call.
         """
         codes = results.codes
         ports = results.ports
         counts = self.verdict_counts
 
-        def emit(rows, verdict: Verdict, port: int | None = None) -> None:
+        def emit(rows, verdict: Verdict, port=None) -> None:
             codes[rows] = VERDICT_CODES[verdict]
             if port is not None:
                 ports[rows] = port
@@ -390,18 +363,17 @@ class AnalogPacketProcessor:
         return self.ledger.breakdown()
 
     def energy_by_stage(self) -> dict[str, float]:
-        """Joules attributed to each runtime stage (middleware view)."""
+        """Joules attributed to each runtime stage."""
         return self.runtime.energy_attribution()
 
     def slice_extremes(self) -> tuple[float, float, int]:
         """(max delay EWMA, max PDP, max backlog) across the ports."""
         manager = self.traffic_manager
-        ports = range(manager.n_ports)
-        analog = [getattr(aqm, "analog", aqm)
-                  for aqm in map(manager.aqm, ports)]
-        return (max(aqm.delay_ewma_s for aqm in analog),
-                max(aqm.last_pdp for aqm in analog),
-                max(map(manager.backlog, ports)))
+        analog = [getattr(aqm, "analog", aqm) for aqm
+                  in map(manager.aqm, range(manager.n_ports))]
+        return (max([aqm.delay_ewma_s for aqm in analog]),
+                max([aqm.last_pdp for aqm in analog]),
+                max(manager.backlogs()))
 
     def robustness_stats(self) -> dict:
         """Fallback events and retries summed over the ports, plus the

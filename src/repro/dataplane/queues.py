@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -129,16 +130,16 @@ class PacketQueue:
                 for row in rows[fit:].tolist():
                     objects[row].dropped = True
         if fit:
-            kept = rows[:fit]
+            kept = rows if fit == n else rows[:fit]
+            sizes = sizes if fit == n else sizes[:fit]
             owned = None
             if objects is not None:
                 owned = [objects[row] for row in kept.tolist()]
                 for packet in owned:
                     packet.enqueued_at = now
-            self._segments.append(
-                _Segment(sizes[:fit], now, batch, kept, owned))
+            self._segments.append(_Segment(sizes, now, batch, kept, owned))
             self._len += fit
-            self._bytes += sizes[:fit].sum().item()
+            self._bytes += int(np.add.reduce(sizes))
             self.enqueued += fit
         return fit
 
@@ -195,21 +196,27 @@ class PacketQueue:
             sojourns.append(np.full(take, now - segment.enqueued_at))
             self._advance(segment, take)
             count -= take
-        return np.concatenate(sojourns) if sojourns \
-            else np.zeros(0)
+        if len(sojourns) == 1:
+            return sojourns[0]
+        return np.concatenate(sojourns) if sojourns else np.zeros(0)
 
     def _advance(self, segment: _Segment, n: int) -> None:
         start = segment.head
         segment.head = start + n
         self._len -= n
         self._bytes -= int(segment.sizes[start]) if n == 1 \
-            else segment.sizes[start:start + n].sum().item()
+            else int(np.add.reduce(segment.sizes[start:start + n]))
         if segment.head == len(segment.sizes):
             self._segments.popleft()
 
     def __repr__(self) -> str:
         return (f"PacketQueue({self.name!r}, {self._len}/"
                 f"{self.capacity_packets} pkts, {self._bytes} B)")
+
+
+#: A class queue's occupancy counters, read without a Python call.
+_PACKETS = attrgetter("_len")
+_BYTES = attrgetter("_bytes")
 
 
 @dataclass
@@ -259,12 +266,12 @@ class PortQueue:
     @property
     def backlog_packets(self) -> int:
         """Packets queued across the classes."""
-        return sum([queue._len for queue in self.classes])
+        return sum(map(_PACKETS, self.classes))
 
     @property
     def backlog_bytes(self) -> int:
         """Bytes queued across the classes."""
-        return sum([queue._bytes for queue in self.classes])
+        return sum(map(_BYTES, self.classes))
 
     @property
     def capacity_packets(self) -> int:
@@ -309,14 +316,15 @@ class PortQueue:
         """
         classes = np.minimum(batch.priorities[rows],
                              len(self.classes) - 1)
+        present = sorted(set(classes.tolist()))
         overflow = []
         admitted = 0
-        present = set(classes.tolist())
-        for prio in sorted(present):
+        for prio in present:
             members = rows if len(present) == 1 else rows[classes == prio]
             fit = self.classes[prio].push_rows(batch, members, now)
             admitted += fit
-            overflow.append(members[fit:])
+            if fit < len(members):
+                overflow.append(members[fit:])
         dropped = np.concatenate(overflow) if overflow else rows[:0]
         self.stats.enqueued += admitted
         self.stats.overflow_drops += len(dropped)
@@ -362,12 +370,17 @@ class PortQueue:
         total = 0
         reached = False
         for queue in self.classes:
+            if not reached and (limit is None
+                                or total + queue._bytes < limit):
+                parts.extend(queue.segment_sizes())  # all below the limit
+                total += queue._bytes
+                continue
             for sizes in queue.segment_sizes():
                 parts.append(sizes)
                 if reached:
                     return np.concatenate(parts)
                 total += sizes.sum().item()
-                reached = limit is not None and total >= limit
+                reached = total >= limit
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def serve_count(self, count: int, now: float) -> None:
@@ -386,7 +399,8 @@ class PortQueue:
                 parts.append(queue.serve(take, now))
                 count -= take
         if parts:
-            sojourns = np.concatenate(parts)
+            sojourns = parts[0] if len(parts) == 1 \
+                else np.concatenate(parts)
             self.stats.dequeued += len(sojourns)
             self.departed(float(sojourns[-1]))
             self.aqm.on_dequeue_batch(sojourns, self, now)

@@ -8,7 +8,7 @@ Stages emit final verdicts through the
 :class:`~repro.runtime.stage.StageContext` — one ``emit`` per verdict
 kind per chunk, over an index array — and write telemetry in bulk
 into the context's collector; tracing, energy attribution and
-supervision are middleware on the composing runtime, not code here.
+supervision are done by the composing runtime, not code here.
 
 Stages hold a reference to the owning
 :class:`~repro.dataplane.pipeline.AnalogPacketProcessor` and read its
@@ -143,9 +143,7 @@ class DigitalMatsStage:
         ports = row_kind[rows] - 2
         survivors = batch if len(rows) == len(batch) else batch.take(rows)
         if len(rows):
-            manager = switch.traffic_manager
-            backlogs = np.array([manager.backlog(port)
-                                 for port in range(manager.n_ports)])
+            backlogs = np.array(switch.traffic_manager.backlogs())
             survivors.stamp(ports, backlogs[ports], ctx.now)
         ctx.columns["index"] = index[rows]
         ctx.columns["egress_port"] = ports
@@ -155,11 +153,10 @@ class DigitalMatsStage:
 class EgressStage:
     """Batched per-port AQM admission into the egress queues.
 
-    Groups the chunk's survivors by resolved port (first-appearance
-    order: the order each port's AQM draws its uniforms in), lets each
-    port's AQM judge its group against the chunk-start queue state in
-    one ``enqueue_batch`` call, and emits the final admission
-    verdicts.
+    One ``enqueue_batch`` call admits the whole chunk, each port's
+    AQM judging its group against the chunk-start queue state.  With
+    no drop the chunk's verdicts are one ``emit``; otherwise each port
+    emits per admission outcome (once, if it dropped nothing).
     """
 
     name = "egress"
@@ -175,20 +172,30 @@ class EgressStage:
                       ctx: StageContext) -> list:
         manager = self.switch.traffic_manager
         ports = ctx.columns["egress_port"]
-        index = ctx.indices
-        groups = first_appearance_counts(ports) if len(ports) else ()
-        for port, _ in groups:
-            rows = np.arange(len(ports)) if len(groups) == 1 \
-                else np.flatnonzero(ports == port)
-            group = batch if len(groups) == 1 else batch.take(rows)
-            codes = manager.enqueue_batch(port, group, ctx.now)
-            ctx.telemetry.set_gauge(f"port{port}.backlog",
-                                    manager.backlog(port))
-            for code, count in first_appearance_counts(codes):
-                verdict = ADMISSION_VERDICTS[code]
-                if verdict.dropped:
-                    ctx.telemetry.record_event(DROP_EVENTS[verdict], count)
-                ctx.emit(index[rows[codes == code]], verdict, port=port)
+        if len(ports):
+            index = ctx.indices
+            codes = manager.enqueue_batch(ports, batch, ctx.now)
+            backlogs = manager.backlogs()
+            groups = first_appearance_counts(ports)
+            for port, _ in groups:
+                ctx.telemetry.set_gauge(f"port{port}.backlog",
+                                        backlogs[port])
+            if not codes.any():
+                ctx.emit(index, Verdict.QUEUED, port=ports)
+            else:
+                for port, _ in groups:
+                    rows = np.flatnonzero(ports == port)
+                    port_codes = codes[rows]
+                    if not port_codes.any():  # no drop: one emit
+                        ctx.emit(index[rows], Verdict.QUEUED, port=port)
+                        continue
+                    for code, count in first_appearance_counts(port_codes):
+                        verdict = ADMISSION_VERDICTS[code]
+                        if verdict.dropped:
+                            ctx.telemetry.record_event(DROP_EVENTS[verdict],
+                                                       count)
+                        ctx.emit(index[rows[port_codes == code]], verdict,
+                                 port=port)
         empty = np.zeros(0, dtype=np.intp)
         ctx.columns["index"] = empty
         ctx.columns["egress_port"] = empty

@@ -4,8 +4,8 @@ Instead of imperative wiring scattered across callers, a switch is
 described once — ports, table contents, fault tolerance, supervision
 — and :func:`build_switch` assembles an
 :class:`~repro.dataplane.pipeline.AnalogPacketProcessor` from the
-spec: stages on the shared runtime, middleware registered once, the
-controller supervising degradable tables when asked.  The spec is a
+spec: stages on the shared runtime, the controller supervising
+degradable tables when asked.  The spec is a
 frozen value object, so one description can assemble many identical
 pipelines (the door to multi-pipeline sharding later).
 """
@@ -17,7 +17,6 @@ from typing import Callable
 
 from repro.dataplane.classify import ClassifierSpec
 from repro.netfunc.firewall import FirewallRule
-from repro.runtime import SupervisionMiddleware
 
 __all__ = ["SwitchSpec", "build_switch"]
 
@@ -52,9 +51,9 @@ class SwitchSpec:
         classifying every surviving packet in one analog search per
         chunk and steering mapped classes to their ports.
     supervised:
-        Register every degradable AQM with the controller and install
-        a :class:`~repro.runtime.SupervisionMiddleware` driving
-        ``controller.tick`` once per processed chunk, so
+        Register every degradable AQM with the controller and make
+        ``controller.tick`` the runtime's ``supervise`` hook, run once
+        per processed chunk, so
         reprogram-retry backoff advances with traffic.  Requires
         ``graceful_degradation`` (or a degradation-capable
         ``aqm_factory`` passed to :func:`build_switch`).
@@ -97,7 +96,7 @@ def build_switch(spec: SwitchSpec, *,
                  controller=None,
                  observability=None,
                  aqm_factory: Callable | None = None):
-    """Assemble a processor (stages + middleware) from a spec.
+    """Assemble a processor (stages on one runtime) from a spec.
 
     ``controller``/``observability`` are shared infrastructure the
     caller may thread through several switches; ``aqm_factory``
@@ -144,7 +143,5 @@ def build_switch(spec: SwitchSpec, *,
             if hasattr(aqm, "maybe_retry"):
                 table = getattr(aqm, "table", "aqm")
                 supervisor.supervise(f"port{port}.{table}", aqm)
-        processor.use_middleware(
-            processor.default_middleware()
-            + [SupervisionMiddleware(supervisor.tick)])
+        processor.runtime.supervise = supervisor.tick
     return processor

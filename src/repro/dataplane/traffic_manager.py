@@ -8,8 +8,9 @@ enqueue (plain tail drop when no AQM factory is given).
 
 Both sides are columnar: :meth:`~CognitiveTrafficManager.
 enqueue_batch` admits a :class:`~repro.dataplane.fastpath.PacketBatch`
-port group as column segments, and :meth:`~CognitiveTrafficManager.
-serve` drains a port at line rate in one call per port per slice.
+chunk as column segments in one call for all its ports, and
+:meth:`~CognitiveTrafficManager.serve_ports` drains every port at line
+rate in one call per slice.
 The scalar ``enqueue``/``dequeue`` pair stays as the edge API.
 """
 
@@ -26,8 +27,8 @@ from repro.dataplane.telemetry import TelemetryCollector
 from repro.netfunc.aqm.base import AQMAlgorithm, QueueView, TailDropAQM
 from repro.observability.tracing import Tracer, maybe_span
 
-__all__ = ["ADMISSIONS", "Admission", "CognitiveTrafficManager",
-           "serve_each", "spend_credit"]
+__all__ = ["ADMISSIONS", "Admission", "CognitiveTrafficManager", "offer",
+           "serve_each", "serve_offer", "spend_credits"]
 
 
 class Admission(enum.Enum):
@@ -36,11 +37,6 @@ class Admission(enum.Enum):
     QUEUED = "queued"
     AQM_DROP = "aqm_drop"
     OVERFLOW_DROP = "overflow_drop"
-
-    @property
-    def admitted(self) -> bool:
-        """True when the packet made it into a queue."""
-        return self is Admission.QUEUED
 
 
 #: Admission outcomes by code (the uint8 values enqueue_batch returns).
@@ -118,6 +114,10 @@ class CognitiveTrafficManager:
         """Pending packets on a port across all classes."""
         return self._port(port).backlog_packets
 
+    def backlogs(self) -> list[int]:
+        """Pending packets on every port, by port."""
+        return [queue.backlog_packets for queue in self._ports]
+
     def last_sojourn_s(self, port: int) -> float:
         """Sojourn time of the port's most recently served packet [s]."""
         return self._port(port).last_sojourn_s
@@ -126,37 +126,66 @@ class CognitiveTrafficManager:
         """Admit a packet after consulting the port's AQM."""
         return bool(self.enqueue_batch(port, [packet], now)[0] == _QUEUED)
 
-    def enqueue_batch(self, port: int, packets, now: float = 0.0
+    def enqueue_batch(self, port, packets, now: float = 0.0
                       ) -> np.ndarray:
-        """Admit a batch after one batched AQM consultation.
+        """Admit a batch after one batched AQM consultation per port.
 
-        ``packets`` is a :class:`PacketBatch` or a ``Packet`` sequence.
-        The port's AQM judges the whole batch against the batch-start
-        queue state via its vectorised ``on_enqueue_batch`` hook (for
-        the pCAM AQM, a single analog-pipeline search for the entire
-        batch); survivors are then queued per class as column
-        segments, with capacity enforced exactly as a per-packet push
-        loop would.  A batch of one is the scalar path.  Returns the
-        per-row :data:`ADMISSIONS` codes.
+        ``port`` is every row's port, or an array of per-row ports
+        (grouped in first-appearance order, the order the ports' AQMs
+        draw in); ``packets`` is a :class:`PacketBatch` or a ``Packet``
+        sequence.  Each port's AQM judges its whole group against the
+        group-start queue state in one ``on_enqueue_batch`` call (for
+        the pCAM AQM, one analog-pipeline search); survivors are queued
+        per class as column segments, capacity enforced exactly as a
+        per-packet push loop would.  A batch of one is the scalar path.
+        Returns the per-row :data:`ADMISSIONS` codes.
         """
-        queue = self._port(port)
         batch = PacketBatch.of(packets)
+        if np.ndim(port) == 0:
+            self._port(port)  # range-checked even for an empty batch
+            counts = [(port, len(batch))] if len(batch) else []
+        else:
+            counts = first_appearance_counts(port)
+        if len(counts) < 2:
+            return self._admit(counts[0][0], batch, now) if counts \
+                else np.zeros(0, dtype=np.uint8)
+        # One gather puts every port's rows together, in row order;
+        # each port's group is then a slice of it.
+        order = np.argsort(port, kind="stable")
+        grouped = batch.take(order)
+        offset, start = 0, {}
+        for group_port, count in sorted(counts):
+            start[group_port] = offset
+            offset += count
+        grouped_codes = np.empty(len(batch), dtype=np.uint8)
+        for group_port, count in counts:
+            first = start[group_port]
+            grouped_codes[first:first + count] = self._admit(
+                group_port, grouped.slice(first, first + count), now)
+        codes = np.empty_like(grouped_codes)
+        codes[order] = grouped_codes
+        return codes
+
+    def _admit(self, port: int, batch: PacketBatch, now: float
+               ) -> np.ndarray:
+        """Judge and queue one port's group; its admission codes."""
+        queue = self._port(port)
         codes = np.zeros(len(batch), dtype=np.uint8)
-        if not len(batch):
-            return codes
         with maybe_span(self.tracer, "tm.enqueue", port=port,
                         n=len(batch)):
             with maybe_span(self.tracer, "tm.aqm", port=port):
                 drops = queue.judge(batch, now)
             with maybe_span(self.tracer, "tm.queue", port=port):
-                dropped = np.flatnonzero(drops)
-                if len(dropped):
+                if drops.any():
+                    dropped = np.flatnonzero(drops)
                     codes[dropped] = _AQM_DROP
                     batch.mark_dropped(dropped)
                     queue.stats.aqm_drops += len(dropped)
-                overflow = queue.push_rows(batch, np.flatnonzero(~drops),
-                                           now)
-                codes[overflow] = _OVERFLOW_DROP
+                    admitted = np.flatnonzero(~drops)
+                else:
+                    admitted = np.arange(len(batch))
+                codes[queue.push_rows(batch, admitted, now)] = \
+                    _OVERFLOW_DROP
         if self.telemetry is not None:
             for code, count in first_appearance_counts(codes):
                 self.telemetry.record_event(
@@ -190,23 +219,137 @@ class CognitiveTrafficManager:
     def serve(self, port: int, credit: float, now: float = 0.0) -> float:
         """Serve a port with ``credit`` bytes of line time; credit left.
 
-        Bit-identical to the per-packet reference loop
-        (:func:`serve_each` over :meth:`dequeue`), one call per port
-        per slice: the served count comes from :func:`spend_credit`
-        over the queued head sizes.  When the port's AQM may drop at
-        the head (CoDel, a degraded table) the reference loop itself
-        runs, since a head drop consumes no credit.
+        The one-port case of :meth:`serve_ports`.
         """
-        with maybe_span(self.tracer, "tm.serve", port=port):
+        return self._serve({port: credit}, now)[port]
+
+    def serve_ports(self, credits: list[float], budget: float,
+                    now: float = 0.0) -> list[float]:
+        """Serve every port at line rate in one call; the credits left.
+
+        Port ``p`` is offered ``credits[p] + budget`` bytes, served as
+        :func:`serve_offer` describes (bit-identical to the per-packet
+        loop, :func:`serve_each` over :meth:`dequeue`, port by port).
+        """
+        return list(self._serve(offer(credits, budget, self.n_ports),
+                                now).values())
+
+    def _serve(self, offered: dict[int, float], now: float
+               ) -> dict[int, float]:
+        with maybe_span(self.tracer, "tm.serve", ports=len(offered)):
+            return serve_offer(offered, [self],
+                               lambda port: self.dequeue(port, now),
+                               [0] * self.n_ports, now)
+
+    def heads(self, limits: dict[int, float]
+              ) -> dict[int, tuple[bool, np.ndarray]]:
+        """``{port: (replays dequeues, head sizes covering its limit)}``
+        for every port offered a positive limit that holds packets."""
+        heads = {}
+        for port, limit in limits.items():
             queue = self._port(port)
-            if not credit > 0.0:
-                return credit
-            if not queue.replays_dequeues:
-                return serve_each(lambda: self.dequeue(port, now), credit)
-            served, left = spend_credit(credit, queue.queued_sizes(credit))
-            if served:
-                queue.serve_count(served, now)
-            return left
+            if limit > 0.0 and queue.backlog_packets:
+                heads[port] = (queue.replays_dequeues,
+                               queue.queued_sizes(limit))
+        return heads
+
+    def serve_counts(self, counts: dict[int, int], now: float) -> None:
+        """Dequeue the next ``counts[port]`` rows of each port."""
+        for port, count in counts.items():
+            self._port(port).serve_count(count, now)
+
+
+def offer(credits: list[float], budget: float, n_ports: int
+          ) -> dict[int, float]:
+    """``{port: credits[port] + budget}``: a drain's byte offer."""
+    if len(credits) != n_ports:
+        raise ValueError(f"need one credit per port: {len(credits)} "
+                         f"for {n_ports} ports")
+    return {port: credit + budget for port, credit in enumerate(credits)}
+
+
+def serve_offer(offered: dict[int, float], sources: list, dequeue,
+                cursor: list[int], now: float) -> dict[int, float]:
+    """Serve ``offered[port]`` bytes per port from ``sources``; the
+    credits left.
+
+    ``sources`` are traffic managers (one, or a fabric's shards')
+    with ``heads(limits)`` and ``serve_counts(counts, now)``; ``dequeue
+    (port)`` is the per-packet reference, visiting them round-robin
+    from ``cursor[port]``.  Bit-identical to :func:`serve_each` over
+    ``dequeue``, port by port: an idle port forfeits its credit
+    without touching an array; a port where a source's AQM may drop
+    at the head (CoDel, a degraded table) runs that loop, since a
+    head drop consumes no credit; the other busy ports' heads are put
+    in visiting order (round r visits each non-empty source once) by
+    one ``argsort`` and cut under their credits by one
+    :func:`spend_credits` walk, each source serves its per-port counts
+    in one call, and each cursor moves past the last source served.
+    """
+    left = dict(offered)
+    parts: dict[int, list] = {}
+    per_packet = set()
+    for index, source in enumerate(sources):
+        for port, (replays, head) in source.heads(offered).items():
+            parts.setdefault(port, []).append((index, head))
+            if not replays:
+                per_packet.add(port)
+    for port, credit in offered.items():
+        if port not in parts:
+            left[port] = 0.0 if credit > 0.0 else credit
+        elif port in per_packet:
+            left[port] = serve_each(lambda: dequeue(port), credit)
+    busy = [(port, parts[port]) for port in offered
+            if port in parts and port not in per_packet]
+    if not busy:
+        return left
+    n = len(sources)
+    credits = [offered[port] for port, _ in busy]
+    if n == 1:  # one source: its heads are already in visiting order
+        served, rest = spend_credits(credits, [port_heads[0][1]
+                                               for _, port_heads in busy])
+        counts = [{port: count for (port, _), count in zip(busy, served)}]
+    else:
+        heads, sources_of = _visiting_order(busy, cursor, n)
+        served, rest = spend_credits(credits, heads)
+        counts = [{} for _ in sources]
+        for (port, _), source_of, count in zip(busy, sources_of, served):
+            taken = np.bincount(source_of[:count], minlength=n).tolist()
+            for index, source_count in enumerate(taken):
+                if source_count:
+                    counts[index][port] = source_count
+            cursor[port] = (int(source_of[count - 1]) + 1) % n
+    left.update(zip([port for port, _ in busy], rest))
+    for source, source_counts in zip(sources, counts):
+        if source_counts:
+            source.serve_counts(source_counts, now)
+    return left
+
+
+def _visiting_order(busy: list, cursor: list[int], n: int
+                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each busy port's heads merged in visiting order (round r visits
+    each source holding an r-th packet, from the port's cursor), and
+    every entry's source; one ``argsort`` over ``(port, rank, visit)``
+    keys orders every port at once."""
+    width = n * max([len(head) for _, parts in busy for _, head in parts])
+    bases, lengths, indices, heads, totals = [], [], [], [], []
+    start = 0
+    for slot, (port, parts) in enumerate(busy):
+        for index, head in parts:
+            bases.append(slot * width + (index - cursor[port]) % n
+                         - start * n)
+            lengths.append(len(head))
+            indices.append(index)
+            heads.append(head)
+            start += len(head)
+        totals.append(start)
+    order = np.argsort(np.repeat(bases, lengths) + np.arange(start) * n)
+    ordered = np.concatenate(heads)[order]
+    source_of = np.repeat(indices, lengths)[order]
+    bounds = list(zip([0] + totals[:-1], totals))
+    return ([ordered[a:b] for a, b in bounds],
+            [source_of[a:b] for a, b in bounds])
 
 
 def serve_each(dequeue, credit: float) -> float:
@@ -223,18 +366,28 @@ def serve_each(dequeue, credit: float) -> float:
     return credit
 
 
-def spend_credit(credit: float, sizes: np.ndarray) -> tuple[int, float]:
-    """``(served, credit left)`` for :func:`serve_each` over ``sizes``.
+def spend_credits(credits, heads) -> tuple[list[int], list[float]]:
+    """``(served, credit left)`` per port for :func:`serve_each` over
+    each port's head sizes.
 
-    Packet k is served while ``credit - sizes[:k]`` is still positive,
-    with the same sequential float subtraction
-    (``np.subtract.accumulate``), so the carried credit matches the
-    loop bit for bit.  ``sizes`` must cover the credit or be the whole
-    queue: serving all of it with credit to spare means the port went
-    idle, which forfeits the rest.
+    Port i serves packet k while ``credits[i] - heads[i][:k]`` is
+    still positive.  One ``np.subtract.accumulate`` along the rows of
+    a zero-padded (ports x head) matrix is every port's walk, the
+    same sequential float subtraction as the per-packet loop, so the
+    carried credits match it bit for bit.  A head must cover its
+    credit or be the whole queue: serving all of it with credit to
+    spare means the port went idle, which forfeits the rest.
     """
-    run = np.subtract.accumulate(
-        np.concatenate(([credit], sizes)).astype(float))
-    served = int(np.count_nonzero(run[:-1] > 0.0))
-    left = float(run[served])
-    return served, 0.0 if served == len(sizes) and left > 0.0 else left
+    lengths = [len(head) for head in heads]
+    run = np.zeros((len(heads), max(lengths) + 1))
+    run[:, 0] = credits
+    for row, head in enumerate(heads):
+        run[row, 1:lengths[row] + 1] = head
+    run = np.subtract.accumulate(run, axis=1)
+    # Past a head's end its row stays at the final credit: positive
+    # only if the port went idle, when every column counts.
+    served = np.minimum(np.count_nonzero(run[:, :-1] > 0.0, axis=1),
+                        lengths)
+    left = run[np.arange(len(heads)), served]
+    left = np.where(left > 0.0, 0.0, left)
+    return served.tolist(), left.tolist()

@@ -109,6 +109,8 @@ class EnergyLedger:
     def __init__(self) -> None:
         self._accounts: dict[str, ExactJoules] = {}
         self._events = 0
+        #: :attr:`total` as last computed; None once a write lands.
+        self._total: float | None = None
 
     def _account(self, name: str) -> ExactJoules:
         accumulator = self._accounts.get(name)
@@ -141,6 +143,7 @@ class EnergyLedger:
             raise ValueError(f"negative quanta count: {count!r}")
         self._account(account).add(quantum_j, count)
         self._events += 1
+        self._total = None
 
     def merge(self, other: "EnergyLedger") -> None:
         """Fold another ledger's accounts into this one (exactly).
@@ -154,6 +157,7 @@ class EnergyLedger:
         for name, accumulator in other._accounts.items():
             self._account(name).add_exact(accumulator)
         self._events += other._events
+        self._total = None
 
     @property
     def total(self) -> float:
@@ -161,12 +165,16 @@ class EnergyLedger:
 
         The exact cross-account sum, converted to float once — so the
         total of a merged shard set equals the serial total bit for
-        bit, not merely approximately.
+        bit, not merely approximately.  It is kept until the next
+        charge, merge or reset, so repeated reads (the runtime reads
+        it around every stage) cost nothing.
         """
-        exact = ExactJoules()
-        for accumulator in self._accounts.values():
-            exact.add_exact(accumulator)
-        return float(exact)
+        if self._total is None:
+            exact = ExactJoules()
+            for accumulator in self._accounts.values():
+                exact.add_exact(accumulator)
+            self._total = float(exact)
+        return self._total
 
     @property
     def events(self) -> int:
@@ -204,6 +212,7 @@ class EnergyLedger:
         """Zero all accounts."""
         self._accounts.clear()
         self._events = 0
+        self._total = None
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
         return iter((name, float(acc))

@@ -7,7 +7,8 @@ across configurations.  :class:`FabricController` closes that window
 with a two-phase protocol over its own list of staged ops:
 
 1. **prepare** — every staged op's name and arguments are checked
-   (port range, prefix parse, retarget band) before any shard
+   (port range, prefix parse, retarget band), and an op on the port
+   AQMs is checked against every shard's AQMs, before any shard
    changes.  One refused op refuses the whole transaction: every
    shard and the generation stay as they were.
 2. **apply** — under the fabric's chunk-dispatch lock, every shard
@@ -82,7 +83,7 @@ class FabricController:
         """
         ops, self._pending = self._pending, []
         for op in ops:
-            check_op(op, self._fabric.n_ports)
+            check_op(op, self._fabric.shards)
         return self._fabric._apply_all(ops)
 
     def abort(self) -> int:

@@ -45,7 +45,7 @@ from repro.dataplane.results import (
     Verdict,
 )
 from repro.dataplane.telemetry import TelemetryCollector
-from repro.dataplane.traffic_manager import serve_each, spend_credit
+from repro.dataplane.traffic_manager import offer, serve_offer
 from repro.energy.ledger import EnergyLedger
 from repro.fabric.controller import FabricController
 from repro.fabric.rss import ToeplitzRSS
@@ -126,15 +126,17 @@ class SwitchFabric:
     # ------------------------------------------------------------------
     # Steering
     # ------------------------------------------------------------------
-    def _steer(self, src_ip, dst_ip, src_port, dst_port) -> np.ndarray:
+    def _steer(self, chunk: PacketBatch) -> tuple[np.ndarray, list[int]]:
+        """Shard index per row, and the rows each shard receives."""
         start = time.perf_counter()
-        shard_ids = self.rss.shard_of_columns(src_ip, dst_ip,
-                                              src_port, dst_port)
+        shard_ids = self.rss.shard_of_columns(chunk.src_ip, chunk.dst_ip,
+                                              chunk.src_port,
+                                              chunk.dst_port)
         self._steering_seconds += time.perf_counter() - start
+        counts = np.bincount(shard_ids, minlength=self.n_shards)
         self._hashed_packets += len(shard_ids)
-        np.add.at(self._per_shard_packets,
-                  np.asarray(shard_ids, dtype=np.intp), 1)
-        return shard_ids
+        self._per_shard_packets += counts
+        return shard_ids, counts.tolist()
 
     # ------------------------------------------------------------------
     # Data path
@@ -162,22 +164,23 @@ class SwitchFabric:
         step = max(int(chunk_size), 1)
         for start in range(0, len(batch), step):
             chunk = batch.slice(start, start + step)
-            shard_ids = self._steer(chunk.src_ip, chunk.dst_ip,
-                                    chunk.src_port, chunk.dst_port)
-            self._dispatch(chunk, shard_ids, now, results, start)
+            self._dispatch(chunk, *self._steer(chunk), now, results,
+                           start)
         return results
 
     def _dispatch(self, chunk: PacketBatch, shard_ids: np.ndarray,
-                  now: float, results: BatchResults, base: int) -> None:
-        rows_of = [(int(shard), np.flatnonzero(shard_ids == shard))
-                   for shard in np.unique(shard_ids)]
+                  counts: list[int], now: float, results: BatchResults,
+                  base: int) -> None:
+        """Run each shard's rows of one chunk; scatter the results."""
         with self._lock:
-            for shard, rows in rows_of:
-                codes, ports = self.shards[shard].process(
-                    chunk if len(rows) == len(chunk)
-                    else chunk.take(rows), now)
-                results.codes[base + rows] = codes
-                results.ports[base + rows] = ports
+            for shard, count in enumerate(counts):
+                if count:
+                    rows = np.flatnonzero(shard_ids == shard)
+                    codes, ports = self.shards[shard].process(
+                        chunk if count == len(chunk) else chunk.take(rows),
+                        now)
+                    results.codes[base + rows] = codes
+                    results.ports[base + rows] = ports
 
     # ------------------------------------------------------------------
     # Transactions (driven by the controller)
@@ -248,10 +251,9 @@ class SwitchFabric:
 
     def slice_extremes(self) -> tuple[float, float, int]:
         """(max delay EWMA, max PDP, max backlog) across all shards."""
-        extremes = self._read(lambda p: p.slice_extremes())
-        return (max(e[0] for e in extremes),
-                max(e[1] for e in extremes),
-                max(e[2] for e in extremes))
+        delays, pdps, backlogs = zip(
+            *self._read(lambda p: p.slice_extremes()))
+        return max(delays), max(pdps), max(backlogs)
 
     def robustness_stats(self) -> dict:
         stats = self._read(lambda p: p.robustness_stats())
@@ -289,44 +291,32 @@ class SwitchFabric:
     # Egress service
     # ------------------------------------------------------------------
     def serve(self, port: int, credit: float, now: float) -> float:
-        """Serve a fabric port with ``credit`` bytes; the credit left.
+        """Serve one fabric port with ``credit`` bytes; the credit left.
 
-        Bit-identical to :func:`serve_each` over :meth:`dequeue`:
-        every shard reports its queued head sizes, the fabric lays
-        them out in its round-robin visiting order from the port's
-        cursor (round r visits each non-empty shard once), cuts that
-        order with :func:`spend_credit`, tells each shard how many
-        rows to serve, and moves the cursor past the last shard
-        served.  While any shard's AQM may drop at the head, the
-        per-packet loop runs instead.
+        The one-port case of :meth:`serve_ports`.
         """
-        if not credit > 0.0:
-            return credit
+        return self._serve({port: credit}, now)[port]
+
+    def serve_ports(self, credits: list[float], budget: float,
+                    now: float) -> list[float]:
+        """Serve every fabric port in one call; the credits left.
+
+        Port ``p`` is offered ``credits[p] + budget`` bytes, served
+        from the shards' traffic managers as
+        :func:`~repro.dataplane.traffic_manager.serve_offer` describes
+        (bit-identical to the per-packet loop over :meth:`dequeue`).
+        """
+        return list(self._serve(offer(credits, budget, self.n_ports),
+                                now).values())
+
+    def _serve(self, offered: dict[int, float], now: float
+               ) -> dict[int, float]:
         with self._lock:
-            queued = [shard.queued(port, credit) for shard in self.shards]
-            if not all(replays for replays, _ in queued):
-                return serve_each(lambda: self._dequeue(port, now),
-                                  credit)
-            sizes = [part for _, part in queued]
-            shard_of = np.concatenate(
-                [np.full(len(part), shard) for shard, part
-                 in enumerate(sizes)])
-            rank = np.concatenate([np.arange(len(part))
-                                   for part in sizes])
-            visit = (shard_of - self._dequeue_cursor[port]) \
-                % self.n_shards
-            order = np.lexsort((visit, rank))
-            served, left = spend_credit(credit,
-                                        np.concatenate(sizes)[order])
-            counts = np.bincount(shard_of[order[:served]],
-                                 minlength=self.n_shards)
-            for shard, count in enumerate(counts.tolist()):
-                if count:
-                    self.shards[shard].serve(port, count, now)
-            if served:
-                self._dequeue_cursor[port] = \
-                    (int(shard_of[order[served - 1]]) + 1) % self.n_shards
-            return left
+            return serve_offer(
+                offered, [shard.processor.traffic_manager
+                          for shard in self.shards],
+                lambda port: self._dequeue(port, now),
+                self._dequeue_cursor, now)
 
     def dequeue(self, port: int, now: float):
         """Serve one packet from a fabric port.

@@ -10,11 +10,9 @@ the fabric makes:
   scattering, which is what keeps dedup sets, cache sequences and
   energy multisets identical to the serial walk);
 * ``apply`` — one committed programming op;
-* ``queued`` / ``serve`` / ``dequeue`` — egress service: the fabric
-  reads each shard's queued sizes for a port, computes its
-  round-robin interleave under the byte credit, and tells each shard
-  how many rows to serve (``dequeue`` is the per-packet reference,
-  used while a port's AQM may drop at the head).
+* ``dequeue`` — the per-packet egress reference, used while a port's
+  AQM may drop at the head; otherwise the fabric drains every port
+  from the shards' traffic managers in one pass per slice.
 
 A commit checks every op with :func:`check_op` before any shard
 applies one, so an op that would fail is refused with every shard
@@ -64,19 +62,31 @@ def _check_retarget(target_delay_s: float,
                          f"{max_deviation_s!r}")
 
 
-def check_op(op: tuple[str, tuple], n_ports: int) -> None:
+def check_op(op: tuple[str, tuple], shards: list["Shard"]) -> None:
     """Phase 1 of a commit: raise if ``op`` would fail on a shard.
 
     Routes and firewall rules are installed on throwaway tables, so
-    their own parsers judge them; nothing here touches a shard.
+    their own parsers judge them.  An op on the port AQMs
+    (``retarget``, ``reprogram_intended``) is checked against every
+    shard's AQMs, and refused with a :class:`TypeError` if one of them
+    lacks it.  Nothing here changes a shard.
     """
     name, args = op
     if name == "add_route":
-        _check_route(n_ports, *args)
+        _check_route(shards[0].n_ports, *args)
     elif name == "add_firewall_rule":
         Firewall().add_rule(*args)
     elif name == "retarget":
         _check_retarget(*args)
+    if name in ("retarget", "reprogram_intended"):
+        for index, shard in enumerate(shards):
+            manager = shard.processor.traffic_manager
+            for port in range(shard.n_ports):
+                analog = _analog(manager.aqm(port))
+                if not callable(getattr(analog, name, None)):
+                    raise TypeError(
+                        f"shard {index} port {port}: "
+                        f"{type(analog).__name__} has no {name}()")
     elif name not in FABRIC_OPS:
         raise ValueError(f"unknown fabric op {name!r}; "
                          f"known: {sorted(FABRIC_OPS)}")
@@ -113,16 +123,6 @@ class Shard:
         elif name == "reprogram_intended":
             for port in range(self.n_ports):
                 _analog(manager.aqm(port)).reprogram_intended(*args)
-
-    def queued(self, port: int, limit: float
-               ) -> tuple[bool, np.ndarray]:
-        """(whether the port replays dequeues, its queued head sizes)."""
-        manager = self.processor.traffic_manager
-        return (manager.replays_dequeues(port),
-                manager.queued_sizes(port, limit))
-
-    def serve(self, port: int, count: int, now: float) -> None:
-        self.processor.traffic_manager.serve_count(port, count, now)
 
     def dequeue(self, port: int, now: float):
         return self.processor.traffic_manager.dequeue(port, now)

@@ -95,8 +95,8 @@ def bind_runtime(registry: MetricsRegistry, runtime,
     ``runtime`` is a :class:`repro.runtime.PipelineRuntime` (duck
     typed: ``chunks``, ``stage_runs`` and ``energy_attribution()``).
     Exports ``{ns}_chunks_total``, per-stage
-    ``{ns}_stage_runs_total{stage=...}`` and — when an energy
-    attribution middleware is registered —
+    ``{ns}_stage_runs_total{stage=...}`` and — when the runtime
+    attributes energy to its stages —
     ``{ns}_stage_joules_total{stage=...}``.
     """
 

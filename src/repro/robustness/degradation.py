@@ -147,7 +147,8 @@ class DegradingAQM(AQMAlgorithm):
         self._reset_monitor_state()
 
     def _reset_monitor_state(self) -> None:
-        self._mode = "analog"
+        #: True while serving from the digital fallback path.
+        self.degraded = False
         self._now = 0.0
         self._calls_since_check = 0
         self._violation_streak = 0
@@ -166,12 +167,7 @@ class DegradingAQM(AQMAlgorithm):
     @property
     def mode(self) -> str:
         """``"analog"`` or ``"fallback"``."""
-        return self._mode
-
-    @property
-    def degraded(self) -> bool:
-        """True while serving from the digital fallback path."""
-        return self._mode == "fallback"
+        return "fallback" if self.degraded else "analog"
 
     @property
     def pipeline(self) -> PCAMPipeline:
@@ -231,7 +227,7 @@ class DegradingAQM(AQMAlgorithm):
         self._gauges()
 
     def _trip(self) -> None:
-        self._mode = "fallback"
+        self.degraded = True
         self._violation_streak = 0
         self._clean_streak = 0
         self.fallback_events += 1
@@ -257,7 +253,7 @@ class DegradingAQM(AQMAlgorithm):
         if self._next_retry_s is not None and now < self._next_retry_s:
             return False
         self.analog.reprogram_intended()
-        self._mode = "analog"
+        self.degraded = False
         self._probation = True
         self._clean_streak = 0
         self._violation_streak = 0

@@ -6,9 +6,9 @@ columnar transform: it consumes a batch, emits verdicts for the rows
 it disposes of through the context, writes its counters into the
 context's telemetry collector, and returns the surviving batch for
 the next stage.  Cross-cutting concerns (tracing, energy attribution,
-degradation supervision) do *not* appear here — they are middleware,
-registered once on the :class:`~repro.runtime.engine.PipelineRuntime`
-at assembly time.
+degradation supervision) do *not* appear here — the
+:class:`~repro.runtime.engine.PipelineRuntime`'s chunk loop does them
+inline, from the ledger, tracer and supervisor it is assembled with.
 
 This module is deliberately generic: it knows nothing about packets,
 tables or verdict enums.  The concrete stages and the verdict
@@ -48,14 +48,12 @@ class StageContext:
         (None for a runtime with no telemetry domain).
     tracer:
         Span tracer for stage-internal kernel spans, or None.  Set by
-        the tracing middleware; stages must tolerate None (the
-        dataplane's ``maybe_span`` already does).
-    scratch:
-        Free-form per-chunk storage for middleware/stage cooperation.
+        the runtime for the chunk's duration; stages must tolerate
+        None (the dataplane's ``maybe_span`` already does).
     """
 
     __slots__ = ("now", "emit", "columns", "telemetry", "tracer",
-                 "entry_name", "entry_attributes", "scratch")
+                 "entry_name", "entry_attributes")
 
     def __init__(self, now: float,
                  emit: Callable[..., None],
@@ -70,12 +68,11 @@ class StageContext:
             self.columns["index"] = list(indices)
         self.telemetry = telemetry
         self.tracer: Any = None
-        #: Name/attributes of the chunk-level span the tracing
-        #: middleware opens around the whole stage walk (None skips
-        #: the chunk span, e.g. for a bare parser invocation).
+        #: Name/attributes of the chunk-level span the runtime opens
+        #: around the whole stage walk (None skips the chunk span,
+        #: e.g. for a bare parser invocation).
         self.entry_name = entry_name
         self.entry_attributes = dict(entry_attributes or {})
-        self.scratch: dict[str, Any] = {}
 
     @property
     def indices(self) -> list[int]:
@@ -88,9 +85,9 @@ class Stage(Protocol):
     """One pipeline block: a named columnar batch transform.
 
     Implementations may additionally declare ``span_name`` (the span
-    opened around the stage by the tracing middleware; defaults to the
-    stage name) and ``span_attributes(batch) -> dict`` for span
-    attributes derived from the incoming batch.
+    the runtime opens around the stage when it has a tracer; a stage
+    without one runs unspanned) and ``span_attributes(batch) -> dict``
+    for span attributes derived from the incoming batch.
     """
 
     name: str

@@ -862,18 +862,16 @@ def _drain(processor, credits: list[float], t_from: float,
            t_until: float, port_rate_bps: float) -> None:
     """Serve egress queues at line rate over [t_from, t_until).
 
-    Each port accrues byte credit for the elapsed simulated time and
-    is served in one ``serve`` call (head drops included, via the
-    traffic manager) until the credit is spent; an idle port forfeits
-    its credit, as real silicon forfeits idle slots.
+    Every port accrues byte credit for the elapsed simulated time, and
+    one ``serve_ports`` call serves them all (head drops included)
+    until each port's credit is spent; an idle port forfeits its
+    credit, as real silicon forfeits idle slots.
     """
     if t_until <= t_from:
         return
     manager = getattr(processor, "traffic_manager", processor)
     budget = (t_until - t_from) * port_rate_bps / 8.0
-    for port in range(manager.n_ports):
-        credits[port] = manager.serve(port, credits[port] + budget,
-                                      now=t_until)
+    credits[:] = manager.serve_ports(credits, budget, t_until)
 
 
 def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
@@ -906,11 +904,16 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     :class:`~repro.fabric.fabric.SwitchFabric` via
     :func:`~repro.fabric.scenario.fabric_scenario_factory`.  Besides
     ``process_batch``, the verdict counters, ``flow_cache`` and the
-    energy totals, that surface is egress service (a
-    ``traffic_manager``, or ``n_ports``/``serve`` on the processor
-    itself), ``slice_extremes()`` (windowed maxima) and
-    ``robustness_stats()`` (fallbacks, retries, degraded tables); a
-    processor with a ``close()`` is closed before returning.
+    energy totals, that surface is egress service, ``slice_extremes()``
+    (windowed maxima) and ``robustness_stats()`` (fallbacks, retries,
+    degraded tables); a processor with a ``close()`` is closed before
+    returning.  Egress service is one call per admission slice,
+    ``serve_ports(credits, budget, now) -> credits``, on the
+    processor's ``traffic_manager`` or, without one, on the processor
+    itself: port ``p`` is offered ``credits[p] + budget`` bytes of
+    line time at simulated time ``now``, and the list returned holds
+    each port's credit left (an overdraft <= 0 carries into the next
+    slice; an idle port forfeits its credit and returns 0.0).
     """
     from repro.dataplane.results import Verdict
 

@@ -39,11 +39,6 @@ DEFAULT_SEARCH_VOLTAGE_V = 1.0
 #: Match-line precharge capacitance per cell [F].
 DEFAULT_MATCHLINE_CAP_PER_CELL_F = 1.0e-15
 
-#: Set bits of every byte value (a popcount table that needs no
-#: ``np.bitwise_count``, which only exists from NumPy 2.0).
-_POPCOUNT8 = np.array([bin(byte).count("1") for byte in range(256)],
-                      dtype=np.uint8)
-
 
 class MemristorTCAM(TCAM):
     """TCAM with device-derived energy and near-zero movement cost.
@@ -69,41 +64,48 @@ class MemristorTCAM(TCAM):
         self.params = params or MemristorParams()
         self.search_voltage_v = search_voltage_v
         self.matchline_cap_per_cell_f = matchline_cap_per_cell_f
-        self._hrs_cell = NbSTOMemristor(params=self.params, state=0.0,
-                                        variability=VariabilityModel.ideal())
+        self._energy_inputs: tuple | None = None
 
     #: Fraction of the precharge energy lost refreshing a match line
     #: that was *not* discharged (clock feed-through, leakage top-up).
     _REFRESH_FRACTION = 0.2
 
-    def _cell_energy(self, mismatch: bool) -> float:
-        """Energy contribution of one cell during a search [J]."""
-        precharge = (self.matchline_cap_per_cell_f
-                     * self.search_voltage_v ** 2)
-        if mismatch:
-            # Full discharge of the cell's slice of the match line
-            # through the LRS path; capacitance-limited.
-            return precharge
-        leakage = self._hrs_cell.read(
-            self.search_voltage_v, self.search_latency_s,
-            noisy=False).energy_j
-        return self._REFRESH_FRACTION * precharge + leakage
+    def _cell_energies(self) -> tuple[float, float]:
+        """(matching, mismatching) energy of one cell in a search [J],
+        from the device model, rerun only when one of its inputs
+        (params, voltage, latency, capacitance) has changed."""
+        inputs = (self.params, self.search_voltage_v,
+                  self.search_latency_s, self.matchline_cap_per_cell_f)
+        if inputs != self._energy_inputs:
+            precharge = (self.matchline_cap_per_cell_f
+                         * self.search_voltage_v ** 2)
+            hrs_cell = NbSTOMemristor(params=self.params, state=0.0,
+                                      variability=VariabilityModel.ideal())
+            leakage = hrs_cell.read(self.search_voltage_v,
+                                    self.search_latency_s,
+                                    noisy=False).energy_j
+            # A mismatching cell fully discharges its slice of the
+            # match line through the LRS path (capacitance-limited).
+            self._energies = (self._REFRESH_FRACTION * precharge
+                              + leakage, precharge)
+            self._energy_inputs = inputs
+        return self._energies
 
     def _charge_slice(self, diff: np.ndarray, n_keys: int) -> float:
         """Book a burst of searches from its masked XOR; return joules.
 
         Every stored cell takes part in every key's search: a
         mismatching cell (a set bit of ``diff = (key ^ bits) & care``,
-        counted by an 8-bit popcount table) discharges its match-line
+        counted over its unpacked bytes) discharges its match-line
         slice, the rest leak.  All of it is computation (colocalized
         storage, nothing to shuttle).  Integer cell counts partition
         linearly across keys, so the booked joules are bit-identical
         however the same keys are batched or sharded.
         """
         total_cells = diff.shape[0] * diff.shape[1] * self.width_bits
-        mismatching = int(_POPCOUNT8[diff.view(np.uint8)].sum())
-        discharge = self._cell_energy(mismatch=True)
-        leak = self._cell_energy(mismatch=False)
+        mismatching = int(np.count_nonzero(np.unpackbits(
+            diff.view(np.uint8))))
+        leak, discharge = self._cell_energies()
         self.ledger.charge_quanta(ACCOUNT_COMPUTE, discharge, mismatching)
         self.ledger.charge_quanta(ACCOUNT_COMPUTE, leak,
                                   total_cells - mismatching)
@@ -118,6 +120,6 @@ class MemristorTCAM(TCAM):
         """
         if not 0.0 <= mismatch_fraction <= 1.0:
             raise ValueError("mismatch fraction must be in [0, 1]")
-        return (mismatch_fraction * self._cell_energy(mismatch=True)
-                + (1.0 - mismatch_fraction)
-                * self._cell_energy(mismatch=False))
+        leak, discharge = self._cell_energies()
+        return (mismatch_fraction * discharge
+                + (1.0 - mismatch_fraction) * leak)

@@ -120,6 +120,9 @@ def fit_width(values: np.ndarray, width: int) -> np.ndarray:
     column = np.asarray(values, dtype=np.uint64)
     if column.ndim != 1:
         raise ValueError(f"values must be 1-D, got shape {column.shape}")
+    dtype = getattr(values, "dtype", column.dtype)
+    if dtype.kind == "u" and dtype.itemsize * 8 <= width:
+        return column  # an unsigned dtype no wider than the slot fits
     if width < 64 and column.size and int(column.max()) >= (1 << width):
         raise ValueError(
             f"value {int(column.max())} does not fit in {width} bits")

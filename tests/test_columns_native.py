@@ -10,11 +10,12 @@ Two equivalences pin the columnar switch:
   ``PortStats`` — under the pCAM AQM, a forced-degraded
   ``DegradingAQM`` (CoDel head drops) and tail drop, at admission
   chunk sizes 1, 7 and 256.
-* **Drain.**  ``serve(port, credit, now)`` — one call per port per
-  slice — must match the per-packet reference loop bit for bit:
+* **Drain.**  ``serve_ports(credits, budget, now)`` — one call per
+  slice for every port — and its one-port case ``serve(port, credit,
+  now)`` must match the per-packet reference loop bit for bit:
   carried negative credit, idle-port forfeit, strict priority across
-  classes, AQM state, and on the fabric at N in {1, 2, 4} in both
-  execution modes, its round-robin cursor.
+  classes, AQM state, and on the fabric at N in {1, 2, 4}, its
+  round-robin cursor.
 """
 
 import json
@@ -53,11 +54,13 @@ def make_aqm(kind: str, port: int):
     analog = PCAMAQM(rng=np.random.default_rng((11, port)))
     if kind == "pcam":
         return analog
-    if kind == "degraded":
+    if kind == "degraded" or (kind == "mixed" and port == 1):
         degrading = DegradingAQM(analog, backoff_initial_s=1e6,
                                  backoff_max_s=1e6)
         degrading._trip()
         return degrading
+    if kind == "mixed":
+        return analog
     return TailDropAQM()
 
 
@@ -280,5 +283,61 @@ def test_fabric_serve_matches_the_per_packet_loop(n_shards):
                     port, credits_v[port] + budget, now)
                 credits_s[port] = reference_serve(
                     scalar, port, credits_s[port] + budget, now)
+            assert credits_v == credits_s
+            assert fabric_state(vector) == fabric_state(scalar)
+
+
+@pytest.mark.parametrize("kind", ["pcam", "degraded", "mixed",
+                                  "taildrop"])
+@given(columns=chunks(max_rows=120), schedule=drains)
+@settings(max_examples=20, deadline=None)
+def test_serve_ports_matches_the_per_packet_loop(kind, columns,
+                                                 schedule):
+    vector, scalar = make_switch(kind), make_switch(kind)
+    vector.process_batch(columns, now=0.0, chunk_size=32)
+    scalar.process_batch(columns, now=0.0, chunk_size=32)
+    credits_v = [0.0] * N_PORTS
+    credits_s = [0.0] * N_PORTS
+    now = 0.0
+    for budget, step in schedule:
+        now += step
+        credits_v = vector.traffic_manager.serve_ports(credits_v, budget,
+                                                       now)
+        credits_s = [reference_serve(scalar.traffic_manager, port,
+                                     credit + budget, now)
+                     for port, credit in enumerate(credits_s)]
+        assert credits_v == credits_s  # bit-identical floats
+        assert manager_state(vector.traffic_manager) \
+            == manager_state(scalar.traffic_manager)
+
+
+def test_serve_ports_needs_one_credit_per_port():
+    switch = make_switch("taildrop")
+    with pytest.raises(ValueError, match="one credit per port"):
+        switch.traffic_manager.serve_ports([0.0], 100.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["pcam", "degraded", "mixed"])
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_fabric_serve_ports_matches_the_per_packet_loop(n_shards, kind):
+    # "mixed": port 1 is degraded on every other shard only.
+    def factory():
+        kinds = iter([kind, "pcam"] * n_shards)
+        return lambda: make_switch(next(kinds))
+
+    with SwitchFabric(factory(), n_shards) as vector, \
+            SwitchFabric(factory(), n_shards) as scalar:
+        traffic = fabric_traffic()
+        vector.process_batch(traffic, now=0.0, chunk_size=64)
+        scalar.process_batch(traffic, now=0.0, chunk_size=64)
+        credits_v = [0.0] * N_PORTS
+        credits_s = [0.0] * N_PORTS
+        now = 0.0
+        for budget in (700.5, 1499.25, 0.0, 3000.0, 90.125, 1e6, 5.0):
+            now += 0.01
+            credits_v = vector.serve_ports(credits_v, budget, now)
+            credits_s = [reference_serve(scalar, port, credit + budget,
+                                         now)
+                         for port, credit in enumerate(credits_s)]
             assert credits_v == credits_s
             assert fabric_state(vector) == fabric_state(scalar)

@@ -15,6 +15,7 @@ import pytest
 from repro.dataplane.results import Verdict
 from repro.dataplane.switch import SwitchSpec, build_switch
 from repro.fabric import SwitchFabric
+from repro.netfunc.aqm.base import TailDropAQM
 from repro.netfunc.firewall import Action, FirewallRule
 from repro.packet import Packet
 
@@ -27,6 +28,13 @@ def build_shard():
     spec = SwitchSpec(n_ports=2, routes=(("10.0.0.0/8", 0),),
                       flow_cache_size=0)
     return build_switch(spec)
+
+
+def build_tail_drop_shard():
+    """A shard whose port AQMs cannot be retargeted."""
+    spec = SwitchSpec(n_ports=2, routes=(("10.0.0.0/8", 0),),
+                      flow_cache_size=0)
+    return build_switch(spec, aqm_factory=TailDropAQM)
 
 
 def probe_chunk(now: float) -> list[Packet]:
@@ -148,19 +156,21 @@ def shard_routes(fabric) -> list[int]:
     return [len(shard.processor.lookup) for shard in fabric.shards]
 
 
-@pytest.mark.parametrize("bad_op, error", [
-    (("add_route", "203.0.113.0/24", 7), IndexError),
-    (("retarget", -0.01), ValueError),
-    (("retarget", 0.01, 0.02), ValueError),
-    (("add_route", "203.0.113.0/99", 1), ValueError),
+@pytest.mark.parametrize("bad_op, error, shard_factory", [
+    (("add_route", "203.0.113.0/24", 7), IndexError, build_shard),
+    (("retarget", -0.01), ValueError, build_shard),
+    (("retarget", 0.01, 0.02), ValueError, build_shard),
+    (("add_route", "203.0.113.0/99", 1), ValueError, build_shard),
     (("add_firewall_rule", FirewallRule(Action.DENY, dst_port=70000)),
-     ValueError),
+     ValueError, build_shard),
+    # Valid arguments, but the shards' AQMs cannot retarget.
+    (("retarget", 0.005), TypeError, build_tail_drop_shard),
 ], ids=["port_out_of_range", "negative_target", "wide_deviation",
-        "bad_prefix", "bad_rule"])
-def test_refused_commit_changes_no_shard(bad_op, error):
+        "bad_prefix", "bad_rule", "retarget_unsupported"])
+def test_refused_commit_changes_no_shard(bad_op, error, shard_factory):
     """A valid op followed by a failing one: the commit is refused
     whole, before any shard applies anything."""
-    with SwitchFabric(build_shard, 2) as fabric:
+    with SwitchFabric(shard_factory, 2) as fabric:
         before = shard_programmings(fabric)
         fabric.controller.add_route("198.51.100.0/24", 1)
         fabric.controller.stage(*bad_op)
@@ -186,8 +196,8 @@ def shard_programmings(fabric) -> set:
         for port in range(manager.n_ports):
             analog = getattr(manager.aqm(port), "analog",
                              manager.aqm(port))
-            programmings.add((analog.target_delay_s,
-                              analog.max_deviation_s))
+            programmings.add((getattr(analog, "target_delay_s", None),
+                              getattr(analog, "max_deviation_s", None)))
     return programmings
 
 

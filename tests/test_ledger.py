@@ -205,3 +205,28 @@ def test_ledger_round_trips_through_pickle():
     clone = pickle.loads(pickle.dumps(ledger))
     assert clone.account("tcam.search") == ledger.account("tcam.search")
     assert clone.events == ledger.events
+
+
+def test_cached_total_follows_every_write():
+    # The total is cached between writes; every writer (charge,
+    # charge_quanta, merge, reset) must refresh it, so each read
+    # equals a fresh ledger's total over the same charges.
+    def fresh(*charges):
+        reference = EnergyLedger()
+        for account, quantum, count in charges:
+            reference.charge_quanta(account, quantum, count)
+        return reference.total
+
+    ledger = EnergyLedger()
+    assert ledger.total == 0.0
+    ledger.charge("x", 0.1)
+    assert ledger.total == fresh(("x", 0.1, 1))
+    ledger.charge_quanta("y", 0.2, 3)
+    assert ledger.total == fresh(("x", 0.1, 1), ("y", 0.2, 3))
+    other = EnergyLedger()
+    other.charge("z", 1e-3)
+    ledger.merge(other)
+    assert ledger.total == fresh(("x", 0.1, 1), ("y", 0.2, 3),
+                                 ("z", 1e-3, 1))
+    ledger.reset()
+    assert ledger.total == 0.0

@@ -132,3 +132,30 @@ def test_forced_slices_keep_energy_and_events(monkeypatch):
     # Discharge, leakage and (empty) movement charges per slice.
     assert whole.ledger.events == 3
     assert sliced.ledger.events == 3 * 8
+
+
+def test_cell_energies_follow_their_inputs():
+    # The per-cell energies are computed once and reused; changing an
+    # input of the device model after a search must take effect, and
+    # match a TCAM built with those inputs from the start.
+    from repro.device.memristor import MemristorParams
+
+    def rebuilt(cam):
+        return MemristorTCAM(
+            8, params=cam.params, search_voltage_v=cam.search_voltage_v,
+            search_latency_s=cam.search_latency_s,
+            matchline_cap_per_cell_f=cam.matchline_cap_per_cell_f)
+
+    _, memristor = make_pair()
+    memristor.search(0xFF)
+    changes = (("search_voltage_v", 0.8), ("search_latency_s", 2e-9),
+               ("matchline_cap_per_cell_f", 2e-15),
+               ("params", MemristorParams(r_off=3.2e9)))
+    for name, value in changes:
+        before = memristor.energy_per_bit_for(0.0)
+        setattr(memristor, name, value)
+        after = memristor.energy_per_bit_for(0.0)
+        assert after != before, name
+        assert after == rebuilt(memristor).energy_per_bit_for(0.0)
+        assert memristor.energy_per_bit_for(1.0) \
+            == rebuilt(memristor).energy_per_bit_for(1.0)

@@ -78,7 +78,7 @@ class TestBuildSwitch:
         processor = build_switch(spec, controller=controller)
         assert processor.controller is controller
         assert len(controller.supervised) == spec.n_ports
-        # The supervision middleware drives controller.tick once per
+        # The runtime's supervise hook drives controller.tick once per
         # chunk; ticking must not change traffic outcomes.
         result = processor.process(packet("192.168.7.7"), now=0.5)
         assert result.verdict is Verdict.QUEUED and result.port == 1
