@@ -105,11 +105,6 @@ class ControlLoop:
         self.applied = 0
         self.rejected = 0
 
-    @property
-    def last_decision_s(self) -> float | None:
-        """Sim time of the previous decision (None before the first)."""
-        return self._last_decision_s
-
     def step(self, now: float) -> tuple[Action, ...]:
         """Run one paced iteration; returns the actions applied."""
         if self._last_decision_s is not None and \

@@ -286,15 +286,6 @@ class Crossbar:
             raise ValueError(f"expected {self.n_rows} voltages, got {v.shape}")
         return self._conductances.T @ v
 
-    def ideal_matvec_batch(self, voltages: np.ndarray) -> np.ndarray:
-        """Lossless, noiseless ``V G`` over a (batch, n_rows) matrix."""
-        vb = np.asarray(voltages, dtype=float)
-        if vb.ndim != 2 or vb.shape[1] != self.n_rows:
-            raise ValueError(
-                f"expected (batch, {self.n_rows}) voltages, "
-                f"got {vb.shape}")
-        return vb @ self._conductances
-
     def relative_error(self, voltages: np.ndarray,
                        trials: int = 8) -> float:
         """Mean relative L2 error of noisy vs ideal matvec outputs.

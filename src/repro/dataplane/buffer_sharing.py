@@ -19,7 +19,7 @@ switch port or the event-driven simulator's bottleneck).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.packet import Packet
 
@@ -49,11 +49,6 @@ class BufferPool:
         if queue_id in self._queues:
             raise ValueError(f"queue {queue_id!r} already registered")
         self._queues[queue_id] = _QueueShare(priority=priority)
-
-    @property
-    def queue_ids(self) -> tuple[str, ...]:
-        """Identifiers of every registered queue."""
-        return tuple(self._queues)
 
     @property
     def used_bytes(self) -> int:

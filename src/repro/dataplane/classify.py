@@ -33,7 +33,6 @@ from repro.acam.compiler import tree_paths
 from repro.dataplane.fastpath import PacketBatch, first_appearance_counts
 from repro.energy.ledger import EnergyLedger
 from repro.netfunc.decision_tree import CARTTree
-from repro.packet import Packet
 from repro.runtime import StageContext
 
 __all__ = ["ACAMClassifier", "ClassificationStage", "ClassifierSpec",
@@ -133,10 +132,6 @@ class ACAMClassifier:
         self.labels = np.array([label for label, _ in spec.rows],
                                dtype=int)
         self.port_for_class = dict(spec.class_to_port)
-
-    def features_of(self, packet: Packet) -> list[float]:
-        """Extract this classifier's feature vector from a packet."""
-        return self.features_of_batch(PacketBatch([packet]))[0].tolist()
 
     def features_of_batch(self, batch) -> np.ndarray:
         """The (rows, features) matrix, one column gather per feature."""

@@ -31,19 +31,21 @@ __all__ = ["PacketQueue", "PortQueue", "PortStats"]
 
 
 class _Segment:
-    """Rows admitted together: sizes, enqueue time, source and head."""
+    """Rows admitted together: sizes, enqueue time, source, head and
+    the bytes the rows from ``head`` on still hold."""
 
     __slots__ = ("sizes", "enqueued_at", "batch", "rows", "objects",
-                 "head")
+                 "head", "bytes")
 
     def __init__(self, sizes: np.ndarray, enqueued_at: float, batch,
-                 rows, objects: list | None) -> None:
+                 rows, objects: list | None, nbytes: int) -> None:
         self.sizes = sizes
         self.enqueued_at = enqueued_at
         self.batch = batch
         self.rows = rows
         self.objects = objects
         self.head = 0
+        self.bytes = nbytes
 
     def packet(self, offset: int) -> Packet:
         """The row's object, or the row materialised from its batch."""
@@ -137,9 +139,11 @@ class PacketQueue:
                 owned = [objects[row] for row in kept.tolist()]
                 for packet in owned:
                     packet.enqueued_at = now
-            self._segments.append(_Segment(sizes, now, batch, kept, owned))
+            nbytes = int(np.add.reduce(sizes))
+            self._segments.append(_Segment(sizes, now, batch, kept, owned,
+                                           nbytes))
             self._len += fit
-            self._bytes += int(np.add.reduce(sizes))
+            self._bytes += nbytes
             self.enqueued += fit
         return fit
 
@@ -174,17 +178,20 @@ class PacketQueue:
                 if isinstance(segment, Packet) \
                 else segment.sizes[segment.head:]
 
-    def serve(self, count: int, now: float = 0.0) -> np.ndarray:
-        """Dequeue ``count`` head rows at once; their sojourns [s].
+    def serve(self, count: int, now: float = 0.0
+              ) -> list[tuple[float, int]]:
+        """Dequeue ``count`` head rows at once; their sojourn runs.
 
         Equivalent to ``count`` :meth:`pop` calls: packet objects get
-        ``dequeued_at`` stamped, column rows just leave.
+        ``dequeued_at`` stamped, column rows just leave.  Returns one
+        ``(sojourn [s], rows)`` run per segment served, in order: a
+        segment's rows share one enqueue time.
         """
-        sojourns = []
+        runs = []
         while count:
             segment = self._segments[0]
             if isinstance(segment, Packet):
-                sojourns.append(np.full(1, now - segment.enqueued_at))
+                runs.append((float(now - segment.enqueued_at), 1))
                 self.pop(now)
                 count -= 1
                 continue
@@ -193,21 +200,23 @@ class PacketQueue:
                 for packet in segment.objects[
                         segment.head:segment.head + take]:
                     packet.dequeued_at = now
-            sojourns.append(np.full(take, now - segment.enqueued_at))
+            runs.append((float(now - segment.enqueued_at), take))
             self._advance(segment, take)
             count -= take
-        if len(sojourns) == 1:
-            return sojourns[0]
-        return np.concatenate(sojourns) if sojourns else np.zeros(0)
+        return runs
 
     def _advance(self, segment: _Segment, n: int) -> None:
         start = segment.head
         segment.head = start + n
         self._len -= n
-        self._bytes -= int(segment.sizes[start]) if n == 1 \
-            else int(np.add.reduce(segment.sizes[start:start + n]))
         if segment.head == len(segment.sizes):
+            self._bytes -= segment.bytes
             self._segments.popleft()
+            return
+        spent = int(segment.sizes[start]) if n == 1 \
+            else int(np.add.reduce(segment.sizes[start:start + n]))
+        segment.bytes -= spent
+        self._bytes -= spent
 
     def __repr__(self) -> str:
         return (f"PacketQueue({self.name!r}, {self._len}/"
@@ -358,11 +367,11 @@ class PortQueue:
         """Whether a drain may pick served rows by credit alone."""
         return self.aqm.replays_dequeues
 
-    def queued_sizes(self, limit: float | None = None) -> np.ndarray:
-        """Queued sizes in service order (strict priority, FIFO).
+    def queued_sizes(self, limit: float) -> np.ndarray:
+        """The queued head covering ``limit``, in service order (strict
+        priority, FIFO).
 
-        With ``limit`` only a head covering it is returned: whole
-        segments up to the first whose running total reaches
+        Whole segments up to the first whose running total reaches
         ``limit``, plus one more segment, so a byte-credit walk over
         the head can never run past it.
         """
@@ -370,8 +379,7 @@ class PortQueue:
         total = 0
         reached = False
         for queue in self.classes:
-            if not reached and (limit is None
-                                or total + queue._bytes < limit):
+            if not reached and total + queue._bytes < limit:
                 parts.extend(queue.segment_sizes())  # all below the limit
                 total += queue._bytes
                 continue
@@ -388,19 +396,18 @@ class PortQueue:
 
         Only valid while :attr:`replays_dequeues` holds (no head drop
         can interleave); the served sojourns are replayed to the AQM
-        in order afterwards.
+        in order afterwards, as ``(sojourn, rows)`` runs.
         """
-        parts = []
+        runs = []
+        served = 0
         for queue in self.classes:
-            if not count:
+            if served == count:
                 break
-            take = min(count, len(queue))
+            take = min(count - served, len(queue))
             if take:
-                parts.append(queue.serve(take, now))
-                count -= take
-        if parts:
-            sojourns = parts[0] if len(parts) == 1 \
-                else np.concatenate(parts)
-            self.stats.dequeued += len(sojourns)
-            self.departed(float(sojourns[-1]))
-            self.aqm.on_dequeue_batch(sojourns, self, now)
+                runs += queue.serve(take, now)
+                served += take
+        if runs:
+            self.stats.dequeued += served
+            self.departed(runs[-1][0])
+            self.aqm.on_dequeue_batch(runs, self, now)

@@ -204,18 +204,6 @@ class CognitiveTrafficManager:
         """Whether the port's AQM lets a drain serve by credit alone."""
         return self._port(port).replays_dequeues
 
-    def queued_sizes(self, port: int, limit: float | None = None
-                     ) -> np.ndarray:
-        """A port's queued sizes in service order (see
-        :meth:`~repro.dataplane.queues.PortQueue.queued_sizes`)."""
-        return self._port(port).queued_sizes(limit)
-
-    def serve_count(self, port: int, count: int, now: float = 0.0
-                    ) -> None:
-        """Dequeue a port's next ``count`` rows (see
-        :meth:`~repro.dataplane.queues.PortQueue.serve_count`)."""
-        self._port(port).serve_count(count, now)
-
     def serve(self, port: int, credit: float, now: float = 0.0) -> float:
         """Serve a port with ``credit`` bytes of line time; credit left.
 
@@ -241,16 +229,27 @@ class CognitiveTrafficManager:
                                lambda port: self.dequeue(port, now),
                                [0] * self.n_ports, now)
 
-    def heads(self, limits: dict[int, float]
-              ) -> dict[int, tuple[bool, np.ndarray]]:
-        """``{port: (replays dequeues, head sizes covering its limit)}``
-        for every port offered a positive limit that holds packets."""
+    def occupancy(self, limits: dict[int, float]
+                  ) -> dict[int, tuple[int, int, bool]]:
+        """``{port: (packets, bytes, replays dequeues)}`` for every port
+        offered a positive limit that holds packets."""
+        held = {}
+        for port, limit in limits.items():
+            queue = self._port(port)
+            packets = queue.backlog_packets
+            if limit > 0.0 and packets:
+                held[port] = (packets, queue.backlog_bytes,
+                              queue.replays_dequeues)
+        return held
+
+    def heads(self, limits: dict[int, float]) -> dict[int, np.ndarray]:
+        """``{port: head sizes covering its limit}`` for every port in
+        ``limits`` that holds packets."""
         heads = {}
         for port, limit in limits.items():
             queue = self._port(port)
-            if limit > 0.0 and queue.backlog_packets:
-                heads[port] = (queue.replays_dequeues,
-                               queue.queued_sizes(limit))
+            if queue.backlog_packets:
+                heads[port] = queue.queued_sizes(limit)
         return heads
 
     def serve_counts(self, counts: dict[int, int], now: float) -> None:
@@ -273,57 +272,85 @@ def serve_offer(offered: dict[int, float], sources: list, dequeue,
     """Serve ``offered[port]`` bytes per port from ``sources``; the
     credits left.
 
-    ``sources`` are traffic managers (one, or a fabric's shards')
-    with ``heads(limits)`` and ``serve_counts(counts, now)``; ``dequeue
-    (port)`` is the per-packet reference, visiting them round-robin
-    from ``cursor[port]``.  Bit-identical to :func:`serve_each` over
-    ``dequeue``, port by port: an idle port forfeits its credit
-    without touching an array; a port where a source's AQM may drop
-    at the head (CoDel, a degraded table) runs that loop, since a
-    head drop consumes no credit; the other busy ports' heads are put
-    in visiting order (round r visits each non-empty source once) by
-    one ``argsort`` and cut under their credits by one
-    :func:`spend_credits` walk, each source serves its per-port counts
-    in one call, and each cursor moves past the last source served.
+    ``sources`` are traffic managers (one, or a fabric's shards');
+    ``dequeue(port)`` is the per-packet reference, visiting them
+    round-robin from ``cursor[port]``.  Bit-identical to
+    :func:`serve_each` over ``dequeue``, port by port.  The sources'
+    O(1) counters classify each port: an idle port forfeits its
+    credit; a port where a source's AQM may drop at the head (CoDel, a
+    degraded table) runs that loop, since a head drop consumes no
+    credit; a *covered* port, offered more than its whole backlog,
+    serves all of it and forfeits the rest; the other ports go to
+    :func:`_serve_partial`.  Each source then serves its per-port
+    counts in one ``serve_counts`` call.
+
+    Covering is exact: integer sizes subtracted from a positive float
+    below 2^53 (ulp <= 1) stay exact and positive, and one of 2^53 or
+    more cannot reach zero, so the walk serves every packet and finds
+    the port idle.  Its last round visits the sources holding the most
+    packets in cyclic order from the cursor, which ends one past the
+    last of them.
     """
     left = dict(offered)
-    parts: dict[int, list] = {}
-    per_packet = set()
+    held: dict[int, list] = {}
     for index, source in enumerate(sources):
-        for port, (replays, head) in source.heads(offered).items():
-            parts.setdefault(port, []).append((index, head))
-            if not replays:
-                per_packet.add(port)
-    for port, credit in offered.items():
-        if port not in parts:
-            left[port] = 0.0 if credit > 0.0 else credit
-        elif port in per_packet:
-            left[port] = serve_each(lambda: dequeue(port), credit)
-    busy = [(port, parts[port]) for port in offered
-            if port in parts and port not in per_packet]
-    if not busy:
-        return left
+        for port, occupancy in source.occupancy(offered).items():
+            held.setdefault(port, []).append((index, *occupancy))
     n = len(sources)
-    credits = [offered[port] for port, _ in busy]
+    counts: list[dict[int, int]] = [{} for _ in sources]
+    partial = {}
+    for port, credit in offered.items():
+        parts = held.get(port)
+        if parts is None:
+            left[port] = 0.0 if credit > 0.0 else credit
+        elif not all([replays for _, _, _, replays in parts]):
+            left[port] = serve_each(lambda: dequeue(port), credit)
+        elif credit > sum([nbytes for _, _, nbytes, _ in parts]):
+            left[port] = 0.0
+            most = max([packets for _, packets, _, _ in parts])
+            last = max([(index - cursor[port]) % n
+                        for index, packets, _, _ in parts
+                        if packets == most])
+            cursor[port] = (cursor[port] + last + 1) % n
+            for index, packets, _, _ in parts:
+                counts[index][port] = packets
+        else:
+            partial[port] = credit
+    if partial:
+        left.update(_serve_partial(partial, sources, cursor, counts))
+    for source, source_counts in zip(sources, counts):
+        if source_counts:
+            source.serve_counts(source_counts, now)
+    return left
+
+
+def _serve_partial(credits: dict[int, float], sources: list,
+                   cursor: list[int], counts: list) -> dict[int, float]:
+    """Book what ``credits`` buys on ports they do not cover; the
+    credits left.  Each port's heads, in visiting order, are cut by one
+    :func:`spend_credits` walk."""
+    parts: dict[int, list] = {port: [] for port in credits}
+    for index, source in enumerate(sources):
+        for port, head in source.heads(credits).items():
+            parts[port].append((index, head))
+    busy = list(parts.items())
+    n = len(sources)
     if n == 1:  # one source: its heads are already in visiting order
-        served, rest = spend_credits(credits, [port_heads[0][1]
-                                               for _, port_heads in busy])
-        counts = [{port: count for (port, _), count in zip(busy, served)}]
+        served, rest = spend_credits(list(credits.values()),
+                                     [port_heads[0][1]
+                                      for _, port_heads in busy])
+        for port, count in zip(credits, served):
+            counts[0][port] = count
     else:
         heads, sources_of = _visiting_order(busy, cursor, n)
-        served, rest = spend_credits(credits, heads)
-        counts = [{} for _ in sources]
-        for (port, _), source_of, count in zip(busy, sources_of, served):
+        served, rest = spend_credits(list(credits.values()), heads)
+        for port, source_of, count in zip(credits, sources_of, served):
             taken = np.bincount(source_of[:count], minlength=n).tolist()
             for index, source_count in enumerate(taken):
                 if source_count:
                     counts[index][port] = source_count
             cursor[port] = (int(source_of[count - 1]) + 1) % n
-    left.update(zip([port for port, _ in busy], rest))
-    for source, source_counts in zip(sources, counts):
-        if source_counts:
-            source.serve_counts(source_counts, now)
-    return left
+    return dict(zip(credits, rest))
 
 
 def _visiting_order(busy: list, cursor: list[int], n: int

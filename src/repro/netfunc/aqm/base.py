@@ -14,7 +14,7 @@ arrivals (a packet sequence, or a columnar batch exposing at least a
 ``priorities`` column and iterating as packets).  A line-rate drain
 that knows no head drop can happen — :attr:`replays_dequeues` —
 serves by byte credit alone and then replays the served sojourns, in
-order, through ``on_dequeue_batch``.
+order, through ``on_dequeue_batch`` as ``(sojourn, packets)`` runs.
 
 The queue exposes itself to the algorithm through the narrow
 :class:`QueueView` protocol so AQMs cannot reach into scheduling
@@ -103,12 +103,14 @@ class AQMAlgorithm(abc.ABC):
         """
         return type(self).on_dequeue is AQMAlgorithm.on_dequeue
 
-    def on_dequeue_batch(self, sojourns: np.ndarray, queue: QueueView,
-                         now: float) -> None:
+    def on_dequeue_batch(self, runs: Sequence[tuple[float, int]],
+                         queue: QueueView, now: float) -> None:
         """Replay the sojourns of packets a drain served, in order.
 
-        Only called while :attr:`replays_dequeues` holds; the base
-        :meth:`on_dequeue` has nothing to learn from them.
+        ``runs`` are ``(sojourn [s], packets)`` pairs: that many served
+        packets in a row, all with that sojourn.  Only called while
+        :attr:`replays_dequeues` holds; the base :meth:`on_dequeue` has
+        nothing to learn from them.
         """
 
     def reset(self) -> None:

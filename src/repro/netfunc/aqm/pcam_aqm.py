@@ -507,20 +507,22 @@ class PCAMAQM(AQMAlgorithm):
         # Never drops at the head; just tracks the measured delay for
         # the adaptation controller.
         """Track the measured delay EWMA (never drops at head)."""
-        self.on_dequeue_batch(np.array([sojourn_s]), queue, now)
+        self.on_dequeue_batch([(float(sojourn_s), 1)], queue, now)
         return False
 
     #: :meth:`on_dequeue` never drops and reads only the sojourn.
     replays_dequeues = True
 
-    def on_dequeue_batch(self, sojourns: np.ndarray, queue: QueueView,
-                         now: float) -> None:
-        """Fold served sojourns into the delay EWMA, in order."""
+    def on_dequeue_batch(self, runs: Sequence[tuple[float, int]],
+                         queue: QueueView, now: float) -> None:
+        """Fold served ``(sojourn, packets)`` runs into the delay EWMA,
+        one update per packet, in order."""
         ewma = self._delay_ewma
-        for sojourn in sojourns.tolist():
+        for sojourn, count in runs:
             if ewma is None:
                 ewma = sojourn
-            else:
+                count -= 1
+            for _ in range(count):
                 ewma += 0.05 * (sojourn - ewma)
         self._delay_ewma = ewma
 

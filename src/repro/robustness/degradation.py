@@ -294,11 +294,11 @@ class DegradingAQM(AQMAlgorithm):
         active = self.fallback if self.degraded else self.analog
         return active.replays_dequeues
 
-    def on_dequeue_batch(self, sojourns: np.ndarray, queue: QueueView,
-                         now: float) -> None:
+    def on_dequeue_batch(self, runs: Sequence[tuple[float, int]],
+                         queue: QueueView, now: float) -> None:
         self._now = now
         active = self.fallback if self.degraded else self.analog
-        active.on_dequeue_batch(sojourns, queue, now)
+        active.on_dequeue_batch(runs, queue, now)
 
     def reset(self) -> None:
         """Reset both paths and return to analog service."""

@@ -105,14 +105,6 @@ class FaultInjector:
         return self.inject_pipeline(aqm.pipeline)
 
     @staticmethod
-    def clear_pipeline(pipeline: PCAMPipeline) -> None:
-        """Detach every fault and restore the intended programs."""
-        for name in pipeline.stage_names:
-            stage = pipeline.stage(name)
-            if isinstance(stage, PCAMCell):
-                stage.clear_fault()
-
-    @staticmethod
     def clear_array(array: PCAMArray) -> None:
         """Detach every fault from an array's cells."""
         for word in array.words:

@@ -787,14 +787,6 @@ class ScenarioReport:
         hi = int(np.floor(fraction_window[1] * n))
         return self.windows[lo:hi]
 
-    def windows_outside(self, fraction_window: tuple[float, float]
-                        ) -> list[ScenarioWindow]:
-        """Windows fully before or after a stream fraction."""
-        n = len(self.windows)
-        lo = int(np.floor(fraction_window[0] * n))
-        hi = int(np.ceil(fraction_window[1] * n))
-        return self.windows[:lo] + self.windows[hi:]
-
     def to_json(self) -> dict:
         payload = {
             "scenario": self.scenario,

@@ -14,7 +14,7 @@ transistor-based designs (Figure 1, [23, 41]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,8 @@ Two equivalences pin the columnar switch:
   now)`` must match the per-packet reference loop bit for bit:
   carried negative credit, idle-port forfeit, strict priority across
   classes, AQM state, and on the fabric at N in {1, 2, 4}, its
-  round-robin cursor.
+  round-robin cursor — also for offers at the boundary where credit
+  covers a port's whole backlog.
 """
 
 import json
@@ -341,3 +342,103 @@ def test_fabric_serve_ports_matches_the_per_packet_loop(n_shards, kind):
                          for port, credit in enumerate(credits_s)]
             assert credits_v == credits_s
             assert fabric_state(vector) == fabric_state(scalar)
+
+
+# ----------------------------------------------------------------------
+# Drain: the covered criterion at its boundary
+# ----------------------------------------------------------------------
+#: Packets queued per (source, port) before each drain: uneven counts
+#: with a tie on the maximum (on one source the tie is the whole port).
+LOADS = {
+    1: ([[5, 3, 4]], [[2, 6, 1]]),
+    2: ([[3, 5, 4], [5, 2, 4]], [[1, 4, 3], [2, 4, 0]]),
+    4: ([[2, 5, 1], [5, 0, 3], [1, 5, 3], [5, 2, 0]],
+        [[3, 1, 2], [0, 3, 2], [3, 2, 0], [1, 3, 2]]),
+}
+
+
+def load_sources(managers, counts, now, seed):
+    """Queue ``counts[source][port]`` rows straight on every copy of
+    each source, in two admissions (two segments, mixed classes)."""
+    rng = np.random.default_rng(seed)
+    for index, per_port in enumerate(counts):
+        for port, count in enumerate(per_port):
+            for part, at in ((count // 2, now), (count - count // 2,
+                                                 now + 1e-3)):
+                columns = ChunkColumns(
+                    times_s=np.zeros(part),
+                    sizes_bytes=rng.integers(64, 1500, part),
+                    flow_ids=np.arange(part), priorities=rng.integers(
+                        0, 2, part),
+                    src_ip=np.ones(part, dtype=np.int64),
+                    dst_ip=np.full(part, DSTS[0]),
+                    src_port=np.ones(part, dtype=np.int64),
+                    dst_port=np.full(part, 80), protocol=np.full(part, 6),
+                    has_dst=np.ones(part, dtype=bool))
+                for copy in managers:
+                    copy[index].enqueue_batch(port, columns, at)
+    for copy in managers:
+        assert [[manager.backlog(port) for port in range(N_PORTS)]
+                for manager in copy] == counts
+
+
+def backlog_bytes(managers, port) -> int:
+    return sum(manager.queue_view(port).backlog_bytes
+               for manager in managers)
+
+
+@pytest.mark.parametrize("case", ["equal", "half_over", "carried"])
+@pytest.mark.parametrize("n_shards", [1, 2, 4],
+                         ids=["switch", "2-shard", "4-shard"])
+def test_covered_boundary_matches_the_per_packet_loop(n_shards, case):
+    # Offers at the covered boundary (credit == backlog bytes, just
+    # over it, and a fractional carried credit topped up past it), then
+    # a refill served partially: the cursor a whole-backlog serve left
+    # must feed the next round robin exactly as the per-packet loop's.
+    if n_shards == 1:
+        vector, scalar = make_switch("pcam"), make_switch("pcam")
+        sources = [[vector.traffic_manager], [scalar.traffic_manager]]
+
+        def state(switch):
+            return manager_state(switch.traffic_manager)
+    else:
+        vector = SwitchFabric(lambda: make_switch("pcam"), n_shards)
+        scalar = SwitchFabric(lambda: make_switch("pcam"), n_shards)
+        sources = [[shard.processor.traffic_manager
+                    for shard in fabric.shards]
+                   for fabric in (vector, scalar)]
+
+        def state(fabric):
+            return (fabric_state(fabric),
+                    [manager_state(shard.processor.traffic_manager)
+                     for shard in fabric.shards])
+    serve_ports = getattr(vector, "traffic_manager", vector).serve_ports
+    reference = getattr(scalar, "traffic_manager", scalar)
+    first, refill = LOADS[n_shards]
+
+    def drain(credits, budget, now):
+        got = serve_ports(credits, budget, now)
+        want = [reference_serve(reference, port, credit + budget, now)
+                for port, credit in enumerate(credits)]
+        assert got == want  # bit-identical floats
+        assert state(vector) == state(scalar)
+        return got
+
+    load_sources(sources, first, 0.0, seed=5)
+    credits = [0.0] * N_PORTS
+    if case == "carried":
+        # A fractional partial serve leaves a fractional overdraft.
+        credits = drain(credits, 1300.375, 0.01)
+        assert all(credit < 0.0 and credit % 1.0 for credit in credits)
+    backlogs = [backlog_bytes(sources[0], port) for port in range(N_PORTS)]
+    offers = {"equal": [float(b) for b in backlogs],
+              "half_over": [b + 0.5 for b in backlogs],
+              "carried": [credit + (b - credit + 0.625)
+                          for credit, b in zip(credits, backlogs)]}[case]
+    credits = drain(offers, 0.0, 0.02)
+    assert credits == [0.0] * N_PORTS
+    assert all(manager.backlog(port) == 0 for manager in sources[0]
+               for port in range(N_PORTS))
+    load_sources(sources, refill, 0.03, seed=6)
+    credits = drain(credits, 700.25, 0.04)
+    drain(credits, 1e6, 0.05)

@@ -403,7 +403,7 @@ def test_default_path_matches_the_n_row_twin(
                                            now) for table in tables]
         assert np.array_equal(*verdicts), step
         for table in tables:
-            table.on_dequeue_batch(np.array([sojourn]), queue, now)
+            table.on_dequeue_batch([(sojourn, 1)], queue, now)
         assert_same_state(uniform, kernel)
         if degrading:
             a, b = tables

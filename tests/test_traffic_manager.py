@@ -74,12 +74,13 @@ class TestTrafficManager:
         lambda m, port: m.queue(port, 0),
         lambda m, port: m.backlog(port),
         lambda m, port: m.last_sojourn_s(port),
-        lambda m, port: m.queued_sizes(port),
-        lambda m, port: m.serve_count(port, 1, 0.5),
         lambda m, port: m.replays_dequeues(port),
+        lambda m, port: m.occupancy({port: 100.0}),
+        lambda m, port: m.heads({port: 100.0}),
+        lambda m, port: m.serve_counts({port: 1}, 0.5),
     ], ids=["enqueue", "enqueue_batch", "dequeue", "serve", "aqm",
             "queue_view", "queue", "backlog", "last_sojourn_s",
-            "queued_sizes", "serve_count", "replays_dequeues"])
+            "replays_dequeues", "occupancy", "heads", "serve_counts"])
     def test_every_port_accessor_checks_range(self, call, port):
         # -1 must not wrap around to the last port: a 2-port manager
         # holding one packet on port 1 keeps it.
