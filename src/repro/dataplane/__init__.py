@@ -1,10 +1,5 @@
 """The memristor-based cognitive packet-processing architecture (Figure 5)."""
 
-from repro.dataplane.buffer_sharing import (
-    ABMPolicy,
-    BufferPool,
-    DynamicThresholdPolicy,
-)
 from repro.dataplane.classify import (
     ACAMClassifier,
     ClassificationStage,
@@ -37,23 +32,15 @@ from repro.dataplane.telemetry import (
     int_metadata,
     stamp_packet,
 )
-from repro.dataplane.tables import (
-    DigitalMatchActionTable,
-    FieldKeySpec,
-    TableLookup,
-)
 from repro.dataplane.traffic_manager import CognitiveTrafficManager
 
 __all__ = [
-    "ABMPolicy",
     "ACAMClassifier",
     "AnalogPacketProcessor",
-    "BufferPool",
     "ClassificationStage",
     "ClassifierSpec",
     "DROP_EVENTS",
     "DigitalMatsStage",
-    "DynamicThresholdPolicy",
     "EgressStage",
     "ParserStage",
     "SwitchSpec",
@@ -62,9 +49,7 @@ __all__ = [
     "int_metadata",
     "stamp_packet",
     "CognitiveTrafficManager",
-    "DigitalMatchActionTable",
     "FIVE_TUPLE_FIELDS",
-    "FieldKeySpec",
     "HeaderParser",
     "Packet",
     "PacketQueue",
@@ -72,7 +57,6 @@ __all__ = [
     "PortQueue",
     "PortStats",
     "ProcessResult",
-    "TableLookup",
     "Verdict",
     "build_ethernet_frame",
     "build_ipv4_packet",

@@ -171,12 +171,14 @@ class PacketQueue:
             return segment
         return segment.packet(segment.head)
 
-    def segment_sizes(self) -> Iterator[np.ndarray]:
-        """Queued sizes in service order, one array per segment."""
+    def segments(self) -> Iterator[tuple[np.ndarray, int]]:
+        """Queued segments in service order: each one's sizes and the
+        bytes they hold."""
         for segment in self._segments:
-            yield np.array([segment.size_bytes]) \
-                if isinstance(segment, Packet) \
-                else segment.sizes[segment.head:]
+            if isinstance(segment, Packet):
+                yield np.array([segment.size_bytes]), segment.size_bytes
+            else:
+                yield segment.sizes[segment.head:], segment.bytes
 
     def serve(self, count: int, now: float = 0.0
               ) -> list[tuple[float, int]]:
@@ -380,14 +382,15 @@ class PortQueue:
         reached = False
         for queue in self.classes:
             if not reached and total + queue._bytes < limit:
-                parts.extend(queue.segment_sizes())  # all below the limit
+                # All below the limit.
+                parts.extend(sizes for sizes, _ in queue.segments())
                 total += queue._bytes
                 continue
-            for sizes in queue.segment_sizes():
+            for sizes, nbytes in queue.segments():
                 parts.append(sizes)
                 if reached:
                     return np.concatenate(parts)
-                total += sizes.sum().item()
+                total += nbytes
                 reached = total >= limit
         return np.concatenate(parts) if parts else np.zeros(0)
 

@@ -1,4 +1,4 @@
-"""Memristor device substrate: physics, device model, dataset, energy.
+"""Memristor device substrate: device model, dataset, energy.
 
 Implements the Nb-doped SrTiO3 memristor the paper builds on, plus the
 synthetic measurement campaign substituting for the (non-public)
@@ -25,12 +25,6 @@ from repro.device.energy import (
     energy_statistics,
 )
 from repro.device.memristor import MemristorParams, NbSTOMemristor, ReadResult
-from repro.device.physics import (
-    SchottkyJunction,
-    barrier_for_state,
-    image_force_lowering,
-    thermal_voltage,
-)
 from repro.device.state_machine import (
     AnalogStateMachine,
     ComputeResult,
@@ -53,13 +47,9 @@ __all__ = [
     "PulseTrainRecord",
     "REFERENCE_READ_DURATION_S",
     "ReadResult",
-    "SchottkyJunction",
     "SweepRecord",
     "VariabilityModel",
-    "barrier_for_state",
     "energy_histogram",
     "energy_statistics",
     "generate_dataset",
-    "image_force_lowering",
-    "thermal_voltage",
 ]

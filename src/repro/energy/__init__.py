@@ -6,7 +6,6 @@ from repro.energy.ledger import (
     ACCOUNT_MOVEMENT,
     ACCOUNT_STORAGE,
     EnergyLedger,
-    EnergyReport,
     ExactJoules,
 )
 from repro.energy.projections import (
@@ -23,8 +22,6 @@ from repro.energy.units import (
     milliseconds,
     nanojoules,
     nanoseconds,
-    seconds_to_milliseconds,
-    seconds_to_nanoseconds,
 )
 
 __all__ = [
@@ -33,7 +30,6 @@ __all__ = [
     "ACCOUNT_MOVEMENT",
     "ACCOUNT_STORAGE",
     "EnergyLedger",
-    "EnergyReport",
     "ExactJoules",
     "SwitchProfile",
     "TOFINO2_CLASS",
@@ -46,6 +42,4 @@ __all__ = [
     "milliseconds",
     "nanojoules",
     "nanoseconds",
-    "seconds_to_milliseconds",
-    "seconds_to_nanoseconds",
 ]

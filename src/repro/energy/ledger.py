@@ -23,9 +23,8 @@ API — ``count`` identical quanta booked in one call cost the same as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isfinite
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from repro.energy.units import format_energy
 
@@ -225,30 +224,3 @@ class EnergyLedger:
         return (f"EnergyLedger(total={format_energy(self.total)}, "
                 f"accounts={len(self._accounts)}, events={self._events})")
 
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """A summarised view of a ledger for one experiment run."""
-
-    label: str
-    total_j: float
-    accounts: Mapping[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_ledger(cls, label: str, ledger: EnergyLedger) -> "EnergyReport":
-        """Snapshot a ledger into an immutable report."""
-        return cls(label=label, total_j=ledger.total,
-                   accounts=ledger.breakdown())
-
-    def fraction(self, account: str) -> float:
-        """Fraction of total attributed to ``account`` (0 when total is 0)."""
-        if self.total_j == 0:
-            return 0.0
-        return self.accounts.get(account, 0.0) / self.total_j
-
-    def lines(self) -> Iterable[str]:
-        """Human-readable report lines, one per account."""
-        yield f"{self.label}: total {format_energy(self.total_j)}"
-        for name, value in self.accounts.items():
-            yield (f"  {name:<24} {format_energy(value):>14}  "
-                   f"({self.fraction(name):6.1%})")

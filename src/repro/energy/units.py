@@ -40,11 +40,6 @@ def nanojoules(value_nj: float) -> float:
     return value_nj * NANO
 
 
-def seconds_to_nanoseconds(time_s: float) -> float:
-    """Convert seconds to nanoseconds (Table 1's latency unit)."""
-    return time_s / NANO
-
-
 def nanoseconds(value_ns: float) -> float:
     """Express ``value_ns`` nanoseconds in seconds."""
     return value_ns * NANO
@@ -53,11 +48,6 @@ def nanoseconds(value_ns: float) -> float:
 def milliseconds(value_ms: float) -> float:
     """Express ``value_ms`` milliseconds in seconds."""
     return value_ms * MILLI
-
-
-def seconds_to_milliseconds(time_s: float) -> float:
-    """Convert seconds to milliseconds (Figure 8's delay unit)."""
-    return time_s / MILLI
 
 
 def format_energy(energy_j: float) -> str:

@@ -1,7 +1,6 @@
-"""Neuromorphic extensions (the paper's future-work direction):
-associative recall, a self-learning analog AQM, and spiking blocks."""
+"""Neuromorphic extensions (the paper's future-work direction): a
+self-learning analog AQM and spiking blocks."""
 
-from repro.neuro.associative import AssociativeMemory, Recall
 from repro.neuro.neuromorphic import NeuromorphicAQM
 from repro.neuro.spiking import (
     LIFNeuron,
@@ -10,10 +9,8 @@ from repro.neuro.spiking import (
 )
 
 __all__ = [
-    "AssociativeMemory",
     "LIFNeuron",
     "MemristiveSynapses",
     "NeuromorphicAQM",
-    "Recall",
     "SpikingBurstDetector",
 ]

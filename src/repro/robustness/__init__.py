@@ -26,7 +26,6 @@ from repro.robustness.campaign import (
     CampaignResult,
     FaultCampaign,
     default_fault_models,
-    run_campaign,
 )
 from repro.robustness.degradation import DegradingAQM, ShadowOracle
 from repro.robustness.injector import FaultInjector, InjectionReport
@@ -69,5 +68,4 @@ __all__ = [
     "StuckAtFault",
     "TransientReadNoise",
     "default_fault_models",
-    "run_campaign",
 ]

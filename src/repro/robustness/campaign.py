@@ -23,7 +23,6 @@ campaign is a pure function of its config: same seed, same records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -383,11 +382,3 @@ class FaultCampaign:
             energy_delta_j=energy - baseline_energy,
             events=dict(telemetry.snapshot()["events"]))
 
-
-def run_campaign(models: Iterable[FaultModel] | None = None,
-                 seed: int = 0, **config_kwargs) -> CampaignResult:
-    """One-call convenience entry point used by the example script."""
-    if models is not None:
-        config_kwargs["fault_models"] = tuple(models)
-    return FaultCampaign(
-        CampaignConfig(seed=seed, **config_kwargs)).run()

@@ -1,10 +1,8 @@
 """Integration tests across the extension subsystems."""
 
 import numpy as np
-import pytest
 
 from repro.core.dsl import parse_table
-from repro.dataplane.buffer_sharing import ABMPolicy, BufferPool
 from repro.dataplane.pipeline import AnalogPacketProcessor, Verdict
 from repro.netfunc.decision_tree import AnalogDecisionTree, CARTTree
 from repro.netfunc.load_balancer import Backend, PCAMLoadBalancer
@@ -82,35 +80,3 @@ class TestDslDrivenPipelineAQM:
         assert drops > 0
         # Telemetry saw the drops too.
         assert processor.telemetry.event_count("aqm_drop") == drops
-
-
-class TestSharedBufferWithQueues:
-    """ABM admission guarding the switch's synchronous queues."""
-
-    def test_low_priority_hog_cannot_starve_high(self):
-        pool = BufferPool(capacity_bytes=20_000)
-        pool.register("hi", priority=0)
-        pool.register("lo", priority=2)
-        policy = ABMPolicy(pool)
-
-        # A low-priority burst fills what it may...
-        admitted_lo = 0
-        while policy.admits("lo", Packet(size_bytes=500)):
-            admitted_lo += 1
-        # ...and a high-priority burst still finds room.
-        admitted_hi = 0
-        while policy.admits("hi", Packet(size_bytes=500)):
-            admitted_hi += 1
-        assert admitted_hi > 0
-        assert admitted_hi * 500 > pool.occupancy("lo") * 0.5
-
-    def test_draining_restores_admission(self):
-        pool = BufferPool(capacity_bytes=5_000)
-        pool.register("q", priority=0)
-        policy = ABMPolicy(pool)
-        sizes = []
-        while policy.admits("q", Packet(size_bytes=500)):
-            sizes.append(500)
-        assert not policy.admits("q", Packet(size_bytes=500))
-        pool.release("q", sum(sizes))
-        assert policy.admits("q", Packet(size_bytes=500))

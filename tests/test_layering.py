@@ -9,6 +9,7 @@ dataplane/fabric/robustness/observability — nothing imports it from
 below except the pipeline's default-controller convenience.
 """
 
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -116,3 +117,15 @@ def test_runtime_package_imports_no_dataplane_at_runtime():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_every_package_exports_what_its_all_names():
+    # A deleted module must take its names out of the package's
+    # ``__all__`` too, or ``from repro.x import *`` breaks.
+    src = REPO / "src"
+    for init in sorted((src / "repro").rglob("__init__.py")):
+        name = ".".join(init.parent.relative_to(src).parts)
+        package = importlib.import_module(name)
+        missing = [export for export in package.__all__
+                   if not hasattr(package, export)]
+        assert missing == [], f"{name}: {missing}"

@@ -9,7 +9,6 @@ from repro.energy import (
     ACCOUNT_COMPUTE,
     ACCOUNT_MOVEMENT,
     EnergyLedger,
-    EnergyReport,
     ExactJoules,
 )
 
@@ -81,22 +80,6 @@ def test_reset_clears_everything():
     assert ledger.total == 0.0
     assert ledger.events == 0
     assert len(ledger) == 0
-
-
-def test_report_fraction_and_lines():
-    ledger = EnergyLedger()
-    ledger.charge("a", 3.0)
-    ledger.charge("b", 1.0)
-    report = EnergyReport.from_ledger("run", ledger)
-    assert report.fraction("a") == pytest.approx(0.75)
-    lines = list(report.lines())
-    assert lines[0].startswith("run: total")
-    assert len(lines) == 3
-
-
-def test_report_fraction_zero_total():
-    report = EnergyReport(label="empty", total_j=0.0, accounts={})
-    assert report.fraction("anything") == 0.0
 
 
 def test_iteration_yields_accounts():

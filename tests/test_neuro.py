@@ -1,10 +1,8 @@
-"""Neuromorphic extensions: associative memory, self-learning AQM,
-spiking blocks."""
+"""Neuromorphic extensions: self-learning AQM, spiking blocks."""
 
 import numpy as np
 import pytest
 
-from repro.neuro.associative import AssociativeMemory
 from repro.neuro.neuromorphic import NeuromorphicAQM
 from repro.neuro.spiking import (
     LIFNeuron,
@@ -13,62 +11,6 @@ from repro.neuro.spiking import (
 )
 from repro.netfunc.aqm.base import TailDropAQM
 from repro.simnet.topology import DumbbellExperiment, overload_profile
-
-
-class TestAssociativeMemory:
-    def make(self):
-        memory = AssociativeMemory(("size", "rate"),
-                                   receptive_width=0.1, fade_width=0.4)
-        memory.store({"size": 0.4, "rate": 0.8}, "web")
-        memory.store({"size": 1.3, "rate": 0.2}, "video")
-        return memory
-
-    def test_exact_recall_deterministic(self):
-        memory = self.make()
-        recall = memory.recall({"size": 0.4, "rate": 0.8})
-        assert recall.value == "web"
-        assert recall.deterministic
-
-    def test_near_miss_recall_graded(self):
-        memory = self.make()
-        recall = memory.recall({"size": 0.6, "rate": 0.7})
-        assert recall.value == "web"
-        assert 0.0 < recall.confidence < 1.0
-        assert not recall.deterministic
-
-    def test_distribution_normalised(self):
-        memory = self.make()
-        recall = memory.recall({"size": 0.6, "rate": 0.7})
-        assert sum(recall.distribution.values()) == pytest.approx(1.0)
-
-    def test_far_query_returns_none(self):
-        memory = self.make()
-        assert memory.recall({"size": 10.0, "rate": 10.0}) is None
-
-    def test_empty_memory_returns_none(self):
-        memory = AssociativeMemory(("x",))
-        assert memory.recall({"x": 0.0}) is None
-
-    def test_recall_charges_energy(self):
-        memory = self.make()
-        memory.recall({"size": 0.4, "rate": 0.8})
-        assert memory.ledger.total > 0.0
-
-    def test_stored_key_inspection(self):
-        memory = self.make()
-        assert memory.stored_key(0) == {"size": 0.4, "rate": 0.8}
-        with pytest.raises(IndexError):
-            memory.stored_key(5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AssociativeMemory(())
-        with pytest.raises(ValueError):
-            AssociativeMemory(("x",), receptive_width=0.0)
-        memory = self.make()
-        with pytest.raises(KeyError):
-            memory.store({"size": 1.0}, "incomplete")
-        assert len(memory) == 2
 
 
 class TestNeuromorphicAQM:

@@ -55,14 +55,16 @@ def test_timestamps_set_on_push_pop():
 
 def test_pushed_packets_serve_like_admitted_rows():
     # A pushed packet is its own one-row segment; the credit path
-    # (segment_sizes + serve) sees it exactly like admitted rows.
+    # (segments + serve) sees it exactly like admitted rows.
     queue = PacketQueue("q")
     first = Packet(size_bytes=100)
     queue.push(first, now=0.0)
     batch = PacketBatch.of([Packet(size_bytes=200), Packet(size_bytes=300)])
     queue.push_rows(batch, np.arange(2), now=1.0)
     queue.push(Packet(size_bytes=400), now=2.0)
-    sizes = np.concatenate(list(queue.segment_sizes()))
+    segments = list(queue.segments())
+    assert [nbytes for _, nbytes in segments] == [100, 500, 400]
+    sizes = np.concatenate([sizes for sizes, _ in segments])
     assert sizes.tolist() == [100, 200, 300, 400]
     # One (sojourn, rows) run per segment served.
     assert queue.serve(3, now=4.0) == [(4.0, 1), (3.0, 2)]
@@ -99,6 +101,37 @@ def test_run_replay_equals_the_per_packet_pop_loop():
         assert runs.stats.dequeued == loop.stats.dequeued
     assert runs.backlog_packets == loop.backlog_packets == 4
     assert runs.backlog_bytes == loop.backlog_bytes
+
+
+def test_queued_sizes_cuts_one_segment_past_the_limit():
+    # Five segments over two classes: a partially served batch segment,
+    # a lone pushed packet, another batch; then a batch and a lone
+    # packet in class 1.
+    port = PortQueue("p", PCAMAQM(rng=np.random.default_rng(0)),
+                     n_classes=2)
+
+    def rows(sizes, prio):
+        batch = PacketBatch.of([Packet(size_bytes=size, priority=prio)
+                                for size in sizes])
+        port.push_rows(batch, np.arange(len(batch)), 0.0)
+
+    rows([100, 200, 300], 0)
+    port.push(Packet(size_bytes=400, priority=0), 0.0)
+    rows([500, 600], 0)
+    rows([700, 800], 1)
+    port.push(Packet(size_bytes=900, priority=1), 0.0)
+    port.serve_count(1, 1e-3)
+    segments = [[200, 300], [400], [500, 600], [700, 800], [900]]
+
+    def reference(limit):
+        totals = np.cumsum([sum(segment) for segment in segments])
+        reached = np.flatnonzero(totals >= limit)
+        end = reached[0] + 2 if len(reached) else len(segments)
+        return [size for segment in segments[:end] for size in segment]
+
+    for limit in (0, 250, 500, 550, 700, 900, 2000, 2500, 3500, 4400,
+                  1e4):
+        assert port.queued_sizes(limit).tolist() == reference(limit), limit
 
 
 def test_pop_empty_returns_none():
