@@ -6,10 +6,10 @@ abstraction (:mod:`repro.control.loop`), the intent-driven retarget
 loop ported from ``repro.dataplane.control_loop``
 (:mod:`repro.control.intent`), the cognitive network controller
 ported from ``repro.dataplane.controller``
-(:mod:`repro.control.cognitive`), the gradient-free learning
-policies (:mod:`repro.control.learning`), and the fleet-scale
-learned controller that shares a winning programming through one
-two-phase fabric commit (:mod:`repro.control.fleet`).
+(:mod:`repro.control.cognitive`), the SPSA learning policy and its
+envelope gate (:mod:`repro.control.learning`), and the learned-vs-static
+scenario gate that wires them onto a switch
+(:mod:`repro.control.gate`).
 
 Layering: ``repro.control`` sits *above* the dataplane, fabric,
 robustness and observability layers — it may import any of them
@@ -33,31 +33,21 @@ from repro.control.cognitive import (
     RegisteredFunction,
 )
 from repro.control.learning import (
-    CEMPolicy,
     DelayEnvelope,
     EnvelopeGate,
     ProgramBounds,
     SPSAPolicy,
-)
-from repro.control.fleet import (
-    FleetActuator,
-    FleetLearningController,
-    FleetSensor,
 )
 
 __all__ = [
     "AQMActuator",
     "Action",
     "Actuator",
-    "CEMPolicy",
     "CognitiveNetworkController",
     "ControlLoop",
     "CounterSensor",
     "DelayEnvelope",
     "EnvelopeGate",
-    "FleetActuator",
-    "FleetLearningController",
-    "FleetSensor",
     "Intent",
     "IntentController",
     "IntentPolicy",

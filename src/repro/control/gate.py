@@ -6,7 +6,7 @@ regimes: an AQM mis-programmed for a 120ms target lets the queue
 drift far out of the envelope the moment a diurnal peak or flash
 crowd saturates a port.  The gate demonstrates the closed loop
 repairing exactly that: the same mis-programmed switch, with an SPSA
-(or CEM) learning loop attached through the cognitive controller's
+learning loop attached through the cognitive controller's
 supervision tick, pulls the worst-port delay back inside the
 envelope — and every candidate reprogram clears the degradation
 oracle on its way in.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.control.learning import DelayEnvelope, EnvelopeGate, SPSAPolicy
+from repro.control.learning import EnvelopeGate, SPSAPolicy
 from repro.control.loop import AQMActuator, ControlLoop, SwitchSensor
 from repro.simnet.scenarios import scenario_switch
 
@@ -37,23 +37,28 @@ __all__ = [
 MISPROGRAMMED_TARGET_S = 0.120
 MISPROGRAMMED_DEVIATION_S = 0.060
 
+#: The gate's plant: ports throttled so the scenario's peak actually
+#: congests, and a realistically sized buffer (see :func:`run_gate`).
+GATE_PORT_RATE_BPS = 60e6
+GATE_QUEUE_CAPACITY = 2_400
+GATE_PACKETS = 240_000
+#: Sim time between two learned decisions in :func:`run_gate`.
+GATE_INTERVAL_S = 0.06
+#: The exam starts this far into the run (see :func:`run_gate`).
+SETTLE_FRACTION = 0.5
+
 
 def control_switch_factory(*, learned: bool,
-                           envelope: DelayEnvelope | None = None,
-                           policy_cls=SPSAPolicy,
                            min_interval_s: float = 0.03,
-                           start_target_s: float = MISPROGRAMMED_TARGET_S,
-                           start_deviation_s: float =
-                           MISPROGRAMMED_DEVIATION_S,
-                           order: int = 1,
                            attachments: dict | None = None):
     """A ``processor_factory`` for :func:`repro.simnet.run_scenario`.
 
     Builds the scenario's standard supervised switch, but with every
-    port's AQM mis-programmed at ``start_target_s`` and its internal
-    threshold adaptation off — the programming only moves if a
-    control loop moves it.  With ``learned=True`` a ``policy_cls``
-    sweep (seeded from the scenario seed) is attached to the switch's
+    port's AQM mis-programmed at ``MISPROGRAMMED_TARGET_S`` +/-
+    ``MISPROGRAMMED_DEVIATION_S`` and its internal threshold
+    adaptation off — the programming only moves if a control loop
+    moves it.  With ``learned=True`` an :class:`SPSAPolicy` sweep
+    (seeded from the scenario seed) is attached to the switch's
     cognitive controller behind an :class:`EnvelopeGate`, so the
     supervision tick drives sense -> decide -> gate -> ``update_pCAM``
     once per ``min_interval_s`` of simulated time.
@@ -62,29 +67,27 @@ def control_switch_factory(*, learned: bool,
     ``gate`` and ``loop`` objects keyed by name — the gate runner
     reads sweep statistics out of it after the scenario completes.
 
-    ``order`` defaults to first-order AQMs (zeroth-order band plus
-    the d/dt veto): the learned knob is the zeroth-order band, and
-    the d2/d3 veto stages — whose normalised derivatives swing deep
-    negative while an extreme surge oscillates — cut the PDP hard
-    during every drain, readmitting enough of an 8x overload that
-    the queue limit-cycles far above *any* programmed band.  No
-    retargeting can repair that, so the higher orders stay on the A1
-    ablation axis rather than in the control-gate plant.
+    The AQMs are first-order (zeroth-order band plus the d/dt veto):
+    the learned knob is the zeroth-order band, and the d2/d3 veto
+    stages — whose normalised derivatives swing deep negative while
+    an extreme surge oscillates — cut the PDP hard during every
+    drain, readmitting enough of an 8x overload that the queue
+    limit-cycles far above *any* programmed band.  No retargeting can
+    repair that, so the higher orders stay on the A1 ablation axis
+    rather than in the control-gate plant.
     """
-    envelope = envelope or DelayEnvelope()
 
     def factory(spec, seed):
         processor = scenario_switch(
-            spec, seed, target_delay_s=start_target_s,
-            max_deviation_s=start_deviation_s, order=order,
+            spec, seed, target_delay_s=MISPROGRAMMED_TARGET_S,
+            max_deviation_s=MISPROGRAMMED_DEVIATION_S, order=1,
             adaptation=False)
         manager = processor.traffic_manager
         aqms = [manager.aqm(port) for port in range(manager.n_ports)]
         if learned:
-            policy = policy_cls.for_aqm(
-                aqms[0], seed=seed, envelope=envelope)
+            policy = SPSAPolicy.for_aqm(aqms[0], seed=seed)
             gate = EnvelopeGate(AQMActuator(*aqms), aqms)
-            sensor = SwitchSensor(processor, delay_source="backlog")
+            sensor = SwitchSensor(processor)
             loop = ControlLoop(sensor, policy, gate,
                                min_interval_s=min_interval_s)
             processor.controller.attach_loop(loop)
@@ -103,33 +106,28 @@ def _windowed(report) -> list[dict]:
             for w in report.windows]
 
 
-def run_gate(scenario_name: str, *, seed: int = 0,
-             n_packets: int = 240_000, port_rate_bps: float = 60e6,
-             queue_capacity: int = 2_400,
-             envelope: DelayEnvelope | None = None,
-             policy_cls=SPSAPolicy,
-             min_interval_s: float = 0.06,
-             settle_fraction: float = 0.5) -> dict:
+def run_gate(scenario_name: str, *, seed: int = 0) -> dict:
     """Static vs learned, one scenario, one JSON-able verdict.
 
-    Runs the scenario twice from the same seed and switch spec (ports
-    throttled to ``port_rate_bps`` so the scenario's peak actually
-    congests): once with the mis-programmed static AQM, once with the
-    learning loop attached.  *Congested windows* are the static run's
-    windows whose sustained (tick-averaged) worst-port delay drifted
-    above the envelope; the gate compares mean sustained delay over
-    those windows between the runs.
+    Runs ``GATE_PACKETS`` of the scenario twice from the same seed and
+    switch spec (ports throttled to ``GATE_PORT_RATE_BPS`` so the
+    scenario's peak actually congests): once with the mis-programmed
+    static AQM, once with the learning loop attached.  *Congested
+    windows* are the static run's windows whose sustained
+    (tick-averaged) worst-port delay drifted above the envelope; the
+    gate compares mean sustained delay over those windows between the
+    runs.
 
     The sweep starts from the same misprogramming the static run is
     stuck with, so the first part of the run *is* the learning
-    transient.  ``settle_fraction`` marks where the exam starts: the
+    transient.  ``SETTLE_FRACTION`` marks where the exam starts: the
     headline ``mean_congested_delay_s`` is taken over congested
-    windows in the last ``1 - settle_fraction`` of the run (both the
+    windows in the last ``1 - SETTLE_FRACTION`` of the run (both the
     full-run and settled means are reported).
 
-    ``queue_capacity`` defaults to a realistically sized buffer
-    (~120 ms of drain at the default port rate) instead of the
-    scenario matrix's deliberately bottomless 16k-packet queues.
+    ``GATE_QUEUE_CAPACITY`` is a realistically sized buffer (~120 ms
+    of drain at the gate's port rate) instead of the scenario
+    matrix's deliberately bottomless 16k-packet queues.
     That matters for learnability, not just realism: with seconds of
     buffer a congestion peak is one long rising transient, so
     a candidate programming's measured delay reflects the ramp it
@@ -142,37 +140,37 @@ def run_gate(scenario_name: str, *, seed: int = 0,
     The returned document carries, per run, the windowed delay
     trajectory plus the sweep statistics (episodes, commits, gate
     rejections/violations, final and best programming) needed by the
-    CI gate: learned mean delay inside ``envelope.target_s +/-
-    halfwidth_s`` where the static mean drifted out, with zero
-    envelope violations and no degraded tables.
+    CI gate: learned mean delay inside the policy's envelope (the
+    paper's 20ms +/- 10ms) where the static mean drifted out, with
+    zero envelope violations and no degraded tables.
     """
     from repro.simnet.scenarios import default_switch_spec, run_scenario
 
-    envelope = envelope or DelayEnvelope()
+    envelope = SPSAPolicy.envelope
     # Single-priority FIFO ports: the paper's Figure 8 plant.  With
     # strict-priority classes a low-priority surge (flash crowd) is
     # starved behind base traffic, so its measured sojourn is set by
     # the *scheduler*, not the AQM programming — no band, learned or
     # ideal, could hold the envelope there.
-    spec = default_switch_spec(port_rate_bps=port_rate_bps,
-                               queue_capacity=queue_capacity,
+    spec = default_switch_spec(port_rate_bps=GATE_PORT_RATE_BPS,
+                               queue_capacity=GATE_QUEUE_CAPACITY,
                                n_priorities=1)
 
     static_report = run_scenario(
-        scenario_name, seed=seed, n_packets=n_packets, spec=spec,
+        scenario_name, seed=seed, n_packets=GATE_PACKETS, spec=spec,
         processor_factory=control_switch_factory(learned=False))
 
     attachments: dict = {}
     learned_report = run_scenario(
-        scenario_name, seed=seed, n_packets=n_packets, spec=spec,
+        scenario_name, seed=seed, n_packets=GATE_PACKETS, spec=spec,
         processor_factory=control_switch_factory(
-            learned=True, envelope=envelope, policy_cls=policy_cls,
-            min_interval_s=min_interval_s, attachments=attachments))
+            learned=True, min_interval_s=GATE_INTERVAL_S,
+            attachments=attachments))
 
     upper = envelope.target_s + envelope.halfwidth_s
     congested = [w.index for w in static_report.windows
                  if w.mean_delay_ewma_s > upper]
-    first_settled = int(settle_fraction * len(static_report.windows))
+    first_settled = int(SETTLE_FRACTION * len(static_report.windows))
     settled = [i for i in congested if i >= first_settled]
 
     def mean_over(report, indices):
@@ -187,10 +185,10 @@ def run_gate(scenario_name: str, *, seed: int = 0,
     return {
         "scenario": scenario_name,
         "seed": seed,
-        "n_packets": n_packets,
-        "port_rate_bps": port_rate_bps,
-        "queue_capacity": queue_capacity,
-        "policy": policy_cls.__name__,
+        "n_packets": GATE_PACKETS,
+        "port_rate_bps": GATE_PORT_RATE_BPS,
+        "queue_capacity": GATE_QUEUE_CAPACITY,
+        "policy": SPSAPolicy.__name__,
         "envelope": {"target_s": envelope.target_s,
                      "halfwidth_s": envelope.halfwidth_s},
         "congested_windows": congested,

@@ -1,28 +1,23 @@
-"""Gradient-free learning of pCAM programmings (SPSA and CEM).
+"""Gradient-free learning of pCAM programmings (SPSA).
 
 The paper's conclusion argues the analog dataplane enables
 *self-learning* line-rate functions: the controller observes the
 network and reprograms conductance windows online.  This module
-provides the decision half of that loop as two classic gradient-free
-optimisers over the AQM programming ``theta = (target_delay_s,
-max_deviation_s)``:
+provides the decision half of that loop, :class:`SPSAPolicy`: a
+simultaneous-perturbation stochastic approximation over the AQM
+programming ``theta = (target_delay_s, max_deviation_s)`` that
+perturbs the programming up and down along one random direction,
+measures a traffic window under each, and steps along the estimated
+descent direction.
 
-* :class:`SPSAPolicy` — simultaneous-perturbation stochastic
-  approximation: perturb the programming up and down along one random
-  direction, measure a traffic window under each, step along the
-  estimated descent direction;
-* :class:`CEMPolicy` — cross-entropy method: deploy a small sampled
-  population per generation, refit the sampling distribution to the
-  elite fraction.
-
-Both optimise in *log* space (delay targets span decades; a
-multiplicative step is scale-free), score windows against a
-:class:`DelayEnvelope` (the paper's 20ms +/- 10ms objective by
-default), and draw every random variate from the counter-based
-SplitMix64 streams of :mod:`repro.simnet.workloads` — a variate is a
-pure function of ``(seed, stream, index)``, so a learning sweep is
-reproducible and invariant to traffic chunking and fabric shard
-count (indices count *decisions*, never packets or chunks).
+It optimises in *log* space (delay targets span decades; a
+multiplicative step is scale-free), scores windows against a
+:class:`DelayEnvelope` (the paper's 20ms +/- 10ms objective), and
+draws every random variate from the counter-based SplitMix64 streams
+of :mod:`repro.simnet.workloads` — a variate is a pure function of
+``(seed, stream, index)``, so a learning sweep is reproducible and
+invariant to traffic chunking (indices count *decisions*, never
+packets or chunks).
 
 :class:`EnvelopeGate` is the safety interlock: an
 :class:`~repro.control.loop.Actuator` wrapper that refuses candidate
@@ -43,19 +38,16 @@ from repro.control.loop import Action, Actuator
 from repro.simnet.workloads import uniforms
 
 __all__ = [
-    "CEMPolicy",
     "DelayEnvelope",
     "EnvelopeGate",
     "ProgramBounds",
     "SPSAPolicy",
-    "STREAM_CEM_SAMPLE",
     "STREAM_SPSA_PERTURB",
 ]
 
-#: Counter-based RNG streams (disjoint from the workload streams by
-#: convention: scenarios use 1..12, the control plane 21+).
+#: Counter-based RNG stream of the SPSA perturbations (disjoint from
+#: the workload streams by convention: scenarios use 1..12).
 STREAM_SPSA_PERTURB = 21
-STREAM_CEM_SAMPLE = 22
 
 
 @dataclass(frozen=True)
@@ -160,8 +152,8 @@ def _programming_of(theta: np.ndarray) -> tuple[float, float]:
     return target, target * float(math.exp(theta[1]))
 
 
-class _LearningPolicy:
-    """Shared plumbing of the episode-driven learned policies.
+class SPSAPolicy:
+    """Simultaneous-perturbation descent over the programming.
 
     A *decision* with congestion signal closes one measurement
     episode: the window just sensed ran under the candidate deployed
@@ -170,56 +162,6 @@ class _LearningPolicy:
     signal neither score nor deploy — and draw nothing from the RNG
     stream, so the draw index is a pure function of the episode
     count.
-    """
-
-    def __init__(self, seed: int, theta0: np.ndarray,
-                 envelope: DelayEnvelope,
-                 bounds: ProgramBounds) -> None:
-        self.seed = int(seed)
-        self.envelope = envelope
-        self.bounds = bounds
-        self.theta = bounds.clamp_log(np.asarray(theta0, dtype=float))
-        self.episodes = 0
-        self.best_theta = self.theta.copy()
-        self.best_score = math.inf
-
-    @classmethod
-    def for_aqm(cls, aqm, seed: int, **kwargs):
-        """Seed the sweep from an AQM's current programming."""
-        analog = getattr(aqm, "analog", aqm)
-        rel = analog.max_deviation_s / analog.target_delay_s
-        theta0 = np.log([analog.target_delay_s, rel])
-        return cls(seed, theta0=theta0, **kwargs)
-
-    @property
-    def programming(self) -> tuple[float, float]:
-        """The current centre ``(target_delay_s, max_deviation_s)``."""
-        return _programming_of(self.theta)
-
-    @property
-    def best_programming(self) -> tuple[float, float]:
-        """The best-scoring programming measured so far."""
-        return _programming_of(self.best_theta)
-
-    def _note(self, theta: np.ndarray, score: float) -> None:
-        if score < self.best_score:
-            self.best_score = score
-            self.best_theta = theta.copy()
-
-    def _uniform(self, index: int) -> float:
-        return float(uniforms(self.seed, self.stream,
-                              np.array([index], dtype=np.int64))[0])
-
-    def _retarget(self, theta: np.ndarray) -> tuple[Action, ...]:
-        # Deploy the projection onto the bounds: a perturbed or
-        # freshly stepped candidate may sit outside them, and the
-        # physical table only accepts deviation < target.
-        programming = _programming_of(self.bounds.clamp_log(theta))
-        return (Action("retarget", programming),)
-
-
-class SPSAPolicy(_LearningPolicy):
-    """Simultaneous-perturbation descent over the programming.
 
     One iteration spans four measured episodes deployed in the
     trend-cancelling order ``+, -, -, +``: the double difference
@@ -256,35 +198,39 @@ class SPSAPolicy(_LearningPolicy):
     before the sweep moves again.
     """
 
-    stream = STREAM_SPSA_PERTURB
+    #: The objective every window is scored against.
+    envelope = DelayEnvelope()
+    #: The box every deployed programming is projected into.
+    bounds = ProgramBounds()
+    #: Log-space step and perturbation sizes at full gain.
+    step = 1.0
+    perturbation = 0.18
+    #: Trust-region gain adaptation: multiply by ``gain_shrink`` (down
+    #: to ``gain_floor``) after an iteration inside the envelope, by
+    #: ``gain_expand`` (up to 1) after one scoring above
+    #: ``expand_score``.
+    gain_shrink = 0.6
+    gain_expand = 1.3
+    gain_floor = 0.5
+    #: Hysteresis: shrink below the envelope edge, expand only
+    #: beyond twice it.  Congestion-onset transients under a
+    #: well-converged programming land between the two and leave
+    #: the gain alone — only a genuinely stale programming (delay
+    #: parked far outside the envelope) re-opens the trust region.
+    expand_score = envelope.edge_score + math.log(2.0)
+    #: An iteration scoring this much worse than the previous one
+    #: reverts the step into its centre.
+    block_margin = math.log(2.0)
 
     #: Deployment order within one iteration (see class docstring).
     _SCHEDULE = ("plus", "minus", "minus", "plus")
 
-    def __init__(self, seed: int, theta0: np.ndarray,
-                 envelope: DelayEnvelope | None = None,
-                 bounds: ProgramBounds | None = None, *,
-                 step: float = 1.0, perturbation: float = 0.18,
-                 gain_shrink: float = 0.6, gain_expand: float = 1.3,
-                 gain_floor: float = 0.5,
-                 expand_score: float | None = None,
-                 block_margin: float = math.log(2.0)) -> None:
-        super().__init__(seed, theta0, envelope or DelayEnvelope(),
-                         bounds or ProgramBounds())
-        self.step = step
-        self.perturbation = perturbation
-        self.gain_shrink = gain_shrink
-        self.gain_expand = gain_expand
-        self.gain_floor = gain_floor
-        self.block_margin = block_margin
-        #: Hysteresis: shrink below the envelope edge, expand only
-        #: beyond twice it.  Congestion-onset transients under a
-        #: well-converged programming land between the two and leave
-        #: the gain alone — only a genuinely stale programming (delay
-        #: parked far outside the envelope) re-opens the trust region.
-        self.expand_score = (expand_score if expand_score is not None
-                             else self.envelope.edge_score
-                             + math.log(2.0))
+    def __init__(self, seed: int, theta0: np.ndarray) -> None:
+        self.seed = int(seed)
+        self.theta = self.bounds.clamp_log(np.asarray(theta0, dtype=float))
+        self.episodes = 0
+        self.best_theta = self.theta.copy()
+        self.best_score = math.inf
         self.gain = 1.0
         self.iteration = 0
         #: Number of iterations whose step was reverted by blocking.
@@ -299,10 +245,28 @@ class SPSAPolicy(_LearningPolicy):
         self._deployed: str | None = None
         self._scores: list[tuple[str, float]] = []
 
+    @classmethod
+    def for_aqm(cls, aqm, seed: int) -> "SPSAPolicy":
+        """Seed the sweep from an AQM's current programming."""
+        analog = getattr(aqm, "analog", aqm)
+        rel = analog.max_deviation_s / analog.target_delay_s
+        return cls(seed, np.log([analog.target_delay_s, rel]))
+
+    @property
+    def programming(self) -> tuple[float, float]:
+        """The current centre ``(target_delay_s, max_deviation_s)``."""
+        return _programming_of(self.theta)
+
+    @property
+    def best_programming(self) -> tuple[float, float]:
+        """The best-scoring programming measured so far."""
+        return _programming_of(self.best_theta)
+
     def _draw_delta(self) -> np.ndarray:
-        base = 2 * self.iteration
-        return np.array([1.0 if self._uniform(base + i) < 0.5 else -1.0
-                         for i in range(2)])
+        index = np.arange(2 * self.iteration, 2 * self.iteration + 2,
+                          dtype=np.int64)
+        draws = uniforms(self.seed, STREAM_SPSA_PERTURB, index)
+        return np.where(draws < 0.5, 1.0, -1.0)
 
     def _close_iteration(self) -> None:
         plus = [s for label, s in self._scores if label == "plus"]
@@ -316,7 +280,9 @@ class SPSAPolicy(_LearningPolicy):
         scalar = max(-1.0, min(1.0, scalar))
         mean_score = (sum(s for _, s in self._scores)
                       / len(self._scores))
-        self._note(self.theta, mean_score)
+        if mean_score < self.best_score:
+            self.best_score = mean_score
+            self.best_theta = self.theta.copy()
         if (self._prev is not None
                 and mean_score > self._prev[1] + self.block_margin):
             # Blocking: the step into this centre made things
@@ -355,76 +321,13 @@ class SPSAPolicy(_LearningPolicy):
             self._delta = self._draw_delta()
         self._deployed = self._SCHEDULE[len(self._scores)]
         sign = 1.0 if self._deployed == "plus" else -1.0
-        return self._retarget(
-            self.theta
-            + sign * self.perturbation * self.gain * self._delta)
-
-
-class CEMPolicy(_LearningPolicy):
-    """Cross-entropy search over the programming distribution.
-
-    Each generation deploys ``population`` candidates sampled from a
-    diagonal Gaussian in log space (one measured episode each), then
-    refits mean and spread to the ``elite`` best and deploys the new
-    mean.  Sampling uses Box-Muller over counter-based uniforms
-    indexed by ``(generation, member, coordinate)``.
-    """
-
-    stream = STREAM_CEM_SAMPLE
-
-    def __init__(self, seed: int, theta0: np.ndarray,
-                 envelope: DelayEnvelope | None = None,
-                 bounds: ProgramBounds | None = None, *,
-                 population: int = 6, elite: int = 2,
-                 spread: float = 0.50, min_spread: float = 0.15) -> None:
-        if not 1 <= elite <= population:
-            raise ValueError(
-                f"need 1 <= elite <= population: {elite}, {population}")
-        super().__init__(seed, theta0, envelope or DelayEnvelope(),
-                         bounds or ProgramBounds())
-        self.population = population
-        self.elite = elite
-        self.min_spread = min_spread
-        self.generation = 0
-        self.sigma = np.full(2, float(spread))
-        self._member = 0
-        self._candidates: list[np.ndarray] = []
-        self._scores: list[float] = []
-        self._deployed: np.ndarray | None = None
-
-    def _normal(self, index: int) -> float:
-        u1 = max(self._uniform(2 * index), 2.0 ** -53)
-        u2 = self._uniform(2 * index + 1)
-        return math.sqrt(-2.0 * math.log(u1)) \
-            * math.cos(2.0 * math.pi * u2)
-
-    def _sample(self, member: int) -> np.ndarray:
-        base = (self.generation * self.population + member) * 2
-        noise = np.array([self._normal(base), self._normal(base + 1)])
-        return self.bounds.clamp_log(self.theta + self.sigma * noise)
-
-    def decide(self, now: float, observation: dict) -> tuple[Action, ...]:
-        if not self.envelope.has_signal(observation):
-            return ()
-        score = self.envelope.score(observation)
-        self.episodes += 1
-        if self._deployed is not None:
-            self._note(self._deployed, score)
-            self._candidates.append(self._deployed)
-            self._scores.append(score)
-        if len(self._scores) >= self.population:
-            order = np.argsort(self._scores, kind="stable")[:self.elite]
-            elites = np.stack([self._candidates[i] for i in order])
-            self.theta = self.bounds.clamp_log(elites.mean(axis=0))
-            self.sigma = np.maximum(elites.std(axis=0), self.min_spread)
-            self.generation += 1
-            self._member = 0
-            self._candidates = []
-            self._scores = []
-        candidate = self._sample(self._member)
-        self._member += 1
-        self._deployed = candidate
-        return self._retarget(candidate)
+        candidate = (self.theta
+                     + sign * self.perturbation * self.gain * self._delta)
+        # Deploy the projection onto the bounds: a perturbed candidate
+        # may sit outside them, and the physical table only accepts
+        # deviation < target.
+        return (Action("retarget",
+                       _programming_of(self.bounds.clamp_log(candidate))),)
 
 
 class EnvelopeGate:
@@ -450,13 +353,14 @@ class EnvelopeGate:
     degradation wrapper's own check/trip accounting.
     """
 
-    def __init__(self, actuator: Actuator, aqms, *,
-                 pdp_envelope: float = 0.10,
-                 probe_points: int = 17) -> None:
+    #: Worst tolerated |analog - shadow| PDP over the probe grid.
+    pdp_envelope = 0.10
+    #: Probe points per pipeline stage, spanning ``m1..m4``.
+    probe_points = 17
+
+    def __init__(self, actuator: Actuator, aqms) -> None:
         self.inner = actuator
         self.aqms = list(aqms)
-        self.pdp_envelope = pdp_envelope
-        self.probe_points = probe_points
         self.checks = 0
         self.rejections = 0
         self.violations = 0

@@ -6,21 +6,21 @@ the cognitive controller's supervision tick, the fabric controller's
 two-phase commit, and the degradation wrapper's retry backoff.
 :class:`ControlLoop` factors the shared shape out:
 
-* a :class:`Sensor` turns some ``poll_metrics()`` surface — a single
-  switch, a sharded fabric, or externally fed counters — into one
-  observation dict per decision, *consuming* the observation window
-  as it does (sense returns the window and resets it);
+* a :class:`Sensor` turns a metrics surface — one switch's counters
+  and queues, or externally fed counters — into one observation dict
+  per decision, *consuming* the observation window as it does (sense
+  returns the window and resets it);
 * a :class:`Policy` maps ``(now, observation)`` to a sequence of
   :class:`Action` s, each named after a fabric programming op
-  (``retarget``, ``reprogram_intended``, ...) so the same decision
-  can drive one AQM or a whole fabric;
+  (``retarget``, ``reprogram_intended``, ...), the vocabulary a
+  fabric commit also speaks;
 * an :class:`Actuator` applies one action and reports whether it was
   actually committed — a gated actuator (see
   :class:`repro.control.learning.EnvelopeGate`) may refuse.
 
 Pacing is deterministic on the *simulation* clock: a loop decides at
 most once per ``min_interval_s`` of sim time, never on wall time, so
-replaying a trace replays the decisions.
+rerunning a scenario from its seed replays the decisions.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class Action:
     ``kind`` matches the transactional op names understood by
     :class:`repro.fabric.controller.FabricController` (``retarget``,
     ``reprogram_intended``, ...), so a policy's output can be applied
-    to one switch *or* staged fleet-wide without translation.
+    to one switch's AQMs *or* staged on a fabric without translation.
     """
 
     kind: str
@@ -177,37 +177,29 @@ def queue_drops(counts: dict) -> int:
 
 
 class SwitchSensor:
-    """Windows one switch's verdict counters and delay telemetry.
+    """Windows one switch's verdict counters and queue backlog.
 
     Wraps an assembled
     :class:`~repro.dataplane.pipeline.AnalogPacketProcessor`: each
     ``sense`` diffs the cumulative verdict counters against the
-    previous decision and reads the per-port queue state, so a policy
-    sees ``{packets, drops, drop_rate, delay_s, implied_delay_s,
-    backlog}`` for the window just ended.
+    previous decision and reads the per-port queues, so a policy sees
+    ``{packets, drops, drop_rate, delay_s}`` for the window just
+    ended.
 
-    Two delay signals are always reported; ``delay_source`` picks
-    which one lands in ``delay_s``:
-
-    * ``"ewma"`` — the worst per-port sojourn EWMA of *dequeued*
-      packets: the ground truth the paper's 20ms +/- 10ms objective
-      constrains, but it lags a reprogram by a full queue-drain time
-      (packets served now were admitted under the old band);
-    * ``"backlog"`` — the worst per-port ``backlog_bytes * 8 /
-      service_rate_bps``: the delay a packet admitted *now* will
-      suffer.  It responds to an actuation within the same window,
-      which is what a learning policy must score on — with the
-      lagging EWMA a lower-target candidate is punished instantly
-      (drops) but rewarded a window late, biasing a gradient
-      estimate against ever tightening the programming.
+    ``delay_s`` is the worst per-port backlog-implied delay,
+    ``backlog_bytes * 8 / service_rate_bps``: the delay a packet
+    admitted *now* will suffer.  It responds to an actuation within
+    the same window, which is what a learning policy must score on.
+    The per-port sojourn EWMA of *dequeued* packets — the ground
+    truth the paper's 20ms +/- 10ms objective constrains — lags a
+    reprogram by a full queue-drain time (packets served now were
+    admitted under the old band): a lower-target candidate would be
+    punished instantly (drops) but rewarded a window late, biasing a
+    gradient estimate against ever tightening the programming.
     """
 
-    def __init__(self, processor, delay_source: str = "ewma") -> None:
-        if delay_source not in ("ewma", "backlog"):
-            raise ValueError(
-                f"unknown delay source: {delay_source!r}")
+    def __init__(self, processor) -> None:
         self._processor = processor
-        self._delay_source = delay_source
         self._last_total = 0
         self._last_drops = 0
 
@@ -220,40 +212,26 @@ class SwitchSensor:
         self._last_total = total
         self._last_drops = drops
         manager = self._processor.traffic_manager
-        delays = []
-        implied = []
-        backlog = 0
-        for port in range(manager.n_ports):
-            aqm = manager.aqm(port)
-            analog = getattr(aqm, "analog", aqm)
-            delays.append(getattr(analog, "delay_ewma_s", 0.0))
-            view = manager.queue_view(port)
-            implied.append(view.backlog_bytes * 8.0
-                           / view.service_rate_bps)
-            backlog += manager.backlog(port)
-        ewma = max(delays) if delays else 0.0
-        implied_delay = max(implied) if implied else 0.0
+        views = [manager.queue_view(port)
+                 for port in range(manager.n_ports)]
         return {
             "packets": window_total,
             "drops": window_drops,
             "drop_rate": (window_drops / window_total
                           if window_total else 0.0),
-            "delay_s": (implied_delay if self._delay_source == "backlog"
-                        else ewma),
-            "delay_ewma_s": ewma,
-            "implied_delay_s": implied_delay,
-            "backlog": backlog,
+            "delay_s": max((view.backlog_bytes * 8.0
+                            / view.service_rate_bps for view in views),
+                           default=0.0),
         }
 
 
 class AQMActuator:
-    """Applies actions to one or more analog AQMs (single-switch path).
+    """Applies actions to one or more analog AQMs of one switch.
 
-    The action vocabulary mirrors the fabric ops so the same policy
-    drives a lone switch here or a whole fabric through
-    :class:`repro.control.fleet.FleetActuator`.  With several AQMs
-    (one per egress port) an action is applied to all of them, so a
-    switch — like a fabric — never runs mixed programmings.
+    The action vocabulary mirrors the fabric ops, whose ``retarget``
+    likewise reaches every shard's AQMs.  With several AQMs (one per
+    egress port) an action is applied to all of them, so a switch —
+    like a fabric — never runs mixed programmings.
     Degradation wrappers are unwrapped: actuation always reaches the
     analog table itself.
     """
@@ -262,11 +240,6 @@ class AQMActuator:
         if not aqms:
             raise ValueError("need at least one AQM to actuate")
         self.aqms = tuple(getattr(aqm, "analog", aqm) for aqm in aqms)
-
-    @property
-    def aqm(self):
-        """The first managed AQM (the whole set shares a programming)."""
-        return self.aqms[0]
 
     def apply(self, action: Action) -> bool:
         if action.kind == "retarget":

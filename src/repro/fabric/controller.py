@@ -90,16 +90,3 @@ class FabricController:
         """Discard the staged ops; the number discarded."""
         dropped, self._pending = len(self._pending), []
         return dropped
-
-    @property
-    def generation(self) -> int:
-        return self._fabric.generation
-
-    # ------------------------------------------------------------------
-    # Observability pass-throughs
-    # ------------------------------------------------------------------
-    def poll_metrics(self) -> dict:
-        return self._fabric.poll_metrics()
-
-    def degraded_tables(self) -> list[str]:
-        return self._fabric.robustness_stats()["degraded_tables"]

@@ -70,11 +70,7 @@ class _MergedFlowCacheView:
 
 
 def _poll_row(processor) -> dict:
-    """One shard's row of :meth:`SwitchFabric.poll_metrics`.
-
-    The AQM extremes and verdict counts are the sensing surface of
-    the fleet learning loop.
-    """
+    """One shard's row of :meth:`SwitchFabric.poll_metrics`."""
     cache = processor.flow_cache
     delay_ewma_s, last_pdp, backlog = processor.slice_extremes()
     return {"processed": processor.processed,

@@ -33,11 +33,6 @@ from repro.simnet.scenarios import (
     traffic_classes_spec,
     traffic_classes_tree,
 )
-from repro.simnet.trace import (
-    ArrivalTrace,
-    TraceRecorder,
-    TraceReplayGenerator,
-)
 from repro.simnet.workloads import ChunkColumns, hash_u64, integers, \
     pareto, stream_key, uniforms
 from repro.simnet.topology import (
@@ -48,11 +43,8 @@ from repro.simnet.topology import (
 
 __all__ = [
     "AIMDFlowGenerator",
-    "ArrivalTrace",
     "BottleneckQueue",
     "ChunkColumns",
-    "TraceRecorder",
-    "TraceReplayGenerator",
     "FeedbackRouter",
     "MultiBottleneckExperiment",
     "PathResult",

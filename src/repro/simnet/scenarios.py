@@ -275,17 +275,6 @@ class Scenario:
         for start in range(0, n, chunk_size):
             yield self.columns(seed, start, min(chunk_size, n - start), n)
 
-    def trace(self, seed: int = 0, n_packets: int | None = None
-              ) -> "object":
-        """The stream as an :class:`~repro.simnet.trace.ArrivalTrace`.
-
-        Materialises the whole stream — use for modest ``n_packets``
-        (policy-comparison replays), never for the 10M-packet runs.
-        """
-        from repro.simnet.trace import ArrivalTrace
-        return ArrivalTrace.from_columns(
-            self.stream(seed=seed, n_packets=n_packets))
-
 
 _REGISTRY: dict[str, Scenario] = {}
 

@@ -1,34 +1,22 @@
 """Determinism of the learned control plane.
 
-The learning policies draw every variate from the counter-based
+The learning policy draws every variate from the counter-based
 SplitMix64 streams of :mod:`repro.simnet.workloads`, indexed by
-*decision* counts — never by packets, chunks or wall time.  Two
-consequences are pinned here with hypothesis sweeps:
+*decision* counts — never by packets, chunks or wall time.  The
+consequence pinned here with a hypothesis sweep is **chunk-size
+invariance**: regenerating the same scenario in different
+column-chunk sizes changes nothing about the traffic or the decision
+schedule, so the learned programming is bit-identical.
 
-* **chunk-size invariance** — regenerating the same scenario in
-  different column-chunk sizes changes nothing about the traffic or
-  the decision schedule, so the learned programming is bit-identical;
-* **shard-count invariance** — a fleet sweep senses partition
-  invariants (summed per-port backlog gauges, fleet-wide drop and
-  packet counts), so resharding the fabric N in {1, 2, 4} leaves the
-  learned programming bit-identical while every candidate still
-  deploys through one gated two-phase commit per action.
-
-Plus the ground rule that makes either possible: no learning
-component touches numpy's global RNG.
+Plus the ground rule that makes it possible: no learning component
+touches numpy's global RNG.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.control.fleet import FleetLearningController
 from repro.control.gate import control_switch_factory
-from repro.control.learning import SPSAPolicy
-from repro.dataplane.switch import SwitchSpec, build_switch
-from repro.fabric import SwitchFabric
-from repro.packet import Packet
 from repro.simnet.scenarios import default_switch_spec, run_scenario
 
 GATE_SPEC = dict(port_rate_bps=60e6, queue_capacity=2_400,
@@ -72,79 +60,8 @@ def test_learned_programming_is_chunk_size_invariant(seed):
     assert small == large
 
 
-# ----------------------------------------------------------------------
-# Fleet resharding
-# ----------------------------------------------------------------------
-def build_shard():
-    spec = SwitchSpec(n_ports=2, routes=(("10.0.0.0/8", 0),),
-                      flow_cache_size=0)
-    return build_switch(spec)
-
-
-def probe_chunk(now: float, n: int = 8) -> list[Packet]:
-    return [Packet(size_bytes=200, created_at=now,
-                   fields={"src_ip": f"10.4.{i}.1",
-                           "src_port": 2000 + i,
-                           "dst_ip": f"10.9.{i}.9", "dst_port": 80,
-                           "protocol": 6})
-            for i in range(n)]
-
-
-def fleet_sweep(seed: int, n_shards: int) -> dict:
-    """Drive a learned fleet sweep over an N-shard fabric.
-
-    The probe stream builds port backlog without ever engaging the
-    shard AQMs (the per-shard implied delay stays below any
-    programmable band), so the only congestion signal is the
-    partition-invariant summed backlog gauge.
-    """
-    with SwitchFabric(build_shard, n_shards) as fabric:
-        aqms = [shard.processor.traffic_manager.aqm(port)
-                for shard in fabric.shards for port in range(2)]
-        policy = SPSAPolicy(seed, np.log([0.120, 0.5]))
-        fleet = FleetLearningController(
-            fabric.controller, policy, min_interval_s=0.05,
-            drain_pps=200.0, gate_aqms=aqms)
-        for tick in range(40):
-            now = 0.1 * tick
-            fabric.process_batch(probe_chunk(now), now=now)
-            fleet.step(now)
-        final = fleet.finalise()
-        generation = fabric.generation
-        programmings = {
-            (round(getattr(aqm, "analog", aqm).target_delay_s, 12),
-             round(getattr(aqm, "analog", aqm).max_deviation_s, 12))
-            for aqm in aqms}
-        return {"final": final,
-                "episodes": policy.episodes,
-                "commits": fleet.commits,
-                "generation": generation,
-                "gate_checks": fleet.gate.checks,
-                "gate_violations": fleet.gate.violations,
-                "programmings": programmings}
-
-
-@settings(max_examples=3, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(min_value=0, max_value=7))
-def test_learned_programming_is_shard_count_invariant(seed):
-    runs = {n: fleet_sweep(seed, n) for n in (1, 2, 4)}
-    reference = runs[1]
-    assert reference["episodes"] > 0
-    assert reference["commits"] > 0
-    assert reference["gate_violations"] == 0
-    for n in (2, 4):
-        assert runs[n] == reference, \
-            f"resharding to {n} changed the learned sweep"
-    # The finalised programming is shared by every table, uniformly.
-    assert len(reference["programmings"]) == 1
-    (programming,) = reference["programmings"]
-    assert programming == pytest.approx(reference["final"])
-
-
 def test_learning_never_touches_the_global_rng():
     state_before = np.random.get_state()[1].copy()
     learned_sweep(0, chunk_size=8_192)
-    fleet_sweep(0, n_shards=2)
     state_after = np.random.get_state()[1]
     assert (state_before == state_after).all()

@@ -187,7 +187,7 @@ def test_refused_commit_changes_no_shard(bad_op, error, shard_factory):
 
 
 # ----------------------------------------------------------------------
-# Learned commits (the fleet learning loop drives the same primitive)
+# Learned commits (an SPSA sweep drives the same primitive)
 # ----------------------------------------------------------------------
 def shard_programmings(fabric) -> set:
     programmings = set()
@@ -205,18 +205,22 @@ def test_learned_commit_storm_keeps_chunks_and_programmings_pure():
     """A learning sweep's retargets ride the same two-phase commit.
 
     While a traffic thread streams probe chunks, the main thread runs
-    a :class:`FleetLearningController` sweep: every candidate the
-    SPSA policy deploys is one staged+committed fleet op.  No chunk
-    may mix verdicts across a commit, and after every single step the
-    fleet must be programming-uniform — a shard still running the
-    previous candidate would be a torn commit.
+    an :class:`SPSAPolicy` sweep and commits every candidate it
+    deploys as one staged ``retarget`` on the fabric controller.  No
+    chunk may mix verdicts across a commit, and after every single
+    commit the fabric must be programming-uniform — a shard still
+    running the previous candidate would be a torn commit.
     """
     import time
 
     import numpy as np
 
-    from repro.control.fleet import FleetLearningController
     from repro.control.learning import SPSAPolicy
+
+    # Delay far above the envelope: every decision is an episode, so
+    # every decision deploys a candidate.
+    congested = {"packets": 1000, "drops": 0, "drop_rate": 0.0,
+                 "delay_s": 0.100}
 
     with SwitchFabric(build_shard, 4) as fabric:
         fabric.controller.add_route("198.51.100.0/24", 1)
@@ -240,18 +244,20 @@ def test_learned_commit_storm_keeps_chunks_and_programmings_pure():
                 time.sleep(0.001)
 
         policy = SPSAPolicy(0, np.log([0.120, 0.5]))
-        fleet = FleetLearningController(fabric.controller, policy,
-                                        min_interval_s=0.05,
-                                        drain_pps=100.0)
+        commits = 0
+        deployed = None
         worker = threading.Thread(target=traffic)
         worker.start()
         try:
             for tick in range(20):
-                fleet.step(0.05 * tick)
-                # After each step every shard runs one programming.
-                assert len(shard_programmings(fabric)) == 1
+                for action in policy.decide(0.05 * tick, congested):
+                    fabric.controller.retarget(*action.args).commit()
+                    commits += 1
+                    deployed = action.args
+                    # After each commit every shard runs one
+                    # programming.
+                    assert len(shard_programmings(fabric)) == 1
                 time.sleep(0.002)
-            fleet.finalise()
         finally:
             stop.set()
             worker.join(timeout=30.0)
@@ -259,8 +265,7 @@ def test_learned_commit_storm_keeps_chunks_and_programmings_pure():
         assert chunks_sent[0] > 0
         assert impure == [], \
             f"chunks spanned two generations: {impure[:3]}"
-        assert fleet.commits >= 5
+        assert commits >= 5
         # One generation per commit, plus the route commit up front.
-        assert fabric.generation == 1 + fleet.commits
-        assert shard_programmings(fabric) == \
-            {fleet.policy.best_programming}
+        assert fabric.generation == 1 + commits
+        assert shard_programmings(fabric) == {deployed}
