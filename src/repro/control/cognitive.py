@@ -16,7 +16,7 @@ unified control layer.  New here: the controller can own any number
 of :class:`~repro.control.loop.ControlLoop` s (intent retargeting,
 learned programming sweeps, ...) via :meth:`attach_loop`; its
 periodic :meth:`tick` — already driven once per processed chunk as
-the runtime's supervision hook — then paces every attached loop on the
+the switch's ``supervise`` hook — then paces every attached loop on the
 same sim clock.  With no loops attached, ``tick`` behaves exactly as
 before (pinned by the runtime/fabric golden suites).
 """
@@ -130,16 +130,6 @@ class CognitiveNetworkController:
         self._functions[spec.name] = registration
         return registration
 
-    @property
-    def functions(self) -> tuple[str, ...]:
-        """Names of every registered network function."""
-        return tuple(self._functions)
-
-    @property
-    def placement(self) -> Placement | None:
-        """The compiled placement, or None before compile()."""
-        return self._placement
-
     def compile(self) -> Placement:
         """Run the precision-aware split and install every function."""
         if not self._functions:
@@ -224,11 +214,6 @@ class CognitiveNetworkController:
         """
         self._loops.append(loop)
         return loop
-
-    @property
-    def loops(self) -> tuple[ControlLoop, ...]:
-        """Every attached control loop, in attachment order."""
-        return tuple(self._loops)
 
     def tick(self, now: float) -> tuple[str, ...]:
         """Drive the retry/reprogram backoff of every degraded table.

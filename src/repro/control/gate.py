@@ -49,7 +49,7 @@ SETTLE_FRACTION = 0.5
 
 
 def control_switch_factory(*, learned: bool,
-                           min_interval_s: float = 0.03,
+                           min_interval_s: float = GATE_INTERVAL_S,
                            attachments: dict | None = None):
     """A ``processor_factory`` for :func:`repro.simnet.run_scenario`.
 
@@ -164,8 +164,7 @@ def run_gate(scenario_name: str, *, seed: int = 0) -> dict:
     learned_report = run_scenario(
         scenario_name, seed=seed, n_packets=GATE_PACKETS, spec=spec,
         processor_factory=control_switch_factory(
-            learned=True, min_interval_s=GATE_INTERVAL_S,
-            attachments=attachments))
+            learned=True, attachments=attachments))
 
     upper = envelope.target_s + envelope.halfwidth_s
     congested = [w.index for w in static_report.windows

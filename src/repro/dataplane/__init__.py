@@ -20,11 +20,7 @@ from repro.dataplane.pipeline import (
 )
 from repro.dataplane.queues import PacketQueue, PortQueue, PortStats
 from repro.dataplane.results import DROP_EVENTS, drop_event
-from repro.dataplane.stages import (
-    DigitalMatsStage,
-    EgressStage,
-    ParserStage,
-)
+from repro.dataplane.stages import DigitalMatsStage, EgressStage
 from repro.dataplane.switch import SwitchSpec, build_switch
 from repro.dataplane.telemetry import (
     TableStats,
@@ -42,7 +38,6 @@ __all__ = [
     "DROP_EVENTS",
     "DigitalMatsStage",
     "EgressStage",
-    "ParserStage",
     "SwitchSpec",
     "TableStats",
     "TelemetryCollector",

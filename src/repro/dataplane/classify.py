@@ -1,9 +1,9 @@
-"""Optional aCAM traffic-classification stage for the staged runtime.
+"""Optional aCAM traffic-classification stage of the switch.
 
 The paper's cognitive network functions go beyond match-action
 forwarding: Section 7's decision-tree inference runs *inside* the
 dataplane, classifying flows in one analog search per chunk.  This
-module packages that as a drop-in pipeline stage:
+module packages that as an optional pipeline stage:
 
 * :class:`ClassifierSpec` — a frozen, declarative description of the
   compiled bank (features, leaf rows, class-to-port steering), so it
@@ -12,12 +12,12 @@ module packages that as a drop-in pipeline stage:
   :class:`~repro.netfunc.decision_tree.CARTTree` into that spec;
 * :class:`ACAMClassifier` — the spec realised as an
   :class:`~repro.acam.ACAMArray` bank plus packet feature extraction;
-* :class:`ClassificationStage` — a :class:`~repro.runtime.Stage`
-  slotted between the digital match-action tables and egress, which
-  re-steers classified packets to per-class egress ports and charges
-  its search joules to the processor's ledger under ``acam.search``
-  (so energy attribution and observability pick it up like any other
-  stage).
+* :class:`ClassificationStage` — the stage the processor runs
+  between the digital match-action tables and egress when a
+  classifier is installed; it re-steers classified packets to
+  per-class egress ports and charges its search joules to the
+  processor's ledger under ``acam.search`` (so energy attribution and
+  observability pick it up like any other stage).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.acam.compiler import tree_paths
 from repro.dataplane.fastpath import PacketBatch, first_appearance_counts
 from repro.energy.ledger import EnergyLedger
 from repro.netfunc.decision_tree import CARTTree
-from repro.runtime import StageContext
 
 __all__ = ["ACAMClassifier", "ClassificationStage", "ClassifierSpec",
            "classifier_spec_from_tree"]
@@ -156,36 +155,31 @@ class ACAMClassifier:
 class ClassificationStage:
     """One-shot aCAM classification between the MATs and egress.
 
-    Every surviving packet is classified in a single bank search per
-    chunk; classes with a steering entry override the egress port the
-    digital tables resolved, and the per-packet class is published as
-    the ``traffic_class`` column for downstream stages and tests.
-    Search energy lands on the shared ledger under ``acam.search``,
-    which the runtime's energy attribution books to this stage.
+    Every surviving packet is classified by the switch's installed
+    :class:`ACAMClassifier` in a single bank search per chunk; classes
+    with a steering entry override the egress port the digital tables
+    resolved.  Search energy lands on the shared ledger under
+    ``acam.search``, which the processor's energy attribution books to
+    this stage.
     """
 
     name = "acam_classifier"
     span_name = "dataplane.acam_classify"
 
-    def __init__(self, classifier: ACAMClassifier) -> None:
-        self.classifier = classifier
-
-    def span_attributes(self, batch: PacketBatch) -> dict:
-        return {"chunk": len(batch),
-                "rows": self.classifier.array.n_rows}
+    def __init__(self, switch) -> None:
+        self.switch = switch
 
     def process_batch(self, batch: PacketBatch,
-                      ctx: StageContext) -> PacketBatch:
-        if not len(batch):
-            return batch
-        classifier = self.classifier
+                      ports: np.ndarray) -> np.ndarray:
+        """The chunk's egress ports after per-class steering."""
+        classifier = self.switch.classifier
         labels, deterministic = classifier.classify_batch(batch)
         values = [str(label) for label in classifier.labels.tolist()]
         row_of_label = {label: i for i, label
                         in enumerate(classifier.labels.tolist())}
         codes = np.array([row_of_label[label]
                           for label in labels.tolist()], dtype=np.intp)
-        ctx.telemetry.record_lookup_batch(
+        self.switch.telemetry.record_lookup_batch(
             "acam_classifier", len(batch),
             int(np.count_nonzero(deterministic)),
             [(values[code], count)
@@ -193,8 +187,4 @@ class ClassificationStage:
         steering = np.array([classifier.port_for_class.get(label, -1)
                              for label in classifier.labels.tolist()],
                             dtype=np.intp)[codes]
-        ports = np.asarray(ctx.columns["egress_port"])
-        ctx.columns["egress_port"] = np.where(steering >= 0, steering,
-                                              ports)
-        ctx.columns["traffic_class"] = labels
-        return batch
+        return np.where(steering >= 0, steering, ports)

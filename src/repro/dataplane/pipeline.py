@@ -6,21 +6,23 @@ Wires together every block of the proposed architecture:
     memristor TCAMs) -> analog MATs (pCAM) -> Cognitive Traffic
     Manager (pCAM-based AQM at egress) -> egress queues
 
-as stages on one :class:`repro.runtime.PipelineRuntime`.  Every entry
-point — ``process_batch`` (columnar: a
+and walks every chunk through that fixed pipeline itself: digital
+MATs, then aCAM classification when a classifier is installed, then
+egress.  Every entry point — ``process_batch`` (columnar: a
 :class:`~repro.simnet.workloads.ChunkColumns` chunk natively, or a
 ``Packet`` sequence extracted once at the edge), ``process`` (scalar)
-and ``process_frame``/``process_frames`` (wire format) — is a
-:class:`~repro.dataplane.fastpath.PacketBatch` chunk through the same
-engine; the scalar path is literally a batch of one, so the paths
-cannot drift apart.  Results come back as
+and ``process_frame``/``process_frames`` (wire format, parsed in one
+pass first) — is a :class:`~repro.dataplane.fastpath.PacketBatch`
+chunk through the same walk; the scalar path is literally a batch of
+one, so the paths cannot drift apart.  Results come back as
 :class:`~repro.dataplane.results.BatchResults` (verdict/port arrays
-that also read as ``ProcessResult`` values).  The runtime is assembled
-with the switch's ledger (per-stage energy attribution) and, with an
-observability hub, its tracer (chunk and stage spans); stages write
-their counters straight into the switch's telemetry collector, and a
-per-component energy ledger attributes each packet's cost to the
-digital and analog domains.
+that also read as ``ProcessResult`` values).  The walk counts chunks
+and stage runs, attributes each stage's ledger energy to it, opens
+chunk and stage spans on the observability hub's tracer and calls the
+``supervise`` hook once per chunk; stages write their counters
+straight into the switch's telemetry collector, and a per-component
+energy ledger attributes each packet's cost to the digital and analog
+domains.
 """
 
 from __future__ import annotations
@@ -30,18 +32,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.control.cognitive import CognitiveNetworkController
+from repro.dataplane.classify import ClassificationStage
 from repro.dataplane.fastpath import FlowCache, PacketBatch
 from repro.dataplane.results import (
+    DROP_EVENTS,
     VERDICT_CODES,
     BatchResults,
     ProcessResult,
     Verdict,
 )
-from repro.dataplane.stages import (
-    DigitalMatsStage,
-    EgressStage,
-    ParserStage,
-)
+from repro.dataplane.stages import DigitalMatsStage, EgressStage
 from repro.dataplane.parser import HeaderParser
 from repro.dataplane.telemetry import TelemetryCollector
 from repro.dataplane.traffic_manager import CognitiveTrafficManager
@@ -50,8 +50,8 @@ from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.netfunc.firewall import Action, Firewall, FirewallRule
 from repro.netfunc.lookup import IPLookup
 from repro.observability.hub import Observability
+from repro.observability.tracing import maybe_span
 from repro.packet import Packet
-from repro.runtime import PipelineRuntime, StageContext
 from repro.tcam.mtcam import MemristorTCAM
 
 __all__ = ["AnalogPacketProcessor", "BatchResults", "ProcessResult",
@@ -86,7 +86,7 @@ class AnalogPacketProcessor:
         When given, the pipeline's telemetry collector and energy
         ledger are folded onto the hub's registry, degradation-capable
         AQMs are bound as fallback/retry metrics, the shared tracer
-        spans the runtime's chunks and stages (parser -> tables ->
+        spans the chunks and stages (parser -> tables ->
         traffic manager -> queues -> pCAM pipeline), and the batch kernels
         report to the hub's profiler.  Without a hub every hook stays
         inert.
@@ -141,49 +141,32 @@ class AnalogPacketProcessor:
         self.processed = 0
         self.verdict_counts: dict[Verdict, int] = {
             verdict: 0 for verdict in Verdict}
-        # The staged runtime: one engine behind every entry point.
-        self._parser_stage = ParserStage(self)
+        #: The installed :class:`~repro.dataplane.classify.ACAMClassifier`
+        #: (``build_switch`` sets it); None skips classification.
+        self.classifier = None
+        #: Called as ``supervise(now)`` once per match-action chunk,
+        #: after its stages (e.g. the controller's ``tick``), or None.
+        self.supervise = None
+        self.tracer = tracer
+        #: Match-action chunks walked since assembly (all entry points).
+        self.chunks = 0
+        #: Stage runs by stage name since assembly.
+        self.stage_runs: dict[str, int] = {}
+        self._joules: dict[str, float] = {}
         self._digital_stage = DigitalMatsStage(self)
+        self._classify_stage = ClassificationStage(self)
         self._egress_stage = EgressStage(self)
-        self._frame_stages = (self._parser_stage,)
-        self._mat_stages = (self._digital_stage, self._egress_stage)
-        self.runtime = PipelineRuntime(
-            [self._parser_stage, self._digital_stage,
-             self._egress_stage],
-            ledger=self.ledger, tracer=tracer)
         if observability is not None:
             self._wire_observability(observability)
 
     # ------------------------------------------------------------------
-    # Runtime assembly
+    # Assembly
     # ------------------------------------------------------------------
-    def insert_stage(self, stage, *, before: str) -> None:
-        """Slot an extra stage into the match-action walk.
-
-        The stage lands immediately before the named composed stage —
-        both in the runtime's full stage list and in the match-action
-        subsequence the packet entry points run — on the *existing*
-        runtime object, so observability collectors bound at assembly
-        keep working unchanged.
-        """
-        anchor = self.runtime.stage(before)
-        if any(s.name == stage.name for s in self.runtime.stages):
-            raise ValueError(
-                f"duplicate stage name: {stage.name!r}")
-        self.runtime.stages.insert(
-            self.runtime.stages.index(anchor), stage)
-        mats = list(self._mat_stages)
-        if anchor in mats:
-            mats.insert(mats.index(anchor), stage)
-        else:
-            mats.append(stage)
-        self._mat_stages = tuple(mats)
-
     def _wire_observability(self, obs: Observability) -> None:
         """Bind every pipeline component to the shared hub."""
         obs.watch_telemetry(self.telemetry)
         obs.watch_ledger(self.ledger)
-        obs.watch_runtime(self.runtime)
+        obs.watch_runtime(self)
         for port in range(self.traffic_manager.n_ports):
             aqm = self.traffic_manager.aqm(port)
             if hasattr(aqm, "maybe_retry") and hasattr(
@@ -227,7 +210,7 @@ class AnalogPacketProcessor:
             self.flow_cache.clear()
 
     # ------------------------------------------------------------------
-    # Data path (every entry point is a chunk through the runtime)
+    # Data path (every entry point is chunks through one walk)
     # ------------------------------------------------------------------
     def process_frame(self, frame: bytes, now: float = 0.0
                       ) -> ProcessResult:
@@ -238,35 +221,39 @@ class AnalogPacketProcessor:
                        chunk_size: int = 64) -> BatchResults:
         """Parse and process a burst of wire-format frames.
 
-        The whole burst is parsed in one columnar pass (malformed
-        frames yield ``DROPPED_PARSE`` results in place); the
-        survivors then ride the same chunked match-action walk as
-        :meth:`process_batch`.  Results are returned in frame order.
+        The whole burst is parsed in one columnar pass, booked as one
+        ``parser`` stage run (malformed frames yield ``DROPPED_PARSE``
+        results in place); the survivors then ride the same chunked
+        match-action walk as :meth:`process_batch`.  Results are
+        returned in frame order.
         """
         self._set_time(now)
         results = BatchResults.empty(len(frames), [None] * len(frames))
-        ctx = StageContext(now, self._emitter(results),
-                           telemetry=self.telemetry, entry_name=None)
-        ctx.columns["index"] = np.arange(len(frames))
-        batch = self.runtime.run_chunk(list(frames), ctx,
-                                       self._frame_stages)
-        self._run_parsed(batch, ctx.columns["index"], now, chunk_size,
-                         results)
-        return results
-
-    def _run_parsed(self, batch, index: np.ndarray, now: float,
-                    chunk_size: int, results: BatchResults) -> None:
-        """Chunk the parser's survivors through the match-action walk."""
-        if not len(batch):  # an empty burst comes back as the input list
-            batch = PacketBatch([])
-        for row, packet in zip(index.tolist(), batch.packets):
+        emit = self._emitter(results)
+        self.stage_runs["parser"] = self.stage_runs.get("parser", 0) + 1
+        before = self.ledger.total
+        with maybe_span(self.tracer, "dataplane.parse",
+                        frames=len(frames)):
+            parsed = self.parser.parse_frames(frames, created_at=now)
+        self._attribute("parser", before)
+        parsed_ok = np.array([packet is not None for packet in parsed],
+                             dtype=bool)
+        index = np.flatnonzero(parsed_ok)
+        if len(index) < len(parsed):
+            verdict = Verdict.DROPPED_PARSE
+            self.telemetry.record_event(DROP_EVENTS[verdict],
+                                        len(parsed) - len(index))
+            emit(np.flatnonzero(~parsed_ok), verdict)
+        packets = [parsed[row] for row in index.tolist()]
+        for row, packet in zip(index.tolist(), packets):
             results.packets[row] = packet
-        self._run_chunks(batch, index, now, chunk_size, results)
+        self._run_chunks(PacketBatch(packets), index, now, chunk_size, emit)
+        return results
 
     def process(self, packet: Packet, now: float = 0.0) -> ProcessResult:
         """Run one parsed packet through the match-action pipeline.
 
-        Literally a batch of one through the staged runtime, so the
+        Literally a batch of one through the chunk walk, so the
         scalar and batched paths cannot drift apart.
         """
         return self._process([packet], now, 1, "dataplane.process")[0]
@@ -296,25 +283,63 @@ class AnalogPacketProcessor:
         batch = PacketBatch.of(packets)
         results = BatchResults.empty(len(batch), batch.packets)
         self._run_chunks(batch, np.arange(len(batch)), now, chunk_size,
-                         results, entry_name)
+                         self._emitter(results), entry_name)
         return results
 
     def _run_chunks(self, batch: PacketBatch, index: np.ndarray,
-                    now: float, chunk_size: int, results: BatchResults,
+                    now: float, chunk_size: int, emit,
                     entry_name: str = "dataplane.process_batch") -> None:
-        """Chunk a batch through the match-action stages."""
+        """Walk a batch through the match-action stages chunk by chunk.
+
+        Each chunk runs under the ``entry_name`` span; ``supervise(now)``
+        follows its stages, also when one of them raises.
+        """
         if chunk_size < 1:
             raise ValueError(
                 f"chunk size must be >= 1: {chunk_size!r}")
-        emit = self._emitter(results)
         for start in range(0, len(batch), chunk_size):
             stop = start + chunk_size
             chunk = batch.slice(start, stop)
-            ctx = StageContext(
-                now, emit, telemetry=self.telemetry, entry_name=entry_name,
-                entry_attributes={"chunk": len(chunk)})
-            ctx.columns["index"] = index[start:stop]
-            self.runtime.run_chunk(chunk, ctx, self._mat_stages)
+            self.chunks += 1
+            with maybe_span(self.tracer, entry_name, chunk=len(chunk)):
+                try:
+                    self._walk(chunk, index[start:stop], now, emit)
+                finally:
+                    if self.supervise is not None:
+                        self.supervise(now)
+
+    def _walk(self, batch: PacketBatch, index: np.ndarray, now: float,
+              emit) -> None:
+        """Digital MATs -> (aCAM classification) -> egress for one chunk.
+
+        A stage runs only while rows survive: a chunk the digital
+        tables drop entirely skips the rest.
+        """
+        batch, index, ports = self._stage(
+            self._digital_stage, batch, index, now, emit, self.tracer)
+        if not len(batch):
+            return
+        if self.classifier is not None:
+            ports = self._stage(self._classify_stage, batch, ports)
+        self._stage(self._egress_stage, batch, index, ports, now, emit)
+
+    def _stage(self, stage, batch: PacketBatch, *args):
+        """Run one stage under its span, counting the run and booking
+        the ledger energy it spends to it (also when it raises)."""
+        name = stage.name
+        self.stage_runs[name] = self.stage_runs.get(name, 0) + 1
+        before = self.ledger.total
+        try:
+            with maybe_span(self.tracer, stage.span_name,
+                            chunk=len(batch)):
+                return stage.process_batch(batch, *args)
+        finally:
+            self._attribute(name, before)
+
+    def _attribute(self, name: str, before: float) -> None:
+        """Book the ledger energy spent since ``before`` to a stage."""
+        self._joules[name] = self._joules.get(name, 0.0) \
+            + (self.ledger.total - before)
 
     def _emitter(self, results: BatchResults):
         """An emit callback booking verdicts into the result arrays.
@@ -363,8 +388,8 @@ class AnalogPacketProcessor:
         return self.ledger.breakdown()
 
     def energy_by_stage(self) -> dict[str, float]:
-        """Joules attributed to each runtime stage."""
-        return self.runtime.energy_attribution()
+        """Ledger joules attributed to each stage name."""
+        return dict(self._joules)
 
     def slice_extremes(self) -> tuple[float, float, int]:
         """(max delay EWMA, max PDP, max backlog) across the ports."""

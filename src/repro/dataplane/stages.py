@@ -1,14 +1,15 @@
-"""The Figure 5 switch blocks as runtime stages.
+"""The Figure 5 switch blocks the processor walks each chunk through.
 
-Each block of the paper's pipeline — parser, digital match-action
-tables, egress admission — is one :class:`repro.runtime.Stage`
-implementation over a :class:`~repro.dataplane.fastpath.PacketBatch`
-(the parser alone consumes wire frames and produces the batch).
-Stages emit final verdicts through the
-:class:`~repro.runtime.stage.StageContext` — one ``emit`` per verdict
-kind per chunk, over an index array — and write telemetry in bulk
-into the context's collector; tracing, energy attribution and
-supervision are done by the composing runtime, not code here.
+The digital match-action tables and egress admission are one class
+each over a :class:`~repro.dataplane.fastpath.PacketBatch` (the aCAM
+classification stage that may sit between them lives in
+:mod:`repro.dataplane.classify`).  A stage takes what it uses as plain
+arguments — the batch, the absolute row indices, the egress ports,
+``now``, the ``emit`` callback, the tracer — and returns what the next
+stage needs.  It emits final verdicts with one ``emit`` per verdict
+kind per chunk, over an index array, and writes telemetry in bulk into
+the switch's collector; tracing, energy attribution and supervision
+are done by the processor's chunk walk, not code here.
 
 Stages hold a reference to the owning
 :class:`~repro.dataplane.pipeline.AnalogPacketProcessor` and read its
@@ -18,8 +19,6 @@ is always visible to the next chunk.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +30,8 @@ from repro.dataplane.fastpath import (
 from repro.dataplane.results import DROP_EVENTS, Verdict
 from repro.dataplane.traffic_manager import ADMISSIONS, Admission
 from repro.netfunc.firewall import Action
-from repro.runtime import StageContext
 
-__all__ = ["ADMISSION_VERDICTS", "DigitalMatsStage", "EgressStage",
-           "ParserStage"]
+__all__ = ["ADMISSION_VERDICTS", "DigitalMatsStage", "EgressStage"]
 
 _VERDICT_OF = {Admission.QUEUED: Verdict.QUEUED,
                Admission.AQM_DROP: Verdict.DROPPED_AQM,
@@ -44,44 +41,17 @@ ADMISSION_VERDICTS: tuple[Verdict, ...] = tuple(
     _VERDICT_OF[admission] for admission in ADMISSIONS)
 
 
-class ParserStage:
-    """Wire-format frames -> parsed packets (malformed ones dropped)."""
-
-    name = "parser"
-    span_name = "dataplane.parse"
-
-    def __init__(self, switch) -> None:
-        self.switch = switch
-
-    def span_attributes(self, frames: Sequence[bytes]) -> dict:
-        return {"frames": len(frames)}
-
-    def process_batch(self, frames: Sequence[bytes],
-                      ctx: StageContext) -> PacketBatch:
-        parsed = self.switch.parser.parse_frames(frames, created_at=ctx.now)
-        index = ctx.indices
-        dropped = [offset for offset, packet in enumerate(parsed)
-                   if packet is None]
-        if dropped:
-            ctx.telemetry.record_event(DROP_EVENTS[Verdict.DROPPED_PARSE],
-                                       len(dropped))
-            ctx.emit(index[dropped], Verdict.DROPPED_PARSE)
-            kept = np.flatnonzero([packet is not None for packet in parsed])
-            ctx.columns["index"] = index[kept]
-        return PacketBatch([p for p in parsed if p is not None])
-
-
 class DigitalMatsStage:
     """ACL + LPM over the memristor TCAMs, one columnar pass per chunk.
 
     Emits ``DROPPED_ACL``/``DROPPED_NO_ROUTE`` for the rows the
     digital tables dispose of, INT-stamps the survivors with their
-    egress queue state, and publishes the resolved ``egress_port``
-    column for the egress stage.  The per-row outcome comes from
-    :func:`classify_chunk` as an index into the chunk's few distinct
-    outcomes (in first-appearance order), so the tallies are sums over
-    outcomes and the verdicts and ports are gathers over that index —
-    no per-row Python.
+    egress queue state, and returns the survivors with their absolute
+    row indices and resolved egress ports.  The per-row outcome comes
+    from :func:`classify_chunk` as an index into the chunk's few
+    distinct outcomes (in first-appearance order), so the tallies are
+    sums over outcomes and the verdicts and ports are gathers over that
+    index — no per-row Python.
     """
 
     name = "digital_mats"
@@ -90,18 +60,15 @@ class DigitalMatsStage:
     def __init__(self, switch) -> None:
         self.switch = switch
 
-    def span_attributes(self, batch: PacketBatch) -> dict:
-        return {"chunk": len(batch)}
-
-    def process_batch(self, batch: PacketBatch,
-                      ctx: StageContext) -> PacketBatch:
-        switch, telemetry, index = self.switch, ctx.telemetry, ctx.indices
-        if not len(batch):
-            ctx.columns["egress_port"] = np.zeros(0, dtype=np.intp)
-            return batch
+    def process_batch(self, batch: PacketBatch, index: np.ndarray,
+                      now: float, emit, tracer
+                      ) -> tuple[PacketBatch, np.ndarray, np.ndarray]:
+        """(survivors, their indices, their egress ports) of a chunk."""
+        switch = self.switch
+        telemetry = switch.telemetry
         row_entry, entries = classify_chunk(
             batch, switch.firewall, switch.lookup, switch.flow_cache,
-            ctx.tracer)
+            tracer)
         counts = np.bincount(row_entry, minlength=len(entries)).tolist()
         default = switch.firewall.default_action
         deny = Action.DENY
@@ -138,16 +105,14 @@ class DigitalMatsStage:
             rows = np.flatnonzero(row_kind == code)
             telemetry.record_event(DROP_EVENTS[verdict], len(rows))
             batch.mark_dropped(rows)
-            ctx.emit(index[rows], verdict)
+            emit(index[rows], verdict)
         rows = np.flatnonzero(row_kind >= 2)
         ports = row_kind[rows] - 2
         survivors = batch if len(rows) == len(batch) else batch.take(rows)
         if len(rows):
             backlogs = np.array(switch.traffic_manager.backlogs())
-            survivors.stamp(ports, backlogs[ports], ctx.now)
-        ctx.columns["index"] = index[rows]
-        ctx.columns["egress_port"] = ports
-        return survivors
+            survivors.stamp(ports, backlogs[ports], now)
+        return survivors, index[rows], ports
 
 
 class EgressStage:
@@ -165,38 +130,27 @@ class EgressStage:
     def __init__(self, switch) -> None:
         self.switch = switch
 
-    def span_attributes(self, batch: PacketBatch) -> dict:
-        return {"chunk": len(batch)}
-
-    def process_batch(self, batch: PacketBatch,
-                      ctx: StageContext) -> list:
+    def process_batch(self, batch: PacketBatch, index: np.ndarray,
+                      ports: np.ndarray, now: float, emit) -> None:
+        """Admit a chunk's rows to the queues of their egress ports."""
         manager = self.switch.traffic_manager
-        ports = ctx.columns["egress_port"]
-        if len(ports):
-            index = ctx.indices
-            codes = manager.enqueue_batch(ports, batch, ctx.now)
-            backlogs = manager.backlogs()
-            groups = first_appearance_counts(ports)
-            for port, _ in groups:
-                ctx.telemetry.set_gauge(f"port{port}.backlog",
-                                        backlogs[port])
-            if not codes.any():
-                ctx.emit(index, Verdict.QUEUED, port=ports)
-            else:
-                for port, _ in groups:
-                    rows = np.flatnonzero(ports == port)
-                    port_codes = codes[rows]
-                    if not port_codes.any():  # no drop: one emit
-                        ctx.emit(index[rows], Verdict.QUEUED, port=port)
-                        continue
-                    for code, count in first_appearance_counts(port_codes):
-                        verdict = ADMISSION_VERDICTS[code]
-                        if verdict.dropped:
-                            ctx.telemetry.record_event(DROP_EVENTS[verdict],
-                                                       count)
-                        ctx.emit(index[rows[port_codes == code]], verdict,
-                                 port=port)
-        empty = np.zeros(0, dtype=np.intp)
-        ctx.columns["index"] = empty
-        ctx.columns["egress_port"] = empty
-        return []
+        telemetry = self.switch.telemetry
+        codes = manager.enqueue_batch(ports, batch, now)
+        backlogs = manager.backlogs()
+        groups = first_appearance_counts(ports)
+        for port, _ in groups:
+            telemetry.set_gauge(f"port{port}.backlog", backlogs[port])
+        if not codes.any():
+            emit(index, Verdict.QUEUED, port=ports)
+            return
+        for port, _ in groups:
+            rows = np.flatnonzero(ports == port)
+            port_codes = codes[rows]
+            if not port_codes.any():  # no drop: one emit
+                emit(index[rows], Verdict.QUEUED, port=port)
+                continue
+            for code, count in first_appearance_counts(port_codes):
+                verdict = ADMISSION_VERDICTS[code]
+                if verdict.dropped:
+                    telemetry.record_event(DROP_EVENTS[verdict], count)
+                emit(index[rows[port_codes == code]], verdict, port=port)

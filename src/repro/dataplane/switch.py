@@ -4,8 +4,8 @@ Instead of imperative wiring scattered across callers, a switch is
 described once — ports, table contents, fault tolerance, supervision
 — and :func:`build_switch` assembles an
 :class:`~repro.dataplane.pipeline.AnalogPacketProcessor` from the
-spec: stages on the shared runtime, the controller supervising
-degradable tables when asked.  The spec is a
+spec: the optional aCAM classifier installed, the controller
+supervising degradable tables when asked.  The spec is a
 frozen value object, so one description can assemble many identical
 pipelines (the door to multi-pipeline sharding later).
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.dataplane.classify import ClassifierSpec
+from repro.dataplane.classify import ACAMClassifier, ClassifierSpec
 from repro.netfunc.firewall import FirewallRule
 
 __all__ = ["SwitchSpec", "build_switch"]
@@ -45,16 +45,16 @@ class SwitchSpec:
         :class:`~repro.robustness.degradation.DegradingAQM`.
     classifier:
         Optional :class:`~repro.dataplane.classify.ClassifierSpec`.
-        When set, an aCAM
-        :class:`~repro.dataplane.classify.ClassificationStage` is
-        slotted between the digital match-action tables and egress,
-        classifying every surviving packet in one analog search per
-        chunk and steering mapped classes to their ports.
+        When set, the processor runs its aCAM
+        :class:`~repro.dataplane.classify.ClassificationStage` between
+        the digital match-action tables and egress, classifying every
+        surviving packet in one analog search per chunk and steering
+        mapped classes to their ports.
     supervised:
         Register every degradable AQM with the controller and make
-        ``controller.tick`` the runtime's ``supervise`` hook, run once
-        per processed chunk, so
-        reprogram-retry backoff advances with traffic.  Requires
+        ``controller.tick`` the processor's ``supervise`` hook, run
+        once per match-action chunk, so reprogram-retry backoff
+        advances with traffic.  Requires
         ``graceful_degradation`` (or a degradation-capable
         ``aqm_factory`` passed to :func:`build_switch`).
     """
@@ -96,7 +96,7 @@ def build_switch(spec: SwitchSpec, *,
                  controller=None,
                  observability=None,
                  aqm_factory: Callable | None = None):
-    """Assemble a processor (stages on one runtime) from a spec.
+    """Assemble a processor from a spec.
 
     ``controller``/``observability`` are shared infrastructure the
     caller may thread through several switches; ``aqm_factory``
@@ -129,13 +129,8 @@ def build_switch(spec: SwitchSpec, *,
     for prefix, port in spec.routes:
         processor.add_route(prefix, port)
     if spec.classifier is not None:
-        from repro.dataplane.classify import (ACAMClassifier,
-                                              ClassificationStage)
-        classifier = ACAMClassifier(spec.classifier,
-                                    ledger=processor.ledger)
-        processor.insert_stage(ClassificationStage(classifier),
-                               before="egress")
-        processor.classifier = classifier
+        processor.classifier = ACAMClassifier(spec.classifier,
+                                              ledger=processor.ledger)
     if spec.supervised:
         supervisor = processor.controller
         for port in range(spec.n_ports):
@@ -143,5 +138,5 @@ def build_switch(spec: SwitchSpec, *,
             if hasattr(aqm, "maybe_retry"):
                 table = getattr(aqm, "table", "aqm")
                 supervisor.supervise(f"port{port}.{table}", aqm)
-        processor.runtime.supervise = supervisor.tick
+        processor.supervise = supervisor.tick
     return processor

@@ -165,8 +165,8 @@ class EnergyLedger:
         The exact cross-account sum, converted to float once — so the
         total of a merged shard set equals the serial total bit for
         bit, not merely approximately.  It is kept until the next
-        charge, merge or reset, so repeated reads (the runtime reads
-        it around every stage) cost nothing.
+        charge, merge or reset, so repeated reads (the switch's chunk
+        walk reads it around every stage) cost nothing.
         """
         if self._total is None:
             exact = ExactJoules()

@@ -1,6 +1,6 @@
 """One fabric shard and the programming ops the fabric commits to it.
 
-A *shard* is one full ``build_switch`` product — its own runtime,
+A *shard* is one full ``build_switch`` product — its own chunk walk,
 flow cache, energy ledger and telemetry domain — behind the few calls
 the fabric makes:
 

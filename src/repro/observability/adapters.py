@@ -88,27 +88,27 @@ def bind_ledger(registry: MetricsRegistry, ledger: "EnergyLedger",
     registry.register_collector(collect)
 
 
-def bind_runtime(registry: MetricsRegistry, runtime,
+def bind_runtime(registry: MetricsRegistry, processor,
                  namespace: str = "runtime") -> None:
-    """Mirror a staged pipeline runtime's execution counters.
+    """Mirror a switch's chunk-walk execution counters.
 
-    ``runtime`` is a :class:`repro.runtime.PipelineRuntime` (duck
-    typed: ``chunks``, ``stage_runs`` and ``energy_attribution()``).
+    ``processor`` is an
+    :class:`~repro.dataplane.pipeline.AnalogPacketProcessor` (duck
+    typed: ``chunks``, ``stage_runs`` and ``energy_by_stage()``).
     Exports ``{ns}_chunks_total``, per-stage
-    ``{ns}_stage_runs_total{stage=...}`` and — when the runtime
-    attributes energy to its stages —
+    ``{ns}_stage_runs_total{stage=...}`` and
     ``{ns}_stage_joules_total{stage=...}``.
     """
 
     def collect(reg: MetricsRegistry) -> None:
         reg.counter(f"{namespace}_chunks_total",
                     "Chunks executed by the staged runtime."
-                    ).set_total(runtime.chunks)
-        for stage, runs in runtime.stage_runs.items():
+                    ).set_total(processor.chunks)
+        for stage, runs in processor.stage_runs.items():
             reg.counter(f"{namespace}_stage_runs_total",
                         "Stage invocations by the staged runtime.",
                         {"stage": stage}).set_total(runs)
-        for stage, joules in runtime.energy_attribution().items():
+        for stage, joules in processor.energy_by_stage().items():
             reg.counter(f"{namespace}_stage_joules_total",
                         "Ledger energy attributed per runtime stage.",
                         {"stage": stage}).set_total(joules)

@@ -87,10 +87,10 @@ class Observability:
         """Fold a degradable table's fallback state into the registry."""
         bind_degradation(self.registry, degrader, table)
 
-    def watch_runtime(self, runtime, namespace: str = "runtime"
+    def watch_runtime(self, processor, namespace: str = "runtime"
                       ) -> None:
-        """Fold a staged runtime's chunk/stage/energy counters in."""
-        bind_runtime(self.registry, runtime, namespace)
+        """Fold a switch's chunk/stage/energy counters in."""
+        bind_runtime(self.registry, processor, namespace)
 
     # ------------------------------------------------------------------
     # Export surface

@@ -867,8 +867,8 @@ def run_scenario(scenario_or_name: "Scenario | str", *, seed: int = 0,
     memory) and admitted in ``admission_chunk`` slices so simulated
     time advances at sub-window granularity: before each slice the
     egress queues drain at line rate up to the slice's start time,
-    then the slice's columns ride ``process_batch`` through the staged
-    runtime (no per-packet objects are built).
+    then the slice's columns ride ``process_batch`` through the
+    switch's chunk walk (no per-packet objects are built).
     Windowed counters (drops by cause, cache hits/misses, delay EWMA,
     backlog, last PDP) land in ``n_windows`` equal packet-count
     windows on the returned report.

@@ -2,10 +2,9 @@
 
 Covers the dataplane side of the tentpole: the declarative
 :class:`ClassifierSpec`, its compilation from a fitted tree, the
-``SwitchSpec`` port validation, ``insert_stage`` slotting the stage
-between the digital MATs and egress, per-class steering, the
-``traffic_class`` column, scalar/batch parity, and the ledger account
-the search joules land on.
+``SwitchSpec`` port validation, the stage running between the digital
+MATs and egress, per-class steering, scalar/batch parity, and the
+ledger account the search joules land on.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.dataplane import (
-    ACAMClassifier,
-    ClassificationStage,
     ClassifierSpec,
     SwitchSpec,
     Verdict,
@@ -23,6 +20,7 @@ from repro.dataplane import (
 )
 from repro.dataplane.classify import ACAM_SEARCH_ACCOUNT
 from repro.netfunc.decision_tree import CARTTree, TreeNode
+from repro.observability import Observability
 from repro.packet import Packet
 
 
@@ -121,34 +119,34 @@ class TestSwitchSpecValidation:
 
 
 class TestWiring:
+    @staticmethod
+    def stage_spans(processor, obs):
+        processor.process_batch([packet(200, 6), packet(1400, 6)],
+                                now=0.0)
+        [chunk] = obs.tracer.spans("dataplane.process_batch")
+        return [span.name for span in obs.tracer.children_of(chunk)]
+
     def test_stage_slots_between_mats_and_egress(self):
-        processor = build_switch(switch_spec())
-        names = [stage.name for stage in processor.runtime.stages]
-        assert names.index("digital_mats") \
-            < names.index("acam_classifier") < names.index("egress")
+        obs = Observability()
+        processor = build_switch(switch_spec(), observability=obs)
+        assert self.stage_spans(processor, obs) == [
+            "dataplane.digital_mats", "dataplane.acam_classify",
+            "dataplane.egress"]
+        assert list(processor.energy_by_stage()) == [
+            "digital_mats", "acam_classifier", "egress"]
 
     def test_classifier_shares_the_processor_ledger(self):
         processor = build_switch(switch_spec())
         assert processor.classifier.array.ledger is processor.ledger
 
-    def test_insert_stage_rejects_duplicate_names(self):
-        processor = build_switch(switch_spec())
-        classifier = ACAMClassifier(spec())
-        with pytest.raises(ValueError, match="duplicate stage name"):
-            processor.insert_stage(ClassificationStage(classifier),
-                                   before="egress")
-
-    def test_insert_stage_rejects_unknown_anchor(self):
-        processor = build_switch(SwitchSpec(n_ports=1))
-        classifier = ACAMClassifier(spec())
-        with pytest.raises(KeyError):
-            processor.insert_stage(ClassificationStage(classifier),
-                                   before="no_such_stage")
-
     def test_without_classifier_no_stage_is_added(self):
-        processor = build_switch(switch_spec(classifier=None))
-        names = [stage.name for stage in processor.runtime.stages]
-        assert "acam_classifier" not in names
+        obs = Observability()
+        processor = build_switch(switch_spec(classifier=None),
+                                 observability=obs)
+        assert processor.classifier is None
+        assert self.stage_spans(processor, obs) == [
+            "dataplane.digital_mats", "dataplane.egress"]
+        assert "acam_classifier" not in processor.energy_by_stage()
 
 
 class TestSteering:

@@ -31,8 +31,7 @@ def learned_sweep(seed: int, chunk_size: int) -> dict:
         "diurnal", seed=seed, n_packets=30_720, spec=spec,
         chunk_size=chunk_size,
         processor_factory=control_switch_factory(
-            learned=True, min_interval_s=0.06,
-            attachments=attachments))
+            learned=True, attachments=attachments))
     policy = attachments["policy"]
     loop = attachments["loop"]
     return {"programming": policy.programming,

@@ -33,8 +33,7 @@ def learned_state() -> dict:
     run_scenario(
         "diurnal", seed=0, n_packets=30_720, spec=spec,
         processor_factory=control_switch_factory(
-            learned=True, min_interval_s=0.06,
-            attachments=attachments))
+            learned=True, attachments=attachments))
     policy = attachments["policy"]
     loop = attachments["loop"]
     gate = attachments["gate"]

@@ -3,26 +3,22 @@
 
 Walks every module under ``src/repro`` with the ``ast`` module (no
 imports are executed, no third-party dependency needed) and enforces
-the architectural layering the staged-runtime refactor established:
+the architectural layering of the package:
 
-1. ``repro.runtime`` is generic infrastructure.  It may import the
-   observability layer and the stdlib, but never dataplane or netfunc
-   concretions — stages and verdict vocabularies are injected by the
-   dataplane, not known to the runtime.
-2. ``repro.netfunc`` holds the cognitive network functions.  They sit
+1. ``repro.netfunc`` holds the cognitive network functions.  They sit
    *below* the switch pipeline and must not import ``repro.dataplane``
    (the dataplane composes them, never the reverse).
-3. ``repro.packet`` is a leaf: it may import nothing else from
+2. ``repro.packet`` is a leaf: it may import nothing else from
    ``repro`` (every layer shares the Packet type, so any dependency
    here would be a cycle waiting to happen).
-4. ``repro.acam`` is a device-level subsystem like ``repro.core``:
+3. ``repro.acam`` is a device-level subsystem like ``repro.core``:
    the dataplane's classification stage composes it, so it must
    never import ``repro.dataplane`` or ``repro.simnet`` back.
-5. ``repro.fabric`` is the top *composition* layer (it shards whole
-   switches): nothing below it — dataplane, simnet, netfunc,
-   runtime — may import it back.  The scenario engine reaches
-   fabrics only through its duck-typed ``processor_factory`` hook.
-6. ``repro.control`` is the *control plane* and sits above
+4. ``repro.fabric`` is the top *composition* layer (it shards whole
+   switches): nothing below it — dataplane, simnet, netfunc — may
+   import it back.  The scenario engine reaches fabrics only through
+   its duck-typed ``processor_factory`` hook.
+5. ``repro.control`` is the *control plane* and sits above
    everything it closes the loop over: dataplane, fabric,
    robustness and observability may not import it back.  The one
    sanctioned back-edge is the pipeline's default-controller
@@ -44,8 +40,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: over the textual import graph is overkill here: direct imports are
 #: what the contract constrains).
 FORBIDDEN = {
-    "repro.runtime": ("repro.dataplane", "repro.netfunc",
-                      "repro.fabric", "repro.control"),
     "repro.netfunc": ("repro.dataplane", "repro.fabric",
                       "repro.control"),
     "repro.acam": ("repro.dataplane", "repro.simnet", "repro.fabric",
@@ -61,7 +55,7 @@ FORBIDDEN = {
 #: exact module -> prefixes its FORBIDDEN rules waive.  The waiver is
 #: per-module and per-prefix.
 EXCEPTIONS = {
-    # The sanctioned control-plane back-edge (rule 6): the pipeline's
+    # The sanctioned control-plane back-edge (rule 5): the pipeline's
     # default-controller construction.
     "repro.dataplane.pipeline": ("repro.control",),
 }
@@ -132,8 +126,8 @@ def main() -> int:
     if problems:
         print(f"{len(problems)} layering violation(s)", file=sys.stderr)
         return 1
-    print("layering contract clean: runtime |> dataplane, "
-          "netfunc |> dataplane, acam |> dataplane/simnet, "
+    print("layering contract clean: netfunc |> dataplane, "
+          "acam |> dataplane/simnet, "
           "repro.packet is a leaf, repro.fabric composes, "
           "repro.control is the top")
     return 0
