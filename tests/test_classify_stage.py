@@ -9,8 +9,10 @@ ledger account the search joules land on.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.acam import ACAMDecisionTree
 from repro.dataplane import (
     ClassifierSpec,
     SwitchSpec,
@@ -18,7 +20,7 @@ from repro.dataplane import (
     build_switch,
     classifier_spec_from_tree,
 )
-from repro.dataplane.classify import ACAM_SEARCH_ACCOUNT
+from repro.dataplane.classify import ACAM_SEARCH_ACCOUNT, ACAMClassifier
 from repro.netfunc.decision_tree import CARTTree, TreeNode
 from repro.observability import Observability
 from repro.packet import Packet
@@ -216,3 +218,34 @@ class TestEnergyAndTelemetry:
         stats = processor.telemetry.table("acam_classifier")
         assert stats.lookups == 3 and stats.hits == 3
         assert dict(stats.verdicts) == {"0": 1, "1": 1, "2": 1}
+
+
+class TestSharedCompiler:
+    """The classifier stage and the tree compiler build the same bank."""
+
+    @staticmethod
+    def fitted_tree() -> CARTTree:
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.0, 10.0, size=(400, 3))
+        y = (x[:, 0] > 5.0).astype(int) + 2 * (x[:, 2] > 3.0)
+        return CARTTree(max_depth=4, min_samples_leaf=3).fit(x, y)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.3])
+    def test_labels_and_probabilities_match_the_tree_compiler(
+            self, margin):
+        tree = self.fitted_tree()
+        classifier = ACAMClassifier(
+            classifier_spec_from_tree(tree, FEATURES, margin=margin))
+        compiled = ACAMDecisionTree(tree, FEATURES, margin=margin)
+        rng = np.random.default_rng(11)
+        queries = np.vstack([rng.uniform(0.0, 10.0, size=(250, 3)),
+                             rng.uniform(-100.0, 100.0, size=(250, 3))])
+        ours = classifier.array.search_batch(queries)
+        theirs = compiled.array.search_batch(queries)
+        np.testing.assert_array_equal(classifier.labels,
+                                      compiled.labels)
+        np.testing.assert_array_equal(
+            classifier.labels[ours.best_rows],
+            compiled.predict_batch(queries))
+        np.testing.assert_array_equal(ours.probabilities,
+                                      theirs.probabilities)
