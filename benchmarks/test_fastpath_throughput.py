@@ -1,4 +1,5 @@
-"""End-to-end dataplane throughput: the staged columnar batch path.
+"""End-to-end dataplane throughput: batch ``process_batch`` vs per-packet
+``process``.
 
 Not a paper artifact — this pins the engineering payoff of pushing a
 10k-packet mixed-flow trace through the full Figure 5 pipeline

@@ -7,7 +7,8 @@ matching for intrusion detection (12x FPGA throughput).  This demo
 runs both on this repository's substrates:
 
 1. a CART tree trained on synthetic flow features, compiled leaf-by-
-   leaf into pCAM words, classifying in one analog search;
+   leaf into aCAM rows, classifying a whole batch in one analog
+   search and agreeing exactly with the digital tree walk;
 2. a multi-signature payload scanner on the memristor TCAM.
 
 Run:  python examples/accelerated_inference.py
@@ -15,7 +16,9 @@ Run:  python examples/accelerated_inference.py
 
 import numpy as np
 
-from repro.netfunc.decision_tree import AnalogDecisionTree, CARTTree
+from repro.acam import ACAMDecisionTree
+from repro.energy.ledger import EnergyLedger
+from repro.netfunc.decision_tree import CARTTree
 from repro.netfunc.pattern_match import PatternMatcher
 
 
@@ -32,24 +35,25 @@ def decision_tree_demo() -> None:
     names = {0: "web", 1: "video", 2: "bulk"}
 
     tree = CARTTree(max_depth=4).fit(features, labels)
-    analog = AnalogDecisionTree(
-        tree, feature_names=("size_kb", "rate_kpps"),
-        feature_ranges=[(0.0, 2.0), (0.0, 3.0)])
+    ledger = EnergyLedger()
+    analog = ACAMDecisionTree(tree, ("size_kb", "rate_kpps"),
+                              ledger=ledger)
     print(f"  tree: {tree.n_leaves()} leaves -> "
-          f"{analog.n_words} pCAM words (one analog search per flow)")
+          f"{analog.n_rows} aCAM rows (one analog search per batch)")
 
-    agreement = analog.agreement_with(tree, features[::5])
+    agree = analog.predict_batch(features) == tree.predict(features)
+    if not agree.all():
+        raise SystemExit("aCAM and digital tree disagree")
     print(f"  analog/digital agreement on training data: "
-          f"{agreement:.1%}")
+          f"{agree.mean():.1%} (exact)")
 
-    probes = {"typical web flow": {"size_kb": 0.42, "rate_kpps": 0.18},
-              "typical video flow": {"size_kb": 1.25, "rate_kpps": 0.65},
-              "odd flow (between)": {"size_kb": 0.9, "rate_kpps": 1.2}}
-    for label, sample in probes.items():
-        predicted, probability = analog.classify(sample)
-        print(f"  {label:<22} -> {names[predicted]:<6} "
-              f"(match p = {probability:.2f})")
-    print(f"  total search energy: {analog.ledger.total:.3e} J\n")
+    probes = {"typical web flow": (0.42, 0.18),
+              "typical video flow": (1.25, 0.65),
+              "odd flow (between)": (0.9, 1.2)}
+    predicted = analog.predict_batch(np.array(list(probes.values())))
+    for label, klass in zip(probes, predicted):
+        print(f"  {label:<22} -> {names[int(klass)]}")
+    print(f"  total search energy: {ledger.total:.3e} J\n")
 
 
 def pattern_matching_demo() -> None:

@@ -15,7 +15,8 @@ machinery and maps :mod:`repro.netfunc.decision_tree` onto it:
 * :mod:`repro.acam.array`   — vectorised multi-row search with
   seedable fault-plan hooks and a differential row oracle;
 * :mod:`repro.acam.compiler`— root-to-leaf paths flattened to rows,
-  so tree inference is one ``search_batch`` per chunk;
+  so tree inference is one ``search_batch`` per chunk; the one place
+  ``(label, intervals)`` rows become a bank;
 * :mod:`repro.acam.energy`  — the published-figure energy model;
 * :mod:`repro.acam.comparison` — the Table-1-style comparison vs the
   digital tree walk and a range-expanded TCAM.
@@ -43,6 +44,7 @@ from repro.acam.comparison import (
 from repro.acam.compiler import (
     ACAMDecisionTree,
     TreePath,
+    compile_rows,
     compile_tree,
     tree_paths,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "TreePath",
     "UNBOUNDED",
     "build_energy_table",
+    "compile_rows",
     "compile_tree",
     "energy_table_json",
     "format_energy_table",

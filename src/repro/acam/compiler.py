@@ -32,12 +32,14 @@ import numpy as np
 
 from repro.acam.array import ACAMArray
 from repro.acam.cell import ACAMInterval
-from repro.acam.energy import ACAMEnergyModel
 from repro.energy.ledger import EnergyLedger
 from repro.netfunc.decision_tree import CARTTree, TreeNode
 
-__all__ = ["ACAMDecisionTree", "TreePath", "compile_tree",
-           "tree_paths"]
+__all__ = ["ACAMDecisionTree", "TreePath", "compile_rows",
+           "compile_tree", "tree_paths"]
+
+#: One feature's ``(lo, hi)`` constraint; ``None`` is unbounded.
+Interval = tuple[float | None, float | None]
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class TreePath:
     leaf: int
     label: int
     depth: int
-    intervals: tuple[tuple[float | None, float | None], ...]
+    intervals: tuple[Interval, ...]
 
 
 def tree_paths(tree: CARTTree) -> tuple[TreePath, ...]:
@@ -61,7 +63,7 @@ def tree_paths(tree: CARTTree) -> tuple[TreePath, ...]:
     paths: list[TreePath] = []
 
     def walk(node: TreeNode, depth: int,
-             bounds: list[tuple[float | None, float | None]]) -> None:
+             bounds: list[Interval]) -> None:
         if node.is_leaf:
             assert node.prediction is not None
             paths.append(TreePath(leaf=len(paths),
@@ -86,9 +88,28 @@ def tree_paths(tree: CARTTree) -> tuple[TreePath, ...]:
     return tuple(paths)
 
 
+def compile_rows(features: Sequence[str],
+                 rows: Sequence[tuple[int, Sequence[Interval]]], *,
+                 margin: float = 0.0, sharpness: float = 1.0,
+                 ledger: EnergyLedger | None = None,
+                 account: str = "acam.search"
+                 ) -> tuple[ACAMArray, np.ndarray]:
+    """Store ``(label, per-feature intervals)`` rows as one aCAM bank.
+
+    Row ``i`` of the bank holds ``rows[i]``'s box; the returned label
+    array maps a winning row index back to its class.
+    """
+    array = ACAMArray(features, ledger=ledger, account=account)
+    for _, intervals in rows:
+        array.add_row([ACAMInterval(lo=lo, hi=hi, margin=margin,
+                                    sharpness=sharpness)
+                       for lo, hi in intervals])
+    labels = np.array([label for label, _ in rows], dtype=int)
+    return array, labels
+
+
 def compile_tree(tree: CARTTree, feature_names: Sequence[str], *,
                  margin: float = 0.0, sharpness: float = 1.0,
-                 energy_model: ACAMEnergyModel | None = None,
                  ledger: EnergyLedger | None = None,
                  account: str = "acam.search"
                  ) -> tuple[ACAMArray, np.ndarray, tuple[TreePath, ...]]:
@@ -98,13 +119,10 @@ def compile_tree(tree: CARTTree, feature_names: Sequence[str], *,
             f"need one name per feature: {len(feature_names)} != "
             f"{tree.n_features}")
     paths = tree_paths(tree)
-    array = ACAMArray(feature_names, energy_model=energy_model,
-                      ledger=ledger, account=account)
-    for path in paths:
-        array.add_row([ACAMInterval(lo=lo, hi=hi, margin=margin,
-                                    sharpness=sharpness)
-                       for lo, hi in path.intervals])
-    labels = np.array([path.label for path in paths], dtype=int)
+    array, labels = compile_rows(
+        feature_names, [(path.label, path.intervals) for path in paths],
+        margin=margin, sharpness=sharpness, ledger=ledger,
+        account=account)
     return array, labels, paths
 
 
@@ -122,13 +140,12 @@ class ACAMDecisionTree:
     def __init__(self, tree: CARTTree,
                  feature_names: Sequence[str], *,
                  margin: float = 0.0, sharpness: float = 1.0,
-                 energy_model: ACAMEnergyModel | None = None,
                  ledger: EnergyLedger | None = None,
                  account: str = "acam.search") -> None:
         self.feature_names = tuple(feature_names)
         self.array, self.labels, self.paths = compile_tree(
             tree, feature_names, margin=margin, sharpness=sharpness,
-            energy_model=energy_model, ledger=ledger, account=account)
+            ledger=ledger, account=account)
 
     @property
     def n_rows(self) -> int:

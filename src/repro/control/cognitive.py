@@ -78,11 +78,6 @@ class CognitiveNetworkController:
         """
         self._observability = observability
 
-    @property
-    def observability(self):
-        """The attached hub, or None."""
-        return self._observability
-
     def poll_metrics(self) -> dict:
         """One snapshot of every observed metric (the adaptation feed).
 

@@ -11,7 +11,9 @@ module packages that as an optional pipeline stage:
 * :func:`classifier_spec_from_tree` — flatten a fitted
   :class:`~repro.netfunc.decision_tree.CARTTree` into that spec;
 * :class:`ACAMClassifier` — the spec realised as an
-  :class:`~repro.acam.ACAMArray` bank plus packet feature extraction;
+  :class:`~repro.acam.ACAMArray` bank (built by the same
+  :func:`~repro.acam.compiler.compile_rows` that compiles trees) plus
+  packet feature extraction;
 * :class:`ClassificationStage` — the stage the processor runs
   between the digital match-action tables and egress when a
   classifier is installed; it re-steers classified packets to
@@ -27,9 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.acam.array import ACAMArray
-from repro.acam.cell import ACAMInterval
-from repro.acam.compiler import tree_paths
+from repro.acam.compiler import Interval, compile_rows, tree_paths
 from repro.dataplane.fastpath import PacketBatch, first_appearance_counts
 from repro.energy.ledger import EnergyLedger
 from repro.netfunc.decision_tree import CARTTree
@@ -39,9 +39,6 @@ __all__ = ["ACAMClassifier", "ClassificationStage", "ClassifierSpec",
 
 #: Ledger account every bank search is charged to.
 ACAM_SEARCH_ACCOUNT = "acam.search"
-
-Bound = float | None
-Interval = tuple[Bound, Bound]
 
 
 @dataclass(frozen=True)
@@ -121,15 +118,10 @@ class ACAMClassifier:
     def __init__(self, spec: ClassifierSpec,
                  ledger: EnergyLedger | None = None) -> None:
         self.spec = spec
-        self.array = ACAMArray(spec.features, ledger=ledger,
-                               account=ACAM_SEARCH_ACCOUNT)
-        for _, intervals in spec.rows:
-            self.array.add_row([
-                ACAMInterval(lo=lo, hi=hi, margin=spec.margin,
-                             sharpness=spec.sharpness)
-                for lo, hi in intervals])
-        self.labels = np.array([label for label, _ in spec.rows],
-                               dtype=int)
+        self.array, self.labels = compile_rows(
+            spec.features, spec.rows, margin=spec.margin,
+            sharpness=spec.sharpness, ledger=ledger,
+            account=ACAM_SEARCH_ACCOUNT)
         self.port_for_class = dict(spec.class_to_port)
 
     def features_of_batch(self, batch) -> np.ndarray:

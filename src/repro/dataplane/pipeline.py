@@ -49,6 +49,12 @@ from repro.energy.ledger import EnergyLedger
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.netfunc.firewall import Action, Firewall, FirewallRule
 from repro.netfunc.lookup import IPLookup
+from repro.observability.adapters import (
+    bind_degradation,
+    bind_ledger,
+    bind_runtime,
+    bind_telemetry,
+)
 from repro.observability.hub import Observability
 from repro.observability.tracing import maybe_span
 from repro.packet import Packet
@@ -164,15 +170,16 @@ class AnalogPacketProcessor:
     # ------------------------------------------------------------------
     def _wire_observability(self, obs: Observability) -> None:
         """Bind every pipeline component to the shared hub."""
-        obs.watch_telemetry(self.telemetry)
-        obs.watch_ledger(self.ledger)
-        obs.watch_runtime(self)
+        bind_telemetry(obs.registry, self.telemetry)
+        bind_ledger(obs.registry, self.ledger)
+        bind_runtime(obs.registry, self)
         for port in range(self.traffic_manager.n_ports):
             aqm = self.traffic_manager.aqm(port)
             if hasattr(aqm, "maybe_retry") and hasattr(
                     aqm, "fallback_events"):
                 table = getattr(aqm, "table", "pcam_aqm")
-                obs.watch_degradation(aqm, table=f"port{port}.{table}")
+                bind_degradation(obs.registry, aqm,
+                                 table=f"port{port}.{table}")
             # DegradingAQM forwards ``pipeline`` to its wrapped analog
             # AQM, so one attribute covers bare and wrapped tables.
             pipeline = getattr(aqm, "pipeline", None)

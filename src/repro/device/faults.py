@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # avoid a device <-> crossbar import cycle
     from repro.crossbar.array import Crossbar
 
 __all__ = ["CrossbarFaultPlan", "FaultType", "FaultyMemristor",
-           "apply_fault_mask", "inject_crossbar_faults"]
+           "inject_crossbar_faults"]
 
 
 class FaultType(enum.Enum):
@@ -216,18 +216,3 @@ def inject_crossbar_faults(crossbar: "Crossbar", fault_rate: float,
     crossbar.install_fault_plan(existing | plan if existing is not None
                                 else plan)
     return plan.mask
-
-
-def apply_fault_mask(crossbar: "Crossbar", mask: np.ndarray,
-                     stuck_values: np.ndarray) -> None:
-    """Re-pin faulted cells after a reprogramming pass.
-
-    Retained for callers that manage masks by hand; new code should
-    rely on the installed :class:`CrossbarFaultPlan`, which re-pins
-    automatically.
-    """
-    if mask.shape != (crossbar.n_rows, crossbar.n_cols):
-        raise ValueError("mask shape mismatch")
-    conductances = crossbar.conductances_copy()
-    conductances[mask] = stuck_values[mask]
-    crossbar.program(conductances, write_energy_per_cell_j=0.0)

@@ -1,11 +1,7 @@
 """Network functions: digital (lookup, firewall) and cognitive
 (AQM, load balancing, traffic analysis)."""
 
-from repro.netfunc.decision_tree import (
-    AnalogDecisionTree,
-    CARTTree,
-    tree_to_boxes,
-)
+from repro.netfunc.decision_tree import CARTTree
 from repro.netfunc.firewall import Action, Firewall, FirewallRule
 from repro.netfunc.load_balancer import Backend, PCAMLoadBalancer
 from repro.netfunc.lookup import IPLookup, Route
@@ -18,12 +14,10 @@ from repro.netfunc.traffic_analysis import (
 
 __all__ = [
     "Action",
-    "AnalogDecisionTree",
     "Backend",
     "CARTTree",
     "Match",
     "PatternMatcher",
-    "tree_to_boxes",
     "Firewall",
     "FirewallRule",
     "FlowFeatures",

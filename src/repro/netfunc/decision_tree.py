@@ -1,36 +1,27 @@
-"""Decision-tree inference on the analog CAM (paper Sec. 7).
+"""CART learner and digital reference traversal for decision trees.
 
 The related work the pCAM builds on used analog CAMs as "hardware
 accelerator(s) ... for decision tree computation" (Graves et al. [14],
 Pedretti et al. [40]): every root-to-leaf path of a tree is a box of
-per-feature intervals, so the whole tree becomes one CAM search —
-each stored word encodes one leaf's box and the matching word's class
-is the prediction, in a single analog cycle.
-
-This module provides the full path:
+per-feature intervals, so the whole tree becomes one CAM search.
+That inference lives in :mod:`repro.acam.compiler`; this module is
+the digital side it is checked against:
 
 * :class:`CARTTree` — a small, dependency-free CART learner (Gini
-  impurity, axis-aligned splits),
-* :func:`tree_to_boxes` — root-to-leaf path extraction,
-* :class:`AnalogDecisionTree` — the boxes compiled into a
-  :class:`~repro.core.pcam_array.PCAMArray`, with graded fall-off at
-  the box edges so out-of-distribution inputs still classify to the
-  nearest leaf (RQ1's partial match).
+  impurity, axis-aligned splits) whose traversal
+  (:meth:`CARTTree.predict_one`, :meth:`CARTTree.predict_leaf_one`)
+  is the reference the aCAM bank must reproduce leaf for leaf;
+* :class:`TreeNode` — one node, also used to hand-build trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.pcam_array import PCAMArray, PCAMWord
-from repro.core.pcam_cell import PCAMParams
-from repro.energy.ledger import EnergyLedger
-
-__all__ = ["AnalogDecisionTree", "CARTTree", "TreeNode",
-           "tree_to_boxes"]
+__all__ = ["CARTTree", "TreeNode"]
 
 
 @dataclass
@@ -203,95 +194,3 @@ def _count_leaves(node: TreeNode) -> int:
         return 1
     assert node.left is not None and node.right is not None
     return _count_leaves(node.left) + _count_leaves(node.right)
-
-
-def tree_to_boxes(tree: CARTTree,
-                  feature_ranges: Sequence[tuple[float, float]]
-                  ) -> list[tuple[int, list[tuple[float, float]]]]:
-    """Extract (class, per-feature interval box) per leaf."""
-    if len(feature_ranges) != tree.n_features:
-        raise ValueError(
-            f"need one range per feature: {len(feature_ranges)} != "
-            f"{tree.n_features}")
-    boxes: list[tuple[int, list[tuple[float, float]]]] = []
-
-    def walk(node: TreeNode,
-             bounds: list[tuple[float, float]]) -> None:
-        if node.is_leaf:
-            boxes.append((node.prediction, [tuple(b) for b in bounds]))
-            return
-        assert node.feature is not None
-        lo, hi = bounds[node.feature]
-        left_bounds = list(bounds)
-        left_bounds[node.feature] = (lo, min(hi, node.threshold))
-        walk(node.left, left_bounds)
-        right_bounds = list(bounds)
-        right_bounds[node.feature] = (max(lo, node.threshold), hi)
-        walk(node.right, right_bounds)
-
-    walk(tree.root, [tuple(r) for r in feature_ranges])
-    return boxes
-
-
-class AnalogDecisionTree:
-    """A fitted CART tree compiled into a pCAM policy array.
-
-    Every leaf box becomes one stored word; classification is one
-    parallel analog search.  ``fade_fraction`` controls how far the
-    probabilistic ramps extend beyond each box edge (as a fraction of
-    the feature range), which is what lets out-of-range inputs fall
-    to the *nearest* leaf instead of nothing.
-    """
-
-    def __init__(self, tree: CARTTree,
-                 feature_names: Sequence[str],
-                 feature_ranges: Sequence[tuple[float, float]],
-                 fade_fraction: float = 0.05,
-                 ledger: EnergyLedger | None = None) -> None:
-        if len(feature_names) != tree.n_features:
-            raise ValueError("need one name per feature")
-        if not 0.0 < fade_fraction < 1.0:
-            raise ValueError(
-                f"fade fraction must be in (0, 1): {fade_fraction!r}")
-        self.feature_names = tuple(feature_names)
-        self.ledger = ledger if ledger is not None else EnergyLedger()
-        self._array = PCAMArray(self.feature_names)
-        self._classes: list[int] = []
-        for prediction, box in tree_to_boxes(tree, feature_ranges):
-            params: dict[str, PCAMParams] = {}
-            for name, (lo, hi), (range_lo, range_hi) in zip(
-                    self.feature_names, box, feature_ranges):
-                fade = fade_fraction * (range_hi - range_lo)
-                params[name] = PCAMParams.canonical(
-                    m1=lo - fade, m2=lo, m3=hi, m4=hi + fade)
-            self._array.add(PCAMWord.from_params(params))
-            self._classes.append(prediction)
-
-    @property
-    def n_words(self) -> int:
-        """Stored pCAM words (one per tree leaf)."""
-        return len(self._array)
-
-    def classify(self, sample: Mapping[str, float]
-                 ) -> tuple[int, float]:
-        """(predicted class, match probability) in one analog search."""
-        result = self._array.search(
-            {name: float(sample[name]) for name in self.feature_names})
-        self.ledger.charge("decision_tree.search", result.energy_j)
-        if result.best_index is None:
-            raise RuntimeError("compiled tree has no leaves")
-        return (self._classes[result.best_index],
-                result.best_probability)
-
-    def agreement_with(self, tree: CARTTree,
-                       features: np.ndarray) -> float:
-        """Fraction of samples where the analog search matches the
-        digital tree traversal."""
-        x = np.asarray(features, dtype=float)
-        digital = tree.predict(x)
-        hits = 0
-        for row, expected in zip(x, digital):
-            sample = dict(zip(self.feature_names, row))
-            predicted, _ = self.classify(sample)
-            hits += int(predicted == expected)
-        return hits / len(digital)

@@ -19,22 +19,10 @@ data plane advances it via :meth:`set_time`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.observability.adapters import (
-    bind_degradation,
-    bind_ledger,
-    bind_runtime,
-    bind_telemetry,
-)
 from repro.observability.export import to_json, to_prometheus_text
 from repro.observability.profiling import Profiler
 from repro.observability.registry import MetricsRegistry
 from repro.observability.tracing import SimClock, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dataplane.telemetry import TelemetryCollector
-    from repro.energy.ledger import EnergyLedger
 
 __all__ = ["Observability"]
 
@@ -68,29 +56,6 @@ class Observability:
     def span(self, name: str, **attributes):
         """Open a span on the shared tracer."""
         return self.tracer.span(name, **attributes)
-
-    # ------------------------------------------------------------------
-    # Source binding (adapters)
-    # ------------------------------------------------------------------
-    def watch_telemetry(self, collector: "TelemetryCollector",
-                        namespace: str = "dataplane") -> None:
-        """Fold a telemetry collector into the shared registry."""
-        bind_telemetry(self.registry, collector, namespace)
-
-    def watch_ledger(self, ledger: "EnergyLedger",
-                     namespace: str = "energy") -> None:
-        """Fold an energy ledger into the shared registry."""
-        bind_ledger(self.registry, ledger, namespace)
-
-    def watch_degradation(self, degrader, table: str | None = None
-                          ) -> None:
-        """Fold a degradable table's fallback state into the registry."""
-        bind_degradation(self.registry, degrader, table)
-
-    def watch_runtime(self, processor, namespace: str = "runtime"
-                      ) -> None:
-        """Fold a switch's chunk/stage/energy counters in."""
-        bind_runtime(self.registry, processor, namespace)
 
     # ------------------------------------------------------------------
     # Export surface

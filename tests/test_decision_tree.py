@@ -1,13 +1,9 @@
-"""Decision trees on the analog CAM."""
+"""The CART learner and its digital reference traversal."""
 
 import numpy as np
 import pytest
 
-from repro.netfunc.decision_tree import (
-    AnalogDecisionTree,
-    CARTTree,
-    tree_to_boxes,
-)
+from repro.netfunc.decision_tree import CARTTree
 
 
 def two_cluster_data(rng, n=200):
@@ -65,85 +61,3 @@ class TestCARTTree:
             CARTTree(min_samples_leaf=0)
         with pytest.raises(ValueError):
             CARTTree().fit(np.zeros((3, 2)), np.zeros(4))
-
-
-class TestTreeToBoxes:
-    def test_boxes_partition_the_space(self, rng):
-        features, labels = quadrant_data(rng)
-        tree = CARTTree(max_depth=3).fit(features, labels)
-        boxes = tree_to_boxes(tree, [(0.0, 1.0), (0.0, 1.0)])
-        assert len(boxes) == tree.n_leaves()
-        # Every training point falls in exactly one box.
-        for row in features[:50]:
-            containing = [
-                1 for _, box in boxes
-                if all(lo <= value <= hi
-                       for value, (lo, hi) in zip(row, box))]
-            assert len(containing) >= 1
-
-    def test_box_class_matches_tree_prediction(self, rng):
-        features, labels = two_cluster_data(rng)
-        tree = CARTTree(max_depth=3).fit(features, labels)
-        boxes = tree_to_boxes(tree, [(0.0, 1.0), (0.0, 1.0)])
-        for prediction, box in boxes:
-            centre = [0.5 * (lo + hi) for lo, hi in box]
-            assert tree.predict_one(centre) == prediction
-
-    def test_range_count_validated(self, rng):
-        features, labels = two_cluster_data(rng)
-        tree = CARTTree().fit(features, labels)
-        with pytest.raises(ValueError):
-            tree_to_boxes(tree, [(0.0, 1.0)])
-
-
-class TestAnalogDecisionTree:
-    def make(self, rng, data=two_cluster_data):
-        features, labels = data(rng)
-        tree = CARTTree(max_depth=3).fit(features, labels)
-        analog = AnalogDecisionTree(
-            tree, feature_names=("x", "y"),
-            feature_ranges=[(0.0, 1.0), (0.0, 1.0)])
-        return tree, analog, features, labels
-
-    def test_one_word_per_leaf(self, rng):
-        tree, analog, _, _ = self.make(rng)
-        assert analog.n_words == tree.n_leaves()
-
-    def test_agreement_with_digital_tree(self, rng):
-        tree, analog, features, _ = self.make(rng)
-        assert analog.agreement_with(tree, features[:80]) > 0.95
-
-    def test_quadrant_agreement(self, rng):
-        tree, analog, features, _ = self.make(rng, data=quadrant_data)
-        assert analog.agreement_with(tree, features[:80]) > 0.9
-
-    def test_in_box_classification_deterministic(self, rng):
-        _, analog, _, _ = self.make(rng)
-        prediction, probability = analog.classify({"x": 0.3, "y": 0.3})
-        assert prediction == 0
-        assert probability == pytest.approx(1.0)
-
-    def test_out_of_distribution_still_classifies(self, rng):
-        # RQ1 again: a sample outside every leaf box falls to the
-        # nearest leaf with a graded score.
-        _, analog, _, _ = self.make(rng)
-        prediction, probability = analog.classify(
-            {"x": 1.02, "y": 0.72})
-        assert prediction in (0, 1)
-        assert 0.0 < probability
-
-    def test_search_energy_charged(self, rng):
-        _, analog, _, _ = self.make(rng)
-        analog.classify({"x": 0.3, "y": 0.3})
-        assert analog.ledger.total > 0.0
-
-    def test_validation(self, rng):
-        features, labels = two_cluster_data(rng)
-        tree = CARTTree().fit(features, labels)
-        with pytest.raises(ValueError):
-            AnalogDecisionTree(tree, ("only_one",),
-                               [(0.0, 1.0), (0.0, 1.0)])
-        with pytest.raises(ValueError):
-            AnalogDecisionTree(tree, ("x", "y"),
-                               [(0.0, 1.0), (0.0, 1.0)],
-                               fade_fraction=0.0)

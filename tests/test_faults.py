@@ -9,7 +9,6 @@ from repro.device.faults import (
     CrossbarFaultPlan,
     FaultType,
     FaultyMemristor,
-    apply_fault_mask,
     inject_crossbar_faults,
 )
 from repro.device.variability import VariabilityModel
@@ -97,23 +96,11 @@ class TestCrossbarFaults:
         faulty_out = faulty.matvec(voltages, noisy=False).currents_a
         assert not np.allclose(clean_out, faulty_out)
 
-    def test_reapply_mask_after_reprogram(self):
-        bar = self.make_crossbar()
-        mask = inject_crossbar_faults(bar, fault_rate=0.25,
-                                      rng=np.random.default_rng(3))
-        stuck = bar.conductances
-        bar.program_normalised(np.full((8, 8), 0.9))
-        apply_fault_mask(bar, mask, stuck)
-        np.testing.assert_allclose(bar.conductances[mask], stuck[mask])
-
     def test_validation(self):
         bar = self.make_crossbar()
         with pytest.raises(ValueError):
             inject_crossbar_faults(bar, fault_rate=2.0,
                                    rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            apply_fault_mask(bar, np.zeros((2, 2), dtype=bool),
-                             np.zeros((2, 2)))
 
 
 class TestComposableFaults:

@@ -2,15 +2,16 @@
 
 import numpy as np
 
+from repro.acam import ACAMDecisionTree
 from repro.core.dsl import parse_table
 from repro.dataplane.pipeline import AnalogPacketProcessor, Verdict
-from repro.netfunc.decision_tree import AnalogDecisionTree, CARTTree
+from repro.netfunc.decision_tree import CARTTree
 from repro.netfunc.load_balancer import Backend, PCAMLoadBalancer
 from repro.packet import Packet
 
 
 class TestClassifierDrivenLoadBalancing:
-    """An analog decision tree steers flows to per-class backends."""
+    """An aCAM-compiled tree steers flows to per-class backends."""
 
     def test_tree_class_selects_backend_pool(self, rng):
         interactive = rng.normal([0.3, 0.3], 0.05, size=(100, 2))
@@ -18,9 +19,7 @@ class TestClassifierDrivenLoadBalancing:
         features = np.vstack([interactive, bulk])
         labels = np.array([0] * 100 + [1] * 100)
         tree = CARTTree(max_depth=3).fit(features, labels)
-        classifier = AnalogDecisionTree(
-            tree, feature_names=("size", "rate"),
-            feature_ranges=[(0.0, 2.0), (0.0, 2.5)])
+        classifier = ACAMDecisionTree(tree, ("size", "rate"))
 
         balancers = {
             0: PCAMLoadBalancer([Backend("fast-a"), Backend("fast-b")],
@@ -29,9 +28,7 @@ class TestClassifierDrivenLoadBalancing:
                                 rng=np.random.default_rng(2)),
         }
         assignments = {0: 0, 1: 0}
-        for row in features[::4]:
-            klass, _ = classifier.classify(
-                {"size": float(row[0]), "rate": float(row[1])})
+        for klass in classifier.predict_batch(features[::4]).tolist():
             balancers[klass].pick()
             assignments[klass] += 1
         assert assignments[0] > 0 and assignments[1] > 0
