@@ -18,7 +18,7 @@ from repro.core.compiler import (
     PrecisionClass,
 )
 from repro.control import CognitiveNetworkController
-from repro.dataplane import SwitchSpec
+from repro.dataplane import SwitchSpec, build_switch
 from repro.dataplane.parser import build_ethernet_frame, build_ipv4_packet
 from repro.energy import format_energy
 from repro.netfunc.firewall import Action, FirewallRule
@@ -46,7 +46,7 @@ def main() -> None:
         routes=(("10.0.0.0/8", 0), ("192.168.0.0/16", 1)),
         firewall_rules=(FirewallRule(
             action=Action.DENY, src_prefix="172.16.0.0/12"),))
-    processor = controller.build_switch(spec)
+    processor = build_switch(spec, controller=controller)
 
     # --- Push traffic. ----------------------------------------------
     rng = np.random.default_rng(4)

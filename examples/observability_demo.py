@@ -7,7 +7,7 @@ traffic through the scalar and batched paths to exercise every stage
 (parser -> digital MATs -> pCAM AQM -> egress queues), then shows the
 three faces of the layer:
 
-* the unified metrics snapshot the cognitive controller polls —
+* the hub's unified metrics snapshot (``obs.snapshot()``) —
   table hit/miss statistics, energy-account totals, degradation
   fallback/retry counters and per-stage latency histograms, in one
   mapping;
@@ -89,8 +89,8 @@ def main() -> int:
     print(text, end="")
     print(f"[lint: {'clean' if not problems else problems}]")
 
-    print("\n=== Controller poll (unified JSON snapshot) ===")
-    snapshot = processor.controller.poll_metrics()
+    print("\n=== Hub snapshot (unified JSON) ===")
+    snapshot = processor.observability.snapshot()
     for entry in snapshot["metrics"]:
         n = len(entry["samples"])
         print(f"  {entry['name']:<36} {entry['type']:<9} "

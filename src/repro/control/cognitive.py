@@ -7,23 +7,19 @@ requirements of the network functions."
 
 :class:`CognitiveNetworkController` owns a
 :class:`~repro.core.compiler.CognitiveCompiler`, registers declared
-network functions, compiles the digital/analog split, and exposes the
-run-time reprogramming path (``update_pCAM``) to the functions it
-placed in the analog domain.
-
-This is the former ``repro.dataplane.controller``, moved up into the
-unified control layer.  New here: the controller can own any number
-of :class:`~repro.control.loop.ControlLoop` s (intent retargeting,
-learned programming sweeps, ...) via :meth:`attach_loop`; its
-periodic :meth:`tick` — already driven once per processed chunk as
-the switch's ``supervise`` hook — then paces every attached loop on the
-same sim clock.  With no loops attached, ``tick`` behaves exactly as
-before (pinned by the runtime/fabric golden suites).
+network functions and compiles the digital/analog split.  At run time
+its :meth:`~CognitiveNetworkController.tick` — driven once per
+processed chunk as a supervised switch's ``supervise`` hook — is the
+one place the analog tables are reprogrammed (``update_pCAM``): it
+advances the retry backoff of every supervised degradable table, then
+paces every attached :class:`~repro.control.loop.ControlLoop` on the
+same sim clock.  With no tables supervised and no loops attached,
+``tick`` does nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.control.loop import ControlLoop
@@ -33,9 +29,6 @@ from repro.core.compiler import (
     NetworkFunctionSpec,
     Placement,
 )
-from repro.core.pcam_cell import PCAMParams
-from repro.core.pcam_pipeline import PCAMPipeline
-from repro.core.programming import update_pcam
 
 __all__ = ["CognitiveNetworkController", "RegisteredFunction"]
 
@@ -49,8 +42,6 @@ class RegisteredFunction:
     #: the function installs itself on the corresponding hardware.
     install: Callable[[Domain], None] | None = None
     domain: Domain | None = None
-    #: Analog pipelines the controller may reprogram at run time.
-    pipelines: dict[str, PCAMPipeline] = field(default_factory=dict)
 
 
 class CognitiveNetworkController:
@@ -62,55 +53,7 @@ class CognitiveNetworkController:
         self._placement: Placement | None = None
         self._supervised: dict[str, object] = {}
         self._loops: list[ControlLoop] = []
-        self._observability = None
         self.reprogram_events = 0
-
-    # ------------------------------------------------------------------
-    # Observability (the run-time observation feed of Sec. 5)
-    # ------------------------------------------------------------------
-    def attach_observability(self, observability) -> None:
-        """Give the controller the shared observability hub to poll.
-
-        ``observability`` is a
-        :class:`repro.observability.hub.Observability`;
-        :class:`~repro.dataplane.pipeline.AnalogPacketProcessor`
-        attaches its hub automatically when built with one.
-        """
-        self._observability = observability
-
-    def poll_metrics(self) -> dict:
-        """One snapshot of every observed metric (the adaptation feed).
-
-        This is the "run-time observations" input of the paper's
-        cognitive loop: table hit/miss statistics, energy-account
-        totals, degradation fallback/retry counts and per-stage
-        latency histograms, in one JSON-able mapping.  Raises
-        :class:`RuntimeError` when no hub is attached.
-        """
-        if self._observability is None:
-            raise RuntimeError(
-                "no observability hub attached; build the processor "
-                "with observability=Observability() or call "
-                "attach_observability()")
-        return self._observability.snapshot()
-
-    # ------------------------------------------------------------------
-    # Switch assembly
-    # ------------------------------------------------------------------
-    def build_switch(self, spec, *, observability=None,
-                     aqm_factory=None):
-        """Assemble a switch from a declarative spec, owned by self.
-
-        ``spec`` is a :class:`~repro.dataplane.switch.SwitchSpec`;
-        the returned
-        :class:`~repro.dataplane.pipeline.AnalogPacketProcessor` uses
-        this controller (supervision, reprogramming, metric polls) —
-        one controller can own several switches.
-        """
-        from repro.dataplane.switch import build_switch
-        return build_switch(spec, controller=self,
-                            observability=observability,
-                            aqm_factory=aqm_factory)
 
     # ------------------------------------------------------------------
     # Registration & compilation
@@ -140,37 +83,6 @@ class CognitiveNetworkController:
                 registration.install(domain)
         return placement
 
-    def domain_of(self, name: str) -> Domain:
-        """Placement domain of a named function (after compile())."""
-        if self._placement is None:
-            raise RuntimeError("compile() has not been run")
-        return self._placement.domain_of(name)
-
-    # ------------------------------------------------------------------
-    # Run-time reprogramming (update_pCAM path)
-    # ------------------------------------------------------------------
-    def attach_pipeline(self, function_name: str, pipeline_name: str,
-                        pipeline: PCAMPipeline) -> None:
-        """Expose an analog pipeline for run-time reprogramming."""
-        registration = self._require(function_name)
-        registration.pipelines[pipeline_name] = pipeline
-
-    def reprogram(self, function_name: str, pipeline_name: str,
-                  stage: str, params: PCAMParams) -> None:
-        """update_pCAM: push fresh parameters into a placed pipeline."""
-        registration = self._require(function_name)
-        if registration.domain is not Domain.ANALOG_PCAM:
-            raise ValueError(
-                f"{function_name!r} is not placed in the analog domain")
-        try:
-            pipeline = registration.pipelines[pipeline_name]
-        except KeyError:
-            raise KeyError(
-                f"{function_name!r} has no pipeline {pipeline_name!r}; "
-                f"attached: {list(registration.pipelines)}") from None
-        update_pcam(pipeline, stage, params)
-        self.reprogram_events += 1
-
     # ------------------------------------------------------------------
     # Graceful-degradation supervision (retry/reprogram backoff)
     # ------------------------------------------------------------------
@@ -187,18 +99,13 @@ class CognitiveNetworkController:
             raise ValueError(f"table {name!r} already supervised")
         self._supervised[name] = degrader
 
-    @property
-    def supervised(self) -> tuple[str, ...]:
-        """Names of every supervised degradable table."""
-        return tuple(self._supervised)
-
     def degraded_tables(self) -> tuple[str, ...]:
         """Supervised tables currently serving from their fallback."""
         return tuple(name for name, degrader in self._supervised.items()
                      if degrader.degraded)
 
     # ------------------------------------------------------------------
-    # Attached control loops (intent retargeting, learned sweeps)
+    # Attached control loops (learned programming sweeps)
     # ------------------------------------------------------------------
     def attach_loop(self, loop: ControlLoop) -> ControlLoop:
         """Own a control loop: :meth:`tick` will pace it on sim time.
@@ -226,14 +133,6 @@ class CognitiveNetworkController:
         for loop in self._loops:
             self.reprogram_events += len(loop.step(now))
         return tuple(retried)
-
-    def _require(self, name: str) -> RegisteredFunction:
-        try:
-            return self._functions[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown function {name!r}; registered: "
-                f"{list(self._functions)}") from None
 
     # ------------------------------------------------------------------
     # Reporting

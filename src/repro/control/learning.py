@@ -19,8 +19,8 @@ of :mod:`repro.simnet.workloads` — a variate is a pure function of
 invariant to traffic chunking (indices count *decisions*, never
 packets or chunks).
 
-:class:`EnvelopeGate` is the safety interlock: an
-:class:`~repro.control.loop.Actuator` wrapper that refuses candidate
+:class:`EnvelopeGate` is the safety interlock: a wrapper around the
+switch's :class:`~repro.control.loop.AQMActuator` that refuses candidate
 reprograms while the hardware is degraded, probes every reprogrammed
 pipeline against the robustness
 :class:`~repro.robustness.degradation.ShadowOracle`, and rolls back
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.control.loop import Action, Actuator
+from repro.control.loop import Action, AQMActuator
 from repro.simnet.workloads import uniforms
 
 __all__ = [
@@ -331,9 +331,9 @@ class SPSAPolicy:
 
 
 class EnvelopeGate:
-    """Actuator interlock: no learned reprogram escapes the envelope.
+    """The actuator interlock: no learned reprogram escapes the envelope.
 
-    Wraps any :class:`~repro.control.loop.Actuator` and supervises a
+    Wraps an :class:`~repro.control.loop.AQMActuator` and supervises a
     set of analog AQMs (degradation wrappers are unwrapped for
     probing but consulted for their ``degraded`` flag):
 
@@ -358,7 +358,7 @@ class EnvelopeGate:
     #: Probe points per pipeline stage, spanning ``m1..m4``.
     probe_points = 17
 
-    def __init__(self, actuator: Actuator, aqms) -> None:
+    def __init__(self, actuator: AQMActuator, aqms) -> None:
         self.inner = actuator
         self.aqms = list(aqms)
         self.checks = 0
@@ -404,7 +404,7 @@ class EnvelopeGate:
                 return False
         return True
 
-    # -- the Actuator surface ------------------------------------------
+    # -- the actuator surface ------------------------------------------
     def apply(self, action: Action) -> bool:
         if action.kind != "retarget":
             # Repairs (reprogram_intended) and table ops pass through:

@@ -1,22 +1,21 @@
-"""The shared sense -> decide -> actuate control-loop abstraction.
+"""The paced sense -> decide -> actuate control loop.
 
-Before this module the repo had four control loops, each with its own
-polling, pacing and reprogram conventions: the intent retarget loop,
-the cognitive controller's supervision tick, the fabric controller's
-two-phase commit, and the degradation wrapper's retry backoff.
-:class:`ControlLoop` factors the shared shape out:
+:class:`ControlLoop` is the one shape every run-time reprogramming of
+the switch takes.  It holds three duck-typed parts:
 
-* a :class:`Sensor` turns a metrics surface — one switch's counters
-  and queues, or externally fed counters — into one observation dict
-  per decision, *consuming* the observation window as it does (sense
-  returns the window and resets it);
-* a :class:`Policy` maps ``(now, observation)`` to a sequence of
-  :class:`Action` s, each named after a fabric programming op
-  (``retarget``, ``reprogram_intended``, ...), the vocabulary a
-  fabric commit also speaks;
-* an :class:`Actuator` applies one action and reports whether it was
-  actually committed — a gated actuator (see
-  :class:`repro.control.learning.EnvelopeGate`) may refuse.
+* a *sensor* (``sense(now) -> dict``) turns one switch's verdict
+  counters and queues into one observation per decision, *consuming*
+  the observation window as it does (sense returns the window and
+  resets it) — :class:`SwitchSensor`;
+* a *policy* (``decide(now, observation) -> actions``) maps the
+  observation to a sequence of :class:`Action` s, each named after a
+  fabric programming op (``retarget``, ``reprogram_intended``, ...),
+  the vocabulary a fabric commit also speaks —
+  :class:`~repro.control.learning.SPSAPolicy`;
+* an *actuator* (``apply(action) -> bool``) applies one action and
+  reports whether it was actually committed — :class:`AQMActuator`,
+  behind the :class:`~repro.control.learning.EnvelopeGate` interlock,
+  which may refuse.
 
 Pacing is deterministic on the *simulation* clock: a loop decides at
 most once per ``min_interval_s`` of sim time, never on wall time, so
@@ -26,16 +25,11 @@ rerunning a scenario from its seed replays the decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
 
 __all__ = [
     "AQMActuator",
     "Action",
-    "Actuator",
     "ControlLoop",
-    "CounterSensor",
-    "Policy",
-    "Sensor",
     "SwitchSensor",
     "queue_drops",
 ]
@@ -55,44 +49,19 @@ class Action:
     args: tuple = ()
 
 
-@runtime_checkable
-class Sensor(Protocol):
-    """Turns a metrics surface into one observation per decision."""
-
-    def sense(self, now: float) -> dict:
-        """Return the observation window ending at ``now`` and reset it."""
-        ...
-
-
-@runtime_checkable
-class Policy(Protocol):
-    """Maps one observation to zero or more actions."""
-
-    def decide(self, now: float, observation: dict) -> Iterable[Action]:
-        ...
-
-
-@runtime_checkable
-class Actuator(Protocol):
-    """Applies one action; False means it was refused (e.g. gated)."""
-
-    def apply(self, action: Action) -> bool:
-        ...
-
-
 class ControlLoop:
     """One paced sense -> decide -> actuate loop on the sim clock.
 
     :meth:`step` is cheap when paced: until ``min_interval_s`` of sim
     time has passed since the previous decision the loop returns
     without sensing, so it can be driven from a per-chunk supervision
-    hook.  Every decision consumes the sensor's observation window
-    (even when the policy holds), reproducing the windowed-statistics
-    behaviour of the original intent loop byte for byte.
+    hook.  Every decision consumes the sensor's observation window,
+    even when the policy holds, so each observation covers exactly
+    the traffic since the previous decision.
     """
 
-    def __init__(self, sensor: Sensor, policy: Policy,
-                 actuator: Actuator, min_interval_s: float = 1.0) -> None:
+    def __init__(self, sensor, policy, actuator,
+                 min_interval_s: float = 1.0) -> None:
         if min_interval_s <= 0:
             raise ValueError(
                 f"interval must be positive: {min_interval_s!r}")
@@ -121,41 +90,6 @@ class ControlLoop:
                 self.rejected += 1
         self.decisions += 1
         return tuple(applied)
-
-
-class CounterSensor:
-    """An externally fed packet/drop window (the intent-loop feed).
-
-    The caller diffs its own counters and calls :meth:`feed`; the
-    loop's next decision consumes whatever accumulated since the
-    previous one.
-    """
-
-    def __init__(self) -> None:
-        self.packets = 0
-        self.drops = 0
-
-    def feed(self, packets: int, drops: int) -> None:
-        if packets < 0 or drops < 0 or drops > packets:
-            raise ValueError(
-                f"inconsistent counters: packets={packets}, "
-                f"drops={drops}")
-        self.packets += packets
-        self.drops += drops
-
-    @property
-    def drop_rate(self) -> float:
-        """Drop fraction over the window accumulated so far."""
-        if self.packets == 0:
-            return 0.0
-        return self.drops / self.packets
-
-    def sense(self, now: float) -> dict:
-        observation = {"packets": self.packets, "drops": self.drops,
-                       "drop_rate": self.drop_rate}
-        self.packets = 0
-        self.drops = 0
-        return observation
 
 
 #: Queue-loss verdicts: what congestion costs traffic.  Both count —

@@ -122,7 +122,18 @@ class ACAMClassifier:
             spec.features, spec.rows, margin=spec.margin,
             sharpness=spec.sharpness, ledger=ledger,
             account=ACAM_SEARCH_ACCOUNT)
-        self.port_for_class = dict(spec.class_to_port)
+        labels = self.labels.tolist()
+        code_of_label = {label: row for row, label in enumerate(labels)}
+        port_for_class = dict(spec.class_to_port)
+        #: Per row: the code of its class (the last row carrying the
+        #: same label), so rows of one class book one telemetry entry.
+        self.row_codes = np.array([code_of_label[label]
+                                   for label in labels], dtype=np.intp)
+        #: Per code: the class label as a telemetry verdict name.
+        self.code_names = [str(label) for label in labels]
+        #: Per row: the egress port its class steers to, or -1.
+        self.row_ports = np.array([port_for_class.get(label, -1)
+                                   for label in labels], dtype=np.intp)
 
     def features_of_batch(self, batch) -> np.ndarray:
         """The (rows, features) matrix, one column gather per feature."""
@@ -133,15 +144,17 @@ class ACAMClassifier:
                                 for name in self.spec.features])
 
     def classify_batch(self, batch) -> tuple[np.ndarray, np.ndarray]:
-        """(class labels, deterministic-match flags) for a chunk.
+        """(best rows, deterministic-match flags) for a chunk.
 
         ``batch`` is a :class:`PacketBatch` or a packet sequence.
+        ``labels``, ``row_codes`` and ``row_ports`` map the rows to
+        their class, telemetry code and steering port.
         """
         matrix = self.features_of_batch(batch)
         result = self.array.search_batch(matrix)
         deterministic = result.deterministic_mask[
             np.arange(len(matrix)), result.best_rows]
-        return self.labels[result.best_rows], deterministic
+        return result.best_rows, deterministic
 
 
 class ClassificationStage:
@@ -165,18 +178,12 @@ class ClassificationStage:
                       ports: np.ndarray) -> np.ndarray:
         """The chunk's egress ports after per-class steering."""
         classifier = self.switch.classifier
-        labels, deterministic = classifier.classify_batch(batch)
-        values = [str(label) for label in classifier.labels.tolist()]
-        row_of_label = {label: i for i, label
-                        in enumerate(classifier.labels.tolist())}
-        codes = np.array([row_of_label[label]
-                          for label in labels.tolist()], dtype=np.intp)
+        rows, deterministic = classifier.classify_batch(batch)
+        names = classifier.code_names
         self.switch.telemetry.record_lookup_batch(
             "acam_classifier", len(batch),
             int(np.count_nonzero(deterministic)),
-            [(values[code], count)
-             for code, count in first_appearance_counts(codes)])
-        steering = np.array([classifier.port_for_class.get(label, -1)
-                             for label in classifier.labels.tolist()],
-                            dtype=np.intp)[codes]
+            [(names[code], count) for code, count
+             in first_appearance_counts(classifier.row_codes[rows])])
+        steering = classifier.row_ports[rows]
         return np.where(steering >= 0, steering, ports)

@@ -186,7 +186,6 @@ class AnalogPacketProcessor:
             if pipeline is not None:
                 pipeline.tracer = obs.tracer
                 pipeline.profiler = obs.profiler
-        self.controller.attach_observability(obs)
 
     # ------------------------------------------------------------------
     # Configuration

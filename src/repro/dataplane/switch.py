@@ -98,10 +98,14 @@ def build_switch(spec: SwitchSpec, *,
                  aqm_factory: Callable | None = None):
     """Assemble a processor from a spec.
 
-    ``controller``/``observability`` are shared infrastructure the
-    caller may thread through several switches; ``aqm_factory``
-    overrides the per-port AQM construction (and suppresses the
-    spec's ``graceful_degradation`` wrapping, like on the processor).
+    ``controller`` is the cognitive controller the switch reports to
+    (a fresh one when omitted).  A controller supervises the tables
+    of one switch: a supervised spec built on a controller that
+    already supervises tables is refused, since every switch names
+    its tables ``port<N>.<table>``.  ``observability`` may be shared
+    by several switches.  ``aqm_factory`` overrides the per-port AQM
+    construction (and suppresses the spec's ``graceful_degradation``
+    wrapping, like on the processor).
     """
     # Deferred import: callers importing only the spec vocabulary
     # (e.g. config modules) need not pull in the whole dataplane.
@@ -113,6 +117,13 @@ def build_switch(spec: SwitchSpec, *,
             "supervised=True needs degradation-capable AQMs: set "
             "graceful_degradation=True or pass an aqm_factory that "
             "builds them")
+    if spec.supervised and controller is not None \
+            and controller._supervised:
+        raise ValueError(
+            "the controller is shared: it already supervises "
+            f"{sorted(controller._supervised)}; a controller supervises "
+            "one switch's tables, so build each supervised switch "
+            "with its own controller")
     processor = AnalogPacketProcessor(
         spec.n_ports,
         use_memristor_tcam=spec.use_memristor_tcam,

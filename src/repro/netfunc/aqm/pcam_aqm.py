@@ -269,8 +269,8 @@ class PCAMAQM(AQMAlgorithm):
 
         Rebuilds the zeroth-order stage programs (and their scalers)
         for the new band and pushes them through ``update_pCAM`` —
-        the knob a closed-loop controller turns when an operator
-        intent changes.  Derivative veto stages are unaffected.
+        the knob the learned control loop turns.  Derivative veto
+        stages are unaffected.
         """
         if max_deviation_s is None:
             # Preserve the relative band width.

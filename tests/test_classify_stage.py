@@ -219,6 +219,32 @@ class TestEnergyAndTelemetry:
         assert stats.lookups == 3 and stats.hits == 3
         assert dict(stats.verdicts) == {"0": 1, "1": 1, "2": 1}
 
+    def test_rows_of_one_class_book_one_entry(self):
+        """Two rows of class 1 tally as one verdict entry per chunk."""
+        small, mid = (None, 500.0), (500.0, 1100.0)
+        split = ClassifierSpec(
+            features=FEATURES,
+            rows=((1, (small, (None, None), (None, 11.5))),
+                  (1, (mid, (None, None), (None, 11.5))),
+                  (0, ((None, None), (None, None), (11.5, None)))),
+            class_to_port=((1, 1),), margin=2.0)
+        processor = build_switch(switch_spec(classifier=split))
+        booked = []
+        record = processor.telemetry.record_lookup_batch
+
+        def spy(table, lookups, hits, verdicts=()):
+            verdicts = list(verdicts)
+            if table == "acam_classifier":
+                booked.append(verdicts)
+            record(table, lookups, hits, verdicts)
+
+        processor.telemetry.record_lookup_batch = spy
+        results = processor.process_batch(
+            [packet(200, 6), packet(800, 6), packet(300, 6),
+             packet(200, 17)], now=0.0)
+        assert booked == [[("1", 3), ("0", 1)]]
+        assert [result.port for result in results] == [1, 1, 1, 2]
+
 
 class TestSharedCompiler:
     """The classifier stage and the tree compiler build the same bank."""

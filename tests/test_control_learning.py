@@ -310,12 +310,12 @@ class TestSensingAndActuation:
     def test_loop_paces_on_the_sim_clock(self):
         sensed, decided = [], []
 
-        class Sensor:
+        class Congested:
             def sense(self, now):
                 sensed.append(now)
                 return congested(0.100)
 
-        class Policy:
+        class Hold:
             def decide(self, now, observation):
                 decided.append(now)
                 return ()
@@ -324,7 +324,7 @@ class TestSensingAndActuation:
             def apply(self, action):
                 return True
 
-        loop = ControlLoop(Sensor(), Policy(), Sink(),
+        loop = ControlLoop(Congested(), Hold(), Sink(),
                            min_interval_s=1.0)
         for now in (0.0, 0.2, 0.9, 1.05, 1.5, 2.2):
             loop.step(now)

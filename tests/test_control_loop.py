@@ -1,9 +1,8 @@
-"""Intent-driven closed-loop AQM control."""
+"""Retargeting the pCAM AQM, the action the learned loop applies."""
 
 import numpy as np
 import pytest
 
-from repro.control import Intent, IntentController
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 
 
@@ -44,74 +43,3 @@ class TestRetarget:
         aqm = make_aqm()
         aqm.retarget(0.050, max_deviation_s=0.005)
         assert aqm.max_deviation_s == pytest.approx(0.005)
-
-
-class TestIntent:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Intent(max_delay_s=0.01, max_drop_rate=0.1,
-                   min_delay_s=0.02)
-        with pytest.raises(ValueError):
-            Intent(max_delay_s=0.1, max_drop_rate=0.0)
-
-
-class TestIntentController:
-    def make(self, **kwargs):
-        aqm = make_aqm(target_delay_s=0.020)
-        intent = Intent(max_delay_s=0.080, max_drop_rate=0.05)
-        kwargs.setdefault("min_interval_s", 1.0)
-        return aqm, IntentController(aqm, intent, **kwargs)
-
-    def test_excess_loss_raises_target(self):
-        aqm, controller = self.make()
-        controller.observe(0.0, packets=1000, drops=200)  # 20% loss
-        controller.observe(1.5, packets=1000, drops=200)
-        assert aqm.target_delay_s > 0.020
-        assert controller.retargets >= 1
-
-    def test_target_capped_at_intent_bound(self):
-        aqm, controller = self.make()
-        for step in range(20):
-            controller.observe(float(step * 2), packets=1000,
-                               drops=500)
-        assert aqm.target_delay_s <= 0.080 + 1e-12
-
-    def test_underused_budget_lowers_target(self):
-        aqm, controller = self.make()
-        controller.observe(0.0, packets=1000, drops=0)
-        controller.observe(1.5, packets=1000, drops=0)
-        assert aqm.target_delay_s < 0.020
-
-    def test_target_floored_at_min_delay(self):
-        aqm, controller = self.make()
-        for step in range(20):
-            controller.observe(float(step * 2), packets=1000, drops=0)
-        assert aqm.target_delay_s >= controller.intent.min_delay_s - 1e-12
-
-    def test_on_budget_no_retarget(self):
-        aqm, controller = self.make()
-        # 4% loss: inside (0.5*budget, budget] -> hold.
-        controller.observe(0.0, packets=1000, drops=40)
-        controller.observe(1.5, packets=1000, drops=40)
-        assert aqm.target_delay_s == pytest.approx(0.020)
-        assert controller.retargets == 0
-
-    def test_decisions_rate_limited(self):
-        aqm, controller = self.make(min_interval_s=10.0)
-        controller.observe(0.0, packets=100, drops=50)
-        controller.observe(1.0, packets=100, drops=50)
-        controller.observe(2.0, packets=100, drops=50)
-        assert controller.retargets <= 1
-
-    def test_counter_validation(self):
-        _, controller = self.make()
-        with pytest.raises(ValueError):
-            controller.observe(0.0, packets=10, drops=20)
-        with pytest.raises(ValueError):
-            controller.observe(0.0, packets=-1, drops=0)
-
-    def test_interval_validated(self):
-        aqm = make_aqm()
-        intent = Intent(max_delay_s=0.08, max_drop_rate=0.05)
-        with pytest.raises(ValueError):
-            IntentController(aqm, intent, min_interval_s=0.0)

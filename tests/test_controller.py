@@ -1,5 +1,6 @@
 """The cognitive network controller."""
 
+import numpy as np
 import pytest
 
 from repro.core.compiler import (
@@ -9,9 +10,13 @@ from repro.core.compiler import (
     NetworkFunctionSpec,
     PrecisionClass,
 )
-from repro.core.pcam_cell import prog_pcam
-from repro.core.programming import PipelineProgram
-from repro.control import CognitiveNetworkController
+from repro.control import (
+    Action,
+    AQMActuator,
+    CognitiveNetworkController,
+    ControlLoop,
+)
+from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 
 
 def spec(name, precision=PrecisionClass.LOW,
@@ -26,7 +31,7 @@ def test_register_and_compile_splits_domains():
                              FunctionKind.DETERMINISTIC))
     placement = controller.compile()
     assert placement.domain_of("aqm") is Domain.ANALOG_PCAM
-    assert controller.domain_of("ip_lookup") is Domain.DIGITAL_TCAM
+    assert placement.domain_of("ip_lookup") is Domain.DIGITAL_TCAM
 
 
 def test_install_callback_receives_domain():
@@ -50,48 +55,28 @@ def test_compile_without_functions_rejected():
         CognitiveNetworkController().compile()
 
 
-def test_domain_lookup_before_compile_rejected():
-    controller = CognitiveNetworkController()
-    controller.register(spec("aqm"))
-    with pytest.raises(RuntimeError):
-        controller.domain_of("aqm")
-
-
 def test_runtime_reprogramming_path():
+    """tick paces an attached loop whose actions reach update_pCAM."""
     controller = CognitiveNetworkController()
-    controller.register(spec("aqm"))
-    controller.compile()
-    pipeline = (PipelineProgram()
-                .stage("sojourn", prog_pcam(0, 1, 2, 3))).build()
-    controller.attach_pipeline("aqm", "pdp", pipeline)
-    controller.reprogram("aqm", "pdp", "sojourn",
-                         prog_pcam(5, 6, 7, 8))
-    assert pipeline.stage("sojourn").params.m1 == 5
+    aqm = PCAMAQM(rng=np.random.default_rng(0), adaptation=False)
+    programmed = aqm.pipeline.stage("sojourn_time").params
+
+    class Idle:
+        def sense(self, now):
+            return {}
+
+    class Retarget:
+        def decide(self, now, observation):
+            return (Action("retarget", (0.040, 0.005)),)
+
+    controller.attach_loop(ControlLoop(Idle(), Retarget(),
+                                       AQMActuator(aqm),
+                                       min_interval_s=1.0))
+    controller.tick(0.0)
+    controller.tick(0.5)  # paced: no second decision yet
     assert controller.reprogram_events == 1
-
-
-def test_reprogram_digital_function_rejected():
-    controller = CognitiveNetworkController()
-    controller.register(spec("ip_lookup", PrecisionClass.HIGH,
-                             FunctionKind.DETERMINISTIC))
-    controller.compile()
-    pipeline = (PipelineProgram()
-                .stage("s", prog_pcam(0, 1, 2, 3))).build()
-    controller.attach_pipeline("ip_lookup", "p", pipeline)
-    with pytest.raises(ValueError):
-        controller.reprogram("ip_lookup", "p", "s",
-                             prog_pcam(0, 1, 2, 3))
-
-
-def test_unknown_function_and_pipeline_rejected():
-    controller = CognitiveNetworkController()
-    controller.register(spec("aqm"))
-    controller.compile()
-    with pytest.raises(KeyError):
-        controller.attach_pipeline("ghost", "p", None)
-    with pytest.raises(KeyError):
-        controller.reprogram("aqm", "missing", "s",
-                             prog_pcam(0, 1, 2, 3))
+    assert (aqm.target_delay_s, aqm.max_deviation_s) == (0.040, 0.005)
+    assert aqm.pipeline.stage("sojourn_time").params.m1 != programmed.m1
 
 
 def test_report_lists_every_function():

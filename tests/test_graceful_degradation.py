@@ -223,7 +223,7 @@ class TestControllerSupervision:
         aqm, degrader, _ = make_degrader()
         controller = CognitiveNetworkController()
         controller.supervise("port0.aqm", degrader)
-        assert controller.supervised == ("port0.aqm",)
+        assert list(controller._supervised) == ["port0.aqm"]
         inject(aqm, StuckAtFault(state="lrs"))
         degrader.on_enqueue_batch([Packet()], _IdleView(), now=0.0)
         evaluate(aqm)

@@ -7,6 +7,7 @@ from repro.analysis.figures import figure8_series
 from repro.analysis.stats import banded_fraction
 from repro.core.calibration import analog_read_energy_j
 from repro.core.compiler import (
+    Domain,
     FunctionKind,
     NetworkFunctionSpec,
     PrecisionClass,
@@ -68,26 +69,16 @@ class TestCalibratedEnergyPath:
 
 
 class TestControllerDrivenAQM:
-    def test_controller_places_and_reprograms_aqm(self):
+    def test_controller_places_aqm(self):
         controller = CognitiveNetworkController()
-        aqm = PCAMAQM(rng=np.random.default_rng(2))
         controller.register(NetworkFunctionSpec(
             "aqm", PrecisionClass.LOW, FunctionKind.COGNITIVE))
         controller.register(NetworkFunctionSpec(
             "ip_lookup", PrecisionClass.HIGH,
             FunctionKind.DETERMINISTIC))
-        controller.compile()
-        controller.attach_pipeline("aqm", "pdp", aqm.pipeline)
-
-        from repro.core.pcam_cell import prog_pcam
-        from repro.core.calibration import scale_params
-        new_params = scale_params(
-            prog_pcam(0.005, 0.02, 0.16, 0.19),
-            aqm._scalers["sojourn_time"])
-        controller.reprogram("aqm", "pdp", "sojourn_time", new_params)
-        assert controller.reprogram_events == 1
-        assert aqm.pipeline.stage("sojourn_time").params.m1 == \
-            pytest.approx(new_params.m1)
+        placement = controller.compile()
+        assert placement.domain_of("aqm") is Domain.ANALOG_PCAM
+        assert placement.domain_of("ip_lookup") is Domain.DIGITAL_TCAM
 
 
 class TestDerivativeAblationShape:

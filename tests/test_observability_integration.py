@@ -1,7 +1,6 @@
 """End-to-end observability: one hub wired through the whole pipeline."""
 
 import numpy as np
-import pytest
 
 from repro.crossbar.array import Crossbar
 from repro.dataplane.parser import build_ethernet_frame, build_ipv4_packet
@@ -134,21 +133,6 @@ class TestUnifiedSnapshot:
         run_traffic(make_processor(
             obs, aqm_factory=lambda: DegradingAQM(PCAMAQM())))
         assert lint_prometheus(obs.to_prometheus()) == []
-
-
-class TestControllerPoll:
-    def test_poll_metrics_returns_the_hub_snapshot(self):
-        obs = Observability()
-        processor = make_processor(obs)
-        run_traffic(processor)
-        polled = processor.controller.poll_metrics()
-        names = {entry["name"] for entry in polled["metrics"]}
-        assert "dataplane_table_hits_total" in names
-
-    def test_poll_without_hub_raises(self):
-        processor = make_processor(None)
-        with pytest.raises(RuntimeError):
-            processor.controller.poll_metrics()
 
 
 class TestCrossbarTracing:

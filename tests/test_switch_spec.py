@@ -77,7 +77,8 @@ class TestBuildSwitch:
         controller = CognitiveNetworkController()
         processor = build_switch(spec, controller=controller)
         assert processor.controller is controller
-        assert len(controller.supervised) == spec.n_ports
+        assert list(controller._supervised) == ["port0.pcam_aqm",
+                                                "port1.pcam_aqm"]
         # The runtime's supervise hook drives controller.tick once per
         # chunk; ticking must not change traffic outcomes.
         result = processor.process(packet("192.168.7.7"), now=0.5)
@@ -96,7 +97,12 @@ class TestBuildSwitch:
         assert len(built) == 2
         assert processor.traffic_manager.aqm(0) is built[0]
 
-    def test_controller_convenience_method(self):
+    def test_shared_controller_refused_before_assembly(self):
+        spec = replace(BASE, graceful_degradation=True,
+                       supervised=True)
         controller = CognitiveNetworkController()
-        processor = controller.build_switch(BASE)
-        assert processor.controller is controller
+        build_switch(spec, controller=controller)
+        supervised = dict(controller._supervised)
+        with pytest.raises(ValueError, match="controller is shared"):
+            build_switch(spec, controller=controller)
+        assert controller._supervised == supervised
