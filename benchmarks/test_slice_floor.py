@@ -14,11 +14,14 @@ benchmark reports:
   per 256-row slice, counted with ``sys.setprofile`` over one run
   (building the switch excluded).  NumPy's own functions are not
   counted, so the count does not depend on the NumPy version or on
-  the host's speed.
+  the host's speed;
+* ``tcam_searches_per_slice`` — :meth:`~repro.tcam.tcam.TCAM.search_words`
+  calls (each one packed TCAM search, firewall or LPM, any shard) per
+  256-row slice, counted in the same profiled run.
 
 The numbers go to ``benchmarks/BENCH_slice_floor.json`` (not
 tracked).  Nothing here asserts a timing: the fit moves with the
-host, and the call count is the stable signal to compare across
+host, and the call counts are the stable signals to compare across
 changes.  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_slice_floor.py -q -s
@@ -39,6 +42,7 @@ import pytest
 import repro
 from repro.fabric import fabric_scenario_factory
 from repro.simnet.scenarios import run_scenario, scenario_switch
+from repro.tcam.tcam import TCAM
 
 RESULT_PATH = Path(__file__).parent / "BENCH_slice_floor.json"
 
@@ -65,15 +69,18 @@ def _best_wall(name: str, factory, admission_chunk: int) -> float:
                for _ in range(REPEATS))
 
 
-def _repro_calls(name: str, factory) -> int:
-    """Python calls into ``repro`` during one run, build excluded."""
-    count = 0
+def _repro_calls(name: str, factory) -> tuple[int, int]:
+    """Python calls into ``repro`` during one run, build excluded, and
+    how many of them were packed TCAM searches."""
+    count = searches = 0
+    search_code = TCAM.search_words.__code__
 
     def profile(frame, event, arg) -> None:
-        nonlocal count
+        nonlocal count, searches
         if event == "call" \
                 and frame.f_code.co_filename.startswith(_REPRO_ROOT):
             count += 1
+            searches += frame.f_code is search_code
 
     def unprofiled_factory(spec, seed: int):
         sys.setprofile(None)
@@ -89,7 +96,7 @@ def _repro_calls(name: str, factory) -> int:
                      processor_factory=unprofiled_factory)
     finally:
         sys.setprofile(None)
-    return count
+    return count, searches
 
 
 def _measure(name: str, factory) -> dict:
@@ -98,13 +105,15 @@ def _measure(name: str, factory) -> dict:
     fixed = (small - large) / (1.0 / SMALL - 1.0 / LARGE)
     default = _best_wall(name, factory, DEFAULT)
     slices = math.ceil(N_PACKETS / DEFAULT)
+    calls, searches = _repro_calls(name, factory)
     return {
         "scenario": name,
         "n_packets": N_PACKETS,
         "fixed_us_per_slice": fixed * 1e6,
         "per_packet_us": (large - fixed / LARGE) * 1e6,
         "pps_at_default_slice": N_PACKETS / default,
-        "repro_calls_per_slice": _repro_calls(name, factory) / slices,
+        "repro_calls_per_slice": calls / slices,
+        "tcam_searches_per_slice": searches / slices,
     }
 
 
@@ -124,12 +133,13 @@ def floor() -> dict:
     RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
     print(f"\n=== fixed cost per admission slice ({N_PACKETS} packets) ===")
     print(f"{'workload':>24}{'fixed us/slice':>16}{'us/pkt':>10}"
-          f"{'pps@256':>12}{'calls/slice':>14}")
+          f"{'pps@256':>12}{'calls/slice':>14}{'tcam/slice':>12}")
     for workload, row in measured.items():
         print(f"{workload:>24}{row['fixed_us_per_slice']:>16.1f}"
               f"{row['per_packet_us']:>10.2f}"
               f"{row['pps_at_default_slice']:>12,.0f}"
-              f"{row['repro_calls_per_slice']:>14.1f}")
+              f"{row['repro_calls_per_slice']:>14.1f}"
+              f"{row['tcam_searches_per_slice']:>12.2f}")
     return measured
 
 

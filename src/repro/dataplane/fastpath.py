@@ -11,7 +11,9 @@ The switch moves fixed-width header columns, not per-packet objects:
 * :class:`FlowCache` — an LRU of digital classification results keyed
   on (flow key, table generation): repeated flows skip classification
   entirely, and any table mutation bumps the generation, so the next
-  probe of a stale entry misses and the cache flushes itself.
+  probe of a stale entry misses and the cache flushes itself.  A flow
+  key is one 16-byte string of the two packed header words, so the
+  dictionary hashes each row's key once.
 
 Everything here is a pure re-expression of the scalar reference:
 verdicts, drop reasons and telemetry totals are pinned equal by
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import ipaddress
 from collections import Counter, OrderedDict, deque
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import is_, is_not
 from typing import Collection, Iterable, Sequence
 
@@ -94,14 +96,11 @@ BATCH_COLUMNS = ("sizes", "flow_ids", "priorities", "times", "src_ip",
 #: The 5-tuple columns in flow-key order, with their header widths.
 _KEY_FIELDS = (("src_ip", 32), ("dst_ip", 32), ("src_port", 16),
                ("dst_port", 16), ("protocol", 8))
-_KEY_COLUMNS = tuple(name for name, _ in _KEY_FIELDS) + ("has_dst",)
 #: Shift amounts as uint64 scalars (a Python int shift promotes
 #: uint64 columns to float64 under NumPy 1.x value-based casting).
 _U64 = {bits: np.uint64(bits) for bits in (1, 8, 16, 32)}
 _LOW32 = np.uint64(0xFFFFFFFF)
-
-#: Batches shorter than this pack their flow keys in Python.
-_SMALL_BATCH = 16
+_OR = np.bitwise_or.reduce
 
 #: Packet attribute / header field -> the batch column holding it.
 _FEATURE_COLUMNS = {"size_bytes": "sizes", "priority": "priorities",
@@ -119,11 +118,11 @@ class PacketBatch:
     arrays, and a ``has_dst`` mask.  ``has_dst`` follows the scalar
     reference, which treats a zero destination as absent (the parser
     and ``Packet`` path test ``bool(dst_ip)``), and ``dst_ip`` reads 0
-    wherever the mask is clear.  ``flow_keys[i]`` is the hashable
-    per-row cache key: the 5-tuple plus the dst-present flag packed
-    into two 64-bit words (:meth:`flow_words`), so a packet with an
-    explicit ``0.0.0.0`` destination never shares a cache line with
-    one missing the field.
+    wherever the mask is clear.  ``flow_keys[i]`` is the per-row cache
+    key: the 5-tuple plus the dst-present flag packed into two 64-bit
+    words (:meth:`flow_words`) and held as one 16-byte ``bytes``
+    value, so a packet with an explicit ``0.0.0.0`` destination never
+    shares a cache line with one missing the field.
 
     Built from a :class:`~repro.simnet.workloads.ChunkColumns` chunk
     the batch wraps its arrays; built from ``Packet`` objects it
@@ -211,56 +210,48 @@ class PacketBatch:
         return (self[row] for row in range(len(self)))
 
     @property
-    def flow_keys(self) -> list[tuple[int, int]]:
-        """Per-row hashable ``(hi, lo)`` flow keys, built once per batch.
+    def flow_keys(self) -> list[bytes]:
+        """Per-row flow keys, built once per batch.
 
-        Below :data:`_SMALL_BATCH` rows (the scalar edge) the words are
-        packed in Python, where NumPy's per-call overhead would cost
-        more than the rows; the values are the same either way.
+        Row ``i``'s key is the 16 bytes of its two :meth:`flow_words`
+        (host byte order): one opaque value whose hash Python computes
+        once and caches, so every probe, LRU touch and put after the
+        first reuses it.  The keys never leave the process.
         """
         keys = self._flow_keys
         if keys is None:
-            if len(self) < _SMALL_BATCH:
-                keys = self._pack_small()
-            else:
-                hi, lo = self.flow_words()
-                keys = list(zip(hi.tolist(), lo.tolist()))
-            self._flow_keys = keys
+            keys = self._flow_keys = \
+                self.flow_words().view("V16").ravel().tolist()
         return keys
 
-    def flow_words(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flow key as two uint64 columns ``(hi, lo)``.
+    def flow_words(self) -> np.ndarray:
+        """The flow key as an ``(n, 2)`` uint64 array of ``(hi, lo)``.
 
         ``hi = src << 32 | dst`` and ``lo = sport << 25 | dport << 9 |
         proto << 1 | has_dst``, so ``(hi, lo >> 1)`` is the firewall's
         104-bit ACL key in :func:`~repro.tcam.tcam.pack_bits` layout
         and ``hi & 0xFFFFFFFF`` is the LPM key.  Raises
-        :func:`~repro.tcam.tcam.key_matrix`'s ``ValueError`` for a
-        field wider than its header slot.
+        :func:`~repro.tcam.tcam.fit_width`'s ``ValueError`` for a field
+        wider than its header slot.
         """
-        src, dst, sport, dport, proto = [
-            fit_width(getattr(self, name), width)
-            for name, width in _KEY_FIELDS]
-        hi = src << _U64[32]
+        src, dst, sport, dport, proto = columns = [
+            getattr(self, name).astype(np.uint64, copy=False)
+            for name, _ in _KEY_FIELDS]
+        if int(_OR(src | dst)) >> 32 | int(_OR(sport | dport)) >> 16 \
+                | int(_OR(proto)) >> 8:
+            for column, (_, width) in zip(columns, _KEY_FIELDS):
+                fit_width(column, width)    # raises the width error
+        words = np.empty((len(src), 2), dtype=np.uint64)
+        hi, lo = words.T
+        np.left_shift(src, _U64[32], out=hi)
         hi |= dst
-        lo = sport << _U64[16]
+        np.left_shift(sport, _U64[16], out=lo)
         lo |= dport
         lo <<= _U64[8]
         lo |= proto
         lo <<= _U64[1]
         lo |= self.has_dst
-        return hi, lo
-
-    def _pack_small(self) -> list[tuple[int, int]]:
-        """:meth:`flow_words` as Python ints, for a few rows."""
-        keys = []
-        for src, dst, sport, dport, proto, has in zip(
-                *[getattr(self, name).tolist() for name in _KEY_COLUMNS]):
-            if (src | dst) >> 32 or (sport | dport) >> 16 or proto >> 8:
-                self.flow_words()           # raises the width error
-            keys.append((src << 32 | dst,
-                         sport << 25 | dport << 9 | proto << 1 | has))
-        return keys
+        return words
 
     def _derive(self, pick) -> "PacketBatch":
         sub = PacketBatch.__new__(PacketBatch)
@@ -364,8 +355,9 @@ class PacketBatch:
 class FlowCache:
     """LRU cache of digital classification results, generation-keyed.
 
-    Entries map a :class:`PacketBatch` flow key to the outcome code
-    :func:`classify_chunk` computed for it.  The cache carries the
+    Entries map a :class:`PacketBatch` flow key (16 bytes; any
+    hashable key works) to the outcome code :func:`classify_chunk`
+    computed for it.  The cache carries the
     (firewall, lookup) generation pair it was filled under: probing
     with a different pair flushes everything, so a controller table
     update can never serve a stale verdict — there is no time-based
@@ -471,9 +463,10 @@ def classify_chunk(batch: PacketBatch, firewall, lookup,
     per row.
 
     Field widths are checked once (:meth:`PacketBatch.flow_words`)
-    before every row probes the flow cache (so all rows of a flow new
-    to the chunk count as misses); the unique missing flows are then
-    searched in one firewall pass, the ACL survivors that carry a
+    before every row probes the flow cache with its 16-byte key (so
+    all rows of a flow new to the chunk count as misses); the unique
+    missing flows are then unpacked back to words in one
+    ``np.frombuffer`` and searched in one firewall pass, the ACL survivors that carry a
     destination get one LPM pass, and their codes are cached.  The
     lookup for denied or destination-less flows is skipped exactly as
     the scalar reference skips it.
@@ -498,15 +491,14 @@ def classify_chunk(batch: PacketBatch, firewall, lookup,
     return position[np.array(found, dtype=np.intp)], entries
 
 
-def _classify_misses(keys: list, found: list, firewall, lookup,
+def _classify_misses(keys: list[bytes], found: list, firewall, lookup,
                      stride: int, cache: FlowCache | None, generation,
                      tracer) -> list[int]:
     """Search the chunk's unique missing flows; every row's code."""
     # Probes precede puts, so a flow misses on all of its rows or on
     # none: one dict pass numbers the missing flows in first-row order.
     missing = dict.fromkeys(compress(keys, map(is_, found, repeat(None))))
-    words = np.fromiter(chain.from_iterable(missing), dtype=np.uint64,
-                        count=2 * len(missing)).reshape(-1, 2)
+    words = np.frombuffer(b"".join(missing), np.uint64).reshape(-1, 2)
     hi, lo = words[:, 0], words[:, 1]
     with maybe_span(tracer, "dataplane.firewall", batch=len(words)):
         acl = firewall.check_batch(np.column_stack((hi, lo >> _U64[1])))

@@ -105,7 +105,9 @@ def build_switch(spec: SwitchSpec, *,
     its tables ``port<N>.<table>``.  ``observability`` may be shared
     by several switches.  ``aqm_factory`` overrides the per-port AQM
     construction (and suppresses the spec's ``graceful_degradation``
-    wrapping, like on the processor).
+    wrapping, like on the processor); a supervised spec whose factory
+    builds no degradation-capable AQM is refused before any table is
+    registered.
     """
     # Deferred import: callers importing only the spec vocabulary
     # (e.g. config modules) need not pull in the whole dataplane.
@@ -143,11 +145,17 @@ def build_switch(spec: SwitchSpec, *,
         processor.classifier = ACAMClassifier(spec.classifier,
                                               ledger=processor.ledger)
     if spec.supervised:
+        aqms = map(processor.traffic_manager.aqm, range(spec.n_ports))
+        tables = {f"port{port}.{getattr(aqm, 'table', 'aqm')}": aqm
+                  for port, aqm in enumerate(aqms)
+                  if hasattr(aqm, "maybe_retry")}
+        if not tables:
+            raise ValueError(
+                "supervised=True, but the aqm_factory built no "
+                "degradation-capable AQM (one with maybe_retry), so "
+                "there is nothing to supervise")
         supervisor = processor.controller
-        for port in range(spec.n_ports):
-            aqm = processor.traffic_manager.aqm(port)
-            if hasattr(aqm, "maybe_retry"):
-                table = getattr(aqm, "table", "aqm")
-                supervisor.supervise(f"port{port}.{table}", aqm)
+        for name, aqm in tables.items():
+            supervisor.supervise(name, aqm)
         processor.supervise = supervisor.tick
     return processor

@@ -96,13 +96,14 @@ class MemristorTCAM(TCAM):
 
         Every stored cell takes part in every key's search: a
         mismatching cell (a set bit of ``diff = (key ^ bits) & care``,
-        counted over its unpacked bytes) discharges its match-line
-        slice, the rest leak.  All of it is computation (colocalized
-        storage, nothing to shuttle).  Integer cell counts partition
-        linearly across keys, so the booked joules are bit-identical
-        however the same keys are batched or sharded.
+        counted over its unpacked bytes; the search's sentinel row has
+        none) discharges its match-line slice, the rest leak.  All of
+        it is computation (colocalized storage, nothing to shuttle).
+        Integer cell counts partition linearly across keys, so the
+        booked joules are bit-identical however the same keys are
+        batched or sharded.
         """
-        total_cells = diff.shape[0] * diff.shape[1] * self.width_bits
+        total_cells = n_keys * len(self._patterns) * self.width_bits
         mismatching = int(np.count_nonzero(np.unpackbits(
             diff.view(np.uint8))))
         leak, discharge = self._cell_energies()

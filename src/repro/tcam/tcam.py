@@ -15,6 +15,7 @@ transistor-based designs (Figure 1, [23, 41]).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,6 +200,19 @@ class BatchSearchResult:
         return int(self.best_indices.shape[0])
 
 
+class _PackedTable(NamedTuple):
+    """A :class:`TCAM`'s entries packed for search (see
+    :meth:`TCAM._ensure_words`): fixed until the next add/remove."""
+
+    order: np.ndarray
+    bits: np.ndarray
+    care: np.ndarray
+    #: Width of the last key word in bits (64 when the width divides).
+    last_bits: int
+    #: Keys per search slice (see :attr:`TCAM._MAX_BATCH_CELLS`).
+    step: int
+
+
 class TCAM:
     """A priority-ordered ternary CAM with a digital energy model.
 
@@ -224,9 +238,8 @@ class TCAM:
         self._priorities: list[int] = []
         self._searches = 0
         self._generation = 0
-        # (priority order, packed bits, packed care), rebuilt lazily.
-        self._words: tuple[np.ndarray, np.ndarray, np.ndarray] | None \
-            = None
+        # The packed entries and search setup, rebuilt lazily.
+        self._words: _PackedTable | None = None
 
     def __len__(self) -> int:
         return len(self._patterns)
@@ -273,34 +286,55 @@ class TCAM:
         self._words = None
         self._generation += 1
 
-    def _ensure_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(order, bits, care)``: the entries as packed match words.
+    def _ensure_words(self) -> "_PackedTable":
+        """The entries as packed match words, plus the search setup.
 
         Rows are in priority order (lower value first, insertion order
-        breaking ties) and ``order[j]`` is row ``j``'s entry index, so
-        a key's winner is simply its first matching row.  ``bits`` is
-        stored pre-masked (``bits & care``).
+        breaking ties), followed by one all-don't-care sentinel row
+        that every key matches; ``order[j]`` is row ``j``'s entry index
+        (``-1`` for the sentinel), so a key's winner is simply its
+        first matching row.  ``bits`` is stored pre-masked (``bits &
+        care``).  Rebuilt only after :meth:`add` or :meth:`remove`.
         """
         if self._words is None:
+            width = self.width_bits
             order = np.argsort(self._priorities, kind="stable")
-            patterns = [self._patterns[i] for i in order.tolist()]
-            care = np.array([p.care for p in patterns], dtype=bool)
-            bits = np.array([p.bits for p in patterns], dtype=bool) & care
-            self._words = (order, pack_bits(bits.reshape(-1, self.width_bits)),
-                           pack_bits(care.reshape(-1, self.width_bits)))
+            rows = [self._patterns[i] for i in order.tolist()]
+            care = np.zeros((len(rows) + 1, width), dtype=bool)
+            bits = care.copy()
+            if rows:
+                care[:-1] = [p.care for p in rows]
+                bits[:-1] = [p.bits for p in rows]
+            self._words = _PackedTable(
+                order=np.append(order, -1), bits=pack_bits(bits & care),
+                care=pack_bits(care), last_bits=(width - 1) % WORD_BITS + 1,
+                step=max(1, self._MAX_BATCH_CELLS
+                         // max(len(rows) * width, 1)))
         return self._words
 
     def _match(self, keys: np.ndarray) -> tuple[np.ndarray, float]:
         """One match-line evaluation of packed ``keys`` against every row.
 
         A key matches a row when ``((key ^ bits) & care) == 0`` in every
-        word.  Returns the (keys, rows) match matrix in priority order
-        and the energy booked for the searches (one ledger charge per
-        call).
+        word.  Returns the (keys, rows + 1) mismatch words in priority
+        order, zero exactly where a key matches a row (so the sentinel
+        column is all zero), and the energy booked for the searches
+        (one ledger charge per call).
         """
-        _, bits, care = self._ensure_words()
-        diff = (keys[:, None, :] ^ bits[None, :, :]) & care[None, :, :]
-        return ~diff.any(axis=2), self._charge_slice(diff, len(keys))
+        table = self._ensure_words()
+        diff = (keys[:, None, :] ^ table.bits) & table.care
+        energy = self._charge_slice(diff, len(keys))
+        mismatch = diff[:, :, 0]
+        for word in range(1, diff.shape[2]):
+            mismatch = mismatch | diff[:, :, word]
+        return mismatch, energy
+
+    def _best(self, keys: np.ndarray) -> tuple[np.ndarray, float]:
+        """Each key's winning entry (``-1`` on a miss) and the energy:
+        the first zero of a mismatch row, which is the sentinel's
+        when no entry matches."""
+        mismatch, energy = self._match(keys)
+        return self._words.order[mismatch.argmin(axis=1)], energy
 
     def search(self, key: np.ndarray | int) -> SearchResult:
         """One-cycle search of all entries against ``key``.
@@ -313,9 +347,9 @@ class TCAM:
         if key.shape != (self.width_bits,):
             raise ValueError(
                 f"key shape {key.shape} != ({self.width_bits},)")
-        order = self._ensure_words()[0]
-        matched, energy = self._match(pack_bits(key[None, :]))
-        hits = order[matched[0]].tolist()
+        order = self._ensure_words().order
+        mismatch, energy = self._match(pack_bits(key[None, :]))
+        hits = order[mismatch[0] == 0][:-1].tolist()
         self._searches += 1
         return SearchResult(matched_indices=tuple(sorted(hits)),
                             best_index=hits[0] if hits else None,
@@ -351,24 +385,25 @@ class TCAM:
         than :attr:`_MAX_BATCH_CELLS` cells.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        n_words = -(-self.width_bits // WORD_BITS)
+        table = self._ensure_words()
+        n_words = table.bits.shape[1]
         if keys.ndim != 2 or keys.shape[1] != n_words:
             raise ValueError(
                 f"keys shape {keys.shape} != (batch, {n_words})")
-        fit_width(keys[:, -1], self.width_bits - WORD_BITS * (n_words - 1))
-        order = self._ensure_words()[0]
-        n_keys, n_entries = len(keys), len(order)
-        best = np.full(n_keys, -1, dtype=np.int64)
-        energy = 0.0
-        step = max(1, self._MAX_BATCH_CELLS
-                   // max(n_entries * self.width_bits, 1))
-        for start in range(0, n_keys, step):
-            matched, slice_energy = self._match(keys[start:start + step])
-            energy += slice_energy
-            if n_entries:
-                first = matched.argmax(axis=1)
-                best[start:start + step] = np.where(
-                    matched.any(axis=1), order[first], -1)
+        n_keys, last_bits, step = len(keys), table.last_bits, table.step
+        if last_bits < WORD_BITS and n_keys:
+            top = int(keys[:, -1].max())
+            if top >> last_bits:
+                raise ValueError(
+                    f"value {top} does not fit in {last_bits} bits")
+        if 0 < n_keys <= step:
+            best, energy = self._best(keys)
+        else:
+            slices = [self._best(keys[start:start + step])
+                      for start in range(0, n_keys, step)]
+            best = np.concatenate(
+                [table.order[:0]] + [part for part, _ in slices])
+            energy = sum((part for _, part in slices), 0.0)
         self._searches += n_keys
         return BatchSearchResult(best_indices=best, energy_j=energy,
                                  latency_s=self.search_latency_s)

@@ -13,6 +13,8 @@ table updates between chunks.
 import ipaddress
 from collections import OrderedDict
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataplane.fastpath import FlowCache, PacketBatch, classify_chunk
@@ -146,17 +148,39 @@ def test_classify_chunk_matches_probe_then_put_reference(chunks, capacity,
         assert list(cache._entries) == list(reference.entries)
 
 
+def decoded_keys(batch) -> list:
+    """A batch's 16-byte flow keys decoded back to ``(hi, lo)`` pairs."""
+    words = np.frombuffer(b"".join(batch.flow_keys), np.uint64)
+    return [tuple(pair) for pair in words.reshape(-1, 2).tolist()]
+
+
 @settings(max_examples=40)
 @given(flows_=st.lists(flows, min_size=1, max_size=40))
 def test_flow_keys_pack_the_documented_layout_at_every_batch_size(flows_):
-    # Small batches pack in Python, larger ones in NumPy: both must
-    # produce hi = src<<32 | dst, lo = sport<<25 | dport<<9 | proto<<1
-    # | has_dst, row for row.
+    # Every batch size takes the same path, and each key decodes to
+    # hi = src<<32 | dst, lo = sport<<25 | dport<<9 | proto<<1 |
+    # has_dst, row for row.
     packets = [make_packet(flow) for flow in flows_]
     expected = [((src << 32) | (dst or 0),
                  (sport << 25) | (dport << 9) | (proto << 1)
                  | (dst is not None))
                 for src, dst, sport, dport, proto in flows_]
-    assert PacketBatch(packets).flow_keys == expected
+    batch = PacketBatch(packets)
+    assert all(type(key) is bytes and len(key) == 16
+               for key in batch.flow_keys)
+    assert decoded_keys(batch) == expected
     for size in (1, 15, 16, 17):
-        assert PacketBatch(packets[:size]).flow_keys == expected[:size]
+        assert decoded_keys(PacketBatch(packets[:size])) == expected[:size]
+
+
+@pytest.mark.parametrize("rows", [1, 256])
+@pytest.mark.parametrize("field, value, width", [
+    ("src_port", 1 << 16, 16), ("protocol", 300, 8)])
+def test_flow_keys_reject_a_too_wide_field_at_every_batch_size(
+        rows, field, value, width):
+    packets = [make_packet((SRC_POOL[0], DST_POOL[0], 80, 443, 6))
+               for _ in range(rows)]
+    packets[-1].fields[field] = value
+    with pytest.raises(ValueError,
+                       match=f"^value {value} does not fit in {width} bits$"):
+        PacketBatch(packets).flow_keys

@@ -6,13 +6,6 @@ import pytest
 from repro.analysis.figures import figure8_series
 from repro.analysis.stats import banded_fraction
 from repro.core.calibration import analog_read_energy_j
-from repro.core.compiler import (
-    Domain,
-    FunctionKind,
-    NetworkFunctionSpec,
-    PrecisionClass,
-)
-from repro.control import CognitiveNetworkController
 from repro.energy.ledger import EnergyLedger
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.netfunc.aqm.base import TailDropAQM
@@ -66,19 +59,6 @@ class TestCalibratedEnergyPath:
         per_eval = searches / aqm.evaluations
         digital_equivalent = 0.58e-15 * 16
         assert per_eval < digital_equivalent
-
-
-class TestControllerDrivenAQM:
-    def test_controller_places_aqm(self):
-        controller = CognitiveNetworkController()
-        controller.register(NetworkFunctionSpec(
-            "aqm", PrecisionClass.LOW, FunctionKind.COGNITIVE))
-        controller.register(NetworkFunctionSpec(
-            "ip_lookup", PrecisionClass.HIGH,
-            FunctionKind.DETERMINISTIC))
-        placement = controller.compile()
-        assert placement.domain_of("aqm") is Domain.ANALOG_PCAM
-        assert placement.domain_of("ip_lookup") is Domain.DIGITAL_TCAM
 
 
 class TestDerivativeAblationShape:

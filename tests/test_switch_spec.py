@@ -46,6 +46,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="degradation-capable"):
             build_switch(SwitchSpec(n_ports=1, supervised=True))
 
+    def test_supervision_refuses_a_factory_without_degradable_aqms(self):
+        controller = CognitiveNetworkController()
+        with pytest.raises(ValueError,
+                           match="supervised.*aqm_factory.*nothing to "
+                                 "supervise"):
+            build_switch(SwitchSpec(n_ports=2, supervised=True),
+                         aqm_factory=PCAMAQM, controller=controller)
+        assert controller._supervised == {}
+
 
 class TestBuildSwitch:
     def test_tables_installed_from_spec(self):
