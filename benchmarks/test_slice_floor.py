@@ -17,7 +17,12 @@ benchmark reports:
   the host's speed;
 * ``tcam_searches_per_slice`` — :meth:`~repro.tcam.tcam.TCAM.search_words`
   calls (each one packed TCAM search, firewall or LPM, any shard) per
-  256-row slice, counted in the same profiled run.
+  256-row slice, counted in the same profiled run;
+* ``admission_calls_per_slice`` — the ``repro`` calls made while
+  :meth:`~repro.dataplane.traffic_manager.CognitiveTrafficManager.enqueue_batch`
+  is on the stack (the call itself included), per 256-row slice, in
+  the same profiled run: the Python cost of admission, every port and
+  shard together.
 
 The numbers go to ``benchmarks/BENCH_slice_floor.json`` (not
 tracked).  Nothing here asserts a timing: the fit moves with the
@@ -41,6 +46,7 @@ import pytest
 
 import repro
 from repro.fabric import fabric_scenario_factory
+from repro.dataplane.traffic_manager import CognitiveTrafficManager
 from repro.simnet.scenarios import run_scenario, scenario_switch
 from repro.tcam.tcam import TCAM
 
@@ -69,18 +75,24 @@ def _best_wall(name: str, factory, admission_chunk: int) -> float:
                for _ in range(REPEATS))
 
 
-def _repro_calls(name: str, factory) -> tuple[int, int]:
-    """Python calls into ``repro`` during one run, build excluded, and
-    how many of them were packed TCAM searches."""
-    count = searches = 0
+def _repro_calls(name: str, factory) -> tuple[int, int, int]:
+    """Python calls into ``repro`` during one run, build excluded: all
+    of them, the packed TCAM searches, and those made inside
+    admission."""
+    count = searches = admission = depth = 0
     search_code = TCAM.search_words.__code__
+    admit_code = CognitiveTrafficManager.enqueue_batch.__code__
 
     def profile(frame, event, arg) -> None:
-        nonlocal count, searches
-        if event == "call" \
-                and frame.f_code.co_filename.startswith(_REPRO_ROOT):
+        nonlocal count, searches, admission, depth
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(_REPRO_ROOT):
             count += 1
-            searches += frame.f_code is search_code
+            searches += code is search_code
+            depth += code is admit_code
+            admission += depth > 0
+        elif event == "return" and code is admit_code:
+            depth -= 1
 
     def unprofiled_factory(spec, seed: int):
         sys.setprofile(None)
@@ -96,7 +108,7 @@ def _repro_calls(name: str, factory) -> tuple[int, int]:
                      processor_factory=unprofiled_factory)
     finally:
         sys.setprofile(None)
-    return count, searches
+    return count, searches, admission
 
 
 def _measure(name: str, factory) -> dict:
@@ -105,7 +117,7 @@ def _measure(name: str, factory) -> dict:
     fixed = (small - large) / (1.0 / SMALL - 1.0 / LARGE)
     default = _best_wall(name, factory, DEFAULT)
     slices = math.ceil(N_PACKETS / DEFAULT)
-    calls, searches = _repro_calls(name, factory)
+    calls, searches, admission = _repro_calls(name, factory)
     return {
         "scenario": name,
         "n_packets": N_PACKETS,
@@ -114,6 +126,7 @@ def _measure(name: str, factory) -> dict:
         "pps_at_default_slice": N_PACKETS / default,
         "repro_calls_per_slice": calls / slices,
         "tcam_searches_per_slice": searches / slices,
+        "admission_calls_per_slice": admission / slices,
     }
 
 
@@ -133,20 +146,23 @@ def floor() -> dict:
     RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
     print(f"\n=== fixed cost per admission slice ({N_PACKETS} packets) ===")
     print(f"{'workload':>24}{'fixed us/slice':>16}{'us/pkt':>10}"
-          f"{'pps@256':>12}{'calls/slice':>14}{'tcam/slice':>12}")
+          f"{'pps@256':>12}{'calls/slice':>14}{'tcam/slice':>12}"
+          f"{'admit/slice':>13}")
     for workload, row in measured.items():
         print(f"{workload:>24}{row['fixed_us_per_slice']:>16.1f}"
               f"{row['per_packet_us']:>10.2f}"
               f"{row['pps_at_default_slice']:>12,.0f}"
               f"{row['repro_calls_per_slice']:>14.1f}"
-              f"{row['tcam_searches_per_slice']:>12.2f}")
+              f"{row['tcam_searches_per_slice']:>12.2f}"
+              f"{row['admission_calls_per_slice']:>13.1f}")
     return measured
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_slice_floor_reported(floor, workload):
     row = floor[workload]
-    assert row["repro_calls_per_slice"] > 0
+    assert row["repro_calls_per_slice"] > row["admission_calls_per_slice"] \
+        > 0
     assert math.isfinite(row["fixed_us_per_slice"])
     assert json.loads(RESULT_PATH.read_text())["workloads"][workload] \
         == row

@@ -417,20 +417,23 @@ class FlowCache:
 
         A generation mismatch invalidates exactly as :meth:`get` does
         — counted once per flush — so write-first workloads report the
-        same invalidation totals as probe-first ones.
+        same invalidation totals as probe-first ones.  A cached key
+        moves to the most recent end.
         """
+        self._sync(generation)
+        self._entries.pop(flow_key, None)
         self.put_many([flow_key], [value], generation)
 
     def put_many(self, flow_keys: Collection, values: Iterable,
                  generation: tuple[int, int]) -> None:
-        """:meth:`put` for each of the distinct ``flow_keys`` in order.
+        """:meth:`put` for each of ``flow_keys`` in order: distinct
+        flows that a probe under ``generation`` just missed.
 
-        Popping the keys, appending them all and evicting from the
-        front once leaves the entries and order one-by-one puts would.
+        Appending them all and evicting from the front once leaves the
+        entries and order one-by-one puts would.
         """
         self._sync(generation)
         entries = self._entries
-        deque(map(entries.pop, flow_keys, repeat(None)), maxlen=0)
         entries.update(zip(flow_keys, values))
         excess = len(entries) - self.capacity
         if excess > 0:

@@ -6,8 +6,8 @@ time, the batch it came from and, for rows that entered as
 :class:`~repro.packet.Packet` objects, those objects — so
 :meth:`PacketQueue.pop` hands back the very object that was pushed,
 while column-native rows are materialised only if someone pops them
-one at a time.  Limits are enforced in both packets and bytes;
-overflow drops are counted.  Occupancy is two O(1) counters.
+one at a time.  The limit is a packet count; overflow drops are
+counted.  Occupancy is two O(1) counters.
 
 A :class:`PortQueue`, one AQM-managed port, is the only queue model:
 the switch's traffic manager is ``n_ports`` of them and
@@ -57,19 +57,14 @@ class _Segment:
 
 
 class PacketQueue:
-    """A bounded FIFO with packet- and byte-level occupancy tracking."""
+    """A FIFO bounded in packets, tracking its packets and bytes."""
 
-    def __init__(self, name: str, capacity_packets: int = 1024,
-                 capacity_bytes: int | None = None) -> None:
+    def __init__(self, name: str, capacity_packets: int = 1024) -> None:
         if capacity_packets < 1:
             raise ValueError(
                 f"capacity must be >= 1 packet: {capacity_packets!r}")
-        if capacity_bytes is not None and capacity_bytes < 1:
-            raise ValueError(
-                f"byte capacity must be >= 1: {capacity_bytes!r}")
         self.name = name
         self.capacity_packets = capacity_packets
-        self.capacity_bytes = capacity_bytes
         self._segments: deque[_Segment | Packet] = deque()
         self._len = 0
         self._bytes = 0
@@ -84,21 +79,13 @@ class PacketQueue:
         """Bytes currently buffered."""
         return self._bytes
 
-    @property
-    def is_full(self) -> bool:
-        """True when a further push would overflow a limit."""
-        if self._len >= self.capacity_packets:
-            return True
-        return (self.capacity_bytes is not None
-                and self._bytes >= self.capacity_bytes)
-
     def push(self, packet: Packet, now: float = 0.0) -> bool:
         """Enqueue; returns False (and counts a drop) on overflow.
 
         A pushed packet is its own one-row segment: the one-packet path
         builds no array and no segment object.
         """
-        if self.is_full:
+        if self._len >= self.capacity_packets:
             packet.dropped = True
             self.dropped += 1
             return False
@@ -111,36 +98,23 @@ class PacketQueue:
 
     def push_rows(self, batch, rows: np.ndarray, now: float = 0.0
                   ) -> int:
-        """Enqueue rows of a batch in order; returns how many fit.
+        """Enqueue the rows that fit as one segment; how many fit.
 
-        Admission is exactly the per-row :meth:`push` loop: a refused
-        row leaves the state unchanged, so every later row is refused
-        too and the admitted rows are a prefix.  Refused rows count as
-        drops (and their packet objects, if any, are marked).
+        Exactly the per-row :meth:`push` loop: the admitted rows are a
+        prefix, the rest count as drops (the caller marks any objects).
         """
-        sizes = batch.sizes[rows]
-        n = len(sizes)
-        fit = min(n, max(self.capacity_packets - self._len, 0))
-        if self.capacity_bytes is not None and fit:
-            before = self._bytes + np.concatenate(
-                ([0], np.cumsum(sizes[:fit - 1])))
-            fit = int(np.count_nonzero(before < self.capacity_bytes))
-        objects = batch.packets
-        if fit < n:
-            self.dropped += n - fit
-            if objects is not None:
-                for row in rows[fit:].tolist():
-                    objects[row].dropped = True
+        fit = min(len(rows), self.capacity_packets - self._len)
+        self.dropped += len(rows) - fit
         if fit:
-            kept = rows if fit == n else rows[:fit]
-            sizes = sizes if fit == n else sizes[:fit]
+            rows = rows[:fit]
+            sizes = batch.sizes[rows]
             owned = None
-            if objects is not None:
-                owned = [objects[row] for row in kept.tolist()]
+            if batch.packets is not None:
+                owned = [batch.packets[row] for row in rows.tolist()]
                 for packet in owned:
                     packet.enqueued_at = now
             nbytes = int(np.add.reduce(sizes))
-            self._segments.append(_Segment(sizes, now, batch, kept, owned,
+            self._segments.append(_Segment(sizes, now, batch, rows, owned,
                                            nbytes))
             self._len += fit
             self._bytes += nbytes
@@ -317,29 +291,6 @@ class PortQueue:
             return True
         self.stats.overflow_drops += 1
         return False
-
-    def push_rows(self, batch, rows: np.ndarray, now: float
-                  ) -> np.ndarray:
-        """Queue batch rows per class, in order; the rows that overflowed.
-
-        Each class admits a prefix of its rows (exactly the per-row
-        :meth:`push` loop).
-        """
-        classes = np.minimum(batch.priorities[rows],
-                             len(self.classes) - 1)
-        present = sorted(set(classes.tolist()))
-        overflow = []
-        admitted = 0
-        for prio in present:
-            members = rows if len(present) == 1 else rows[classes == prio]
-            fit = self.classes[prio].push_rows(batch, members, now)
-            admitted += fit
-            if fit < len(members):
-                overflow.append(members[fit:])
-        dropped = np.concatenate(overflow) if overflow else rows[:0]
-        self.stats.enqueued += admitted
-        self.stats.overflow_drops += len(dropped)
-        return dropped
 
     def pop(self, now: float) -> tuple[Packet | None, list[Packet]]:
         """Serve the head in strict priority, honouring AQM head drops.

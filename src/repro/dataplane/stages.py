@@ -118,10 +118,10 @@ class DigitalMatsStage:
 class EgressStage:
     """Batched per-port AQM admission into the egress queues.
 
-    One ``enqueue_batch`` call admits the whole chunk, each port's
-    AQM judging its group against the chunk-start queue state.  With
-    no drop the chunk's verdicts are one ``emit``; otherwise each port
-    emits per admission outcome (once, if it dropped nothing).
+    The chunk is grouped by port once (``port_groups``) and admitted in
+    one ``enqueue_batch`` pass.  With no drop the chunk's verdicts are
+    one ``emit``; otherwise each port emits per admission outcome
+    (once, if it dropped nothing).
     """
 
     name = "egress"
@@ -135,22 +135,22 @@ class EgressStage:
         """Admit a chunk's rows to the queues of their egress ports."""
         manager = self.switch.traffic_manager
         telemetry = self.switch.telemetry
-        codes = manager.enqueue_batch(ports, batch, now)
+        groups = manager.port_groups(ports, batch)
+        codes = manager.enqueue_batch(groups, batch, now)
         backlogs = manager.backlogs()
-        groups = first_appearance_counts(ports)
-        for port, _ in groups:
+        for port, _, _ in groups.groups:
             telemetry.set_gauge(f"port{port}.backlog", backlogs[port])
-        if not codes.any():
+        if not np.count_nonzero(codes):
             emit(index, Verdict.QUEUED, port=ports)
             return
-        for port, _ in groups:
-            rows = np.flatnonzero(ports == port)
-            port_codes = codes[rows]
-            if not port_codes.any():  # no drop: one emit
-                emit(index[rows], Verdict.QUEUED, port=port)
+        for port, rows, _ in groups.groups:
+            port_index = index if rows is None else index[rows]
+            port_codes = codes if rows is None else codes[rows]
+            if not np.count_nonzero(port_codes):  # no drop: one emit
+                emit(port_index, Verdict.QUEUED, port=port)
                 continue
             for code, count in first_appearance_counts(port_codes):
                 verdict = ADMISSION_VERDICTS[code]
                 if verdict.dropped:
                     telemetry.record_event(DROP_EVENTS[verdict], count)
-                emit(index[rows[port_codes == code]], verdict, port=port)
+                emit(port_index[port_codes == code], verdict, port=port)

@@ -27,8 +27,8 @@ from repro.dataplane.telemetry import TelemetryCollector
 from repro.netfunc.aqm.base import AQMAlgorithm, QueueView, TailDropAQM
 from repro.observability.tracing import Tracer, maybe_span
 
-__all__ = ["ADMISSIONS", "Admission", "CognitiveTrafficManager", "offer",
-           "serve_each", "serve_offer", "spend_credits"]
+__all__ = ["ADMISSIONS", "Admission", "CognitiveTrafficManager", "PortGroups",
+           "offer", "serve_each", "serve_offer", "spend_credits"]
 
 
 class Admission(enum.Enum):
@@ -126,70 +126,61 @@ class CognitiveTrafficManager:
         """Admit a packet after consulting the port's AQM."""
         return bool(self.enqueue_batch(port, [packet], now)[0] == _QUEUED)
 
+    def port_groups(self, port, packets) -> "PortGroups":
+        """The :class:`PortGroups` of a batch bound for these ports."""
+        return PortGroups(port, PacketBatch.of(packets), self.n_ports,
+                          self.n_priorities)
+
     def enqueue_batch(self, port, packets, now: float = 0.0
                       ) -> np.ndarray:
-        """Admit a batch after one batched AQM consultation per port.
+        """Admit a batch in one pass; the per-row :data:`ADMISSIONS`
+        codes.
 
-        ``port`` is every row's port, or an array of per-row ports
-        (grouped in first-appearance order, the order the ports' AQMs
-        draw in); ``packets`` is a :class:`PacketBatch` or a ``Packet``
-        sequence.  Each port's AQM judges its whole group against the
-        group-start queue state in one ``on_enqueue_batch`` call (for
-        the pCAM AQM, one analog-pipeline search); survivors are queued
-        per class as column segments, capacity enforced exactly as a
+        ``packets`` is a :class:`PacketBatch` or a ``Packet`` sequence,
+        ``port`` every row's port, an array of per-row ports or their
+        :meth:`port_groups`.  Port by port, in first-appearance order,
+        the AQM judges the port's rows in row order against the
+        group-start state in one ``on_enqueue_batch`` call; then each
+        class's survivors, a run of the ``(port, class)`` sort, join its
+        queue as one segment cut to the free slots, exactly as a
         per-packet push loop would.  A batch of one is the scalar path.
-        Returns the per-row :data:`ADMISSIONS` codes.
         """
-        batch = PacketBatch.of(packets)
-        if np.ndim(port) == 0:
-            self._port(port)  # range-checked even for an empty batch
-            counts = [(port, len(batch))] if len(batch) else []
-        else:
-            counts = first_appearance_counts(port)
-        if len(counts) < 2:
-            return self._admit(counts[0][0], batch, now) if counts \
-                else np.zeros(0, dtype=np.uint8)
-        # One gather puts every port's rows together, in row order;
-        # each port's group is then a slice of it.
-        order = np.argsort(port, kind="stable")
-        grouped = batch.take(order)
-        offset, start = 0, {}
-        for group_port, count in sorted(counts):
-            start[group_port] = offset
-            offset += count
-        grouped_codes = np.empty(len(batch), dtype=np.uint8)
-        for group_port, count in counts:
-            first = start[group_port]
-            grouped_codes[first:first + count] = self._admit(
-                group_port, grouped.slice(first, first + count), now)
-        codes = np.empty_like(grouped_codes)
-        codes[order] = grouped_codes
-        return codes
-
-    def _admit(self, port: int, batch: PacketBatch, now: float
-               ) -> np.ndarray:
-        """Judge and queue one port's group; its admission codes."""
-        queue = self._port(port)
+        groups = port if isinstance(port, PortGroups) \
+            else self.port_groups(port, packets)
+        if groups is port and port.batch is not packets:
+            raise ValueError("port groups of another batch")
+        batch, order, tracer = groups.batch, groups.order, self.tracer
         codes = np.zeros(len(batch), dtype=np.uint8)
-        with maybe_span(self.tracer, "tm.enqueue", port=port,
-                        n=len(batch)):
-            with maybe_span(self.tracer, "tm.aqm", port=port):
-                drops = queue.judge(batch, now)
-            with maybe_span(self.tracer, "tm.queue", port=port):
-                if drops.any():
-                    dropped = np.flatnonzero(drops)
-                    codes[dropped] = _AQM_DROP
-                    batch.mark_dropped(dropped)
-                    queue.stats.aqm_drops += len(dropped)
-                    admitted = np.flatnonzero(~drops)
-                else:
-                    admitted = np.arange(len(batch))
-                codes[queue.push_rows(batch, admitted, now)] = \
-                    _OVERFLOW_DROP
-        if self.telemetry is not None:
-            for code, count in first_appearance_counts(codes):
-                self.telemetry.record_event(
-                    f"port{port}.{ADMISSIONS[code].value}", count)
+        for port, rows, runs in groups.groups:
+            queue = self._ports[port]
+            group = batch if rows is None else batch.take(rows)
+            with maybe_span(tracer, "tm.enqueue", port=port,
+                            n=len(batch) if rows is None else len(rows)):
+                with maybe_span(tracer, "tm.aqm", port=port):
+                    drops = queue.judge(group, now)
+                with maybe_span(tracer, "tm.queue", port=port):
+                    judged = np.count_nonzero(drops)
+                    if judged:
+                        codes[drops.nonzero()[0] if rows is None
+                              else rows[drops]] = _AQM_DROP
+                        queue.stats.aqm_drops += judged
+                    for prio, start, stop in runs:
+                        members = order[start:stop]
+                        if judged:
+                            members = members[codes[members] == _QUEUED]
+                        fit = queue.classes[prio].push_rows(batch, members,
+                                                            now)
+                        if fit < len(members):
+                            codes[members[fit:]] = _OVERFLOW_DROP
+                        queue.stats.enqueued += fit
+                        queue.stats.overflow_drops += len(members) - fit
+            if self.telemetry is not None:
+                for code, count in first_appearance_counts(
+                        codes if rows is None else codes[rows]):
+                    self.telemetry.record_event(
+                        f"port{port}.{ADMISSIONS[code].value}", count)
+        if batch.packets is not None:
+            batch.mark_dropped(codes.nonzero()[0])
         return codes
 
     def dequeue(self, port: int, now: float = 0.0) -> Packet | None:
@@ -256,6 +247,61 @@ class CognitiveTrafficManager:
         """Dequeue the next ``counts[port]`` rows of each port."""
         for port, count in counts.items():
             self._port(port).serve_count(count, now)
+
+
+class PortGroups:
+    """A batch's rows grouped by egress port and class, once.
+
+    ``port`` is every row's port or one port per row; a port outside
+    ``range(n_ports)`` raises ``IndexError`` and a port array that is
+    not one per row ``ValueError``, before any AQM or queue sees a row.
+    ``order`` is the rows in one stable ``(port, class)`` sort, and
+    ``groups`` holds ``(port, rows, runs)`` per port in order of first
+    row (the order the AQMs draw in): its rows in row order (None when
+    it holds them all) and its ``(class, start, stop)`` runs of
+    ``order``.
+    """
+
+    __slots__ = ("batch", "order", "groups")
+
+    def __init__(self, port, batch: PacketBatch, n_ports: int,
+                 n_classes: int) -> None:
+        ports = np.asarray(port)
+        n = len(batch)
+        if ports.ndim and ports.shape != (n,):
+            raise ValueError(f"need one port per row: {ports.shape} "
+                             f"ports for {n} rows")
+        key = ports * n_classes \
+            + np.minimum(batch.priorities, n_classes - 1)
+        slots = n_ports * n_classes
+        try:
+            counts = np.bincount(key, minlength=slots).tolist() if n \
+                else [0] * slots
+        except ValueError:  # a negative port
+            counts = []
+        if len(counts) != slots \
+                or ports.ndim == 0 and not 0 <= port < n_ports:
+            bad = ports[(ports < 0) | (ports >= n_ports)]
+            raise IndexError(f"port {bad[0]} out of range")
+        self.batch = batch
+        self.order = order = key.argsort(kind="stable")
+        runs: dict[int, list] = {}
+        stop = 0
+        for slot, count in enumerate(counts):
+            if count:
+                runs.setdefault(slot // n_classes, []).append(
+                    (slot % n_classes, stop, stop + count))
+                stop += count
+        self.groups = [(port, None, port_runs)
+                       for port, port_runs in runs.items()]
+        if len(runs) > 1:
+            # Sorted by port alone, each port's rows keep row order.
+            by_port = order if n_classes == 1 \
+                else ports.argsort(kind="stable")
+            groups = [(port, by_port[port_runs[0][1]:port_runs[-1][2]],
+                       port_runs) for port, port_runs in runs.items()]
+            self.groups = [group for _, group in sorted(
+                zip([rows[0] for _, rows, _ in groups], groups))]
 
 
 def offer(credits: list[float], budget: float, n_ports: int

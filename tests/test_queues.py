@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.dataplane.fastpath import PacketBatch
-from repro.dataplane.queues import PacketQueue, PortQueue
+from repro.dataplane.queues import PacketQueue
+from repro.dataplane.traffic_manager import CognitiveTrafficManager
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.packet import Packet
 
@@ -37,14 +38,6 @@ def test_packet_capacity_overflow():
     assert queue.dropped == 1
 
 
-def test_byte_capacity_overflow():
-    queue = PacketQueue("q", capacity_packets=100, capacity_bytes=1000)
-    assert queue.push(Packet(size_bytes=900))
-    assert queue.push(Packet(size_bytes=200))  # crosses after admit
-    assert queue.is_full
-    assert not queue.push(Packet(size_bytes=10))
-
-
 def test_timestamps_set_on_push_pop():
     queue = PacketQueue("q")
     packet = Packet()
@@ -55,12 +48,14 @@ def test_timestamps_set_on_push_pop():
 
 def test_pushed_packets_serve_like_admitted_rows():
     # A pushed packet is its own one-row segment; the credit path
-    # (segments + serve) sees it exactly like admitted rows.
-    queue = PacketQueue("q")
+    # (segments + serve) sees it exactly like rows the traffic manager
+    # admitted.
+    manager = CognitiveTrafficManager(1, n_priorities=1)
+    queue = manager.queue(0, 0)
     first = Packet(size_bytes=100)
     queue.push(first, now=0.0)
-    batch = PacketBatch.of([Packet(size_bytes=200), Packet(size_bytes=300)])
-    queue.push_rows(batch, np.arange(2), now=1.0)
+    manager.enqueue_batch(0, [Packet(size_bytes=200),
+                              Packet(size_bytes=300)], now=1.0)
     queue.push(Packet(size_bytes=400), now=2.0)
     segments = list(queue.segments())
     assert [nbytes for _, nbytes in segments] == [100, 500, 400]
@@ -78,19 +73,20 @@ def test_run_replay_equals_the_per_packet_pop_loop():
     # Three admissions spread over both classes: each class queue holds
     # several segments.  The first serve stops inside the class-0 head
     # segment; the second resumes there and crosses into class 1.
-    def port():
-        return PortQueue("p", PCAMAQM(rng=np.random.default_rng(2)),
-                         n_classes=2)
+    def manager():
+        return CognitiveTrafficManager(
+            1, lambda: PCAMAQM(rng=np.random.default_rng(2)))
 
-    runs, loop = port(), port()
+    managers = manager(), manager()
+    runs, loop = (copy.queue_view(0) for copy in managers)
     rng = np.random.default_rng(4)
     for at in (0.0, 1.3e-3, 2.9e-3):
         batch = PacketBatch.of([
             Packet(size_bytes=int(size), priority=int(prio))
             for size, prio in zip(rng.integers(64, 1500, 7),
                                   [0, 1, 0, 0, 1, 1, 0])])
-        for queue in (runs, loop):
-            queue.push_rows(batch, np.arange(len(batch)), at)
+        for copy in managers:
+            copy.enqueue_batch(0, batch, at)
     assert [len(queue._segments) for queue in runs.classes] == [3, 3]
     for count, now in ((2, 0.0101), (15, 0.0207)):
         runs.serve_count(count, now)
@@ -107,13 +103,13 @@ def test_queued_sizes_cuts_one_segment_past_the_limit():
     # Five segments over two classes: a partially served batch segment,
     # a lone pushed packet, another batch; then a batch and a lone
     # packet in class 1.
-    port = PortQueue("p", PCAMAQM(rng=np.random.default_rng(0)),
-                     n_classes=2)
+    manager = CognitiveTrafficManager(
+        1, lambda: PCAMAQM(rng=np.random.default_rng(0)))
+    port = manager.queue_view(0)
 
     def rows(sizes, prio):
-        batch = PacketBatch.of([Packet(size_bytes=size, priority=prio)
-                                for size in sizes])
-        port.push_rows(batch, np.arange(len(batch)), 0.0)
+        manager.enqueue_batch(0, [Packet(size_bytes=size, priority=prio)
+                                  for size in sizes], 0.0)
 
     rows([100, 200, 300], 0)
     port.push(Packet(size_bytes=400, priority=0), 0.0)
@@ -158,8 +154,6 @@ def test_counters():
 def test_validation():
     with pytest.raises(ValueError):
         PacketQueue("q", capacity_packets=0)
-    with pytest.raises(ValueError):
-        PacketQueue("q", capacity_bytes=0)
 
 
 def test_repr():

@@ -1,5 +1,6 @@
 """Egress scheduling and the cognitive AQM hook."""
 
+import numpy as np
 import pytest
 
 from repro.dataplane.traffic_manager import CognitiveTrafficManager
@@ -90,6 +91,35 @@ class TestTrafficManager:
             call(manager, port)
         assert manager.backlog(1) == 1
         assert manager.stats[1].dequeued == 0
+
+    @pytest.mark.parametrize("ports, error", [
+        (np.array([0, 0, 5]), IndexError),
+        (np.array([0, -1, 1]), IndexError),
+        (np.array([0, 1]), ValueError),
+        (np.array([0]), ValueError),
+    ], ids=["out_of_range", "negative", "too_short", "one_for_three"])
+    def test_port_array_checked_before_any_state_changes(self, ports,
+                                                         error):
+        # The whole per-row port array is checked first: no AQM is
+        # consulted and no row is queued or dropped before the error.
+        judged = []
+
+        class Recording(AQMAlgorithm):
+            def on_enqueue_batch(self, packets, queue, now):
+                judged.append(len(packets))
+                return super().on_enqueue_batch(packets, queue, now)
+
+        manager = CognitiveTrafficManager(n_ports=2, aqm_factory=Recording)
+        manager.enqueue(1, Packet(size_bytes=100))
+        judged.clear()
+        stats = [vars(port_stats).copy() for port_stats in manager.stats]
+        packets = [Packet() for _ in range(3)]
+        with pytest.raises(error):
+            manager.enqueue_batch(ports, packets)
+        assert judged == []
+        assert manager.backlogs() == [0, 1]
+        assert [vars(port_stats) for port_stats in manager.stats] == stats
+        assert not any(packet.dropped for packet in packets)
 
     def test_validation(self):
         with pytest.raises(ValueError):
