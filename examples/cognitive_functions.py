@@ -2,20 +2,34 @@
 """Cognitive network functions beyond AQM: load balancing and
 traffic analysis on probabilistic matches.
 
-Both functions exploit the pCAM capability of RQ1: a query with zero
-deterministic matches still returns the *closest* stored policy.
+Both functions exploit the analog-CAM capability of RQ1: a query with
+zero deterministic matches still returns the *closest* stored policy.
+Traffic analysis stores one aCAM row per class profile, each
+``(lo, hi, fade)`` window an ``ACAMInterval(lo, hi, margin=fade)``,
+and classifies a batch of flows with one ``search_batch``.
 
 Run:  python examples/cognitive_functions.py
 """
 
 import numpy as np
 
+from repro.acam import ACAMArray, ACAMInterval
+from repro.energy.ledger import EnergyLedger
 from repro.netfunc.load_balancer import Backend, PCAMLoadBalancer
-from repro.netfunc.traffic_analysis import (
-    FlowFeatures,
-    TrafficClassProfile,
-    TrafficClassifier,
-)
+from repro.netfunc.traffic_analysis import FEATURES, FlowFeatures
+
+#: Class profiles: per-feature (accept_lo, accept_hi, fade) windows.
+PROFILES = {
+    "web": {"mean_packet_size": (200.0, 600.0, 200.0),
+            "mean_interarrival_s": (0.01, 0.2, 0.05),
+            "burstiness": (0.5, 1.5, 0.5)},
+    "video": {"mean_packet_size": (1000.0, 1500.0, 200.0),
+              "mean_interarrival_s": (0.001, 0.01, 0.005),
+              "burstiness": (0.2, 1.0, 0.5)},
+    "voip": {"mean_packet_size": (100.0, 300.0, 100.0),
+             "mean_interarrival_s": (0.015, 0.025, 0.01),
+             "burstiness": (0.0, 0.3, 0.3)},
+}
 
 
 def load_balancing_demo() -> None:
@@ -43,20 +57,12 @@ def load_balancing_demo() -> None:
 
 def traffic_analysis_demo() -> None:
     print("=== Cognitive traffic analysis ===")
-    classifier = TrafficClassifier([
-        TrafficClassProfile("web", {
-            "mean_packet_size": (200.0, 600.0, 200.0),
-            "mean_interarrival_s": (0.01, 0.2, 0.05),
-            "burstiness": (0.5, 1.5, 0.5)}),
-        TrafficClassProfile("video", {
-            "mean_packet_size": (1000.0, 1500.0, 200.0),
-            "mean_interarrival_s": (0.001, 0.01, 0.005),
-            "burstiness": (0.2, 1.0, 0.5)}),
-        TrafficClassProfile("voip", {
-            "mean_packet_size": (100.0, 300.0, 100.0),
-            "mean_interarrival_s": (0.015, 0.025, 0.01),
-            "burstiness": (0.0, 0.3, 0.3)}),
-    ])
+    ledger = EnergyLedger()
+    bank = ACAMArray(FEATURES, ledger=ledger)
+    for windows in PROFILES.values():
+        bank.add_row({feature: ACAMInterval(lo, hi, margin=fade)
+                      for feature, (lo, hi, fade) in windows.items()})
+    names = list(PROFILES)
     rng = np.random.default_rng(3)
     flows = {
         "browsing session": FlowFeatures.from_samples(
@@ -72,16 +78,20 @@ def traffic_analysis_demo() -> None:
             rng.normal(750, 50, 500),
             np.cumsum(rng.exponential(0.05, 500))),
     }
-    for label, flow in flows.items():
-        scores = classifier.scores(flow)
-        best, best_score = classifier.classify(flow)
-        ranking = ", ".join(f"{name}={score:.2f}"
-                            for name, score in sorted(
-                                scores.items(), key=lambda kv: -kv[1]))
-        print(f"  {label:<22} -> {best:<6} ({ranking})")
+    result = bank.search_batch({
+        feature: np.array([flow.as_query()[feature]
+                           for flow in flows.values()])
+        for feature in FEATURES})
+    for label, scores, best in zip(flows, result.probabilities,
+                                   result.best_rows):
+        ranking = ", ".join(f"{names[row]}={scores[row]:.2f}"
+                            for row in np.argsort(-scores, kind="stable"))
+        print(f"  {label:<22} -> {names[best]:<6} ({ranking})")
     print("The last flow matches no profile deterministically; the "
-          "pCAM array\nstill ranks it against every stored class "
+          "aCAM bank\nstill ranks it against every stored class "
           "(partial match).")
+    print(f"Search energy: {ledger.total:.3g} J "
+          f"({len(flows)} flows x {len(bank)} rows, acam.search)")
 
 
 def main() -> None:

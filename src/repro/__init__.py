@@ -34,7 +34,6 @@ from repro.core import (
     PCAMCell,
     PCAMParams,
     PCAMPipeline,
-    PCAMWord,
     PipelineProgram,
     PrecisionClass,
     TableProgram,
@@ -74,7 +73,6 @@ __all__ = [
     "PCAMCell",
     "PCAMParams",
     "PCAMPipeline",
-    "PCAMWord",
     "Packet",
     "PipelineProgram",
     "PrecisionClass",

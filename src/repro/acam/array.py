@@ -4,12 +4,14 @@ A row matches iff **every** feature of the query falls inside that
 row's stored interval — the per-cell responses multiply on the match
 line, so one sub-threshold cell pulls the whole row down.  The bank
 composes a :class:`~repro.core.pcam_array.PCAMArray` over the very
-same cells, which buys three things for free:
+same cells — each aCAM row is stored as one product
+:class:`~repro.core.pcam_pipeline.PCAMPipeline` of its interval cells —
+which buys three things for free:
 
 * the vectorised match kernel (one ``(n_queries, n_rows)`` pass);
 * the robustness fault-injection surface
-  (:class:`~repro.robustness.injector.FaultInjector` walks pCAM
-  words/cells and never learns aCAM exists);
+  (:class:`~repro.robustness.injector.FaultInjector` walks the pCAM
+  rows' stages and never learns aCAM exists);
 * the clean-twin discipline (``intended`` parameters survive faults).
 
 Fault plans are seeded value objects so a campaign seed reproduces
@@ -28,7 +30,8 @@ import numpy as np
 
 from repro.acam.cell import ACAMCell, ACAMInterval, UNBOUNDED
 from repro.acam.energy import ACAMEnergyModel, published_acam_energy
-from repro.core.pcam_array import PCAMArray, PCAMWord
+from repro.core.pcam_array import PCAMArray
+from repro.core.pcam_pipeline import PCAMPipeline
 from repro.energy.ledger import EnergyLedger
 from repro.robustness.injector import FaultInjector, InjectionReport
 from repro.robustness.models import FaultModel
@@ -195,8 +198,8 @@ class ACAMArray:
                     f"{len(self.fields)} fields")
         cells = tuple(ACAMCell(interval) for interval in ordered)
         self._rows.append(cells)
-        self._pcam.add(PCAMWord({field: cell.pcam for field, cell
-                                 in zip(self.fields, cells)}))
+        self._pcam.add(PCAMPipeline({field: cell.pcam for field, cell
+                                     in zip(self.fields, cells)}))
         return len(self._rows) - 1
 
     # ------------------------------------------------------------------
@@ -341,7 +344,7 @@ class ACAMArray:
         for index in range(self.n_rows):
             word = ideal.pcam.word(index)
             scalar = np.array([
-                word.match({f: float(columns[f][i]) for f in columns})
+                word.evaluate({f: float(columns[f][i]) for f in columns})
                 for i in range(n_probes)])
             deviation = faulty[:, index] - scalar
             reports.append(DeviationReport(

@@ -5,7 +5,8 @@ Layout
 ``pcam_cell``      the eight-parameter five-region transfer function
 ``device_cell``    the same cell realised on simulated memristors
 ``pcam_pipeline``  series (product) composition — Figure 4b
-``pcam_array``     stored-policy memory searched in parallel — Figure 4a
+``pcam_array``     stored-policy memory searched in parallel — Figure 4a;
+                   each stored row is a ``PCAMPipeline``
 ``match_action``   read / output / action tables — ``table analogAQM``
 ``programming``    prog_pCAM / update_pCAM / pipeline and table builders
 ``compiler``       precision-aware digital/analog placement — RQ2
@@ -43,7 +44,6 @@ from repro.core.pcam_array import (
     ArraySearchResult,
     BatchSearchResult,
     PCAMArray,
-    PCAMWord,
 )
 from repro.core.pcam_cell import MatchRegion, PCAMCell, PCAMParams, prog_pcam
 from repro.core.pcam_pipeline import (
@@ -51,7 +51,6 @@ from repro.core.pcam_pipeline import (
     MissingFeatureError,
     PCAMPipeline,
     PipelineFeatureError,
-    StageOutput,
     UnknownFeatureError,
 )
 from repro.core.programming import (
@@ -83,12 +82,10 @@ __all__ = [
     "PCAMCell",
     "PCAMParams",
     "PCAMPipeline",
-    "PCAMWord",
     "PipelineFeatureError",
     "PipelineProgram",
     "Placement",
     "PrecisionClass",
-    "StageOutput",
     "UnknownFeatureError",
     "StoredActionMemory",
     "TableProgram",

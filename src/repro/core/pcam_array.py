@@ -1,11 +1,15 @@
-"""pCAM match-action memory: words of cells, rows of words.
+"""pCAM match-action memory: rows of pipelines searched in parallel.
 
 Where :mod:`repro.core.pcam_pipeline` chains *stages in series* on one
 feature vector (Figure 4b), the array is the *memory* view (Figure 4a
-left): each stored word holds one policy as a set of per-field cells,
-and a search evaluates the query against **every** stored word in one
-cycle — like a TCAM, but returning a match *probability* per word
-instead of a bit.
+left): each stored word (row) holds one policy as a
+:class:`~repro.core.pcam_pipeline.PCAMPipeline` with one stage cell
+per field, and a search evaluates the query against **every** stored
+row in one cycle — like a TCAM, but returning a match *probability*
+per row instead of a bit.  Every cell of every row is evaluated in
+one :class:`~repro.core.pcam_cell.CellStack` call; each row then
+reduces its stage axis with its own
+:data:`~repro.core.pcam_pipeline.BATCH_COMPOSITIONS` rule.
 
 This is what lets cognitive functions "identify the closely matching
 stored policies for an incoming query with zero [exact] matches"
@@ -20,105 +24,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.pcam_cell import CellStack, PCAMCell, PCAMParams
+from repro.core.pcam_cell import CellStack, PCAMParams
+from repro.core.pcam_pipeline import BATCH_COMPOSITIONS, PCAMPipeline
 
-__all__ = ["PCAMWord", "PCAMArray", "ArraySearchResult",
-           "BatchSearchResult"]
-
-
-class PCAMWord:
-    """One stored policy: a named tuple of pCAM cells, one per field."""
-
-    def __init__(self, cells: Mapping[str, PCAMCell]) -> None:
-        if not cells:
-            raise ValueError("a word needs at least one cell")
-        self._cells = dict(cells)
-        self._stack = CellStack()
-
-    @classmethod
-    def from_params(cls, params: Mapping[str, PCAMParams]) -> "PCAMWord":
-        """Build a word from per-field cell parameters."""
-        return cls({name: PCAMCell(p) for name, p in params.items()})
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        """The word's field names."""
-        return tuple(self._cells)
-
-    @property
-    def cells(self) -> Mapping[str, PCAMCell]:
-        """Read-only view of the word's cells, keyed by field.
-
-        This is the fault-injection surface: robustness tooling walks
-        it to attach :class:`~repro.robustness.models.CellFault`
-        instances to individual cells.
-        """
-        return dict(self._cells)
-
-    def clone_ideal(self) -> "PCAMWord":
-        """A healthy copy programmed with each cell's intended params."""
-        return PCAMWord({field: PCAMCell(cell.intended_params)
-                         for field, cell in self._cells.items()})
-
-    def cell(self, field: str) -> PCAMCell:
-        """The cell storing one named field."""
-        try:
-            return self._cells[field]
-        except KeyError:
-            raise KeyError(
-                f"no field {field!r}; fields: {self.fields}") from None
-
-    def match(self, query: Mapping[str, float]) -> float:
-        """Word match probability: product over the per-field cells."""
-        batch = {field: np.array([float(query[field])])
-                 for field in self._cells if field in query}
-        return float(self.match_batch(batch)[0])
-
-    def match_batch(self, queries: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Vectorised match: per-field arrays -> (batch,) probabilities.
-
-        ``queries`` maps each field to an array of per-query values;
-        every cell is evaluated in one stacked kernel call and the
-        per-field responses are multiplied in the word's field order,
-        exactly as :meth:`match` does one query at a time.
-        """
-        return _match_words(self._stack, (self,), queries)[:, 0]
-
-    def deterministic_match(self, query: Mapping[str, float]) -> bool:
-        """TCAM-compatible view: all fields inside their [M2, M3]."""
-        return all(cell.deterministic_match(float(query[field])) is True
-                   for field, cell in self._cells.items())
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-
-def _match_words(stack: CellStack, words: Sequence[PCAMWord],
-                 queries: Mapping[str, np.ndarray]) -> np.ndarray:
-    """(n_queries, n_words) match probabilities of equal-length words.
-
-    Every cell of every word is one row of a single stacked kernel
-    call; each word then multiplies its field responses in its own
-    field order.
-    """
-    fields = [field for word in words for field in word._cells]
-    cells = [cell for word in words for cell in word._cells.values()]
-    columns = {}
-    for field in fields:
-        if field not in columns:
-            if field not in queries:
-                raise KeyError(f"query missing field {field!r}")
-            columns[field] = np.atleast_1d(
-                np.asarray(queries[field], dtype=float))
-    columns = dict(zip(columns, np.broadcast_arrays(*columns.values())))
-    x = np.array([columns[field] for field in fields])
-    count = x.shape[1]
-    responses = stack.responses(cells, x, count).reshape(
-        len(words), -1, count)
-    probability = responses[:, 0].copy()
-    for index in range(1, responses.shape[1]):
-        probability *= responses[:, index]
-    return np.ascontiguousarray(probability.T)
+__all__ = ["PCAMArray", "ArraySearchResult", "BatchSearchResult"]
 
 
 @dataclass(frozen=True)
@@ -160,6 +69,9 @@ class BatchSearchResult:
 class PCAMArray:
     """A bank of stored pCAM words searched in parallel.
 
+    Each stored word (row) is a :class:`PCAMPipeline` with one stage
+    per field, in any order, reduced by its own composition rule.
+
     Parameters
     ----------
     fields:
@@ -187,9 +99,10 @@ class PCAMArray:
         self.match_threshold = match_threshold
         self.energy_per_cell_j = energy_per_cell_j
         self.search_latency_s = search_latency_s
-        self._words: list[PCAMWord] = []
+        self._words: list[PCAMPipeline] = []
         self._searches = 0
         self._stack = CellStack()
+        self._plan: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._words)
@@ -199,24 +112,43 @@ class PCAMArray:
         """Number of searches performed."""
         return self._searches
 
-    def add(self, word: PCAMWord | Mapping[str, PCAMParams]) -> int:
-        """Store a policy word; returns its row index."""
-        if not isinstance(word, PCAMWord):
-            word = PCAMWord.from_params(word)
-        if set(word.fields) != set(self.fields):
-            raise ValueError(
-                f"word fields {word.fields} != array fields {self.fields}")
+    def add(self, word: PCAMPipeline | Mapping[str, PCAMParams]) -> int:
+        """Store a policy word; returns its row index.
+
+        A mapping of per-field params becomes a product pipeline.
+        """
+        if not isinstance(word, PCAMPipeline):
+            word = PCAMPipeline.from_params(word)
+        if set(word.stage_names) != set(self.fields):
+            raise ValueError(f"word fields {word.stage_names} != "
+                             f"array fields {self.fields}")
         self._words.append(word)
+        self._plan = None
         return len(self._words) - 1
 
-    def word(self, index: int) -> PCAMWord:
+    def _restack(self) -> tuple:
+        """(fields, cells, rule rows): every row's cells flattened for
+        one stacked call, and the rows grouped by composition rule so
+        rows that share a rule reduce in one call.  Built on the first
+        match after the rows change."""
+        fields, cells = [], []
+        groups: dict[str, list[int]] = {}
+        for index, word in enumerate(self._words):
+            names = word.stage_names
+            fields.extend(names)
+            cells.extend(map(word.stage, names))
+            groups.setdefault(word.composition, []).append(index)
+        return fields, cells, [(BATCH_COMPOSITIONS[composition], rows)
+                               for composition, rows in groups.items()]
+
+    def word(self, index: int) -> PCAMPipeline:
         """One stored word by row index."""
         if not 0 <= index < len(self._words):
             raise IndexError(f"word {index} out of range")
         return self._words[index]
 
     @property
-    def words(self) -> tuple[PCAMWord, ...]:
+    def words(self) -> tuple[PCAMPipeline, ...]:
         """All stored words in row order (fault-injection surface)."""
         return tuple(self._words)
 
@@ -240,6 +172,7 @@ class PCAMArray:
         if not 0 <= index < len(self._words):
             raise IndexError(f"word {index} out of range")
         del self._words[index]
+        self._plan = None
 
     def search(self, query: Mapping[str, float]) -> ArraySearchResult:
         """Match the query against every stored word in one cycle."""
@@ -269,12 +202,26 @@ class PCAMArray:
         Returns a (n_queries, n_words) matrix: row ``i`` holds query
         ``i``'s match probability against each stored word — the
         software analogue of applying a burst of search voltages to
-        the array's match lines.
+        the array's match lines.  Column ``j`` equals word ``j``'s own
+        :meth:`~PCAMPipeline.evaluate_batch`.
         """
         batch_size = self._batch_length(queries)
         if not self._words:
             return np.zeros((batch_size, 0))
-        return _match_words(self._stack, self._words, queries)
+        columns = dict(zip(self.fields, np.broadcast_arrays(*(
+            np.atleast_1d(np.asarray(queries[field], dtype=float))
+            for field in self.fields))))
+        if self._plan is None:
+            self._plan = self._restack()
+        fields, cells, rule_rows = self._plan
+        x = np.array([columns[field] for field in fields])
+        count = x.shape[1]
+        responses = self._stack.responses(cells, x, count).reshape(
+            len(self._words), -1, count)
+        probability = np.empty((count, len(self._words)))
+        for rule, rows in rule_rows:
+            probability[:, rows] = rule(responses[rows]).T
+        return probability
 
     def search_batch(self, queries: Mapping[str, np.ndarray]
                      ) -> BatchSearchResult:
@@ -288,14 +235,14 @@ class PCAMArray:
         else:
             best = np.full(n_queries, -1, dtype=int)
             best_probabilities = np.zeros(n_queries)
-        cells = sum(len(word) for word in self._words)
         self._searches += n_queries
         return BatchSearchResult(
             probabilities=probabilities,
             best_indices=best,
             best_probabilities=best_probabilities,
             deterministic_mask=probabilities >= self.match_threshold,
-            energy_j=n_queries * cells * self.energy_per_cell_j,
+            energy_j=n_queries * sum(map(len, self._words))
+            * self.energy_per_cell_j,
             latency_s=self.search_latency_s)
 
     def _batch_length(self, queries: Mapping[str, np.ndarray]) -> int:

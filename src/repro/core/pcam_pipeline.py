@@ -23,11 +23,15 @@ judges ``count`` identical feature vectors (a batched AQM admission)
 by evaluating the kernel rows once.  The scalar entry points delegate
 to the batch kernels with size-1 arrays; equivalence is pinned by
 ``tests/test_batch_equivalence.py``.
+
+A stored word of :class:`~repro.core.pcam_array.PCAMArray` is a
+pipeline too: the array stacks every row's cells into one kernel call
+and reduces each row with the same :data:`BATCH_COMPOSITIONS` rule,
+so those rules are the only code that composes stage responses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -43,7 +47,6 @@ __all__ = [
     "MissingFeatureError",
     "PCAMPipeline",
     "PipelineFeatureError",
-    "StageOutput",
     "UnknownFeatureError",
 ]
 
@@ -101,34 +104,37 @@ class MatchStage(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Composition rules: each reduces a (n_stages, batch) matrix along
-# axis 0.  Every rule reduces the stage rows in order, so a column's
-# result does not depend on how many columns the matrix has.
+# Composition rules: each reduces the stage axis (axis -2) of a
+# (..., n_stages, batch) matrix — a pipeline's (stages, batch) block
+# or a bank's (rows, stages, batch) block.  Every rule reduces the
+# stage rows in order, so a column's result does not depend on how
+# many columns or rows the block has.
 # ----------------------------------------------------------------------
 def _batch_product(probabilities: np.ndarray) -> np.ndarray:
-    return np.multiply.reduce(probabilities, axis=0)
+    return np.multiply.reduce(probabilities, axis=-2)
 
 
 def _batch_min(probabilities: np.ndarray) -> np.ndarray:
-    return np.minimum.reduce(probabilities, axis=0)
+    return np.minimum.reduce(probabilities, axis=-2)
 
 
 def _batch_geometric(probabilities: np.ndarray) -> np.ndarray:
-    return (np.multiply.reduce(probabilities, axis=0)
-            ** (1.0 / probabilities.shape[0]))
+    return (np.multiply.reduce(probabilities, axis=-2)
+            ** (1.0 / probabilities.shape[-2]))
 
 
 def _batch_mean(probabilities: np.ndarray) -> np.ndarray:
     # np.mean sums a one-column matrix pairwise but a wider one row by
     # row; the explicit row-by-row sum is what np.mean computes for
     # two or more columns, for every width.
-    total = probabilities[0].copy()
-    for row in probabilities[1:]:
-        total += row
-    return total / probabilities.shape[0]
+    stages = probabilities.shape[-2]
+    total = probabilities[..., 0, :].copy()
+    for index in range(1, stages):
+        total += probabilities[..., index, :]
+    return total / stages
 
 
-#: Composition rules over a (n_stages, batch) probability matrix.
+#: Composition rules over a (..., n_stages, batch) probability block.
 #: ``"product"`` is the paper's.
 BATCH_COMPOSITIONS: Mapping[str, Callable[[np.ndarray], np.ndarray]] = {
     "product": _batch_product,
@@ -136,15 +142,6 @@ BATCH_COMPOSITIONS: Mapping[str, Callable[[np.ndarray], np.ndarray]] = {
     "geometric": _batch_geometric,
     "mean": _batch_mean,
 }
-
-
-@dataclass(frozen=True)
-class StageOutput:
-    """Per-stage diagnostics of one pipeline evaluation."""
-
-    name: str
-    feature: float
-    probability: float
 
 
 class PCAMPipeline:
@@ -172,7 +169,7 @@ class PCAMPipeline:
         self._cells = tuple(self._stages.values())
         self._spans = tuple(f"pcam.stage.{name}" for name in self._stages)
         self._stack = CellStack()
-        self.composition = composition
+        self._composition = composition
         self._compose_batch = BATCH_COMPOSITIONS[composition]
         #: Optional observability hooks (set by the hub wiring): a
         #: :class:`repro.observability.tracing.Tracer` emitting one
@@ -185,6 +182,13 @@ class PCAMPipeline:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def composition(self) -> str:
+        """The :data:`BATCH_COMPOSITIONS` key, fixed at construction:
+        the pipeline, its clone and an array storing it all reduce
+        with this one rule."""
+        return self._composition
+
     @property
     def stage_names(self) -> tuple[str, ...]:
         """Stage names in physical series order."""
@@ -204,6 +208,20 @@ class PCAMPipeline:
     def program_stage(self, name: str, params: PCAMParams) -> None:
         """Reprogram one stage — the per-stage half of update_pCAM()."""
         self.stage(name).program(params)
+
+    def clone_ideal(self) -> "PCAMPipeline":
+        """A healthy ideal twin programmed with each stage's intent.
+
+        Works on faulted pipelines because the injection hook keeps
+        :attr:`~repro.core.pcam_cell.PCAMCell.intended_params` clean;
+        device-realised stages contribute their programmed params.
+        The differential and shadow oracles evaluate this twin next
+        to the (possibly faulted) original.
+        """
+        return PCAMPipeline.from_params(
+            {name: getattr(stage, "intended_params", stage.params)
+             for name, stage in self._stages.items()},
+            composition=self.composition)
 
     # ------------------------------------------------------------------
     # Feature validation
@@ -263,8 +281,8 @@ class PCAMPipeline:
         return matrix.T.copy()
 
     def _evaluate(self, matrix: np.ndarray, count: int, own=None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """(stage probabilities, composite) for a feature matrix.
+                  ) -> np.ndarray:
+        """Composite probabilities for a feature matrix.
 
         ``matrix`` has one row per stage; ``count`` and ``own`` are
         those of :meth:`~repro.core.pcam_cell.CellStack.responses`.
@@ -272,10 +290,9 @@ class PCAMPipeline:
         ``pcam.stage.<name>`` span; the outputs are the same.
         """
         with maybe_span(self.tracer, "pcam.evaluate_batch", batch=count):
-            probabilities = self._stack.responses(
+            return self._compose_batch(self._stack.responses(
                 self._cells, matrix, count, own=own, tracer=self.tracer,
-                spans=self._spans)
-            return probabilities, self._compose_batch(probabilities)
+                spans=self._spans))
 
     # ------------------------------------------------------------------
     # Batch evaluation (the one true code path)
@@ -292,7 +309,7 @@ class PCAMPipeline:
         pass.
         """
         matrix = self._feature_matrix(features)
-        return self._evaluate(matrix, int(matrix.shape[1]))[1]
+        return self._evaluate(matrix, int(matrix.shape[1]))
 
     @profiled("pcam.evaluate_batch")
     def evaluate_uniform(self, features: Mapping[str, float] |
@@ -309,25 +326,10 @@ class PCAMPipeline:
         if count < 0:
             raise ValueError(f"count must be >= 0: {count!r}")
         column = self._row_matrix(self._feature_vector(features)).T
-        composite = self._evaluate(column, count)[1]
+        composite = self._evaluate(column, count)
         if composite.shape[0] != count:
             composite = composite.repeat(count)
         return composite
-
-    def evaluate_trace_batch(self, features: Mapping[str, np.ndarray] |
-                             np.ndarray
-                             ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Batch composite probabilities plus per-stage breakdowns.
-
-        Returns ``(composite, per_stage)`` where ``per_stage`` maps
-        each stage name to its (batch,)-shaped probability array.
-        """
-        matrix = self._feature_matrix(features)
-        probabilities, composite = self._evaluate(matrix,
-                                                  int(matrix.shape[1]))
-        per_stage = {name: probabilities[index]
-                     for index, name in enumerate(self._stages)}
-        return composite, per_stage
 
     def evaluate_with_energy_batch(
             self, features: Mapping[str, np.ndarray] | np.ndarray
@@ -348,7 +350,7 @@ class PCAMPipeline:
             energy += stage_energy
             return probabilities
 
-        composite = self._evaluate(matrix, int(matrix.shape[1]), own)[1]
+        composite = self._evaluate(matrix, int(matrix.shape[1]), own)
         return composite, energy
 
     # ------------------------------------------------------------------
@@ -370,17 +372,6 @@ class PCAMPipeline:
         """Composite match probability for a full feature vector."""
         pairs = self._feature_vector(features)
         return float(self.evaluate_batch(self._row_matrix(pairs))[0])
-
-    def evaluate_trace(self, features: Mapping[str, float] |
-                       Sequence[float]) -> tuple[float, list[StageOutput]]:
-        """Composite probability plus the per-stage breakdown."""
-        pairs = self._feature_vector(features)
-        composite, per_stage = self.evaluate_trace_batch(
-            self._row_matrix(pairs))
-        outputs = [StageOutput(name=name, feature=value,
-                               probability=float(per_stage[name][0]))
-                   for name, value in pairs]
-        return float(composite[0]), outputs
 
     def programming_energy_j(self) -> float:
         """Total programming energy of device-realised stages [J]."""

@@ -102,11 +102,11 @@ class DigitalMatsStage:
         # Drop events in the order their first rows appear.
         for code in sorted({0, 1} & set(kind), key=kind.index):
             verdict = (Verdict.DROPPED_ACL, Verdict.DROPPED_NO_ROUTE)[code]
-            rows = np.flatnonzero(row_kind == code)
+            rows = (row_kind == code).nonzero()[0]
             telemetry.record_event(DROP_EVENTS[verdict], len(rows))
             batch.mark_dropped(rows)
             emit(index[rows], verdict)
-        rows = np.flatnonzero(row_kind >= 2)
+        rows = (row_kind >= 2).nonzero()[0]
         ports = row_kind[rows] - 2
         survivors = batch if len(rows) == len(batch) else batch.take(rows)
         if len(rows):

@@ -1,16 +1,12 @@
 """Network functions: digital (lookup, firewall) and cognitive
-(AQM, load balancing, traffic analysis)."""
+(AQM, load balancing, traffic-analysis flow features)."""
 
 from repro.netfunc.decision_tree import CARTTree
 from repro.netfunc.firewall import Action, Firewall, FirewallRule
 from repro.netfunc.load_balancer import Backend, PCAMLoadBalancer
 from repro.netfunc.lookup import IPLookup, Route
 from repro.netfunc.pattern_match import Match, PatternMatcher
-from repro.netfunc.traffic_analysis import (
-    FlowFeatures,
-    TrafficClassProfile,
-    TrafficClassifier,
-)
+from repro.netfunc.traffic_analysis import FlowFeatures
 
 __all__ = [
     "Action",
@@ -24,6 +20,4 @@ __all__ = [
     "IPLookup",
     "PCAMLoadBalancer",
     "Route",
-    "TrafficClassProfile",
-    "TrafficClassifier",
 ]

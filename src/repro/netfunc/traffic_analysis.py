@@ -1,28 +1,30 @@
-"""Cognitive traffic analysis via pCAM partial matching.
+"""Flow features for cognitive traffic analysis.
 
 Figure 5 lists traffic analysis among the analog network functions:
 classify flows by how *closely* their feature vector (packet size,
 inter-arrival time, burstiness) matches stored class profiles.  A
-digital TCAM can only answer "inside/outside the profile box"; the
-pCAM array returns a graded similarity per class, so a flow that
+digital TCAM can only answer "inside/outside the profile box"; an
+analog CAM returns a graded similarity per class, so a flow that
 matches no profile exactly is still assigned to the nearest one —
 the RQ1 "zero matches" capability.
+
+The classifier is the aCAM bank the switch's classification stage
+uses: a :class:`repro.acam.array.ACAMArray` over :data:`FEATURES`
+with one row per class, each ``(lo, hi, fade)`` acceptance window an
+``ACAMInterval(lo, hi, margin=fade)``, classified by the search's
+``best_rows``.  This module only turns raw packet observations into
+the query (``examples/cognitive_functions.py`` wires the two).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from repro.core.pcam_array import PCAMArray, PCAMWord
-from repro.core.pcam_cell import PCAMParams
-from repro.energy.ledger import EnergyLedger
+__all__ = ["FlowFeatures"]
 
-__all__ = ["FlowFeatures", "TrafficClassProfile", "TrafficClassifier"]
-
-#: The feature fields every profile constrains.
+#: The feature fields, in query order.
 FEATURES = ("mean_packet_size", "mean_interarrival_s", "burstiness")
 
 
@@ -35,7 +37,7 @@ class FlowFeatures:
     burstiness: float
 
     def as_query(self) -> dict[str, float]:
-        """The features as a pCAM query mapping."""
+        """The features as a query mapping keyed by :data:`FEATURES`."""
         return {
             "mean_packet_size": self.mean_packet_size,
             "mean_interarrival_s": self.mean_interarrival_s,
@@ -61,68 +63,3 @@ class FlowFeatures:
         return cls(mean_packet_size=float(sizes.mean()),
                    mean_interarrival_s=mean_gap,
                    burstiness=burstiness)
-
-
-@dataclass(frozen=True)
-class TrafficClassProfile:
-    """A stored class: per-feature acceptance windows.
-
-    Each window is (accept_lo, accept_hi, fade) — full match inside
-    [accept_lo, accept_hi], linear falloff over ``fade`` on both
-    sides.
-    """
-
-    name: str
-    windows: Mapping[str, tuple[float, float, float]]
-
-    def __post_init__(self) -> None:
-        missing = [f for f in FEATURES if f not in self.windows]
-        if missing:
-            raise ValueError(f"profile {self.name!r} missing windows "
-                             f"for: {missing}")
-
-    def to_word(self) -> PCAMWord:
-        """Compile the profile's windows into a pCAM word."""
-        params: dict[str, PCAMParams] = {}
-        for feature, (lo, hi, fade) in self.windows.items():
-            if lo > hi or fade <= 0:
-                raise ValueError(
-                    f"bad window for {feature!r}: {(lo, hi, fade)}")
-            params[feature] = PCAMParams.canonical(
-                m1=lo - fade, m2=lo, m3=hi, m4=hi + fade)
-        return PCAMWord.from_params(params)
-
-
-class TrafficClassifier:
-    """Nearest-profile flow classification on a pCAM array."""
-
-    def __init__(self, profiles: list[TrafficClassProfile],
-                 ledger: EnergyLedger | None = None) -> None:
-        if not profiles:
-            raise ValueError("need at least one profile")
-        names = [profile.name for profile in profiles]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate profile names: {names}")
-        self.profiles = list(profiles)
-        self.ledger = ledger if ledger is not None else EnergyLedger()
-        self._array = PCAMArray(FEATURES)
-        for profile in profiles:
-            self._array.add(profile.to_word())
-
-    def scores(self, flow: FlowFeatures) -> dict[str, float]:
-        """Graded similarity of the flow to every stored class."""
-        result = self._array.search(flow.as_query())
-        self.ledger.charge("traffic_analysis.search", result.energy_j)
-        return {profile.name: float(probability)
-                for profile, probability in
-                zip(self.profiles, result.probabilities)}
-
-    def classify(self, flow: FlowFeatures) -> tuple[str, float]:
-        """(best class name, its match probability).
-
-        A flow outside every profile box still classifies — to the
-        class with the highest partial match.
-        """
-        scores = self.scores(flow)
-        best = max(scores, key=scores.get)  # type: ignore[arg-type]
-        return best, scores[best]

@@ -32,7 +32,6 @@ from repro.netfunc.aqm.base import AQMAlgorithm, QueueView
 from repro.netfunc.aqm.codel import CoDelAqm
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.packet import Packet
-from repro.robustness.oracle import intended_pipeline
 
 __all__ = ["DegradingAQM", "ShadowOracle"]
 
@@ -42,11 +41,11 @@ class ShadowOracle:
 
     Evaluates an ideal pipeline programmed with each stage's
     :attr:`~repro.core.pcam_cell.PCAMCell.intended_params` — the
-    :func:`~repro.robustness.oracle.intended_pipeline` the differential
-    oracle compares against, rebuilt when the intent changes — so
-    injected faults never leak into the shadow.  This is the "cheap
-    shadow digital oracle" the traffic manager uses to detect
-    out-of-envelope analog outputs.
+    :meth:`~repro.core.pcam_pipeline.PCAMPipeline.clone_ideal` twin the
+    differential oracle compares against, rebuilt when the intent
+    changes — so injected faults never leak into the shadow.  This is
+    the "cheap shadow digital oracle" the traffic manager uses to
+    detect out-of-envelope analog outputs.
     """
 
     def __init__(self, pipeline: PCAMPipeline) -> None:
@@ -63,8 +62,7 @@ class ShadowOracle:
             intended = getattr(stage, "intended_params", stage.params)
             if reference is None or \
                     reference.stage(name).params is not intended:
-                reference = self.reference = intended_pipeline(
-                    self.pipeline)
+                reference = self.reference = self.pipeline.clone_ideal()
                 break
         self.checks += 1
         return reference.evaluate_batch(features)

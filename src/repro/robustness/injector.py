@@ -1,8 +1,8 @@
 """Seeded application of fault models to pipelines, arrays, and AQMs.
 
 The :class:`FaultInjector` walks a structure's injection surface —
-pipeline stages, array words, an AQM's pipeline — flips a seeded coin
-per cell against ``cell_fraction``, and attaches a freshly
+pipeline stages, each array word's stages, an AQM's pipeline — flips
+a seeded coin per cell against ``cell_fraction``, and attaches a freshly
 materialised :class:`~repro.robustness.models.CellFault` to each
 selected cell.  Everything is drawn from one generator, so a campaign
 seed reproduces the exact defect population.
@@ -84,20 +84,24 @@ class FaultInjector:
         device-realised stages model their own physics-level noise and
         are skipped.
         """
-        report = InjectionReport(model=self.model.name)
+        return InjectionReport(model=self.model.name,
+                               stages=self._inject_stages(pipeline))
+
+    def _inject_stages(self, pipeline: PCAMPipeline) -> list[str]:
+        """Coin-flip each functional stage in series order; hit names."""
+        hit = []
         for name in pipeline.stage_names:
             stage = pipeline.stage(name)
             if isinstance(stage, PCAMCell) and self._maybe_inject(stage):
-                report.stages.append(name)
-        return report
+                hit.append(name)
+        return hit
 
     def inject_array(self, array: PCAMArray) -> InjectionReport:
-        """Fault an array's stored words, cell by cell."""
+        """Fault an array's stored words, each word as a pipeline."""
         report = InjectionReport(model=self.model.name)
         for index, word in enumerate(array.words):
-            for fieldname, cell in word.cells.items():
-                if self._maybe_inject(cell):
-                    report.array_cells.append((index, fieldname))
+            report.array_cells.extend(
+                (index, name) for name in self._inject_stages(word))
         return report
 
     def inject_aqm(self, aqm) -> InjectionReport:
@@ -108,5 +112,5 @@ class FaultInjector:
     def clear_array(array: PCAMArray) -> None:
         """Detach every fault from an array's cells."""
         for word in array.words:
-            for cell in word.cells.values():
-                cell.clear_fault()
+            for name in word.stage_names:
+                word.stage(name).clear_fault()

@@ -27,26 +27,11 @@ import numpy as np
 from repro.core.pcam_pipeline import PCAMPipeline
 
 __all__ = ["DegradationEnvelope", "DeviationReport", "DifferentialOracle",
-           "EnvelopeViolation", "intended_pipeline"]
+           "EnvelopeViolation"]
 
 #: Tolerance for the scalar-vs-batch equivalence leg (vectorisation
 #: must be a pure re-expression of the scalar reference).
 EQUIVALENCE_RTOL = 1e-9
-
-
-def intended_pipeline(pipeline: PCAMPipeline) -> PCAMPipeline:
-    """A clean ideal pipeline programmed with each stage's intent.
-
-    Works on faulted pipelines because the injection hook keeps
-    :attr:`~repro.core.pcam_cell.PCAMCell.intended_params` clean;
-    device-realised stages contribute their programmed params.
-    """
-    params = {}
-    for name in pipeline.stage_names:
-        stage = pipeline.stage(name)
-        params[name] = getattr(stage, "intended_params", stage.params)
-    return PCAMPipeline.from_params(params,
-                                    composition=pipeline.composition)
 
 
 class EnvelopeViolation(AssertionError):
@@ -140,8 +125,9 @@ class DifferentialOracle:
     def from_intended(cls, pipeline: PCAMPipeline,
                       envelope: DegradationEnvelope | None = None
                       ) -> "DifferentialOracle":
-        """Build the clean reference with :func:`intended_pipeline`."""
-        return cls(intended_pipeline(pipeline), envelope)
+        """Build the clean reference with
+        :meth:`~repro.core.pcam_pipeline.PCAMPipeline.clone_ideal`."""
+        return cls(pipeline.clone_ideal(), envelope)
 
     def compare(self, faulty: PCAMPipeline,
                 probes: Mapping[str, np.ndarray]) -> DeviationReport:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pcam_array import PCAMArray, PCAMWord
+from repro.core.pcam_array import PCAMArray
 from repro.core.pcam_cell import PCAMCell, PCAMParams
 from repro.core.pcam_pipeline import BATCH_COMPOSITIONS, PCAMPipeline
 from repro.robustness.models import (
@@ -108,24 +108,6 @@ def test_pipeline_evaluate_batch_matches_scalar(data, composition):
     assert np.allclose(result, reference, rtol=RTOL, atol=0.0)
 
 
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_pipeline_trace_batch_matches_scalar(data):
-    stage_params = {name: data.draw(arbitrary_params())
-                    for name in ("a", "b")}
-    pipeline = PCAMPipeline.from_params(stage_params)
-    values = data.draw(feature_batch(stage_params["a"]))
-    batch = {name: values for name in stage_params}
-    composite, per_stage = pipeline.evaluate_trace_batch(batch)
-    for i in range(len(values)):
-        ref_total, ref_outputs = pipeline.evaluate_trace(
-            {name: float(values[i]) for name in stage_params})
-        assert np.isclose(composite[i], ref_total, rtol=RTOL, atol=0.0)
-        for output in ref_outputs:
-            assert np.isclose(per_stage[output.name][i],
-                              output.probability, rtol=RTOL, atol=0.0)
-
-
 def test_pipeline_matrix_input_matches_mapping():
     pipeline = PCAMPipeline.from_params({
         "a": PCAMParams.canonical(0.0, 1.0, 2.0, 3.0),
@@ -181,17 +163,18 @@ def small_array():
     return array
 
 
-def test_word_match_batch_matches_scalar():
-    word = PCAMWord.from_params({
-        "delay": PCAMParams.canonical(0.1, 0.3, 0.6, 0.9),
-        "load": PCAMParams.canonical(0.0, 0.2, 0.5, 0.8)})
+def test_word_match_batch_matches_scalar(small_array):
+    # A stored word is a pipeline: its array column is its own batch
+    # evaluation, and that is its scalar evaluation, query by query.
+    word = small_array.word(0)
     rng = np.random.default_rng(2)
     queries = {"delay": rng.uniform(-0.2, 1.2, 40),
                "load": rng.uniform(-0.2, 1.2, 40)}
-    batch = word.match_batch(queries)
+    batch = small_array.match_batch(queries)[:, 0]
+    assert np.array_equal(batch, word.evaluate_batch(queries))
     reference = np.array([
-        word.match({name: float(values[i])
-                    for name, values in queries.items()})
+        word.evaluate({name: float(values[i])
+                       for name, values in queries.items()})
         for i in range(40)])
     assert np.allclose(batch, reference, rtol=RTOL, atol=0.0)
 

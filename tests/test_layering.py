@@ -2,7 +2,8 @@
 
 ``tools/check_layering.py`` walks ``src/repro`` with ``ast`` and
 rejects imports that would invert the package's layering: netfunc
-must not reach up into the dataplane, ``repro.packet`` stays a leaf,
+must not reach up into the dataplane or across into acam, core
+imports none of the layers built on it, ``repro.packet`` stays a leaf,
 and ``repro.control`` sits above dataplane/fabric/robustness/
 observability — nothing imports it from below except the pipeline's
 default-controller convenience.
@@ -43,6 +44,11 @@ def test_checker_catches_a_planted_violation(tmp_path, monkeypatch):
         "repro/observability/bad_f.py":
             "from repro.control import ControlLoop\n",
         "repro/dataplane/bad_g.py": "import repro.control.loop\n",
+        # Rule 6: netfunc must not import acam (acam imports netfunc).
+        "repro/netfunc/bad_h.py": "from repro.acam import ACAMArray\n",
+        # Rule 7: core imports none of the layers built on it.
+        "repro/core/bad_i.py":
+            "from repro.robustness.models import FaultModel\n",
         # Legal imports planted alongside must NOT be flagged.
         "repro/dataplane/good.py": "import repro.netfunc.firewall\n",
         # The control plane itself may import everything below it...
@@ -74,6 +80,8 @@ def test_checker_catches_a_planted_violation(tmp_path, monkeypatch):
                        "src/repro/robustness/bad_e.py",
                        "src/repro/observability/bad_f.py",
                        "src/repro/dataplane/bad_g.py",
+                       "src/repro/netfunc/bad_h.py",
+                       "src/repro/core/bad_i.py",
                        "src/repro/dataplane/control_loop.py",
                        "src/repro/dataplane/controller.py",
                        "src/repro/dataplane/__init__.py"}

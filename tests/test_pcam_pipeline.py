@@ -94,14 +94,6 @@ class TestEvaluation:
         # Stage b mismatches hard at 5.0 -> product 0 regardless of a.
         assert pipeline.evaluate({"a": 1.5, "b": 5.0}) == 0.0
 
-    def test_trace_reports_per_stage(self):
-        pipeline = make_pipeline()
-        total, outputs = pipeline.evaluate_trace({"a": 0.5, "b": 0.5})
-        assert len(outputs) == 2
-        assert outputs[0].name == "a"
-        product = outputs[0].probability * outputs[1].probability
-        assert total == pytest.approx(product)
-
 
 class TestCompositions:
     def test_all_compositions_available(self):

@@ -24,6 +24,12 @@ the architectural layering of the package:
    sanctioned back-edge is the pipeline's default-controller
    convenience (``repro.dataplane.pipeline``), which only
    instantiates.
+6. ``repro.netfunc`` must not import ``repro.acam``: the aCAM
+   compiler and comparison import ``repro.netfunc.decision_tree``,
+   so the reverse edge would be an import cycle.
+7. ``repro.core`` is the pCAM primitive everything else builds on:
+   it imports none of robustness, acam, netfunc, dataplane, simnet,
+   fabric or control.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -41,7 +47,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: what the contract constrains).
 FORBIDDEN = {
     "repro.netfunc": ("repro.dataplane", "repro.fabric",
-                      "repro.control"),
+                      "repro.control", "repro.acam"),
+    "repro.core": ("repro.robustness", "repro.acam", "repro.netfunc",
+                   "repro.dataplane", "repro.simnet", "repro.fabric",
+                   "repro.control"),
     "repro.acam": ("repro.dataplane", "repro.simnet", "repro.fabric",
                    "repro.control"),
     "repro.packet": ("repro.",),
@@ -126,8 +135,8 @@ def main() -> int:
     if problems:
         print(f"{len(problems)} layering violation(s)", file=sys.stderr)
         return 1
-    print("layering contract clean: netfunc |> dataplane, "
-          "acam |> dataplane/simnet, "
+    print("layering contract clean: netfunc |> dataplane/acam, "
+          "acam |> dataplane/simnet, core is the base, "
           "repro.packet is a leaf, repro.fabric composes, "
           "repro.control is the top")
     return 0
