@@ -10,10 +10,12 @@ rows that match an entire feature vector in a single search cycle.
 This package builds that primitive on top of the repo's pCAM
 machinery and maps :mod:`repro.netfunc.decision_tree` onto it:
 
-* :mod:`repro.acam.cell`    — interval cells (conductance-bounded
-  windows with analog margin/sharpness skirts);
-* :mod:`repro.acam.array`   — vectorised multi-row search with
-  seedable fault-plan hooks and a differential row oracle;
+* :mod:`repro.acam.cell`    — interval values (conductance-bounded
+  windows with analog margin/sharpness skirts) lowered onto plain
+  pCAM cells;
+* :mod:`repro.acam.array`   — vectorised multi-row search over a
+  :class:`~repro.core.pcam_array.PCAMArray`, whose rows are the
+  bank's one fault surface for :mod:`repro.robustness`;
 * :mod:`repro.acam.compiler`— root-to-leaf paths flattened to rows,
   so tree inference is one ``search_batch`` per chunk; the one place
   ``(label, intervals)`` rows become a bank;
@@ -25,15 +27,9 @@ machinery and maps :mod:`repro.netfunc.decision_tree` onto it:
 from repro.acam.array import (
     ACAMArray,
     ACAMBatchResult,
-    ACAMFaultPlan,
     ACAMSearchResult,
 )
-from repro.acam.cell import (
-    ACAMCell,
-    ACAMInterval,
-    ConductanceMap,
-    UNBOUNDED,
-)
+from repro.acam.cell import ACAMInterval, UNBOUNDED
 from repro.acam.comparison import (
     EnergyTableRow,
     build_energy_table,
@@ -53,13 +49,10 @@ from repro.acam.energy import ACAMEnergyModel, published_acam_energy
 __all__ = [
     "ACAMArray",
     "ACAMBatchResult",
-    "ACAMCell",
     "ACAMDecisionTree",
     "ACAMEnergyModel",
-    "ACAMFaultPlan",
     "ACAMInterval",
     "ACAMSearchResult",
-    "ConductanceMap",
     "EnergyTableRow",
     "TreePath",
     "UNBOUNDED",

@@ -2,23 +2,19 @@
 
 A row matches iff **every** feature of the query falls inside that
 row's stored interval — the per-cell responses multiply on the match
-line, so one sub-threshold cell pulls the whole row down.  The bank
-composes a :class:`~repro.core.pcam_array.PCAMArray` over the very
-same cells — each aCAM row is stored as one product
-:class:`~repro.core.pcam_pipeline.PCAMPipeline` of its interval cells —
-which buys three things for free:
-
-* the vectorised match kernel (one ``(n_queries, n_rows)`` pass);
-* the robustness fault-injection surface
-  (:class:`~repro.robustness.injector.FaultInjector` walks the pCAM
-  rows' stages and never learns aCAM exists);
-* the clean-twin discipline (``intended`` parameters survive faults).
-
-Fault plans are seeded value objects so a campaign seed reproduces
-the exact defect population; the differential row oracle reuses the
-robustness :class:`~repro.robustness.oracle.DeviationReport` /
-:class:`~repro.robustness.oracle.DegradationEnvelope` vocabulary to
-flag out-of-envelope rows.
+line, so one sub-threshold cell pulls the whole row down.  The bank is
+a :class:`~repro.core.pcam_array.PCAMArray` whose every row is one
+product :class:`~repro.core.pcam_pipeline.PCAMPipeline` of plain pCAM
+cells, each programmed with its interval's
+:meth:`~repro.acam.cell.ACAMInterval.to_pcam_params`.  That
+buys the vectorised match kernel (one ``(n_queries, n_rows)`` pass)
+and makes :attr:`ACAMArray.pcam` the bank's one fault surface: faults,
+the clean twin and the row oracle are the robustness layer's own
+(:class:`~repro.robustness.injector.FaultInjector` on
+``bank.pcam.word(i)`` or ``bank.pcam``,
+:meth:`~repro.robustness.injector.FaultInjector.clear_array`,
+:class:`~repro.robustness.oracle.DifferentialOracle` per word), and
+this module imports none of them.
 """
 
 from __future__ import annotations
@@ -28,17 +24,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.acam.cell import ACAMCell, ACAMInterval, UNBOUNDED
+from repro.acam.cell import ACAMInterval, UNBOUNDED
 from repro.acam.energy import ACAMEnergyModel, published_acam_energy
 from repro.core.pcam_array import PCAMArray
-from repro.core.pcam_pipeline import PCAMPipeline
 from repro.energy.ledger import EnergyLedger
-from repro.robustness.injector import FaultInjector, InjectionReport
-from repro.robustness.models import FaultModel
-from repro.robustness.oracle import DegradationEnvelope, DeviationReport
 
-__all__ = ["ACAMArray", "ACAMBatchResult", "ACAMFaultPlan",
-           "ACAMSearchResult"]
+__all__ = ["ACAMArray", "ACAMBatchResult", "ACAMSearchResult"]
 
 
 @dataclass(frozen=True)
@@ -81,29 +72,6 @@ class ACAMSearchResult:
         return self.first_match_row >= 0
 
 
-@dataclass(frozen=True)
-class ACAMFaultPlan:
-    """A seeded, reproducible defect population for one bank.
-
-    ``rows=None`` exposes every row to the coin flip; a tuple of row
-    indices restricts the plan to those rows (the targeted-defect
-    legs of the golden suite).  Selection and fault materialisation
-    both draw from one ``default_rng(seed)`` stream in row-major cell
-    order, so a plan is a pure function of (bank geometry, plan).
-    """
-
-    model: FaultModel
-    cell_fraction: float = 1.0
-    seed: int = 0
-    rows: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.cell_fraction <= 1.0:
-            raise ValueError(
-                f"cell fraction must be in [0, 1]: "
-                f"{self.cell_fraction!r}")
-
-
 class ACAMArray:
     """A bank of interval rows over named feature fields.
 
@@ -138,7 +106,6 @@ class ACAMArray:
         self.energy_model = energy_model or published_acam_energy()
         self.ledger = ledger
         self.account = account
-        self._rows: list[tuple[ACAMCell, ...]] = []
         self._pcam = PCAMArray(
             self.fields, match_threshold=match_threshold,
             energy_per_cell_j=self.energy_model.cell_search_j,
@@ -149,12 +116,12 @@ class ACAMArray:
     # Geometry
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._pcam)
 
     @property
     def n_rows(self) -> int:
         """Number of stored interval rows."""
-        return len(self._rows)
+        return len(self._pcam)
 
     @property
     def match_threshold(self) -> float:
@@ -171,17 +138,6 @@ class ACAMArray:
         """The composed pCAM array (fault-injection surface)."""
         return self._pcam
 
-    @property
-    def rows(self) -> tuple[tuple[ACAMCell, ...], ...]:
-        """All stored rows, each a tuple of cells in field order."""
-        return tuple(self._rows)
-
-    def row(self, index: int) -> tuple[ACAMCell, ...]:
-        """One stored row by index."""
-        if not 0 <= index < len(self._rows):
-            raise IndexError(f"row {index} out of range")
-        return self._rows[index]
-
     def add_row(self, intervals: "Sequence[ACAMInterval] | "
                                  "Mapping[str, ACAMInterval]") -> int:
         """Store one interval row; returns its row index."""
@@ -196,11 +152,9 @@ class ACAMArray:
                 raise ValueError(
                     f"row arity {len(ordered)} != "
                     f"{len(self.fields)} fields")
-        cells = tuple(ACAMCell(interval) for interval in ordered)
-        self._rows.append(cells)
-        self._pcam.add(PCAMPipeline({field: cell.pcam for field, cell
-                                     in zip(self.fields, cells)}))
-        return len(self._rows) - 1
+        return self._pcam.add({field: interval.to_pcam_params()
+                               for field, interval
+                               in zip(self.fields, ordered)})
 
     # ------------------------------------------------------------------
     # Search
@@ -227,14 +181,14 @@ class ACAMArray:
         an ``(n_queries, n_fields)`` matrix in field order.
         """
         columns = self._as_columns(queries)
-        if not self._rows:
+        if not len(self._pcam):
             raise RuntimeError("cannot search an empty aCAM bank")
         probabilities = self._pcam.match_batch(columns)
         n_queries = probabilities.shape[0]
-        best = np.argmax(probabilities, axis=1)
+        best = probabilities.argmax(axis=1)
         mask = probabilities >= self._pcam.match_threshold
         any_match = mask.any(axis=1)
-        first = np.where(any_match, np.argmax(mask, axis=1), -1)
+        first = np.where(any_match, mask.argmax(axis=1), -1)
         energy = self.energy_model.search_energy_j(
             self.n_rows, len(self.fields), n_queries)
         if self.ledger is not None:
@@ -268,102 +222,29 @@ class ACAMArray:
             latency_s=result.latency_s)
 
     # ------------------------------------------------------------------
-    # Fault plans and the differential row oracle
+    # Probes for the robustness oracle
     # ------------------------------------------------------------------
-    def apply_fault_plan(self, plan: ACAMFaultPlan) -> InjectionReport:
-        """Inject the plan's defect population; returns what was hit."""
-        rng = np.random.default_rng(plan.seed)
-        injector = FaultInjector(plan.model,
-                                 cell_fraction=plan.cell_fraction,
-                                 rng=rng)
-        selected = set(plan.rows) if plan.rows is not None else None
-        report = InjectionReport(model=plan.model.name)
-        for index, row in enumerate(self._rows):
-            if selected is not None and index not in selected:
-                continue
-            for field, cell in zip(self.fields, row):
-                if plan.cell_fraction >= 1.0 \
-                        or rng.random() < plan.cell_fraction:
-                    injector.inject_cell(cell.pcam)
-                    report.array_cells.append((index, field))
-        return report
-
-    def clear_faults(self) -> None:
-        """Detach every fault and restore the intended intervals."""
-        FaultInjector.clear_array(self._pcam)
-
-    def clone_ideal(self) -> "ACAMArray":
-        """A healthy copy rebuilt from every row's intended interval."""
-        clone = ACAMArray(self.fields,
-                          match_threshold=self._pcam.match_threshold,
-                          energy_model=self.energy_model)
-        for row in self._rows:
-            clone.add_row([cell.intended_interval for cell in row])
-        return clone
-
     def probe_grid(self, n_probes: int,
                    rng: np.random.Generator,
                    margin: float = 0.25) -> dict[str, np.ndarray]:
         """Seeded per-field probes covering every finite bound.
 
-        Spans the union of each field's finite interval bounds,
-        widened by ``margin`` of the span each side; a field with
-        only wildcard cells probes [0, 1].  Sentinel bounds are
-        excluded — probing at 1e30 exercises nothing.
+        Spans the union of each field's finite interval bounds (the
+        cells' intended ``[M2, M3]`` windows, so faults do not move
+        the grid), widened by ``margin`` of the span each side; a
+        field with only wildcard cells probes [0, 1].  Sentinel
+        bounds are excluded — probing at 1e30 exercises nothing.
         """
         if n_probes < 1:
             raise ValueError(f"need at least one probe: {n_probes!r}")
         probes: dict[str, np.ndarray] = {}
-        for j, field in enumerate(self.fields):
-            bounds = [b for row in self._rows
-                      for b in (row[j].intended_interval.lo,
-                                row[j].intended_interval.hi)
-                      if b is not None and abs(b) < UNBOUNDED]
+        for field in self.fields:
+            intended = [word.stage(field).intended_params
+                        for word in self._pcam.words]
+            bounds = [b for p in intended for b in (p.m2, p.m3)
+                      if abs(b) < UNBOUNDED]
             lo, hi = (min(bounds), max(bounds)) if bounds else (0.0, 1.0)
             span = max(hi - lo, 1e-6)
             probes[field] = rng.uniform(lo - margin * span,
                                         hi + margin * span, n_probes)
         return probes
-
-    def row_reports(self, probes: Mapping[str, np.ndarray]
-                    ) -> list[DeviationReport]:
-        """Per-row deviation of this bank against its healthy twin.
-
-        Three legs per row, mirroring the robustness oracle: the
-        clean twin batched (reference), the clean twin scalar
-        (vectorisation check), and this — possibly faulted — bank
-        batched.  Reduced into one
-        :class:`~repro.robustness.oracle.DeviationReport` per row.
-        """
-        columns = self._as_columns(probes)
-        ideal = self.clone_ideal()
-        faulty = self._pcam.match_batch(columns)
-        ideal_batch = ideal.pcam.match_batch(columns)
-        n_probes = faulty.shape[0]
-        reports = []
-        for index in range(self.n_rows):
-            word = ideal.pcam.word(index)
-            scalar = np.array([
-                word.evaluate({f: float(columns[f][i]) for f in columns})
-                for i in range(n_probes)])
-            deviation = faulty[:, index] - scalar
-            reports.append(DeviationReport(
-                n_probes=n_probes,
-                mean_abs_error=float(np.mean(np.abs(deviation))),
-                bias=float(np.mean(deviation)),
-                max_abs_error=float(np.max(np.abs(deviation),
-                                           initial=0.0)),
-                rmse=float(np.sqrt(np.mean(deviation ** 2))),
-                scalar_batch_max_diff=float(np.max(
-                    np.abs(ideal_batch[:, index] - scalar),
-                    initial=0.0))))
-        return reports
-
-    def out_of_envelope(self, probes: Mapping[str, np.ndarray],
-                        envelope: DegradationEnvelope | None = None
-                        ) -> tuple[int, ...]:
-        """Row indices whose deviation breaks the declared envelope."""
-        envelope = envelope or DegradationEnvelope()
-        return tuple(index for index, report
-                     in enumerate(self.row_reports(probes))
-                     if not report.within(envelope))

@@ -18,6 +18,11 @@ of the repo's pCAM transfer function:
 Ramp responses are strictly below ``pmax``, so a deterministic match
 is only ever produced *inside* the stored interval — the property the
 one-shot decision-tree equivalence proof rests on.
+
+An interval is a value, not a cell: the bank stores
+:meth:`ACAMInterval.to_pcam_params` in a plain
+:class:`~repro.core.pcam_cell.PCAMCell`, whose ``intended_params``
+remember the interval through any fault.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.pcam_cell import PCAMCell, PCAMParams
+from repro.core.pcam_cell import PCAMParams
 
-__all__ = ["ACAMCell", "ACAMInterval", "ConductanceMap", "UNBOUNDED"]
+__all__ = ["ACAMInterval", "UNBOUNDED", "check_skirt"]
 
 #: Sentinel magnitude for an unbounded interval side.  Far outside any
 #: feature scale this repo produces, yet finite so the pCAM transfer
@@ -45,44 +50,19 @@ UNBOUNDED = 1e30
 _EDGE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class ConductanceMap:
-    """Linear map between threshold values and cell conductances.
+def check_skirt(margin: float, sharpness: float) -> None:
+    """Reject a skirt the pCAM ramp cannot realise.
 
-    The programmable window of a real aCAM cell is stored as two
-    memristor conductances inside the device's resistance window
-    (kilo-ohms to giga-ohms for the Nb:SrTiO3 devices of the paper).
-    The map is linear in conductance across ``[v_min, v_max]``;
-    values outside the span clip to the rails, which is exactly what
-    programming a threshold beyond the storable range does in silicon.
+    ``margin`` must be finite and >= 0 and ``sharpness`` finite and
+    > 0: an infinite margin turns the ramp into inf/inf (NaN
+    responses), a NaN slips past both comparisons, and an infinite
+    sharpness silently zeroes the skirt.
     """
-
-    v_min: float = 0.0
-    v_max: float = 1.0
-    g_min_s: float = 1e-9
-    g_max_s: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not self.v_min < self.v_max:
-            raise ValueError(
-                f"need v_min < v_max: {self.v_min!r}, {self.v_max!r}")
-        if not 0.0 < self.g_min_s < self.g_max_s:
-            raise ValueError(
-                f"need 0 < g_min < g_max: {self.g_min_s!r}, "
-                f"{self.g_max_s!r}")
-
-    def conductance(self, value: float) -> float:
-        """Stored conductance for a threshold value [S]."""
-        t = (value - self.v_min) / (self.v_max - self.v_min)
-        t = min(max(t, 0.0), 1.0)
-        return self.g_min_s + t * (self.g_max_s - self.g_min_s)
-
-    def value(self, conductance_s: float) -> float:
-        """Threshold value realised by a stored conductance."""
-        t = ((conductance_s - self.g_min_s)
-             / (self.g_max_s - self.g_min_s))
-        t = min(max(t, 0.0), 1.0)
-        return self.v_min + t * (self.v_max - self.v_min)
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and >= 0: {margin!r}")
+    if not (np.isfinite(sharpness) and sharpness > 0):
+        raise ValueError(
+            f"sharpness must be finite and > 0: {sharpness!r}")
 
 
 @dataclass(frozen=True)
@@ -112,11 +92,7 @@ class ACAMInterval:
                 and self.lo > self.hi:
             raise ValueError(
                 f"need lo <= hi: {self.lo!r} > {self.hi!r}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0: {self.margin!r}")
-        if self.sharpness <= 0:
-            raise ValueError(
-                f"sharpness must be > 0: {self.sharpness!r}")
+        check_skirt(self.margin, self.sharpness)
 
     @classmethod
     def wildcard(cls) -> "ACAMInterval":
@@ -158,84 +134,3 @@ class ACAMInterval:
         if self.hi is not None:
             inside &= x <= self.hi
         return inside
-
-
-class ACAMCell:
-    """One interval cell: an :class:`ACAMInterval` held in a pCAM cell.
-
-    The underlying :class:`~repro.core.pcam_cell.PCAMCell` is the
-    fault-injection surface — robustness models attach to it exactly
-    as they do to any other pCAM cell, and ``intended_interval``
-    stays clean for the differential oracle.
-    """
-
-    def __init__(self, interval: ACAMInterval) -> None:
-        self._interval = interval
-        self._pcam = PCAMCell(interval.to_pcam_params())
-
-    @classmethod
-    def from_conductances(cls, g_lo_s: float, g_hi_s: float,
-                          cmap: ConductanceMap, *,
-                          margin: float = 0.0,
-                          sharpness: float = 1.0) -> "ACAMCell":
-        """Program a cell from its two stored conductances."""
-        return cls(ACAMInterval(lo=cmap.value(g_lo_s),
-                                hi=cmap.value(g_hi_s),
-                                margin=margin, sharpness=sharpness))
-
-    @property
-    def pcam(self) -> PCAMCell:
-        """The underlying pCAM cell (fault-injection surface)."""
-        return self._pcam
-
-    @property
-    def intended_interval(self) -> ACAMInterval:
-        """The interval the programmer asked for (fault-free)."""
-        return self._interval
-
-    @property
-    def fault(self):
-        """The injected fault instance, or None on a healthy cell."""
-        return self._pcam.fault
-
-    def program(self, interval: ACAMInterval) -> None:
-        """Reprogram the stored interval (faults decide the outcome)."""
-        self._interval = interval
-        self._pcam.program(interval.to_pcam_params())
-
-    def inject_fault(self, fault) -> None:
-        """Attach a materialised cell fault to the underlying cell."""
-        self._pcam.inject_fault(fault)
-
-    def clear_fault(self) -> None:
-        """Detach any fault and restore the intended interval."""
-        self._pcam.clear_fault()
-
-    def conductance_bounds(self, cmap: ConductanceMap
-                           ) -> tuple[float, float]:
-        """The two stored conductances realising the interval [S].
-
-        Unbounded sides clip to the map's rails — the hardware
-        realisation of a wildcard is a bound programmed to the edge
-        of the storable window.
-        """
-        lo = -UNBOUNDED if self._interval.lo is None \
-            else self._interval.lo
-        hi = UNBOUNDED if self._interval.hi is None \
-            else self._interval.hi
-        return cmap.conductance(lo), cmap.conductance(hi)
-
-    def match_batch(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised analog response over an input array."""
-        return self._pcam.response_array(np.asarray(values, dtype=float))
-
-    def match(self, value: float) -> float:
-        """Analog response for one input (batch of one)."""
-        return float(self.match_batch(np.asarray([value]))[0])
-
-    def __repr__(self) -> str:
-        i = self._interval
-        lo = "-inf" if i.lo is None else f"{i.lo:g}"
-        hi = "+inf" if i.hi is None else f"{i.hi:g}"
-        return (f"ACAMCell([{lo}, {hi}], margin={i.margin:g}, "
-                f"sharpness={i.sharpness:g})")

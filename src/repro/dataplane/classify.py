@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.acam.cell import check_skirt
 from repro.acam.compiler import Interval, compile_rows, tree_paths
 from repro.dataplane.fastpath import PacketBatch, first_appearance_counts
 from repro.energy.ledger import EnergyLedger
@@ -79,11 +80,7 @@ class ClassifierSpec:
                     f"steering for unknown class {label!r}")
             if port < 0:
                 raise ValueError(f"port must be >= 0: {port!r}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0: {self.margin!r}")
-        if self.sharpness <= 0:
-            raise ValueError(
-                f"sharpness must be > 0: {self.sharpness!r}")
+        check_skirt(self.margin, self.sharpness)
 
     @property
     def ports(self) -> tuple[int, ...]:

@@ -72,11 +72,6 @@ class FaultInjector:
                 self.model.materialise(cell.intended_params, self._rng))
         return selected
 
-    def inject_cell(self, cell: PCAMCell) -> None:
-        """Fault one cell unconditionally."""
-        cell.inject_fault(
-            self.model.materialise(cell.intended_params, self._rng))
-
     def inject_pipeline(self, pipeline: PCAMPipeline) -> InjectionReport:
         """Fault a pipeline's stages; returns which stages were hit.
 

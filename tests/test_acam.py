@@ -2,10 +2,9 @@
 
 The property suite (``test_acam_properties.py``) carries the
 differential exactness argument; this file pins the concrete device
-semantics — interval cells as pCAM programmings, conductance mapping,
-bank search bookkeeping, fault plans over the shared robustness
-surface, and the energy/comparison arithmetic — with hand-checkable
-cases.
+semantics — intervals as pCAM programmings, bank search bookkeeping,
+the robustness layer's faults and oracle on the bank's pCAM rows, and
+the energy/comparison arithmetic — with hand-checkable cases.
 """
 
 import numpy as np
@@ -13,12 +12,9 @@ import pytest
 
 from repro.acam import (
     ACAMArray,
-    ACAMCell,
     ACAMDecisionTree,
     ACAMEnergyModel,
-    ACAMFaultPlan,
     ACAMInterval,
-    ConductanceMap,
     UNBOUNDED,
     build_energy_table,
     compile_tree,
@@ -33,9 +29,12 @@ from repro.acam.comparison import (
     prefix_cover_count,
     tcam_rows_for_paths,
 )
+from repro.core.pcam_cell import PCAMCell
 from repro.energy.ledger import EnergyLedger
 from repro.netfunc.decision_tree import CARTTree, TreeNode
+from repro.robustness.injector import FaultInjector
 from repro.robustness.models import ConductanceDrift, StuckAtFault
+from repro.robustness.oracle import DifferentialOracle
 
 
 def two_level_tree() -> CARTTree:
@@ -62,6 +61,15 @@ class TestInterval:
             ACAMInterval(lo=0.0, hi=1.0, margin=-1.0)
         with pytest.raises(ValueError, match="sharpness"):
             ACAMInterval(lo=0.0, hi=1.0, sharpness=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("margin", float("inf")), ("margin", float("nan")),
+        ("sharpness", float("inf")), ("sharpness", float("nan"))])
+    def test_non_finite_skirt_is_rejected(self, field, value):
+        # An infinite margin searched NaN probabilities outside the
+        # window; NaN and an infinite sharpness silently zeroed it.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ACAMInterval(lo=0.0, hi=1.0, **{field: value})
 
     def test_window_is_the_interval(self):
         params = ACAMInterval(lo=0.5, hi=2.5).to_pcam_params()
@@ -91,56 +99,39 @@ class TestInterval:
 
 
 class TestCell:
+    """An interval is stored in a plain pCAM cell, programmed with
+    ``to_pcam_params``; the cell's ``intended_params`` remember it."""
+
     def test_deterministic_inside_graded_outside(self):
-        cell = ACAMCell(ACAMInterval(lo=0.0, hi=1.0, margin=0.5))
-        assert cell.match(0.5) == 1.0
-        assert cell.match(0.0) == 1.0 and cell.match(1.0) == 1.0
-        ramp = cell.match(1.2)
+        cell = PCAMCell(
+            ACAMInterval(lo=0.0, hi=1.0, margin=0.5).to_pcam_params())
+        assert cell.response(0.5) == 1.0
+        assert cell.response(0.0) == 1.0 and cell.response(1.0) == 1.0
+        ramp = cell.response(1.2)
         assert 0.0 < ramp < 1.0
-        assert cell.match(2.0) < ramp
-
-    def test_conductance_roundtrip(self):
-        cmap = ConductanceMap(v_min=0.0, v_max=10.0)
-        cell = ACAMCell.from_conductances(
-            cmap.conductance(2.0), cmap.conductance(7.0), cmap)
-        interval = cell.intended_interval
-        assert interval.lo == pytest.approx(2.0)
-        assert interval.hi == pytest.approx(7.0)
-
-    def test_wildcard_bounds_clip_to_rails(self):
-        cmap = ConductanceMap()
-        g_lo, g_hi = ACAMCell(ACAMInterval.wildcard()) \
-            .conductance_bounds(cmap)
-        assert g_lo == cmap.g_min_s
-        assert g_hi == cmap.g_max_s
-
-    def test_conductance_map_validation(self):
-        with pytest.raises(ValueError, match="v_min < v_max"):
-            ConductanceMap(v_min=1.0, v_max=1.0)
-        with pytest.raises(ValueError, match="g_min < g_max"):
-            ConductanceMap(g_min_s=1e-3, g_max_s=1e-9)
+        assert cell.response(2.0) < ramp
 
     def test_fault_preserves_intended_interval(self):
-        cell = ACAMCell(ACAMInterval(lo=0.0, hi=1.0))
+        interval = ACAMInterval(lo=0.0, hi=1.0)
+        cell = PCAMCell(interval.to_pcam_params())
         model = StuckAtFault(state="hrs")
         cell.inject_fault(model.materialise(
-            cell.pcam.intended_params, np.random.default_rng(0)))
+            cell.intended_params, np.random.default_rng(0)))
         assert cell.fault is not None
-        assert cell.intended_interval == ACAMInterval(lo=0.0, hi=1.0)
-        assert cell.match(0.5) < 1.0  # hrs pins the response low
+        assert cell.intended_params == interval.to_pcam_params()
+        assert cell.response(0.5) < 1.0  # hrs pins the response low
         cell.clear_fault()
         assert cell.fault is None
-        assert cell.match(0.5) == 1.0
-
-    def test_repr_names_the_interval(self):
-        text = repr(ACAMCell(ACAMInterval(lo=None, hi=2.0)))
-        assert "-inf" in text and "2" in text
+        assert cell.response(0.5) == 1.0
 
     def test_reprogramming_replaces_the_window(self):
-        cell = ACAMCell(ACAMInterval(lo=0.0, hi=1.0))
-        cell.program(ACAMInterval(lo=5.0, hi=6.0))
-        assert cell.intended_interval == ACAMInterval(lo=5.0, hi=6.0)
-        assert cell.match(5.5) == 1.0 and cell.match(0.5) == 0.0
+        bank = ACAMArray(["x"])
+        bank.add_row([ACAMInterval(lo=0.0, hi=1.0)])
+        assert bank.search({"x": 0.5}).matched
+        bank.pcam.word(0).stage("x").program(
+            ACAMInterval(lo=5.0, hi=6.0).to_pcam_params())
+        assert bank.search({"x": 5.5}).matched
+        assert bank.search({"x": 0.5}).best_probability == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +158,7 @@ class TestBank:
         with pytest.raises(KeyError, match="missing"):
             bank.add_row({"y": ACAMInterval()})
         with pytest.raises(IndexError):
-            bank.row(0)
+            bank.pcam.word(0)
         with pytest.raises(RuntimeError, match="empty"):
             bank.search({"x": 0.0})
 
@@ -179,8 +170,9 @@ class TestBank:
         bank = ACAMArray(["x", "y"])
         bank.add_row({"y": ACAMInterval(lo=5.0),
                       "x": ACAMInterval(hi=1.0)})
-        assert bank.row(0)[0].intended_interval.hi == 1.0
-        assert bank.row(0)[1].intended_interval.lo == 5.0
+        row = bank.pcam.word(0)
+        assert row.stage("x").intended_params.m3 == 1.0
+        assert row.stage("y").intended_params.m2 == 5.0
 
     def test_search_matches_the_right_rows(self, small_bank):
         result = small_bank.search({"x": 0.5, "y": 0.5})
@@ -233,39 +225,53 @@ class TestBank:
         assert result.best_row == 0  # nearest row still reported
 
 
+def faulted_fields(bank: ACAMArray, index: int) -> set[str]:
+    """The fields of one bank row whose cell carries a fault."""
+    row = bank.pcam.word(index)
+    return {field for field in row.stage_names
+            if row.stage(field).fault is not None}
+
+
 class TestFaultPlans:
+    """Faults, the clean twin and the row oracle are the robustness
+    layer's, applied to the bank's pCAM rows through ``bank.pcam``."""
+
     def test_cell_fraction_validation(self):
         with pytest.raises(ValueError, match="fraction"):
-            ACAMFaultPlan(StuckAtFault(state="lrs"), cell_fraction=1.5)
+            FaultInjector(StuckAtFault(state="lrs"), cell_fraction=1.5)
 
     def test_plan_is_reproducible(self, small_bank):
-        plan = ACAMFaultPlan(ConductanceDrift(scale=0.4),
-                             cell_fraction=0.5, seed=11)
-        first = small_bank.apply_fault_plan(plan)
-        small_bank.clear_faults()
-        second = small_bank.apply_fault_plan(plan)
+        def inject():
+            return FaultInjector(
+                ConductanceDrift(scale=0.4), cell_fraction=0.5,
+                rng=np.random.default_rng(11)).inject_array(
+                    small_bank.pcam)
+
+        first = inject()
+        FaultInjector.clear_array(small_bank.pcam)
+        second = inject()
         assert first.array_cells == second.array_cells
-        small_bank.clear_faults()
+        FaultInjector.clear_array(small_bank.pcam)
 
     def test_row_restriction(self, small_bank):
-        plan = ACAMFaultPlan(StuckAtFault(state="lrs"), rows=(1,))
-        report = small_bank.apply_fault_plan(plan)
-        assert {index for index, _ in report.array_cells} == {1}
-        assert all(cell.fault is None for cell in small_bank.row(0))
-        assert all(cell.fault is not None for cell in small_bank.row(1))
-        small_bank.clear_faults()
-        assert all(cell.fault is None for row in small_bank.rows
-                   for cell in row)
+        report = FaultInjector(StuckAtFault(state="lrs")).inject_pipeline(
+            small_bank.pcam.word(1))
+        assert report.stages == ["x", "y"]
+        assert faulted_fields(small_bank, 0) == set()
+        assert faulted_fields(small_bank, 1) == {"x", "y"}
+        FaultInjector.clear_array(small_bank.pcam)
+        assert all(faulted_fields(small_bank, index) == set()
+                   for index in range(len(small_bank)))
 
     def test_clone_ideal_sheds_faults(self, small_bank):
-        small_bank.apply_fault_plan(
-            ACAMFaultPlan(StuckAtFault(state="hrs")))
-        clone = small_bank.clone_ideal()
-        assert clone.n_rows == small_bank.n_rows
-        assert all(cell.fault is None for row in clone.rows
-                   for cell in row)
-        assert clone.search({"x": 0.5, "y": 0.5}).matched
-        small_bank.clear_faults()
+        FaultInjector(StuckAtFault(state="hrs")).inject_array(
+            small_bank.pcam)
+        clone = small_bank.pcam.clone_ideal()
+        assert len(clone) == small_bank.n_rows
+        assert all(word.stage(field).fault is None
+                   for word in clone.words for field in word.stage_names)
+        assert clone.search({"x": 0.5, "y": 0.5}).deterministic_indices
+        FaultInjector.clear_array(small_bank.pcam)
 
     def test_probe_grid_spans_finite_bounds(self, small_bank):
         probes = small_bank.probe_grid(64, np.random.default_rng(3))
@@ -278,10 +284,12 @@ class TestFaultPlans:
 
     def test_healthy_bank_has_zero_deviation(self, small_bank):
         probes = small_bank.probe_grid(32, np.random.default_rng(4))
-        for report in small_bank.row_reports(probes):
+        for word in small_bank.pcam.words:
+            oracle = DifferentialOracle.from_intended(word)
+            report = oracle.compare(word, probes)
             assert report.mean_abs_error == 0.0
             assert report.scalar_batch_max_diff < 1e-9
-        assert small_bank.out_of_envelope(probes) == ()
+            assert report.within(oracle.envelope)
 
 
 # ----------------------------------------------------------------------

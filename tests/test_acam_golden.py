@@ -6,9 +6,12 @@ Two committed behaviours:
   is pinned **byte-for-byte** against ``tests/golden/acam_energy.json``
   — any change to the energy anchors, the compiler's row emission, or
   the TCAM expansion shows up as a diff against a reviewed artifact;
-* the differential fault oracle is pinned behaviourally — a seeded
-  targeted fault plan flags exactly the rows it hit and nothing else,
-  while a healthy bank stays entirely inside the envelope.
+* the differential fault oracle is pinned behaviourally — seeded
+  stuck-at faults injected by the robustness
+  :class:`~repro.robustness.injector.FaultInjector` into chosen bank
+  rows flag exactly those rows under a per-row
+  :class:`~repro.robustness.oracle.DifferentialOracle`, while a
+  healthy (or cleared) bank stays entirely inside the envelope.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import pytest
 
 from repro.acam import (
     ACAMDecisionTree,
-    ACAMFaultPlan,
     build_energy_table,
     energy_table_json,
     format_energy_table,
     reference_classifier,
 )
+from repro.robustness.injector import FaultInjector
 from repro.robustness.models import StuckAtFault
+from repro.robustness.oracle import DifferentialOracle
 
 GOLDEN = Path(__file__).parent / "golden" / "acam_energy.json"
 
@@ -64,6 +68,23 @@ class TestEnergyTableGolden:
             "(cheapest per classification: aCAM one-shot)"
 
 
+def inject_rows(bank, model, rows, seed):
+    """Fault every cell of the chosen rows from one seeded stream."""
+    injector = FaultInjector(model, rng=np.random.default_rng(seed))
+    return [injector.inject_pipeline(bank.pcam.word(index))
+            for index in rows]
+
+
+def out_of_envelope(bank, probes):
+    """Rows whose pCAM word leaves the default degradation envelope."""
+    flagged = []
+    for index, word in enumerate(bank.pcam.words):
+        oracle = DifferentialOracle.from_intended(word)
+        if not oracle.compare(word, probes).within(oracle.envelope):
+            flagged.append(index)
+    return tuple(flagged)
+
+
 class TestFaultOracleGolden:
     @pytest.fixture()
     def bank(self):
@@ -76,19 +97,17 @@ class TestFaultOracleGolden:
 
     def test_healthy_bank_stays_inside_the_envelope(
             self, bank, probes):
-        assert bank.out_of_envelope(probes) == ()
+        assert out_of_envelope(bank, probes) == ()
 
     def test_targeted_fault_plan_flags_exactly_the_hit_rows(
             self, bank, probes):
-        plan = ACAMFaultPlan(StuckAtFault(state="lrs"),
-                             rows=(1, 3), seed=11)
-        report = bank.apply_fault_plan(plan)
-        assert report.n_injected > 0
-        assert bank.out_of_envelope(probes) == (1, 3)
+        reports = inject_rows(bank, StuckAtFault(state="lrs"), (1, 3),
+                              seed=11)
+        assert sum(report.n_injected for report in reports) > 0
+        assert out_of_envelope(bank, probes) == (1, 3)
 
     def test_clearing_faults_restores_the_envelope(self, bank, probes):
-        bank.apply_fault_plan(ACAMFaultPlan(StuckAtFault(state="hrs"),
-                                            rows=(0,), seed=3))
-        assert bank.out_of_envelope(probes) != ()
-        bank.clear_faults()
-        assert bank.out_of_envelope(probes) == ()
+        inject_rows(bank, StuckAtFault(state="hrs"), (0,), seed=3)
+        assert out_of_envelope(bank, probes) != ()
+        FaultInjector.clear_array(bank.pcam)
+        assert out_of_envelope(bank, probes) == ()

@@ -138,10 +138,12 @@ def test_prediction_is_chunk_size_invariant(data):
 
 
 @st.composite
-def interval_banks(draw) -> ACAMArray:
+def interval_banks(draw) -> tuple[ACAMArray, list[list[ACAMInterval]]]:
+    """A random bank and the interval rows it was programmed with."""
     n_fields = draw(st.integers(1, 3))
     bank = ACAMArray([f"f{j}" for j in range(n_fields)])
     bound = st.one_of(st.none(), thresholds)
+    rows = []
     for _ in range(draw(st.integers(1, 6))):
         row = []
         for _ in range(n_fields):
@@ -152,13 +154,14 @@ def interval_banks(draw) -> ACAMArray:
                                     margin=draw(margins),
                                     sharpness=draw(sharpnesses)))
         bank.add_row(row)
-    return bank
+        rows.append(row)
+    return bank, rows
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_scalar_search_is_a_batch_of_one(data):
-    bank = data.draw(interval_banks())
+    bank, _ = data.draw(interval_banks())
     n = data.draw(st.integers(1, 16))
     queries = np.array([
         [data.draw(st.floats(-60.0, 60.0, allow_nan=False))
@@ -187,23 +190,21 @@ def test_deterministic_match_brackets_the_stored_interval(data):
     intervals responds at exactly 1.0, and a deterministic response
     can only come from inside the margin-widened intervals.
     """
-    bank = data.draw(interval_banks())
+    bank, rows = data.draw(interval_banks())
     query = np.array([[data.draw(st.floats(-60.0, 60.0,
                                            allow_nan=False))
                        for _ in bank.fields]])
     result = bank.search_batch(query)
-    for index, row in enumerate(bank.rows):
+    for index, row in enumerate(rows):
         inside = all(
-            cell.intended_interval.contains(
-                np.array([query[0, j]]))[0]
-            for j, cell in enumerate(row))
+            interval.contains(np.array([query[0, j]]))[0]
+            for j, interval in enumerate(row))
         flagged = bool(result.deterministic_mask[0, index])
         if inside:
             assert result.probabilities[0, index] == 1.0
             assert flagged
         if flagged:
-            for j, cell in enumerate(row):
-                interval = cell.intended_interval
+            for j, interval in enumerate(row):
                 slack = interval.skirt \
                     + 1e-6 * max(1.0, abs(query[0, j]))
                 widened = ACAMInterval(

@@ -93,6 +93,14 @@ class TestClassifierSpec:
             ClassifierSpec(features=("f",),
                            rows=((0, ((None, None),)),), sharpness=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("margin", float("inf")), ("margin", float("nan")),
+        ("sharpness", float("inf")), ("sharpness", float("nan"))])
+    def test_non_finite_skirt_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ClassifierSpec(features=("f",),
+                           rows=((0, ((None, None),)),), **{field: value})
+
     def test_ports_property_lists_steered_ports(self):
         assert spec().ports == (0, 1, 2)
 

@@ -49,6 +49,9 @@ def test_checker_catches_a_planted_violation(tmp_path, monkeypatch):
         # Rule 7: core imports none of the layers built on it.
         "repro/core/bad_i.py":
             "from repro.robustness.models import FaultModel\n",
+        # Rule 8: faults reach an aCAM bank from outside, via bank.pcam.
+        "repro/acam/bad_j.py":
+            "from repro.robustness.injector import FaultInjector\n",
         # Legal imports planted alongside must NOT be flagged.
         "repro/dataplane/good.py": "import repro.netfunc.firewall\n",
         # The control plane itself may import everything below it...
@@ -82,6 +85,7 @@ def test_checker_catches_a_planted_violation(tmp_path, monkeypatch):
                        "src/repro/dataplane/bad_g.py",
                        "src/repro/netfunc/bad_h.py",
                        "src/repro/core/bad_i.py",
+                       "src/repro/acam/bad_j.py",
                        "src/repro/dataplane/control_loop.py",
                        "src/repro/dataplane/controller.py",
                        "src/repro/dataplane/__init__.py"}

@@ -30,6 +30,9 @@ the architectural layering of the package:
 7. ``repro.core`` is the pCAM primitive everything else builds on:
    it imports none of robustness, acam, netfunc, dataplane, simnet,
    fabric or control.
+8. ``repro.acam`` must not import ``repro.robustness``: a bank's rows
+   are plain pCAM rows, so faults, the clean twin and the row oracle
+   reach it from outside, through ``bank.pcam``.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -52,7 +55,7 @@ FORBIDDEN = {
                    "repro.dataplane", "repro.simnet", "repro.fabric",
                    "repro.control"),
     "repro.acam": ("repro.dataplane", "repro.simnet", "repro.fabric",
-                   "repro.control"),
+                   "repro.control", "repro.robustness"),
     "repro.packet": ("repro.",),
     "repro.dataplane": ("repro.fabric", "repro.control"),
     "repro.simnet": ("repro.fabric", "repro.control"),
@@ -136,7 +139,7 @@ def main() -> int:
         print(f"{len(problems)} layering violation(s)", file=sys.stderr)
         return 1
     print("layering contract clean: netfunc |> dataplane/acam, "
-          "acam |> dataplane/simnet, core is the base, "
+          "acam |> dataplane/simnet/robustness, core is the base, "
           "repro.packet is a leaf, repro.fabric composes, "
           "repro.control is the top")
     return 0
