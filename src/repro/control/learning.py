@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.control.loop import Action, AQMActuator
+from repro.core.pcam_pipeline import PipelineStack
 from repro.simnet.workloads import uniforms
 
 __all__ = [
@@ -348,9 +349,14 @@ class EnvelopeGate:
        outside the envelope is rolled back to the pre-apply
        programming and counted in :attr:`violations`.
 
-    Probes call ``pipeline.evaluate_batch`` directly, bypassing the
-    AQM's ``output_monitor`` hook, so gating never perturbs the
-    degradation wrapper's own check/trip accounting.
+    Both probes evaluate every supervised pipeline's probe grid in one
+    stacked kernel call, and their shadow twins in another
+    (:meth:`deviations`).  They read the pipelines directly, bypassing
+    the AQM's ``output_monitor`` hook, so gating never perturbs the
+    degradation wrapper's own check/trip accounting.  A stacked probe
+    evaluates every port even when an earlier one already fails, so
+    cell evaluation counters can advance where a port-by-port loop
+    would have stopped; verdicts and counters of the gate do not move.
     """
 
     #: Worst tolerated |analog - shadow| PDP over the probe grid.
@@ -365,6 +371,7 @@ class EnvelopeGate:
         self.rejections = 0
         self.violations = 0
         self._oracles: dict[int, object] = {}
+        self._stacks: dict[str, PipelineStack] = {}
 
     # -- probing -------------------------------------------------------
     def _oracle_for(self, pipeline):
@@ -377,32 +384,53 @@ class EnvelopeGate:
             oracle = self._oracles[id(pipeline)] = ShadowOracle(pipeline)
         return oracle
 
-    def _probe_features(self, pipeline) -> dict[str, np.ndarray]:
-        features = {}
+    def _stack(self, side: str, pipelines: tuple) -> PipelineStack:
+        stack = self._stacks.get(side)
+        if stack is None or stack.pipelines != pipelines:
+            stack = self._stacks[side] = PipelineStack(pipelines)
+        return stack
+
+    def _probe_grid(self, pipeline) -> list[np.ndarray]:
+        grid = []
         for name in pipeline.stage_names:
             stage = pipeline.stage(name)
             params = getattr(stage, "intended_params", stage.params)
-            features[name] = np.linspace(params.m1, params.m4,
-                                         self.probe_points)
-        return features
+            grid.append(np.linspace(params.m1, params.m4,
+                                    self.probe_points))
+        return grid
+
+    def deviations(self, analog_aqms) -> np.ndarray:
+        """Worst |analog - shadow| PDP of each AQM over its probe grid.
+
+        Every analog pipeline is probed in one stacked kernel call
+        (:meth:`~repro.core.pcam_pipeline.PipelineStack.evaluate`) and
+        every shadow twin in another.
+        """
+        pipelines = tuple(aqm.pipeline for aqm in analog_aqms)
+        if not pipelines:
+            return np.zeros(0)
+        twins = tuple(self._oracle_for(pipeline).twin()
+                      for pipeline in pipelines)
+        grid = np.array([row for pipeline in pipelines
+                         for row in self._probe_grid(pipeline)])
+        outputs = self._stack("analog", pipelines).evaluate(grid)
+        shadow = self._stack("shadow", twins).evaluate(grid)
+        return np.max(np.abs(outputs - shadow), axis=1, initial=0.0)
 
     def deviation(self, analog_aqm) -> float:
         """Worst |analog - shadow| PDP over the probe grid."""
-        pipeline = analog_aqm.pipeline
-        features = self._probe_features(pipeline)
-        outputs = pipeline.evaluate_batch(features)
-        return self._oracle_for(pipeline).deviation(features, outputs)
+        return float(self.deviations([analog_aqm])[0])
+
+    def _analogs(self) -> list:
+        return [getattr(aqm, "analog", aqm) for aqm in self.aqms]
 
     def healthy(self) -> bool:
         """All supervised tables analog and within the envelope?"""
         self.checks += 1
-        for aqm in self.aqms:
-            if getattr(aqm, "degraded", False):
-                return False
-            analog = getattr(aqm, "analog", aqm)
-            if self.deviation(analog) > self.pdp_envelope:
-                return False
-        return True
+        if any(getattr(aqm, "degraded", False) for aqm in self.aqms):
+            return False
+        return not np.any(self.deviations(self._analogs())
+                          > self.pdp_envelope)
 
     # -- the actuator surface ------------------------------------------
     def apply(self, action: Action) -> bool:
@@ -413,15 +441,14 @@ class EnvelopeGate:
         if not self.healthy():
             self.rejections += 1
             return False
-        rollback = [(getattr(aqm, "analog", aqm).target_delay_s,
-                     getattr(aqm, "analog", aqm).max_deviation_s)
-                    for aqm in self.aqms]
+        analogs = self._analogs()
+        rollback = [(analog.target_delay_s, analog.max_deviation_s)
+                    for analog in analogs]
         if not self.inner.apply(action):
             return False
-        for aqm, (target, deviation) in zip(self.aqms, rollback):
-            analog = getattr(aqm, "analog", aqm)
-            if self.deviation(analog) > self.pdp_envelope:
-                self.violations += 1
-                self.inner.apply(Action("retarget", (target, deviation)))
-                return False
+        over = (self.deviations(analogs) > self.pdp_envelope).nonzero()[0]
+        if len(over):
+            self.violations += 1
+            self.inner.apply(Action("retarget", rollback[over[0]]))
+            return False
         return True

@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.pcam_cell import CellStack, PCAMParams
-from repro.core.pcam_pipeline import BATCH_COMPOSITIONS, PCAMPipeline
+from repro.core.pcam_cell import PCAMParams
+from repro.core.pcam_pipeline import PCAMPipeline, PipelineStack
 
 __all__ = ["PCAMArray", "ArraySearchResult", "BatchSearchResult"]
 
@@ -101,8 +101,9 @@ class PCAMArray:
         self.search_latency_s = search_latency_s
         self._words: list[PCAMPipeline] = []
         self._searches = 0
-        self._stack = CellStack()
-        self._plan: tuple | None = None
+        #: Every row's cells stacked for one kernel call; rebuilt on
+        #: the first match after the rows change.
+        self._plan: PipelineStack | None = None
 
     def __len__(self) -> int:
         return len(self._words)
@@ -125,21 +126,6 @@ class PCAMArray:
         self._words.append(word)
         self._plan = None
         return len(self._words) - 1
-
-    def _restack(self) -> tuple:
-        """(fields, cells, rule rows): every row's cells flattened for
-        one stacked call, and the rows grouped by composition rule so
-        rows that share a rule reduce in one call.  Built on the first
-        match after the rows change."""
-        fields, cells = [], []
-        groups: dict[str, list[int]] = {}
-        for index, word in enumerate(self._words):
-            names = word.stage_names
-            fields.extend(names)
-            cells.extend(map(word.stage, names))
-            groups.setdefault(word.composition, []).append(index)
-        return fields, cells, [(BATCH_COMPOSITIONS[composition], rows)
-                               for composition, rows in groups.items()]
 
     def word(self, index: int) -> PCAMPipeline:
         """One stored word by row index."""
@@ -212,16 +198,9 @@ class PCAMArray:
             np.atleast_1d(np.asarray(queries[field], dtype=float))
             for field in self.fields))))
         if self._plan is None:
-            self._plan = self._restack()
-        fields, cells, rule_rows = self._plan
-        x = np.array([columns[field] for field in fields])
-        count = x.shape[1]
-        responses = self._stack.responses(cells, x, count).reshape(
-            len(self._words), -1, count)
-        probability = np.empty((count, len(self._words)))
-        for rule, rows in rule_rows:
-            probability[:, rows] = rule(responses[rows]).T
-        return probability
+            self._plan = PipelineStack(self._words)
+        return self._plan.match(np.array(
+            [columns[field] for field in self._plan.fields])).T
 
     def search_batch(self, queries: Mapping[str, np.ndarray]
                      ) -> BatchSearchResult:

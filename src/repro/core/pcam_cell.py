@@ -450,28 +450,33 @@ class CellStack:
         # One (rows, 1) column per constant, broadcasting over inputs.
         self._consts = tuple(np.ascontiguousarray(matrix.T)[:, :, None])
 
-    def responses(self, cells: Sequence, x: np.ndarray, count: int, *,
+    def responses(self, cells: Sequence, x: np.ndarray,
+                  count: int | list[int], *,
                   own: Callable[[object, np.ndarray], np.ndarray]
                   | None = None,
                   tracer=None, spans: Sequence[str] = ()) -> np.ndarray:
         """Row ``i`` of the result is ``cells[i]``'s response to ``x[i]``.
 
-        ``x`` has one row per cell and either ``count`` columns, or one
-        column standing for ``count`` identical ones (a uniform
+        ``x`` has one row per cell and ``count`` columns, or, when
+        ``count`` is a list with one count per row, one column standing
+        for ``count[i]`` identical values in row ``i`` (a uniform
         batch).  A uniform batch runs the kernel rows once, while own
-        rows still evaluate ``count`` values, so the result has one
-        column when every row is on the kernel and ``count`` columns
-        otherwise.  Every cell's evaluation counter advances by
-        ``count``.  ``own(cell, values)`` replaces ``response_array``
-        for own rows; with a ``tracer``, row ``i`` runs alone inside a
-        span named ``spans[i]``.
+        rows still evaluate their count's values, so the result has one
+        column when every row is on the kernel and the largest count's
+        columns otherwise (an own row fills its first ``count[i]``, a
+        kernel row every one).  Every cell's evaluation counter
+        advances by its count.  ``own(cell, values)`` replaces
+        ``response_array`` for own rows; with a ``tracer``, row ``i``
+        runs alone inside a span named ``spans[i]``.
         """
         self._plan(cells)
         kernel, consts = self._kernel, self._consts
-        uniform = x.shape[1] != count
+        uniform = isinstance(count, list)
+        counts = count if uniform else [count] * len(cells)
 
         def call(index: int) -> np.ndarray:
-            values = np.full(count, x[index, 0]) if uniform else x[index]
+            values = (np.full(counts[index], x[index, 0]) if uniform
+                      else x[index])
             if own is None:
                 return cells[index].response_array(values)
             return own(cells[index], values)
@@ -479,19 +484,21 @@ class CellStack:
         if tracer is None and not self._own:
             out = _kernel(consts, x)
         else:
-            width = count if self._own else x.shape[1]
-            out = np.empty((len(cells), width))
+            out = np.empty((len(cells), max(counts) if self._own
+                            else x.shape[1]))
             if tracer is None:
                 if kernel:
                     out[kernel] = _kernel(consts, x[kernel])
                 for index in self._own:
-                    out[index] = call(index)
+                    out[index, :counts[index]] = call(index)
             else:
                 for index, slot in enumerate(self._slots):
                     with tracer.span(spans[index]):
-                        out[index] = (
-                            call(index) if slot is None else
-                            _kernel([c[slot] for c in consts], x[index]))
+                        if slot is None:
+                            out[index, :counts[index]] = call(index)
+                        else:
+                            out[index] = _kernel([c[slot] for c in consts],
+                                                 x[index])
         for index in kernel:
-            cells[index]._evaluations += count
+            cells[index]._evaluations += counts[index]
         return out

@@ -24,10 +24,12 @@ by evaluating the kernel rows once.  The scalar entry points delegate
 to the batch kernels with size-1 arrays; equivalence is pinned by
 ``tests/test_batch_equivalence.py``.
 
-A stored word of :class:`~repro.core.pcam_array.PCAMArray` is a
-pipeline too: the array stacks every row's cells into one kernel call
-and reduces each row with the same :data:`BATCH_COMPOSITIONS` rule,
-so those rules are the only code that composes stage responses.
+:class:`PipelineStack` stacks several pipelines' cells into one kernel
+call and reduces each pipeline with its own :data:`BATCH_COMPOSITIONS`
+rule: a :class:`~repro.core.pcam_array.PCAMArray` bank (each stored
+word is a pipeline), a traffic manager's congested AQM ports, and the
+control gate's probes.  Those rules are the only code that composes
+stage responses.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from repro.core.device_cell import DevicePCAMCell
 from repro.core.pcam_cell import CellStack, PCAMCell, PCAMParams
-from repro.observability.profiling import profiled
+from repro.observability.profiling import get_default_profiler, profiled
 from repro.observability.tracing import maybe_span
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "MissingFeatureError",
     "PCAMPipeline",
     "PipelineFeatureError",
+    "PipelineStack",
     "UnknownFeatureError",
 ]
 
@@ -169,6 +172,7 @@ class PCAMPipeline:
         self._cells = tuple(self._stages.values())
         self._spans = tuple(f"pcam.stage.{name}" for name in self._stages)
         self._stack = CellStack()
+        self._bank: PipelineStack | None = None
         self._composition = composition
         self._compose_batch = BATCH_COMPOSITIONS[composition]
         #: Optional observability hooks (set by the hub wiring): a
@@ -311,7 +315,6 @@ class PCAMPipeline:
         matrix = self._feature_matrix(features)
         return self._evaluate(matrix, int(matrix.shape[1]))
 
-    @profiled("pcam.evaluate_batch")
     def evaluate_uniform(self, features: Mapping[str, float] |
                          Sequence[float], count: int) -> np.ndarray:
         """Composite probabilities of ``count`` identical feature vectors.
@@ -321,15 +324,15 @@ class PCAMPipeline:
         span and profiler site — but the kernel evaluates its rows
         once; only stages outside the kernel (device-realised,
         subclassed, faulted or non-linear cells) still evaluate
-        ``count`` values.  Returns a (count,) array.
+        ``count`` values.  Returns a (count,) array.  The one-pipeline
+        case of :meth:`PipelineStack.evaluate_uniform`.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0: {count!r}")
+        if self._bank is None:
+            self._bank = PipelineStack((self,))
         column = self._row_matrix(self._feature_vector(features)).T
-        composite = self._evaluate(column, count)
-        if composite.shape[0] != count:
-            composite = composite.repeat(count)
-        return composite
+        return self._bank._uniform(column, (count,))[0]
 
     def evaluate_with_energy_batch(
             self, features: Mapping[str, np.ndarray] | np.ndarray
@@ -413,3 +416,131 @@ class PCAMPipeline:
     def __repr__(self) -> str:
         return (f"PCAMPipeline(stages={list(self._stages)}, "
                 f"composition={self.composition!r})")
+
+
+class PipelineStack:
+    """Several pipelines searched as one bank, in one kernel call.
+
+    The pipelines' cells follow each other, pipeline by pipeline and
+    stage by stage, in one :class:`~repro.core.pcam_cell.CellStack`:
+    one stacked kernel call evaluates every healthy linear cell of
+    every pipeline, and the cells outside the kernel evaluate their
+    own values in that row order.  Each pipeline then reduces its
+    stage rows with its own :data:`BATCH_COMPOSITIONS` rule, the
+    pipelines that share a rule and a stage count in one call.  A
+    pipeline's composites do not depend on which pipelines share the
+    call, so each equals the pipeline's own evaluation bit for bit.
+
+    Observed pipelines (a tracer or profiler attached, or a
+    process-wide profiler) evaluate one by one through their own entry
+    points instead, so each evaluation keeps its one
+    ``pcam.evaluate_batch`` span, its stage spans and its profiler
+    sample however many pipelines share the stack.
+    """
+
+    def __init__(self, pipelines: Sequence[PCAMPipeline]) -> None:
+        self.pipelines = tuple(pipelines)
+        #: The stage name of every stacked cell, in row order.
+        self.fields = [name for pipeline in self.pipelines
+                       for name in pipeline.stage_names]
+        self._cells = [cell for pipeline in self.pipelines
+                       for cell in pipeline._cells]
+        self._spans = [span for pipeline in self.pipelines
+                       for span in pipeline._spans]
+        self._sizes = [len(pipeline) for pipeline in self.pipelines]
+        self._stack = CellStack()
+        starts = np.cumsum([0] + self._sizes).tolist()
+        self._bounds = list(zip(starts[:-1], starts[1:]))
+        groups: dict[tuple[str, int], list[int]] = {}
+        for index, pipeline in enumerate(self.pipelines):
+            groups.setdefault((pipeline.composition, len(pipeline)),
+                              []).append(index)
+        self._groups = [
+            (stages, members, np.concatenate([
+                np.arange(*self._bounds[index]) for index in members]))
+            for (_, stages), members in groups.items()]
+
+    @property
+    def tracer(self):
+        """The first pipeline's tracer (the stack's span sink)."""
+        return self.pipelines[0].tracer
+
+    @property
+    def profiler(self):
+        """The first pipeline's profiler (the stack's sample sink)."""
+        return self.pipelines[0].profiler
+
+    def _observed(self) -> bool:
+        return get_default_profiler() is not None or any(
+            pipeline.tracer is not None or pipeline.profiler is not None
+            for pipeline in self.pipelines)
+
+    def _reduce(self, out: np.ndarray) -> np.ndarray:
+        """(pipelines, columns) composites of a (cells, columns) block,
+        each group reduced by its first pipeline's rule."""
+        pipelines = self.pipelines
+        if len(pipelines) == 1:
+            return pipelines[0]._compose_batch(out)[None]
+        if len(self._groups) == 1:
+            stages, _, _ = self._groups[0]
+            return pipelines[0]._compose_batch(
+                out.reshape(len(pipelines), stages, -1))
+        composites = np.empty((len(pipelines), out.shape[1]))
+        for stages, members, rows in self._groups:
+            composites[members] = pipelines[members[0]]._compose_batch(
+                out[rows].reshape(len(members), stages, -1))
+        return composites
+
+    def match(self, x: np.ndarray) -> np.ndarray:
+        """(pipelines, columns) composites of a (cells, columns) input
+        matrix, row ``i`` feeding cell ``i``, in one kernel call; no
+        span and no profiler sample."""
+        return self._reduce(self._stack.responses(self._cells, x,
+                                                  x.shape[1]))
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`match`, or when observed each pipeline's own
+        :meth:`PCAMPipeline.evaluate_batch` of its rows of ``x``."""
+        if self._observed():
+            return np.array([
+                pipeline.evaluate_batch(x[start:stop].T)
+                for pipeline, (start, stop) in zip(self.pipelines,
+                                                   self._bounds)])
+        return self.match(x)
+
+    def evaluate_uniform(self, features: Sequence[Sequence[float]],
+                         counts: Sequence[int]) -> list[np.ndarray]:
+        """Pipeline ``j``'s composites of ``counts[j]`` copies of the
+        feature vector ``features[j]`` (values in stage order).
+
+        One kernel call evaluates each kernel row once; a cell outside
+        the kernel evaluates its pipeline's count of values, pipeline
+        by pipeline and then row by row, so its RNG draws are those of
+        the pipelines evaluated one after another.  Returns one
+        ``(counts[j],)`` array per pipeline.
+        """
+        if len(self.pipelines) > 1 and self._observed():
+            return [pipeline.evaluate_uniform(vector, count)
+                    for pipeline, vector, count in zip(self.pipelines,
+                                                       features, counts)]
+        return self._uniform(np.array(
+            [value for vector in features for value in vector],
+            dtype=float)[:, None], counts)
+
+    @profiled("pcam.evaluate_batch")
+    def _uniform(self, x: np.ndarray, counts: Sequence[int]
+                 ) -> list[np.ndarray]:
+        """:meth:`evaluate_uniform` of a (cells, 1) input column."""
+        per_row = []
+        for count, size in zip(counts, self._sizes):
+            per_row += [count] * size
+        tracer = self.tracer
+        with maybe_span(tracer, "pcam.evaluate_batch", batch=sum(counts)):
+            out = self._stack.responses(self._cells, x, per_row,
+                                        tracer=tracer, spans=self._spans)
+        if out.shape[1] == 1:
+            return [composite.repeat(count) for composite, count
+                    in zip(self._reduce(out), counts)]
+        return [pipeline._compose_batch(out[start:stop, :count])
+                for pipeline, (start, stop), count
+                in zip(self.pipelines, self._bounds, counts)]

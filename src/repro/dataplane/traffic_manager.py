@@ -21,10 +21,12 @@ import enum
 import numpy as np
 
 from repro.packet import Packet
+from repro.core.pcam_pipeline import PipelineStack
 from repro.dataplane.fastpath import PacketBatch, first_appearance_counts
 from repro.dataplane.queues import PacketQueue, PortQueue
 from repro.dataplane.telemetry import TelemetryCollector
 from repro.netfunc.aqm.base import AQMAlgorithm, QueueView, TailDropAQM
+from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.observability.tracing import Tracer, maybe_span
 
 __all__ = ["ADMISSIONS", "Admission", "CognitiveTrafficManager", "PortGroups",
@@ -42,6 +44,9 @@ class Admission(enum.Enum):
 #: Admission outcomes by code (the uint8 values enqueue_batch returns).
 ADMISSIONS: tuple[Admission, ...] = tuple(Admission)
 _QUEUED, _AQM_DROP, _OVERFLOW_DROP = range(3)
+#: Stacked pCAM banks a traffic manager keeps, one per ordered tuple
+#: of judged pipelines; past this many the cache starts over.
+_BANKS = 64
 
 
 class CognitiveTrafficManager:
@@ -78,6 +83,7 @@ class CognitiveTrafficManager:
         self.telemetry = telemetry
         #: Optional span tracer covering AQM consults and queue admits.
         self.tracer = tracer
+        self._banks: dict[tuple, PipelineStack] = {}
         if telemetry is not None:
             for queue in self._ports:
                 if hasattr(queue.aqm, "telemetry") \
@@ -138,12 +144,21 @@ class CognitiveTrafficManager:
 
         ``packets`` is a :class:`PacketBatch` or a ``Packet`` sequence,
         ``port`` every row's port, an array of per-row ports or their
-        :meth:`port_groups`.  Port by port, in first-appearance order,
-        the AQM judges the port's rows in row order against the
-        group-start state in one ``on_enqueue_batch`` call; then each
-        class's survivors, a run of the ``(port, class)`` sort, join its
-        queue as one segment cut to the free slots, exactly as a
-        per-packet push loop would.  A batch of one is the scalar path.
+        :meth:`port_groups`.  Every port's AQM judges the port's rows
+        in row order against the group-start state.  The live analog
+        ones (a :class:`~repro.netfunc.aqm.pcam_aqm.PCAMAQM` serving
+        the port, bare or inside a healthy degradation wrapper) whose
+        queue is congested are judged together: in first-appearance
+        order each reads its features, one stacked kernel call
+        (:meth:`~repro.core.pcam_pipeline.PipelineStack.evaluate_uniform`)
+        evaluates all their pipelines, and then, port by port, each
+        books and draws (:meth:`~repro.netfunc.aqm.pcam_aqm.PCAMAQM.admit`)
+        from the rows' priorities, with no sub-batch taken.  An idle
+        pCAM port drops nothing; any other AQM judges the port's rows
+        in one ``on_enqueue_batch`` call.  Then each class's
+        survivors, a run of the ``(port, class)`` sort, join its queue
+        as one segment cut to the free slots, exactly as a per-packet
+        push loop would.  A batch of one is the scalar path.
         """
         groups = port if isinstance(port, PortGroups) \
             else self.port_groups(port, packets)
@@ -151,15 +166,30 @@ class CognitiveTrafficManager:
             raise ValueError("port groups of another batch")
         batch, order, tracer = groups.batch, groups.order, self.tracer
         codes = np.zeros(len(batch), dtype=np.uint8)
-        for port, rows, runs in groups.groups:
+        aqms = [self._ports[port].aqm.serving(now)
+                for port, _, _ in groups.groups]
+        evaluated = self._evaluate_analog(groups.groups, aqms, len(batch),
+                                          now)
+        for (port, rows, runs), aqm in zip(groups.groups, aqms):
             queue = self._ports[port]
-            group = batch if rows is None else batch.take(rows)
             with maybe_span(tracer, "tm.enqueue", port=port,
                             n=len(batch) if rows is None else len(rows)):
                 with maybe_span(tracer, "tm.aqm", port=port):
-                    drops = queue.judge(group, now)
+                    if type(aqm) is not PCAMAQM:
+                        drops = np.asarray(aqm.on_enqueue_batch(
+                            batch if rows is None else batch.take(rows),
+                            queue, now), dtype=bool)
+                    elif port in evaluated:
+                        drops = aqm.admit(
+                            *evaluated[port],
+                            batch.priorities if rows is None
+                            else batch.priorities[rows],
+                            now, batch.packets, rows)
+                    else:
+                        drops = None
                 with maybe_span(tracer, "tm.queue", port=port):
-                    judged = np.count_nonzero(drops)
+                    judged = 0 if drops is None \
+                        else np.count_nonzero(drops)
                     if judged:
                         codes[drops.nonzero()[0] if rows is None
                               else rows[drops]] = _AQM_DROP
@@ -182,6 +212,37 @@ class CognitiveTrafficManager:
         if batch.packets is not None:
             batch.mark_dropped(codes.nonzero()[0])
         return codes
+
+    def _evaluate_analog(self, groups: list, aqms: list, n: int,
+                         now: float
+                         ) -> dict[int, tuple[list[float], np.ndarray]]:
+        """``{port: (voltages, raw PDPs)}`` of every port whose serving
+        AQM is a ``PCAMAQM`` and whose queue is congested.
+
+        In first-appearance order each reads its chunk-start features;
+        then one stacked kernel call evaluates every such port's
+        pipeline, one uniform feature column per port, counted once per
+        row of the port.  The stacks are kept per ordered pipeline
+        tuple (at most :data:`_BANKS` of them).
+        """
+        ports, pipelines, voltages, counts = [], [], [], []
+        for (port, rows, _), aqm in zip(groups, aqms):
+            queue = self._ports[port]
+            if type(aqm) is PCAMAQM and aqm.congested(queue):
+                ports.append(port)
+                pipelines.append(aqm.pipeline)
+                voltages.append(aqm.voltages(queue, now))
+                counts.append(n if rows is None else len(rows))
+        if not ports:
+            return {}
+        key = tuple(pipelines)
+        bank = self._banks.get(key)
+        if bank is None:
+            if len(self._banks) >= _BANKS:
+                self._banks.clear()
+            bank = self._banks[key] = PipelineStack(key)
+        pdps = bank.evaluate_uniform(voltages, counts)
+        return dict(zip(ports, zip(voltages, pdps)))
 
     def dequeue(self, port: int, now: float = 0.0) -> Packet | None:
         """Serve the next packet, honouring AQM head drops."""

@@ -58,6 +58,11 @@ class ExactJoules:
         exp = 1 - denominator.bit_length()  # denominator is 2**k
         self._add_scaled(numerator * count, exp)
 
+    def add_quantum(self, quantum: "Quantum", count: int = 1) -> None:
+        """Add ``count`` copies of a prepared quantum, exactly."""
+        if count and quantum.mant:
+            self._add_scaled(quantum.mant * count, quantum.exp)
+
     def add_exact(self, other: "ExactJoules") -> None:
         """Fold another exact accumulator in (still exact)."""
         self._add_scaled(other._mant, other._exp)
@@ -98,6 +103,26 @@ class ExactJoules:
         return f"ExactJoules({float(self):.6e})"
 
 
+class Quantum:
+    """A charge quantum, checked and split into its dyadic parts once.
+
+    For a component that books the same quantum on every call (a
+    TCAM's per-key search energy, fixed per table version):
+    :meth:`EnergyLedger.charge_quanta` books it without re-checking or
+    re-decomposing the float, exactly as it books ``joules``.
+    """
+
+    __slots__ = ("joules", "mant", "exp")
+
+    def __init__(self, joules: float) -> None:
+        if not isfinite(joules) or joules < 0:
+            raise ValueError(f"bad energy charge: {joules!r}")
+        self.joules = joules
+        numerator, denominator = float(joules).as_integer_ratio()
+        self.mant = numerator
+        self.exp = 1 - denominator.bit_length()
+
+
 class EnergyLedger:
     """Accumulates energy (joules) charged to named accounts.
 
@@ -125,7 +150,7 @@ class EnergyLedger:
         """
         self.charge_quanta(account, energy_j, 1)
 
-    def charge_quanta(self, account: str, quantum_j: float,
+    def charge_quanta(self, account: str, quantum_j: "float | Quantum",
                       count: int) -> None:
         """Charge ``count`` identical quanta of ``quantum_j`` joules.
 
@@ -134,13 +159,18 @@ class EnergyLedger:
         batched component and its scalar reference — or one pipeline
         and N shards splitting the same packets — book identical
         energy regardless of how the work was partitioned.  Counts as
-        one charge event.
+        one charge event.  ``quantum_j`` may be a :class:`Quantum`
+        prepared once; it books exactly as its ``joules`` would.
         """
-        if not isfinite(quantum_j) or quantum_j < 0:
+        prepared = type(quantum_j) is Quantum
+        if not prepared and (not isfinite(quantum_j) or quantum_j < 0):
             raise ValueError(f"bad energy charge: {quantum_j!r}")
         if count < 0:
             raise ValueError(f"negative quanta count: {count!r}")
-        self._account(account).add(quantum_j, count)
+        if prepared:
+            self._account(account).add_quantum(quantum_j, count)
+        else:
+            self._account(account).add(quantum_j, count)
         self._events += 1
         self._total = None
 

@@ -87,6 +87,12 @@ class AQMAlgorithm(abc.ABC):
         return np.array([self.on_enqueue(packet, queue, now)
                          for packet in packets], dtype=bool)
 
+    def serving(self, now: float) -> "AQMAlgorithm":
+        """The AQM judging this table's arrivals at ``now``: itself,
+        unless a wrapper serves them from another path (see
+        :class:`repro.robustness.degradation.DegradingAQM`)."""
+        return self
+
     def on_dequeue(self, packet: Packet, queue: QueueView,
                    now: float, sojourn_s: float) -> bool:
         """Return True to discard the head packet instead of serving it."""

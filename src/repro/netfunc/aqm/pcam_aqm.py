@@ -460,42 +460,69 @@ class PCAMAQM(AQMAlgorithm):
 
         All packets in the chunk are judged against the queue state at
         chunk start (the scalar loop re-reads the backlog after every
-        admission; a chunk trades that refresh for one evaluation).
-        The chunk's features are uniform, so
+        admission; a chunk trades that refresh for one evaluation), in
+        three steps: :meth:`voltages` reads the chunk-start features,
         :meth:`~repro.core.pcam_pipeline.PCAMPipeline.evaluate_uniform`
-        runs the kernel over one feature column, counted once per
-        packet; stages that draw per-element noise still draw one
-        value per packet.  One uniform variate is consumed per packet,
-        in packet order, so seeded runs stay reproducible chunk size
-        aside — and a chunk of one is exactly the scalar path.
+        runs the kernel over that one feature column, counted once per
+        packet (stages that draw per-element noise still draw one
+        value per packet), and :meth:`admit` books and draws.  This is
+        the one-port case of the traffic manager's stacked admission
+        (:meth:`~repro.dataplane.traffic_manager.CognitiveTrafficManager.enqueue_batch`),
+        which runs the same steps with one kernel call for every
+        congested port of a slice.  One uniform variate is consumed
+        per packet, in packet order, so seeded runs stay reproducible
+        chunk size aside — and a chunk of one is exactly the scalar
+        path.
         """
         n = len(packets)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if queue.backlog_packets <= 2:
+        if n == 0 or not self.congested(queue):
             return np.zeros(n, dtype=bool)
-        raw = self._raw_features(queue, now)
         priorities = getattr(packets, "priorities", None)
         if priorities is None:
             priorities = np.array([packet.priority for packet in packets])
-        names = self.pipeline.stage_names
-        voltages = [self._scalers[name].to_voltage(
-            min(raw[name], self._input_caps[name])) for name in names]
-        batch = ({name: np.array([value])
-                  for name, value in zip(names, voltages)}
+        voltages = self.voltages(queue, now)
+        pdps = self.pipeline.evaluate_uniform(voltages, n)
+        return self.admit(voltages, pdps, priorities, now,
+                          getattr(packets, "packets", packets))
+
+    @staticmethod
+    def congested(queue: QueueView) -> bool:
+        """Whether arrivals are judged at all: the queue holds more than
+        two packets (below that nothing is dropped or evaluated)."""
+        return queue.backlog_packets > 2
+
+    def voltages(self, queue: QueueView, now: float) -> list[float]:
+        """Admission step 1: the chunk-start features as DAC voltages,
+        in stage order (each capped into its stage's plateau)."""
+        raw = self._raw_features(queue, now)
+        return [self._scalers[name].to_voltage(
+                    min(raw[name], self._input_caps[name]))
+                for name in self.pipeline.stage_names]
+
+    def admit(self, voltages: Sequence[float], pdps: np.ndarray,
+              priorities: np.ndarray, now: float, packets=None,
+              rows: np.ndarray | None = None) -> np.ndarray:
+        """Admission step 3: the drop verdicts for one evaluated chunk.
+
+        ``pdps`` holds one raw PDP per packet for the feature column
+        ``voltages``.  Books the evaluation (ledger, ``last_pdp``, the
+        ``output_monitor``), weights the PDPs by class, runs the
+        ``update_pCAM()`` controller and draws one uniform per packet.
+        ``packets`` are the chunk's packet objects, or the whole
+        batch's with ``rows`` naming the chunk's rows; ECN-capable ones
+        are marked instead of dropped.  Columns carry no ``ect`` field,
+        so a column batch (``packets`` None) is never marked.
+        """
+        batch = ({name: np.array([value]) for name, value
+                  in zip(self.pipeline.stage_names, voltages)}
                  if self.output_monitor is not None else {})
-        pdps = self._judged(batch,
-                            self.pipeline.evaluate_uniform(voltages, n),
-                            priorities)
+        pdps = self._judged(batch, pdps, priorities)
         self._maybe_adapt(now)
-        congested = self.drop_decisions(pdps)
-        drops = np.array(congested, dtype=bool)
-        # Columns carry no ``ect`` field: only packet objects can be
-        # ECN-capable, so a column-native batch is never marked.
-        objects = getattr(packets, "packets", packets)
-        if self.ecn_enabled and objects is not None:
-            for index, packet in enumerate(objects):
-                if drops[index] and packet.field("ect", False):
+        drops = self.drop_decisions(pdps)
+        if self.ecn_enabled and packets is not None:
+            for index in drops.nonzero()[0].tolist():
+                packet = packets[index if rows is None else rows[index]]
+                if packet.field("ect", False):
                     # Congestion Experienced: signal, don't discard.
                     packet.fields["ce"] = True
                     self.ecn_marks += 1

@@ -54,8 +54,9 @@ class ShadowOracle:
         self.reference: PCAMPipeline | None = None
         self.checks = 0
 
-    def evaluate(self, features: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Digital composite probabilities for a voltage-domain batch."""
+    def twin(self) -> PCAMPipeline:
+        """The intent-built pipeline for one check (counted), rebuilt
+        first if any stage's intent changed."""
         reference = self.reference
         for name in self.pipeline.stage_names:
             stage = self.pipeline.stage(name)
@@ -65,7 +66,11 @@ class ShadowOracle:
                 reference = self.reference = self.pipeline.clone_ideal()
                 break
         self.checks += 1
-        return reference.evaluate_batch(features)
+        return reference
+
+    def evaluate(self, features: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Digital composite probabilities for a voltage-domain batch."""
+        return self.twin().evaluate_batch(features)
 
     def deviation(self, features: Mapping[str, np.ndarray],
                   outputs: np.ndarray) -> float:
@@ -270,14 +275,16 @@ class DegradingAQM(AQMAlgorithm):
                    now: float) -> bool:
         return bool(self.on_enqueue_batch([packet], queue, now)[0])
 
+    def serving(self, now: float) -> AQMAlgorithm:
+        """The path judging arrivals at ``now``, after a due retry: the
+        analog AQM, or the fallback while degraded."""
+        self._now = now
+        self.maybe_retry(now)
+        return self.fallback if self.degraded else self.analog
+
     def on_enqueue_batch(self, packets: Sequence[Packet],
                          queue: QueueView, now: float) -> np.ndarray:
-        self._now = now
-        if self.degraded:
-            self.maybe_retry(now)
-        if self.degraded:
-            return self.fallback.on_enqueue_batch(packets, queue, now)
-        return self.analog.on_enqueue_batch(packets, queue, now)
+        return self.serving(now).on_enqueue_batch(packets, queue, now)
 
     def on_dequeue(self, packet: Packet, queue: QueueView,
                    now: float, sojourn_s: float) -> bool:

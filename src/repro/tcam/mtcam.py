@@ -31,8 +31,12 @@ from repro.energy.ledger import (
     ACCOUNT_COMPUTE,
     ACCOUNT_MOVEMENT,
     EnergyLedger,
+    Quantum,
 )
 from repro.tcam.tcam import TCAM
+
+#: The memristor TCAM's (empty) data-movement quantum per cell.
+_NO_MOVEMENT = Quantum(0.0)
 
 #: Search (read) voltage applied to cells during a match cycle [V].
 DEFAULT_SEARCH_VOLTAGE_V = 1.0
@@ -70,10 +74,11 @@ class MemristorTCAM(TCAM):
     #: that was *not* discharged (clock feed-through, leakage top-up).
     _REFRESH_FRACTION = 0.2
 
-    def _cell_energies(self) -> tuple[float, float]:
-        """(matching, mismatching) energy of one cell in a search [J],
-        from the device model, rerun only when one of its inputs
-        (params, voltage, latency, capacitance) has changed."""
+    def _cell_energies(self) -> tuple[Quantum, Quantum]:
+        """(matching, mismatching) energy of one cell in a search, as
+        prepared ledger quanta, from the device model, rerun only when
+        one of its inputs (params, voltage, latency, capacitance) has
+        changed."""
         inputs = (self.params, self.search_voltage_v,
                   self.search_latency_s, self.matchline_cap_per_cell_f)
         if inputs != self._energy_inputs:
@@ -86,10 +91,15 @@ class MemristorTCAM(TCAM):
                                     noisy=False).energy_j
             # A mismatching cell fully discharges its slice of the
             # match line through the LRS path (capacitance-limited).
-            self._energies = (self._REFRESH_FRACTION * precharge
-                              + leakage, precharge)
+            self._energies = (Quantum(self._REFRESH_FRACTION * precharge
+                                      + leakage), Quantum(precharge))
             self._energy_inputs = inputs
         return self._energies
+
+    def _search_quanta(self) -> None:
+        """None: a memristor search is charged per cell, from its
+        mismatch count (:meth:`_charge_slice`)."""
+        return None
 
     def _charge_slice(self, diff: np.ndarray, n_keys: int) -> float:
         """Book a burst of searches from its masked XOR; return joules.
@@ -110,8 +120,10 @@ class MemristorTCAM(TCAM):
         self.ledger.charge_quanta(ACCOUNT_COMPUTE, discharge, mismatching)
         self.ledger.charge_quanta(ACCOUNT_COMPUTE, leak,
                                   total_cells - mismatching)
-        self.ledger.charge_quanta(ACCOUNT_MOVEMENT, 0.0, total_cells)
-        return mismatching * discharge + (total_cells - mismatching) * leak
+        self.ledger.charge_quanta(ACCOUNT_MOVEMENT, _NO_MOVEMENT,
+                                  total_cells)
+        return (mismatching * discharge.joules
+                + (total_cells - mismatching) * leak.joules)
 
     def energy_per_bit_for(self, mismatch_fraction: float = 0.5) -> float:
         """Expected per-bit search energy at a given mismatch rate [J].
@@ -122,5 +134,5 @@ class MemristorTCAM(TCAM):
         if not 0.0 <= mismatch_fraction <= 1.0:
             raise ValueError("mismatch fraction must be in [0, 1]")
         leak, discharge = self._cell_energies()
-        return (mismatch_fraction * discharge
-                + (1.0 - mismatch_fraction) * leak)
+        return (mismatch_fraction * discharge.joules
+                + (1.0 - mismatch_fraction) * leak.joules)

@@ -23,6 +23,7 @@ from repro.energy.ledger import (
     ACCOUNT_COMPUTE,
     ACCOUNT_MOVEMENT,
     EnergyLedger,
+    Quantum,
 )
 from repro.energy.units import femtojoules, nanoseconds
 
@@ -211,6 +212,8 @@ class _PackedTable(NamedTuple):
     last_bits: int
     #: Keys per search slice (see :attr:`TCAM._MAX_BATCH_CELLS`).
     step: int
+    #: The per-key ledger quanta (see :meth:`TCAM._search_quanta`).
+    quanta: tuple
 
 
 class TCAM:
@@ -243,6 +246,28 @@ class TCAM:
 
     def __len__(self) -> int:
         return len(self._patterns)
+
+    @property
+    def energy_per_bit_j(self) -> float:
+        """Search energy per stored bit [J]; a new value takes effect
+        from the next search."""
+        return self._energy_per_bit_j
+
+    @energy_per_bit_j.setter
+    def energy_per_bit_j(self, value: float) -> None:
+        self._energy_per_bit_j = value
+        self._words = None
+
+    @property
+    def movement_fraction(self) -> float:
+        """Share of the search energy booked as data movement; a new
+        value takes effect from the next search."""
+        return self._movement_fraction
+
+    @movement_fraction.setter
+    def movement_fraction(self, value: float) -> None:
+        self._movement_fraction = value
+        self._words = None
 
     @property
     def searches(self) -> int:
@@ -309,8 +334,19 @@ class TCAM:
                 order=np.append(order, -1), bits=pack_bits(bits & care),
                 care=pack_bits(care), last_bits=(width - 1) % WORD_BITS + 1,
                 step=max(1, self._MAX_BATCH_CELLS
-                         // max(len(rows) * width, 1)))
+                         // max(len(rows) * width, 1)),
+                quanta=self._search_quanta())
         return self._words
+
+    def _search_quanta(self) -> tuple:
+        """(per-key joules, movement quantum, compute quantum): a
+        transistor TCAM's search energy depends only on the entry count
+        and the energy parameters, so it is prepared with the packed
+        words, once per table version."""
+        quantum = (self.energy_per_bit_j * self.width_bits
+                   * max(len(self._patterns), 1))
+        return (quantum, Quantum(quantum * self.movement_fraction),
+                Quantum(quantum * (1.0 - self.movement_fraction)))
 
     def _match(self, keys: np.ndarray) -> tuple[np.ndarray, float]:
         """One match-line evaluation of packed ``keys`` against every row.
@@ -419,12 +455,7 @@ class TCAM:
         of the key count — identical whether the keys arrive one by
         one, in one burst, or split across shard pipelines.
         """
-        quantum = (self.energy_per_bit_j * self.width_bits
-                   * max(len(self._patterns), 1))
-        self.ledger.charge_quanta(ACCOUNT_MOVEMENT,
-                                  quantum * self.movement_fraction,
-                                  n_keys)
-        self.ledger.charge_quanta(ACCOUNT_COMPUTE,
-                                  quantum * (1.0 - self.movement_fraction),
-                                  n_keys)
+        quantum, movement, compute = self._words.quanta
+        self.ledger.charge_quanta(ACCOUNT_MOVEMENT, movement, n_keys)
+        self.ledger.charge_quanta(ACCOUNT_COMPUTE, compute, n_keys)
         return quantum * n_keys

@@ -15,6 +15,12 @@ codes, every class queue's FIFO (sizes, flows, ``enqueued_at``),
 ``PortStats``, each ``PacketQueue``'s ``enqueued``/``dropped``, the
 telemetry events, what each AQM saw, and the packets' ``dropped``
 flags.
+
+The pass judges every congested pCAM port of a slice in one stacked
+kernel call; the second property pins that judge to each port judged
+alone through ``on_enqueue_batch`` (the one-port path), over bare,
+wrapped, retrying and fallback-serving tables, tail drop, a noisy
+faulted stage and ECN marks.
 """
 
 import numpy as np
@@ -28,8 +34,13 @@ from repro.dataplane.traffic_manager import (
     Admission,
     CognitiveTrafficManager,
 )
-from repro.netfunc.aqm.base import AQMAlgorithm
+from repro.energy.ledger import EnergyLedger
+from repro.netfunc.aqm.base import AQMAlgorithm, TailDropAQM
+from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.packet import Packet
+from repro.robustness.degradation import DegradingAQM
+from repro.robustness.injector import FaultInjector
+from repro.robustness.models import TransientReadNoise
 from repro.simnet.workloads import ChunkColumns
 
 _QUEUED, _AQM_DROP, _OVERFLOW_DROP = (
@@ -170,3 +181,132 @@ def test_one_pass_admission_equals_the_per_packet_loop(case):
             assert [p.enqueued_at for p in packets] \
                 == [p.enqueued_at for p in expected_packets]
     assert state(one_pass) == state(loop)
+
+
+# ----------------------------------------------------------------------
+# The stacked pCAM judge against each port judged alone
+# ----------------------------------------------------------------------
+#: Port kinds: a bare pCAM AQM, one in a healthy degradation wrapper,
+#: one degraded with its retry due inside the first slice, one
+#: degraded and serving its CoDel fallback, and tail drop.
+KINDS = ("pcam", "wrapped", "retry", "fallback", "taildrop")
+
+
+def analog_manager(case):
+    """A traffic manager over ``case``'s ports, one shared ledger."""
+    ledger = EnergyLedger()
+    kinds = iter(case["kinds"])
+    ports = iter(range(case["n_ports"]))
+
+    def factory():
+        kind, port = next(kinds), next(ports)
+        if kind == "taildrop":
+            return TailDropAQM()
+        analog = PCAMAQM(rng=np.random.default_rng((case["seed"], port)),
+                         ecn_enabled=case["ecn"], ledger=ledger,
+                         adaptation_interval_s=0.02)
+        if port == case["noisy"]:
+            FaultInjector(TransientReadNoise(sigma=0.2), cell_fraction=0.5,
+                          rng=np.random.default_rng(port)).inject_aqm(analog)
+        if kind == "pcam":
+            return analog
+        wrapped = DegradingAQM(analog, check_interval=1)
+        if kind != "wrapped":
+            # Tripped at t=0 (retry due at 0.5) or at the first slice.
+            wrapped._now = 0.0 if kind == "retry" else 0.5
+            wrapped._trip()
+        return wrapped
+
+    manager = CognitiveTrafficManager(
+        case["n_ports"], factory, n_priorities=2, queue_capacity=48,
+        port_rate_bps=2e6, telemetry=TelemetryCollector())
+    return manager, ledger
+
+
+def analog_state(manager, ledger) -> dict:
+    """Every counter the judge may move, and each stream's next draw."""
+    ports = []
+    for port in range(manager.n_ports):
+        aqm = manager.aqm(port)
+        analog = getattr(aqm, "analog", aqm)
+        if not isinstance(analog, PCAMAQM):
+            ports.append(None)
+            continue
+        cells = [analog.pipeline.stage(name)
+                 for name in analog.pipeline.stage_names]
+        ports.append({
+            "aqm": (analog.evaluations, analog.last_pdp, analog.ecn_marks,
+                    analog.adaptations, analog.threshold_shift,
+                    analog.delay_ewma_s),
+            "wrapper": None if aqm is analog else (
+                aqm.mode, aqm.fallback_events, aqm.retries,
+                aqm.recoveries, aqm.last_deviation, aqm.shadow.checks),
+            "cells": [cell.evaluations for cell in cells],
+            "next_draws": [analog._rng.random()] + [
+                cell.fault._rng.random() for cell in cells
+                if getattr(cell.fault, "_rng", None) is not None]})
+    return {"ports": ports,
+            "stats": [vars(stats) for stats in manager.stats],
+            "backlogs": manager.backlogs(),
+            "ledger": (sorted(ledger.breakdown().items()), ledger.events),
+            "events": sorted(manager.telemetry.snapshot()["events"].items())}
+
+
+@st.composite
+def analog_scenarios(draw):
+    n_ports = draw(st.integers(1, 4))
+    ecn = draw(st.booleans())
+    row = st.tuples(st.integers(0, n_ports - 1), st.integers(0, 2),
+                    st.integers(200, 1500), st.booleans())
+    return {
+        "n_ports": n_ports,
+        "seed": draw(st.integers(0, 2**16)),
+        "kinds": draw(st.lists(st.sampled_from(KINDS), min_size=n_ports,
+                               max_size=n_ports)),
+        "noisy": draw(st.none() | st.integers(0, n_ports - 1)),
+        "ecn": ecn,
+        # ECN marks live on packet objects: columns only without it.
+        "columns": not ecn and draw(st.booleans()),
+        "prefill": draw(st.lists(st.integers(0, 12), min_size=n_ports,
+                                 max_size=n_ports)),
+        "steps": draw(st.lists(st.lists(row, min_size=1, max_size=24),
+                               min_size=1, max_size=4)),
+        "credits": draw(st.lists(st.integers(0, 9000), min_size=4,
+                                 max_size=4)),
+    }
+
+
+def marked_packets(rows) -> list[Packet]:
+    return [Packet(size_bytes=size, flow_id=flow, priority=prio,
+                   fields={"ect": ect})
+            for flow, (_, prio, size, ect) in enumerate(rows)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=analog_scenarios())
+def test_stacked_pcam_judge_equals_each_port_judged_alone(case):
+    (stacked, stacked_ledger), (alone, alone_ledger) = (
+        analog_manager(case), analog_manager(case))
+    for port, count in enumerate(case["prefill"]):
+        for manager in (stacked, alone):
+            for _ in range(count):
+                manager.queue_view(port).push(
+                    Packet(size_bytes=1000, priority=1), 0.0)
+    for step, rows in enumerate(case["steps"]):
+        now = 0.5 + 0.01 * step
+        ports = np.array([port for port, _, _, _ in rows], dtype=np.intp)
+        expected_packets = marked_packets(rows)
+        expected = reference_admit(alone, ports, expected_packets, now)
+        packets = marked_packets(rows)
+        codes = stacked.enqueue_batch(
+            ports, as_columns(packets) if case["columns"] else packets, now)
+        assert codes.tolist() == expected.tolist()
+        if not case["columns"]:
+            assert [(p.dropped, p.field("ce", False)) for p in packets] \
+                == [(p.dropped, p.field("ce", False))
+                    for p in expected_packets]
+        for manager in (stacked, alone):
+            manager.serve_ports([0.0] * manager.n_ports,
+                                case["credits"][step], now + 0.005)
+    assert analog_state(stacked, stacked_ledger) \
+        == analog_state(alone, alone_ledger)

@@ -30,6 +30,8 @@ from repro.dataplane.results import Verdict
 from repro.fabric.scenario import build_fabric
 from repro.netfunc.aqm.pcam_aqm import PCAMAQM
 from repro.packet import Packet
+from repro.robustness.injector import FaultInjector
+from repro.robustness.models import CellFault, StuckAtFault
 from repro.simnet.scenarios import default_switch_spec
 
 
@@ -217,6 +219,65 @@ class TestSPSAPolicy:
         assert noisy_trail == clean_trail
 
 
+class PerPortGate(EnvelopeGate):
+    """The gate probing port by port, one ``deviation`` call each and
+    stopping at the first failure: the reference for the stacked
+    probes."""
+
+    def healthy(self):
+        self.checks += 1
+        for aqm in self.aqms:
+            if getattr(aqm, "degraded", False):
+                return False
+            if self.deviation(getattr(aqm, "analog", aqm)) \
+                    > self.pdp_envelope:
+                return False
+        return True
+
+    def apply(self, action):
+        if not self.healthy():
+            self.rejections += 1
+            return False
+        rollback = [(aqm.target_delay_s, aqm.max_deviation_s)
+                    for aqm in self.aqms]
+        if not self.inner.apply(action):
+            return False
+        for aqm, (target, deviation) in zip(self.aqms, rollback):
+            if self.deviation(aqm) > self.pdp_envelope:
+                self.violations += 1
+                self.inner.apply(Action("retarget", (target, deviation)))
+                return False
+        return True
+
+
+class StuckAfterWrite(CellFault):
+    """Healthy until the next write, then pinned at full match."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = False
+
+    def on_program(self, intended):
+        self.written = True
+        return intended
+
+    def transform_response(self, values, response):
+        return np.ones_like(response) if self.written else response
+
+
+def three_ports():
+    return [PCAMAQM(rng=np.random.default_rng(port)) for port in range(3)]
+
+
+def gate_counters(gate):
+    return gate.checks, gate.rejections, gate.violations
+
+
+def cell_counters(aqms):
+    return [[aqm.pipeline.stage(name).evaluations
+             for name in aqm.pipeline.stage_names] for aqm in aqms]
+
+
 class TestEnvelopeGate:
     def make_gate(self):
         aqm = PCAMAQM(rng=np.random.default_rng(0))
@@ -244,17 +305,49 @@ class TestEnvelopeGate:
 
     def test_out_of_envelope_write_rolls_back(self, monkeypatch):
         aqm, gate = self.make_gate()
-        deviations = iter([0.0, 0.5])  # pre-check passes, probe fails
+        # Pre-check passes, probe fails (one worst deviation per AQM).
+        deviations = iter([np.array([0.0]), np.array([0.5])])
 
-        def fake_deviation(analog):
+        def fake_deviations(analogs):
             return next(deviations)
 
-        monkeypatch.setattr(gate, "deviation", fake_deviation)
+        monkeypatch.setattr(gate, "deviations", fake_deviations)
         assert not gate.apply(Action("retarget", (0.010, 0.004)))
         assert gate.violations == 1
         # Rolled back to the pre-apply programming.
         assert aqm.target_delay_s == pytest.approx(0.020)
         assert aqm.max_deviation_s == pytest.approx(0.010)
+
+    def test_fault_on_the_last_port_rejects_the_candidate(self):
+        gates = []
+        for gate_class in (EnvelopeGate, PerPortGate):
+            aqms = three_ports()
+            FaultInjector(StuckAtFault(state="lrs"), cell_fraction=1.0,
+                          rng=np.random.default_rng(0)).inject_aqm(aqms[-1])
+            gate = gate_class(AQMActuator(*aqms), aqms)
+            assert not gate.apply(Action("retarget", (0.010, 0.004)))
+            assert [aqm.target_delay_s for aqm in aqms] == [0.020] * 3
+            gates.append((gate_counters(gate), cell_counters(aqms)))
+        stacked, per_port = gates
+        assert stacked == per_port
+        assert stacked[0] == (1, 1, 0)
+
+    @pytest.mark.parametrize("port", range(3))
+    def test_post_apply_violation_on_one_port_rolls_every_port_back(
+            self, port):
+        results = []
+        for gate_class in (EnvelopeGate, PerPortGate):
+            aqms = three_ports()
+            aqms[port].pipeline.stage("sojourn_time").inject_fault(
+                StuckAfterWrite())
+            gate = gate_class(AQMActuator(*aqms), aqms)
+            verdict = gate.apply(Action("retarget", (0.010, 0.004)))
+            results.append((verdict, gate_counters(gate),
+                            [(aqm.target_delay_s, aqm.max_deviation_s)
+                             for aqm in aqms]))
+        stacked, per_port = results
+        assert stacked == per_port
+        assert stacked == (False, (1, 0, 1), [(0.020, 0.010)] * 3)
 
     def test_repairs_pass_through_ungated(self):
         aqm, gate = self.make_gate()
