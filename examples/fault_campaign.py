@@ -2,7 +2,7 @@
 """Fault-injection campaign over the analog AQM stack.
 
 Sweeps the default fault-model set (stuck-at cells, conductance
-drift, programming-pulse variance, DAC/ADC quantization, transient
+drift, programming-pulse variance, converter quantization, transient
 read noise) across the device -> crossbar -> pCAM array -> AQM
 pipeline layers, compares every faulted pipeline against its ideal
 digital twin with the differential oracle, and pushes synthetic

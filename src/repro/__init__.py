@@ -5,7 +5,7 @@ Cognitive Network Functions over Memristor-Based Analog Computations"
 Packages
 --------
 ``repro.device``     Nb:SrTiO3 memristor model + synthetic chip dataset
-``repro.crossbar``   analog circuit substrate (arrays, DAC/ADC, sensing)
+``repro.crossbar``   analog circuit substrate (arrays, DAC, sensing)
 ``repro.tcam``       digital baseline (TCAM, memristor TCAM, Table 1)
 ``repro.core``       the pCAM: cells, pipelines, arrays, tables, compiler
 ``repro.dataplane``  the Figure 5 packet-processing architecture

@@ -202,14 +202,14 @@ class CrossbarPCAMArray:
             return HardwareSearchResult(probabilities=np.zeros(0),
                                         best_index=None, energy_j=0.0,
                                         latency_s=self.READ_DURATION_S)
-        # DAC conversion of each field's voltage.
+        # DAC conversion of every field's voltage in one call; fmax
+        # before fmin reads a NaN field as v_lo.
         v_lo, v_hi = self.v_range
-        voltages = np.empty(len(self.fields))
-        for row, field in enumerate(self.fields):
-            raw = float(query[field])
-            fraction = (min(v_hi, max(v_lo, raw)) - self.dac.v_min) \
-                / (self.dac.v_max - self.dac.v_min)
-            voltages[row] = self.dac.quantize(fraction)
+        raw = np.array([float(query[field]) for field in self.fields])
+        clamped = np.fmin(np.fmax(raw, v_lo), v_hi)
+        voltages = self.dac.quantize_array(
+            (clamped - self.dac.v_min) / (self.dac.v_max - self.dac.v_min))
+        for _ in self.fields:
             self.ledger.charge(ACCOUNT_CONVERSION,
                                self.dac.energy_per_conversion_j)
 

@@ -1,9 +1,11 @@
-"""Digital/analog boundary converters (DACs and ADCs).
+"""The digital-to-analog boundary converter (DAC).
 
 The analog match-action tables live behind a digital parser and in
 front of a digital traffic manager, so every query crosses a DAC on
-the way in and (optionally) an ADC on the way out — Figure 7's inputs
-are "sojourn time and buffer size mapped to hardware voltages (DACs)".
+the way in — Figure 7's inputs are "sojourn time and buffer size
+mapped to hardware voltages (DACs)".  The same converter model also
+snaps sensed responses when a fault campaign studies finite read-out
+resolution (:class:`repro.robustness.models.ConverterQuantization`).
 
 Converters are the precision bottleneck of the analog pipeline (RQ2):
 their resolution bounds how finely a feature can be expressed as a
@@ -16,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.device.variability import check_finite
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,9 @@ class DAC:
     inl_lsb: float = 0.0
 
     def __post_init__(self) -> None:
+        check_finite(v_min=self.v_min, v_max=self.v_max,
+                     energy_per_conversion_j=self.energy_per_conversion_j,
+                     inl_lsb=self.inl_lsb)
         if self.bits < 1:
             raise ValueError(f"bits must be >= 1: {self.bits!r}")
         if self.v_max <= self.v_min:
@@ -61,93 +68,19 @@ class DAC:
         """Voltage step between adjacent codes [V]."""
         return (self.v_max - self.v_min) / (self.levels - 1)
 
-    def encode(self, value: float) -> int:
-        """Map a normalised value in [0, 1] to the nearest code."""
-        clamped = min(1.0, max(0.0, value))
-        return int(round(clamped * (self.levels - 1)))
-
-    def convert(self, code: int) -> float:
-        """Output voltage for a digital code."""
-        if not 0 <= code < self.levels:
-            raise ValueError(f"code {code} out of range [0, {self.levels})")
-        ideal = self.v_min + code * self.lsb_v
-        if self.inl_lsb == 0.0:
-            return ideal
-        # Smooth sinusoidal bow, the textbook INL shape.
-        bow = self.inl_lsb * self.lsb_v * np.sin(
-            np.pi * code / (self.levels - 1))
-        return float(ideal + bow)
-
-    def quantize(self, value: float) -> float:
-        """Round-trip a normalised value through the converter.
-
-        Returns the *voltage* actually presented to the analog array
-        for a desired normalised input.
-        """
-        return self.convert(self.encode(value))
-
     def quantize_array(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`quantize`."""
+        """Round-trip normalised values through the converter.
+
+        Each value is clamped into [0, 1], snapped to the nearest of
+        :attr:`levels` codes, and returned as the *voltage* the
+        converter actually presents for it (INL bow included).
+        """
         clamped = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
         codes = np.round(clamped * (self.levels - 1))
         ideal = self.v_min + codes * self.lsb_v
         if self.inl_lsb == 0.0:
             return ideal
+        # Smooth sinusoidal bow, the textbook INL shape.
         bow = self.inl_lsb * self.lsb_v * np.sin(
             np.pi * codes / (self.levels - 1))
         return ideal + bow
-
-
-@dataclass(frozen=True)
-class ADC:
-    """An analog-to-digital converter with quantization noise.
-
-    Used when an analog match output must re-enter the digital domain
-    (e.g. the controller sampling a pCAM output to adapt parameters).
-    """
-
-    bits: int = 8
-    v_min: float = 0.0
-    v_max: float = 1.0
-    energy_per_conversion_j: float = 100e-15
-
-    def __post_init__(self) -> None:
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1: {self.bits!r}")
-        if self.v_max <= self.v_min:
-            raise ValueError(
-                f"v_max must exceed v_min: {self.v_min}, {self.v_max}")
-        if self.energy_per_conversion_j < 0:
-            raise ValueError("conversion energy must be non-negative")
-
-    @property
-    def levels(self) -> int:
-        """Number of quantization levels."""
-        return 2 ** self.bits
-
-    @property
-    def lsb_v(self) -> float:
-        """Voltage step between adjacent codes [V]."""
-        return (self.v_max - self.v_min) / (self.levels - 1)
-
-    def sample(self, voltage: float) -> int:
-        """Digitise a voltage to a code (clamped at the rails)."""
-        clamped = min(self.v_max, max(self.v_min, voltage))
-        return int(round((clamped - self.v_min) / self.lsb_v))
-
-    def reconstruct(self, code: int) -> float:
-        """Voltage corresponding to a code."""
-        if not 0 <= code < self.levels:
-            raise ValueError(f"code {code} out of range [0, {self.levels})")
-        return self.v_min + code * self.lsb_v
-
-    def quantize(self, voltage: float) -> float:
-        """Round-trip a voltage through the converter."""
-        return self.reconstruct(self.sample(voltage))
-
-    def quantize_array(self, voltages: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`quantize`."""
-        clamped = np.clip(np.asarray(voltages, dtype=float),
-                          self.v_min, self.v_max)
-        codes = np.round((clamped - self.v_min) / self.lsb_v)
-        return self.v_min + codes * self.lsb_v

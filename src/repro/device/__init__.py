@@ -13,11 +13,7 @@ from repro.device.dataset import (
     SweepRecord,
     generate_dataset,
 )
-from repro.device.faults import (
-    FaultType,
-    FaultyMemristor,
-    inject_crossbar_faults,
-)
+from repro.device.faults import CrossbarFaultPlan, inject_crossbar_faults
 from repro.device.energy import (
     BEST_DIGITAL_ENERGY_J_PER_BIT,
     EnergyStatistics,
@@ -36,10 +32,9 @@ __all__ = [
     "AnalogStateMachine",
     "BEST_DIGITAL_ENERGY_J_PER_BIT",
     "ComputeResult",
+    "CrossbarFaultPlan",
     "DeviceStateMachine",
     "EnergyStatistics",
-    "FaultType",
-    "FaultyMemristor",
     "inject_crossbar_faults",
     "MemristorDataset",
     "MemristorParams",

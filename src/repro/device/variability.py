@@ -27,6 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_finite(**fields: float) -> None:
+    """Reject a non-finite model parameter, naming the field.
+
+    A NaN slips past every ordered range check (``nan < 0`` and
+    ``nan > 0`` are both False) and an infinity turns the arithmetic
+    downstream into inf/inf, so every non-ideality model checks
+    finiteness before its ranges.
+    """
+    for name, value in fields.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value!r}")
+
+
 @dataclass(frozen=True)
 class VariabilityModel:
     """Parameters for the three noise processes.
@@ -52,6 +65,10 @@ class VariabilityModel:
     drift_target: float = 0.0
 
     def __post_init__(self) -> None:
+        check_finite(read_sigma=self.read_sigma,
+                     device_sigma=self.device_sigma,
+                     drift_rate_per_s=self.drift_rate_per_s,
+                     drift_target=self.drift_target)
         for name in ("read_sigma", "device_sigma", "drift_rate_per_s"):
             value = getattr(self, name)
             if value < 0:

@@ -32,7 +32,7 @@ from repro.energy.units import format_energy
 ACCOUNT_COMPUTE = "compute"
 ACCOUNT_STORAGE = "storage"
 ACCOUNT_MOVEMENT = "data_movement"
-ACCOUNT_CONVERSION = "conversion"  # DAC/ADC boundary crossings
+ACCOUNT_CONVERSION = "conversion"  # DAC boundary crossings
 
 
 class ExactJoules:

@@ -6,7 +6,7 @@ drift, stick, or read noisily.  This package quantifies that claim:
 
 * :mod:`repro.robustness.models` — parameterised, seedable, composable
   fault models (stuck-at-LRS/HRS, conductance drift, programming-pulse
-  variance, DAC/ADC quantisation, transient read noise);
+  variance, converter quantisation, transient read noise);
 * :mod:`repro.robustness.injector` — applies materialised faults to
   pipelines, arrays, and AQMs through the cell-level injection hooks;
 * :mod:`repro.robustness.oracle` — the differential test oracle that

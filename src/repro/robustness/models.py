@@ -14,7 +14,8 @@ and act through three hooks:
 * ``faulted_params`` — a static perturbation of the programmed
   parameters (drift, programming variance);
 * ``transform_input`` / ``transform_response`` — per-read signal-path
-  perturbations (DAC/ADC quantisation, read noise, stuck match lines);
+  perturbations (converter quantisation, read noise, stuck match
+  lines);
 * ``on_program`` — what reprogramming does to the fault: scrubs it
   (drift), resamples it (programming variance), or leaves it in place
   (stuck cells, converter resolution).
@@ -32,6 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pcam_cell import PCAMParams
+from repro.crossbar.converters import DAC
+from repro.device.variability import check_finite
 
 __all__ = [
     "CellFault",
@@ -66,12 +69,12 @@ class CellFault:
         return self.faulted_params(intended)
 
     def transform_input(self, values: np.ndarray) -> np.ndarray:
-        """Perturb the applied search voltages (DAC side)."""
+        """Perturb the applied search voltages (input DAC side)."""
         return values
 
     def transform_response(self, values: np.ndarray,
                            response: np.ndarray) -> np.ndarray:
-        """Perturb the sensed match probabilities (ADC side)."""
+        """Perturb the sensed match probabilities (read-out side)."""
         return response
 
 
@@ -138,35 +141,29 @@ class _ProgrammingJitter(CellFault):
 
 
 class _Quantizer(CellFault):
-    """Finite DAC/ADC resolution at the analog boundary.
+    """Finite converter resolution at the analog boundary.
 
-    Inputs are clamped into the converter range and snapped to the
-    nearest of ``2**dac_bits`` levels; responses are snapped to the
-    nearest of ``2**adc_bits`` levels over [0, 1].  Deterministic, and
-    a property of the conversion circuit — reprogramming the cell does
-    not remove it.
+    Search voltages pass through ``input_dac`` (its range is the
+    converter's voltage range) and sensed responses through
+    ``response_dac`` (range [0, 1]); each clamps into its range and
+    snaps to the nearest of its levels.  Deterministic, and a property
+    of the conversion circuit — reprogramming the cell does not remove
+    it.
     """
 
-    def __init__(self, dac_bits: int, adc_bits: int,
-                 v_lo: float, v_hi: float) -> None:
+    def __init__(self, input_dac: DAC, response_dac: DAC) -> None:
         super().__init__()
-        self.dac_bits = int(dac_bits)
-        self.adc_bits = int(adc_bits)
-        self.v_lo = float(v_lo)
-        self.v_hi = float(v_hi)
-
-    def _snap(self, x: np.ndarray, lo: float, hi: float,
-              bits: int) -> np.ndarray:
-        levels = (1 << bits) - 1
-        t = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-        return lo + np.round(t * levels) / levels * (hi - lo)
+        self.input_dac = input_dac
+        self.response_dac = response_dac
 
     def transform_input(self, values: np.ndarray) -> np.ndarray:
-        return self._snap(values, self.v_lo, self.v_hi, self.dac_bits)
+        dac = self.input_dac
+        return dac.quantize_array((values - dac.v_min)
+                                  / (dac.v_max - dac.v_min))
 
     def transform_response(self, values: np.ndarray,
                            response: np.ndarray) -> np.ndarray:
-        return self._snap(response, 0.0, 1.0, self.adc_bits)
+        return self.response_dac.quantize_array(response)
 
 
 class _ReadNoise(CellFault):
@@ -281,6 +278,7 @@ class ConductanceDrift(FaultModel):
     bias: float = 0.0
 
     def __post_init__(self) -> None:
+        check_finite(scale=self.scale, bias=self.bias)
         if self.scale < 0:
             raise ValueError(f"scale must be >= 0: {self.scale!r}")
 
@@ -305,6 +303,7 @@ class ProgrammingVariance(FaultModel):
     sigma: float = 0.05
 
     def __post_init__(self) -> None:
+        check_finite(sigma=self.sigma)
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0: {self.sigma!r}")
 
@@ -322,7 +321,15 @@ class ProgrammingVariance(FaultModel):
 
 @dataclass(frozen=True)
 class ConverterQuantization(FaultModel):
-    """DAC/ADC quantisation error at the analog-digital boundary."""
+    """Converter quantisation error at the analog-digital boundary.
+
+    Both converters are the crossbar's
+    :class:`~repro.crossbar.converters.DAC` model, built once at
+    construction and shared by every materialised fault: ``dac_bits``
+    over ``[v_lo, v_hi]`` for the search voltages and ``adc_bits``
+    over [0, 1] for the sensed responses.  The DACs check the
+    resolutions and that the range is not empty.
+    """
 
     dac_bits: int = 6
     adc_bits: int = 6
@@ -330,11 +337,10 @@ class ConverterQuantization(FaultModel):
     v_hi: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.dac_bits < 1 or self.adc_bits < 1:
-            raise ValueError("converter resolution must be >= 1 bit")
-        if self.v_lo >= self.v_hi:
-            raise ValueError(
-                f"empty converter range: [{self.v_lo}, {self.v_hi}]")
+        check_finite(v_lo=self.v_lo, v_hi=self.v_hi)
+        object.__setattr__(self, "_dacs", (
+            DAC(bits=self.dac_bits, v_min=self.v_lo, v_max=self.v_hi),
+            DAC(bits=self.adc_bits, v_min=0.0, v_max=1.0)))
 
     @property
     def name(self) -> str:
@@ -342,8 +348,7 @@ class ConverterQuantization(FaultModel):
 
     def materialise(self, intended: PCAMParams,
                     rng: np.random.Generator) -> CellFault:
-        return _Quantizer(self.dac_bits, self.adc_bits,
-                          self.v_lo, self.v_hi)
+        return _Quantizer(*self._dacs)
 
 
 @dataclass(frozen=True)
@@ -353,6 +358,7 @@ class TransientReadNoise(FaultModel):
     sigma: float = 0.02
 
     def __post_init__(self) -> None:
+        check_finite(sigma=self.sigma)
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0: {self.sigma!r}")
 

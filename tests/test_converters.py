@@ -1,9 +1,11 @@
-"""DAC/ADC boundary converters."""
+"""The DAC, the one boundary converter model."""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.crossbar.converters import ADC, DAC
+from repro.crossbar.converters import DAC
 
 
 class TestDAC:
@@ -12,51 +14,46 @@ class TestDAC:
         assert dac.levels == 256
         assert dac.lsb_v == pytest.approx(4.0 / 255)
 
-    def test_encode_endpoints(self):
-        dac = DAC(bits=8)
-        assert dac.encode(0.0) == 0
-        assert dac.encode(1.0) == 255
-
-    def test_encode_clamps(self):
-        dac = DAC(bits=8)
-        assert dac.encode(-0.5) == 0
-        assert dac.encode(1.5) == 255
-
-    def test_convert_endpoints(self):
+    def test_endpoints_map_to_the_rails(self):
         dac = DAC(bits=8, v_min=0.0, v_max=4.0)
-        assert dac.convert(0) == pytest.approx(0.0)
-        assert dac.convert(255) == pytest.approx(4.0)
+        np.testing.assert_array_equal(dac.quantize_array([0.0, 1.0]),
+                                      [0.0, 4.0])
 
-    def test_convert_bounds_checked(self):
-        with pytest.raises(ValueError):
-            DAC(bits=4).convert(16)
+    def test_out_of_range_inputs_clamp_to_the_rails(self):
+        dac = DAC(bits=5, v_min=0.0, v_max=2.0)
+        out = dac.quantize_array([-0.5, -0.2, 1.2, 1.5])
+        np.testing.assert_array_equal(out, [0.0, 0.0, 2.0, 2.0])
 
     def test_quantization_error_bounded_by_half_lsb(self):
         dac = DAC(bits=6, v_min=0.0, v_max=1.0)
-        for value in np.linspace(0, 1, 37):
-            error = abs(dac.quantize(float(value)) - value)
-            assert error <= dac.lsb_v / 2 + 1e-12
+        values = np.linspace(0, 1, 37)
+        error = np.abs(dac.quantize_array(values) - values)
+        assert np.all(error <= dac.lsb_v / 2 + 1e-12)
 
     def test_more_bits_less_error(self):
         coarse = DAC(bits=4, v_min=0.0, v_max=1.0)
         fine = DAC(bits=12, v_min=0.0, v_max=1.0)
         value = 0.123456
-        assert (abs(fine.quantize(value) - value)
-                < abs(coarse.quantize(value) - value))
+        assert (abs(fine.quantize_array(value) - value)
+                < abs(coarse.quantize_array(value) - value))
 
     def test_inl_bows_midscale_only(self):
         dac = DAC(bits=8, v_min=0.0, v_max=1.0, inl_lsb=2.0)
-        assert dac.convert(0) == pytest.approx(0.0)
-        assert dac.convert(255) == pytest.approx(1.0, abs=1e-9)
-        ideal_mid = 128 * dac.lsb_v
-        assert dac.convert(128) > ideal_mid
+        low, high = dac.quantize_array([0.0, 1.0])
+        assert low == pytest.approx(0.0)
+        assert high == pytest.approx(1.0, abs=1e-9)
+        assert dac.quantize_array(128 / 255) > 128 * dac.lsb_v
 
-    def test_quantize_array_matches_scalar(self):
-        dac = DAC(bits=5, v_min=0.0, v_max=2.0)
-        values = np.linspace(-0.2, 1.2, 11)
-        array = dac.quantize_array(values)
-        scalar = [dac.quantize(float(v)) for v in values]
-        np.testing.assert_allclose(array, scalar)
+    def test_inl_bow_follows_the_code(self):
+        # The bow is a function of the snapped code, so out-of-range
+        # inputs bow exactly like the rail they clamp to.
+        dac = DAC(bits=5, v_min=0.0, v_max=2.0, inl_lsb=0.7)
+        values = np.linspace(-0.2, 1.2, 29)
+        codes = np.round(np.clip(values, 0.0, 1.0) * (dac.levels - 1))
+        expected = (dac.v_min + codes * dac.lsb_v
+                    + dac.inl_lsb * dac.lsb_v
+                    * np.sin(np.pi * codes / (dac.levels - 1)))
+        np.testing.assert_array_equal(dac.quantize_array(values), expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -66,34 +63,10 @@ class TestDAC:
         with pytest.raises(ValueError):
             DAC(energy_per_conversion_j=-1.0)
 
-
-class TestADC:
-    def test_sample_reconstruct_round_trip(self):
-        adc = ADC(bits=8, v_min=0.0, v_max=1.0)
-        for voltage in (0.0, 0.25, 0.5, 1.0):
-            assert adc.quantize(voltage) == pytest.approx(
-                voltage, abs=adc.lsb_v / 2 + 1e-12)
-
-    def test_sample_clamps_at_rails(self):
-        adc = ADC(bits=8, v_min=0.0, v_max=1.0)
-        assert adc.sample(-5.0) == 0
-        assert adc.sample(5.0) == adc.levels - 1
-
-    def test_reconstruct_bounds_checked(self):
-        with pytest.raises(ValueError):
-            ADC(bits=4).reconstruct(-1)
-
-    def test_quantize_array_matches_scalar(self):
-        adc = ADC(bits=6, v_min=0.0, v_max=1.0)
-        voltages = np.linspace(-0.1, 1.1, 13)
-        array = adc.quantize_array(voltages)
-        scalar = [adc.quantize(float(v)) for v in voltages]
-        np.testing.assert_allclose(array, scalar)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ADC(bits=0)
-        with pytest.raises(ValueError):
-            ADC(v_min=2.0, v_max=1.0)
-        with pytest.raises(ValueError):
-            ADC(energy_per_conversion_j=-0.1)
+    @pytest.mark.parametrize("field", ["v_min", "v_max",
+                                       "energy_per_conversion_j",
+                                       "inl_lsb"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DAC(**{field: value})

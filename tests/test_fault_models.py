@@ -7,10 +7,13 @@ reprogramming semantics — drift scrubs, programming variance
 resamples, stuck cells and converter resolution persist.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.pcam_cell import PCAMCell, PCAMParams
+from repro.crossbar.converters import DAC
 from repro.robustness.models import (
     CellFault,
     CompositeFaultModel,
@@ -150,7 +153,30 @@ class TestConverterQuantization:
         with pytest.raises(ValueError):
             ConverterQuantization(dac_bits=0)
         with pytest.raises(ValueError):
+            ConverterQuantization(adc_bits=0)
+        with pytest.raises(ValueError):
             ConverterQuantization(v_lo=1.0, v_hi=1.0)
+
+    @pytest.mark.parametrize("dac_bits, adc_bits, v_lo, v_hi",
+                             [(6, 6, -2.0, 4.0), (3, 5, -1.0, 4.0),
+                              (1, 12, 0.0, 1.0), (10, 2, -0.5, 0.25)])
+    def test_snaps_through_the_two_dacs(self, dac_bits, adc_bits,
+                                        v_lo, v_hi):
+        # The fault quantises with the crossbar's own converter model,
+        # bit for bit, including values outside both ranges.
+        model = ConverterQuantization(dac_bits=dac_bits, adc_bits=adc_bits,
+                                      v_lo=v_lo, v_hi=v_hi)
+        fault = model.materialise(PARAMS, np.random.default_rng(0))
+        inputs = np.linspace(v_lo - 1.5, v_hi + 1.5, 997)
+        input_dac = DAC(bits=dac_bits, v_min=v_lo, v_max=v_hi)
+        np.testing.assert_array_equal(
+            fault.transform_input(inputs),
+            input_dac.quantize_array((inputs - v_lo) / (v_hi - v_lo)))
+        responses = np.linspace(-0.3, 1.3, 997)
+        np.testing.assert_array_equal(
+            fault.transform_response(inputs, responses),
+            DAC(bits=adc_bits, v_min=0.0, v_max=1.0)
+            .quantize_array(responses))
 
 
 class TestTransientReadNoise:
@@ -223,3 +249,19 @@ class TestComposition:
                                      ProgrammingVariance(sigma=0.1)])
         assert (faulted_cell(model, seed=2).params
                 == faulted_cell(model, seed=2).params)
+
+
+@pytest.mark.parametrize("model, field", [
+    pytest.param(ConductanceDrift, "scale", id="drift-scale"),
+    pytest.param(ConductanceDrift, "bias", id="drift-bias"),
+    pytest.param(ProgrammingVariance, "sigma", id="programming-sigma"),
+    pytest.param(TransientReadNoise, "sigma", id="read-noise-sigma"),
+    pytest.param(ConverterQuantization, "v_lo", id="quantization-v_lo"),
+    pytest.param(ConverterQuantization, "v_hi", id="quantization-v_hi"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(model, field, value):
+    # A NaN passes every ordered range check, so it needs its own
+    # check: NaN drift would otherwise silently apply zero drift.
+    with pytest.raises(ValueError, match=field):
+        model(**{field: value})

@@ -1,65 +1,12 @@
-"""Device fault injection and pCAM robustness under defects."""
+"""Crossbar-level stuck-cell injection."""
 
 import numpy as np
 import pytest
 
 from repro.crossbar.array import Crossbar
 from repro.crossbar.losses import LineLossModel
-from repro.device.faults import (
-    CrossbarFaultPlan,
-    FaultType,
-    FaultyMemristor,
-    inject_crossbar_faults,
-)
+from repro.device.faults import CrossbarFaultPlan, inject_crossbar_faults
 from repro.device.variability import VariabilityModel
-
-
-class TestFaultyMemristor:
-    def test_stuck_off_never_programs(self):
-        device = FaultyMemristor(FaultType.STUCK_OFF,
-                                 variability=VariabilityModel.ideal())
-        energy = device.program_state(0.8)
-        assert device.state == 0.0
-        assert energy > 0.0  # the attempt still costs energy
-
-    def test_stuck_on_never_programs(self):
-        device = FaultyMemristor(FaultType.STUCK_ON,
-                                 variability=VariabilityModel.ideal())
-        device.program_state(0.2)
-        assert device.state == 1.0
-
-    def test_stuck_program_to_current_state_is_free(self):
-        device = FaultyMemristor(FaultType.STUCK_OFF,
-                                 variability=VariabilityModel.ideal())
-        assert device.program_state(0.0) == 0.0
-
-    def test_stuck_pulse_moves_nothing(self):
-        device = FaultyMemristor(FaultType.STUCK_OFF,
-                                 variability=VariabilityModel.ideal())
-        device.apply_pulse(3.0, 100e-9)
-        assert device.state == 0.0
-        assert device.pulses == 1
-
-    def test_imprecise_lands_loosely(self):
-        rng = np.random.default_rng(0)
-        loose = FaultyMemristor(FaultType.IMPRECISE,
-                                imprecision_factor=40.0,
-                                variability=VariabilityModel.ideal(),
-                                rng=rng)
-        loose.program_state(0.5, tolerance=0.01)
-        # Landed somewhere within the inflated tolerance.
-        assert abs(loose.state - 0.5) <= 0.4 + 1e-9
-
-    def test_imprecision_factor_validated(self):
-        with pytest.raises(ValueError):
-            FaultyMemristor(FaultType.IMPRECISE, imprecision_factor=0.5)
-
-    def test_stuck_cells_still_conduct(self):
-        on = FaultyMemristor(FaultType.STUCK_ON,
-                             variability=VariabilityModel.ideal())
-        off = FaultyMemristor(FaultType.STUCK_OFF,
-                              variability=VariabilityModel.ideal())
-        assert on.current(1.0) > 1e3 * off.current(1.0)
 
 
 class TestCrossbarFaults:
@@ -104,21 +51,6 @@ class TestCrossbarFaults:
 
 
 class TestComposableFaults:
-    def test_memristor_accepts_fault_sets(self):
-        device = FaultyMemristor(
-            {FaultType.STUCK_ON, FaultType.IMPRECISE},
-            variability=VariabilityModel.ideal())
-        assert device.faults == {FaultType.STUCK_ON, FaultType.IMPRECISE}
-        assert device.fault is FaultType.STUCK_ON  # stuck dominates
-        device.program_state(0.2)
-        assert device.state == 1.0  # pinned, imprecision irrelevant
-
-    def test_conflicting_stuck_faults_rejected(self):
-        with pytest.raises(ValueError):
-            FaultyMemristor({FaultType.STUCK_OFF, FaultType.STUCK_ON})
-        with pytest.raises(ValueError):
-            FaultyMemristor([])
-
     def test_plan_sampling_is_seeded(self):
         bounds = (1e-9, 1e-2)
         a = CrossbarFaultPlan.sample((6, 6), 0.3,
@@ -180,21 +112,3 @@ class TestComposableFaults:
         assert bar.fault_plan is not None
         np.testing.assert_array_equal(bar.fault_plan.mask,
                                       first | second)
-
-
-class TestPCAMUnderFaults:
-    def test_stuck_threshold_device_degrades_to_mismatch(self):
-        """A pCAM cell with a stuck threshold device fails safe."""
-        from repro.core.device_cell import DevicePCAMCell
-        from repro.core.pcam_cell import prog_pcam
-
-        cell = DevicePCAMCell(prog_pcam(1.5, 2.4, 2.6, 3.5),
-                              variability=VariabilityModel.ideal(),
-                              rng=np.random.default_rng(4))
-        # Break the low-threshold device after programming.
-        cell._lo = FaultyMemristor(FaultType.STUCK_ON,
-                                   params=cell.device_params,
-                                   variability=VariabilityModel.ideal())
-        responses = [cell.response(v) for v in (2.0, 2.5, 3.0)]
-        # The cell misbehaves but stays inside the probability rails.
-        assert all(0.0 <= r <= 1.0 for r in responses)

@@ -4,9 +4,11 @@
 rejects imports that would invert the package's layering: netfunc
 must not reach up into the dataplane or across into acam, core
 imports none of the layers built on it, ``repro.packet`` stays a leaf,
-and ``repro.control`` sits above dataplane/fabric/robustness/
+``repro.control`` sits above dataplane/fabric/robustness/
 observability — nothing imports it from below except the pipeline's
-default-controller convenience.
+default-controller convenience — and device/crossbar, the physical
+substrate, import no ``repro`` package but each other and three helper
+modules.
 """
 
 import importlib
@@ -52,7 +54,14 @@ def test_checker_catches_a_planted_violation(tmp_path, monkeypatch):
         # Rule 8: faults reach an aCAM bank from outside, via bank.pcam.
         "repro/acam/bad_j.py":
             "from repro.robustness.injector import FaultInjector\n",
+        # Rule 9: the physical substrate imports only itself and its
+        # helper modules.
+        "repro/crossbar/bad_k.py":
+            "from repro.robustness.models import ConverterQuantization\n",
         # Legal imports planted alongside must NOT be flagged.
+        "repro/device/good.py": "from repro.crossbar.array import Crossbar\n"
+                                "from repro.energy.units import "
+                                "joules_to_femtojoules\n",
         "repro/dataplane/good.py": "import repro.netfunc.firewall\n",
         # The control plane itself may import everything below it...
         "repro/control/good.py": "import repro.fabric\n"
@@ -86,6 +95,7 @@ def test_checker_catches_a_planted_violation(tmp_path, monkeypatch):
                        "src/repro/netfunc/bad_h.py",
                        "src/repro/core/bad_i.py",
                        "src/repro/acam/bad_j.py",
+                       "src/repro/crossbar/bad_k.py",
                        "src/repro/dataplane/control_loop.py",
                        "src/repro/dataplane/controller.py",
                        "src/repro/dataplane/__init__.py"}

@@ -56,6 +56,14 @@ def test_negative_parameters_rejected(field):
         VariabilityModel(**{field: -0.1})
 
 
+@pytest.mark.parametrize("field", ["read_sigma", "device_sigma",
+                                   "drift_rate_per_s", "drift_target"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_parameters_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        VariabilityModel(**{field: value})
+
+
 def test_drift_target_validated():
     with pytest.raises(ValueError):
         VariabilityModel(drift_target=2.0)

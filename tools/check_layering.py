@@ -33,6 +33,12 @@ the architectural layering of the package:
 8. ``repro.acam`` must not import ``repro.robustness``: a bank's rows
    are plain pCAM rows, so faults, the clean twin and the row oracle
    reach it from outside, through ``bank.pcam``.
+9. ``repro.device`` and ``repro.crossbar`` are the physical
+   substrate: they may import no ``repro`` package but each other and
+   three cross-cutting helper modules (the ``@profiled`` and
+   ``maybe_span`` instrumentation and the energy unit conversions), so
+   the one converter model (``crossbar.converters.DAC``) stays below
+   the fault taxonomy that quantises through it.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -63,6 +69,13 @@ FORBIDDEN = {
     "repro.robustness": ("repro.control",),
     "repro.observability": ("repro.control",),
 }
+
+#: the physical substrate, and the only ``repro`` modules it may
+#: import (rule 9).
+SUBSTRATE = ("repro.device", "repro.crossbar")
+SUBSTRATE_IMPORTS = SUBSTRATE + ("repro.energy.units",
+                                 "repro.observability.profiling",
+                                 "repro.observability.tracing")
 
 #: exact module -> prefixes its FORBIDDEN rules waive.  The waiver is
 #: per-module and per-prefix.
@@ -104,13 +117,18 @@ def imported_modules(path: Path, module: str) -> list[tuple[int, str]]:
     return found
 
 
+def within(module: str, prefix: str) -> bool:
+    return module == prefix or module.startswith(prefix + ".")
+
+
 def violations() -> list[str]:
     problems = []
     for path in sorted(SRC.glob("repro/**/*.py")):
         module = module_name(path)
         rules = [banned for prefix, banned in FORBIDDEN.items()
-                 if module == prefix or module.startswith(prefix + ".")]
-        if not rules:
+                 if within(module, prefix)]
+        substrate = any(within(module, prefix) for prefix in SUBSTRATE)
+        if not rules and not substrate:
             continue
         waived = EXCEPTIONS.get(module, ())
         rules = [tuple(banned for banned in banned_set
@@ -128,6 +146,13 @@ def violations() -> list[str]:
                             f"{path.relative_to(SRC.parent)}:{lineno}: "
                             f"{module} imports {target} "
                             f"(forbidden by layering contract)")
+            if substrate and within(target, "repro") and not any(
+                    within(target, prefix) for prefix in SUBSTRATE_IMPORTS):
+                problems.append(
+                    f"{path.relative_to(SRC.parent)}:{lineno}: "
+                    f"{module} imports {target} "
+                    f"(the substrate imports only itself and its "
+                    f"helper modules)")
     return problems
 
 
@@ -138,7 +163,8 @@ def main() -> int:
     if problems:
         print(f"{len(problems)} layering violation(s)", file=sys.stderr)
         return 1
-    print("layering contract clean: netfunc |> dataplane/acam, "
+    print("layering contract clean: device/crossbar are the substrate, "
+          "netfunc |> dataplane/acam, "
           "acam |> dataplane/simnet/robustness, core is the base, "
           "repro.packet is a leaf, repro.fabric composes, "
           "repro.control is the top")
