@@ -14,7 +14,13 @@ class TestDAC:
         assert dac.levels == 256
         assert dac.lsb_v == pytest.approx(4.0 / 255)
 
-    def test_endpoints_map_to_the_rails(self):
+    def test_encode_endpoints(self):
+        # The input endpoints snap to the first and the last code.
+        dac = DAC(bits=8, v_min=1.0, v_max=3.0)
+        codes = (dac.quantize_array([0.0, 1.0]) - dac.v_min) / dac.lsb_v
+        np.testing.assert_allclose(codes, [0, dac.levels - 1])
+
+    def test_convert_endpoints(self):
         dac = DAC(bits=8, v_min=0.0, v_max=4.0)
         np.testing.assert_array_equal(dac.quantize_array([0.0, 1.0]),
                                       [0.0, 4.0])
