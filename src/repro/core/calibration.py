@@ -27,6 +27,7 @@ from repro.core.device_cell import DevicePCAMCell
 from repro.core.pcam_cell import PCAMParams
 from repro.device.dataset import MemristorDataset
 from repro.device.energy import energy_statistics
+from repro.device.variability import check_finite
 
 __all__ = [
     "FeatureScaler",
@@ -50,6 +51,9 @@ class FeatureScaler:
     v_hi: float
 
     def __post_init__(self) -> None:
+        check_finite(feature_lo=self.feature_lo,
+                     feature_hi=self.feature_hi, v_lo=self.v_lo,
+                     v_hi=self.v_hi)
         if self.feature_lo >= self.feature_hi:
             raise ValueError(
                 f"empty feature range: [{self.feature_lo}, "

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.device.variability import check_finite
+
 
 @dataclass(frozen=True)
 class LineLossModel:
@@ -43,6 +45,10 @@ class LineLossModel:
     crosstalk_fraction: float = 0.002
 
     def __post_init__(self) -> None:
+        check_finite(
+            wire_resistance_per_cell_ohm=self.wire_resistance_per_cell_ohm,
+            sneak_conductance_s=self.sneak_conductance_s,
+            crosstalk_fraction=self.crosstalk_fraction)
         if self.wire_resistance_per_cell_ohm < 0:
             raise ValueError("wire resistance must be non-negative")
         if self.sneak_conductance_s < 0:

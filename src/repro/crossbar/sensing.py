@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.device.variability import check_finite
+
 
 @dataclass(frozen=True)
 class SenseAmplifier:
@@ -36,6 +38,9 @@ class SenseAmplifier:
     energy_per_sense_j: float = 10e-15
 
     def __post_init__(self) -> None:
+        check_finite(gain_error=self.gain_error, offset_a=self.offset_a,
+                     noise_a_rms=self.noise_a_rms,
+                     energy_per_sense_j=self.energy_per_sense_j)
         if self.noise_a_rms < 0:
             raise ValueError("noise must be non-negative")
         if self.energy_per_sense_j < 0:

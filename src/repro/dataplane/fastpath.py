@@ -26,7 +26,7 @@ from __future__ import annotations
 import ipaddress
 from collections import Counter, OrderedDict, deque
 from itertools import compress, repeat
-from operator import is_, is_not
+from operator import is_, is_not, itemgetter
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -452,67 +452,97 @@ _ACTIONS = tuple(Action)
 _DENY = _ACTIONS.index(Action.DENY)
 
 
-def classify_chunk(batch: PacketBatch, firewall, lookup,
-                   cache: FlowCache | None,
-                   tracer=None) -> tuple[np.ndarray, list[tuple]]:
-    """Vectorised ACL + LPM classification of one chunk.
+def classify_chunk(parts: Sequence[tuple[list, FlowCache | None, object]],
+                   firewall, lookup, tracer=None
+                   ) -> list[tuple[np.ndarray, list[tuple]]]:
+    """Vectorised ACL + LPM classification of one chunk's parts.
+
+    A part is ``(keys, cache, ledger)``: the :attr:`PacketBatch.flow_keys`
+    of some of the chunk's rows, the flow cache they probe (or None)
+    and the energy ledger that pays for their searches.  A switch
+    passes its chunk as one part; a fabric passes one part per shard,
+    all classified against the one table set the shards share.
 
     An outcome is the integer code ``action * (routes + 1) + route +
     1`` (the action's index in :class:`Action`, the winning LPM entry
-    or ``-1``), which is what the flow cache stores.  Returns
+    or ``-1``), which is what the flow cache stores.  Each part gets
     ``(row_entry, entries)``: ``entries`` holds the ``(action,
     next_hop)`` of each distinct code in order of first appearance and
     ``row_entry[i]`` indexes row ``i``'s, so no ``Action`` is hashed
     per row.
 
-    Field widths are checked once (:meth:`PacketBatch.flow_words`)
-    before every row probes the flow cache with its 16-byte key (so
-    all rows of a flow new to the chunk count as misses); the unique
-    missing flows are then unpacked back to words in one
-    ``np.frombuffer`` and searched in one firewall pass, the ACL survivors that carry a
-    destination get one LPM pass, and their codes are cached.  The
-    lookup for denied or destination-less flows is skipped exactly as
-    the scalar reference skips it.
+    Every part's rows probe its flow cache with their 16-byte keys (so
+    all rows of a flow new to the part count as misses).  The unique
+    missing flows of every part are then unpacked back to words in one
+    ``np.frombuffer`` and searched in one firewall pass; the ACL
+    survivors that carry a destination get one LPM pass, and each
+    part caches its own codes.  Each ledger pays for its own part's
+    keys, exactly as a search of that part alone would charge it; a
+    part with no keys in a pass pays nothing for it.  The lookup for
+    denied or destination-less flows is skipped exactly as the scalar
+    reference skips it.
     """
-    keys = batch.flow_keys
-    if not keys:
-        return np.zeros(0, dtype=np.intp), []
     generation = (firewall.generation, lookup.generation)
     stride = len(lookup.tcam) + 1
-    found = cache.probe(keys, generation) if cache is not None \
-        else [None] * len(keys)
-    if None in found:
-        found = _classify_misses(keys, found, firewall, lookup, stride,
-                                 cache, generation, tracer)
-    codes = list(dict.fromkeys(found))
-    position = np.zeros(max(codes) + 1, dtype=np.intp)
-    position[codes] = np.arange(len(codes))
+    found, missing = [], []
+    for keys, cache, _ in parts:
+        rows = cache.probe(keys, generation) if cache is not None \
+            else [None] * len(keys)
+        found.append(rows)
+        # Probes precede puts, so a flow misses on all of its rows or
+        # on none: one dict pass numbers the part's missing flows in
+        # first-row order.
+        missing.append(dict.fromkeys(compress(keys, map(is_, rows,
+                                                        repeat(None))))
+                       if None in rows else {})
+    if any(missing):
+        codes = _search_misses(parts, missing, firewall, lookup, stride,
+                               tracer)
+        start = 0
+        for index, ((keys, cache, _), flows) in enumerate(
+                zip(parts, missing)):
+            if flows:
+                stop = start + len(flows)
+                if cache is not None:
+                    cache.put_many(flows, codes[start:stop], generation)
+                code_of = dict(zip(flows, codes[start:stop]))
+                found[index] = list(map(code_of.get, keys, found[index]))
+                start = stop
     routes = lookup.routes
-    entries = [(_ACTIONS[code // stride],
-                routes[code % stride - 1].next_hop if code % stride
-                else None) for code in codes]
-    return position[np.array(found, dtype=np.intp)], entries
+    outcomes = []
+    for rows in found:
+        codes = list(dict.fromkeys(rows))
+        position = np.zeros(max(codes, default=0) + 1, dtype=np.intp)
+        position[codes] = np.arange(len(codes))
+        entries = [(_ACTIONS[code // stride],
+                    routes[code % stride - 1].next_hop if code % stride
+                    else None) for code in codes]
+        outcomes.append((position[np.array(rows, dtype=np.intp)],
+                         entries))
+    return outcomes
 
 
-def _classify_misses(keys: list[bytes], found: list, firewall, lookup,
-                     stride: int, cache: FlowCache | None, generation,
-                     tracer) -> list[int]:
-    """Search the chunk's unique missing flows; every row's code."""
-    # Probes precede puts, so a flow misses on all of its rows or on
-    # none: one dict pass numbers the missing flows in first-row order.
-    missing = dict.fromkeys(compress(keys, map(is_, found, repeat(None))))
-    words = np.frombuffer(b"".join(missing), np.uint64).reshape(-1, 2)
+def _search_misses(parts, missing: list[dict], firewall, lookup,
+                   stride: int, tracer) -> list[int]:
+    """Search every part's unique missing flows; their codes, in order."""
+    counts = list(map(len, missing))
+    ledgers = list(map(itemgetter(2), parts))
+    words = np.frombuffer(b"".join(map(b"".join, missing)),
+                          np.uint64).reshape(-1, 2)
     hi, lo = words[:, 0], words[:, 1]
     with maybe_span(tracer, "dataplane.firewall", batch=len(words)):
-        acl = firewall.check_batch(np.column_stack((hi, lo >> _U64[1])))
+        acl = firewall.check_batch(
+            np.column_stack((hi, lo >> _U64[1])),
+            list(compress(zip(ledgers, counts), counts)))
     action = firewall.action_codes(acl)
     route = np.full(len(words), -1, dtype=np.intp)
-    routed = np.flatnonzero((action != _DENY) & ((lo & _U64[1]) != 0))
-    if len(routed):
-        with maybe_span(tracer, "dataplane.ip_lookup", batch=len(routed)):
-            route[routed] = lookup.lookup_batch(hi[routed] & _LOW32)
-    codes = (action * stride + route + 1).tolist()
-    if cache is not None:
-        cache.put_many(missing, codes, generation)
-    code_of = dict(zip(missing, codes))
-    return list(map(code_of.get, keys, found))
+    rows = np.flatnonzero((action != _DENY) & ((lo & _U64[1]) != 0))
+    if len(rows):
+        routed = [len(rows)] if len(counts) == 1 else np.bincount(
+            np.repeat(np.arange(len(counts)), counts)[rows],
+            minlength=len(counts)).tolist()
+        with maybe_span(tracer, "dataplane.ip_lookup", batch=len(rows)):
+            route[rows] = lookup.lookup_batch(
+                hi[rows] & _LOW32,
+                list(compress(zip(ledgers, routed), routed)))
+    return (action * stride + route + 1).tolist()

@@ -22,18 +22,21 @@ chunk and stage spans on the observability hub's tracer and calls the
 ``supervise`` hook once per chunk; stages write their counters
 straight into the switch's telemetry collector, and a per-component
 energy ledger attributes each packet's cost to the digital and analog
-domains.
+domains.  The walk pauses inside its digital-MAT stage for the
+chunk's table searches (:func:`walk_chunks`): a switch runs one walk
+at a time, a fabric the walks of all its shards for one chunk, so
+shards that share their tables search them once.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
 from repro.control.cognitive import CognitiveNetworkController
 from repro.dataplane.classify import ClassificationStage
-from repro.dataplane.fastpath import FlowCache, PacketBatch
+from repro.dataplane.fastpath import FlowCache, PacketBatch, classify_chunk
 from repro.dataplane.results import (
     DROP_EVENTS,
     VERDICT_CODES,
@@ -61,7 +64,33 @@ from repro.packet import Packet
 from repro.tcam.mtcam import MemristorTCAM
 
 __all__ = ["AnalogPacketProcessor", "BatchResults", "ProcessResult",
-           "Verdict"]
+           "Verdict", "walk_chunks"]
+
+
+def walk_chunks(walks: list[Generator], firewall, lookup,
+                tracer=None) -> None:
+    """Run chunk walks to their end with one digital classification.
+
+    Each walk (:meth:`AnalogPacketProcessor.open_chunk`) runs into its
+    digital-MAT stage and yields its part; one
+    :func:`~repro.dataplane.fastpath.classify_chunk` call over every
+    part searches the shared ``firewall`` and ``lookup`` (its spans on
+    ``tracer``), and each walk then finishes with its own outcome —
+    the last opened first, so walks sharing one tracer close their
+    spans innermost first.  A walk an error leaves unfinished is
+    closed, which still books its stage energy and supervises it.
+    """
+    try:
+        parts = list(map(next, walks))
+        outcomes = classify_chunk(parts, firewall, lookup, tracer)
+        for walk, outcome in zip(walks[::-1], outcomes[::-1]):
+            try:
+                walk.send(outcome)
+            except StopIteration:
+                pass
+    finally:
+        for walk in walks[::-1]:
+            walk.close()
 
 
 class AnalogPacketProcessor:
@@ -199,6 +228,27 @@ class AnalogPacketProcessor:
         self.lookup.add_route(prefix, next_hop)
         self.invalidate_flow_cache()
 
+    def digital_tables(self) -> tuple:
+        """What the digital MATs hold, comparable across switches: the
+        firewall's TCAM kind, default action and rules, the lookup's
+        TCAM kind and routes, and the next-hop -> port map."""
+        firewall, lookup = self.firewall, self.lookup
+        return (type(firewall.tcam), firewall.default_action,
+                firewall.rules, type(lookup.tcam), lookup.routes,
+                self._ports_by_hop)
+
+    def share_tables(self, owner: "AnalogPacketProcessor") -> None:
+        """Classify against ``owner``'s firewall, IP lookup and
+        next-hop -> port map from now on (a fabric's one table set).
+
+        A route or rule added through either switch then reaches both;
+        each keeps its own flow cache, which the shared table
+        generations flush on the next probe.
+        """
+        self.firewall = owner.firewall
+        self.lookup = owner.lookup
+        self._ports_by_hop = owner._ports_by_hop
+
     def add_firewall_rule(self, rule: FirewallRule) -> None:
         """Append an ACL rule (invalidates the flow cache)."""
         self.firewall.add_rule(rule)
@@ -295,39 +345,71 @@ class AnalogPacketProcessor:
     def _run_chunks(self, batch: PacketBatch, index: np.ndarray,
                     now: float, chunk_size: int, emit,
                     entry_name: str = "dataplane.process_batch") -> None:
-        """Walk a batch through the match-action stages chunk by chunk.
-
-        Each chunk runs under the ``entry_name`` span; ``supervise(now)``
-        follows its stages, also when one of them raises.
-        """
+        """Walk a batch through the match-action stages chunk by chunk:
+        each chunk is a one-walk :func:`walk_chunks` call."""
         if chunk_size < 1:
             raise ValueError(
                 f"chunk size must be >= 1: {chunk_size!r}")
         for start in range(0, len(batch), chunk_size):
             stop = start + chunk_size
-            chunk = batch.slice(start, stop)
-            self.chunks += 1
-            with maybe_span(self.tracer, entry_name, chunk=len(chunk)):
-                try:
-                    self._walk(chunk, index[start:stop], now, emit)
-                finally:
-                    if self.supervise is not None:
-                        self.supervise(now)
+            walk_chunks([self._walk(batch.slice(start, stop),
+                                    index[start:stop], now, emit,
+                                    entry_name)],
+                        self.firewall, self.lookup, self.tracer)
+
+    def open_chunk(self, batch: PacketBatch, now: float
+                   ) -> tuple[BatchResults, Generator]:
+        """One chunk's results and its walk, not yet started.
+
+        The walk fills the results once :func:`walk_chunks` runs it; a
+        fabric runs its shards' walks of a slice in one call, so their
+        digital MATs classify the slice together.
+        """
+        self._set_time(now)
+        results = BatchResults.empty(len(batch), batch.packets)
+        return results, self._walk(batch, np.arange(len(batch)), now,
+                                   self._emitter(results),
+                                   "dataplane.process_batch")
 
     def _walk(self, batch: PacketBatch, index: np.ndarray, now: float,
-              emit) -> None:
+              emit, entry_name: str) -> Generator:
         """Digital MATs -> (aCAM classification) -> egress for one chunk.
 
-        A stage runs only while rows survive: a chunk the digital
-        tables drop entirely skips the rest.
+        The walk is a generator.  It runs into the digital-MAT stage,
+        yields the chunk's :func:`~repro.dataplane.fastpath.classify_chunk`
+        part ``(flow keys, flow cache, the stage's ledger)`` with the
+        stage open, and is sent the part's outcome, so the searches are
+        charged inside the stage.  The chunk runs under the ``entry_name``
+        span, and ``supervise(now)`` follows its stages, also when one
+        of them raises or the walk is closed unfinished.  A stage runs
+        only while rows survive: a chunk the digital tables drop
+        entirely skips the rest.
         """
-        batch, index, ports = self._stage(
-            self._digital_stage, batch, index, now, emit, self.tracer)
-        if not len(batch):
-            return
-        if self.classifier is not None:
-            ports = self._stage(self._classify_stage, batch, ports)
-        self._stage(self._egress_stage, batch, index, ports, now, emit)
+        self.chunks += 1
+        with maybe_span(self.tracer, entry_name, chunk=len(batch)):
+            try:
+                stage = self._digital_stage
+                self.stage_runs[stage.name] = \
+                    self.stage_runs.get(stage.name, 0) + 1
+                before = self.ledger.total
+                try:
+                    with maybe_span(self.tracer, stage.span_name,
+                                    chunk=len(batch)):
+                        outcome = yield (batch.flow_keys, self.flow_cache,
+                                         stage.ledger)
+                        batch, index, ports = stage.process_batch(
+                            batch, index, now, emit, outcome)
+                finally:
+                    self._attribute(stage.name, before)
+                if not len(batch):
+                    return
+                if self.classifier is not None:
+                    ports = self._stage(self._classify_stage, batch, ports)
+                self._stage(self._egress_stage, batch, index, ports, now,
+                            emit)
+            finally:
+                if self.supervise is not None:
+                    self.supervise(now)
 
     def _stage(self, stage, batch: PacketBatch, *args):
         """Run one stage under its span, counting the run and booking

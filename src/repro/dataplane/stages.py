@@ -22,11 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataplane.fastpath import (
-    PacketBatch,
-    classify_chunk,
-    first_appearance_counts,
-)
+from repro.dataplane.fastpath import PacketBatch, first_appearance_counts
 from repro.dataplane.results import DROP_EVENTS, Verdict
 from repro.dataplane.traffic_manager import ADMISSIONS, Admission
 from repro.netfunc.firewall import Action
@@ -47,11 +43,13 @@ class DigitalMatsStage:
     Emits ``DROPPED_ACL``/``DROPPED_NO_ROUTE`` for the rows the
     digital tables dispose of, INT-stamps the survivors with their
     egress queue state, and returns the survivors with their absolute
-    row indices and resolved egress ports.  The per-row outcome comes
-    from :func:`classify_chunk` as an index into the chunk's few
-    distinct outcomes (in first-appearance order), so the tallies are
-    sums over outcomes and the verdicts and ports are gathers over that
-    index — no per-row Python.
+    row indices and resolved egress ports.  The per-row outcome is the
+    chunk's :func:`~repro.dataplane.fastpath.classify_chunk` result,
+    which the processor's chunk walk computes while the stage is open
+    (on a fabric, for every shard's part of the slice at once): an
+    index into the chunk's few distinct outcomes (in first-appearance
+    order), so the tallies are sums over outcomes and the verdicts and
+    ports are gathers over that index — no per-row Python.
     """
 
     name = "digital_mats"
@@ -59,16 +57,19 @@ class DigitalMatsStage:
 
     def __init__(self, switch) -> None:
         self.switch = switch
+        #: The ledger that pays for this switch's table searches, bound
+        #: at assembly like every component's (the tables themselves
+        #: may be shared with other switches).
+        self.ledger = switch.ledger
 
     def process_batch(self, batch: PacketBatch, index: np.ndarray,
-                      now: float, emit, tracer
+                      now: float, emit, outcome: tuple[np.ndarray, list]
                       ) -> tuple[PacketBatch, np.ndarray, np.ndarray]:
-        """(survivors, their indices, their egress ports) of a chunk."""
+        """(survivors, their indices, their egress ports) of a chunk,
+        given its classification ``outcome``."""
         switch = self.switch
         telemetry = switch.telemetry
-        row_entry, entries = classify_chunk(
-            batch, switch.firewall, switch.lookup, switch.flow_cache,
-            tracer)
+        row_entry, entries = outcome
         counts = np.bincount(row_entry, minlength=len(entries)).tolist()
         default = switch.firewall.default_action
         deny = Action.DENY

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.device.variability import VariabilityModel
+from repro.device.variability import VariabilityModel, check_finite
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class MemristorParams:
     window_exponent: float = 2.0
 
     def __post_init__(self) -> None:
+        check_finite(**{name: getattr(self, name)
+                        for name in self.__dataclass_fields__})
         if self.r_on <= 0 or self.r_off <= 0:
             raise ValueError("resistances must be positive")
         if self.r_off <= self.r_on:

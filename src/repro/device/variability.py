@@ -36,7 +36,7 @@ def check_finite(**fields: float) -> None:
     finiteness before its ranges.
     """
     for name, value in fields.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite: {value!r}")
 
 

@@ -1,10 +1,11 @@
 """Sharded multi-switch fabric: RSS steering + transactional control.
 
-The fabric is the repo's horizontal-scale layer: N complete cognitive
-switches (each its own chunk walk, flow cache, energy ledger and
-telemetry domain) behind a symmetric Toeplitz RSS front end, with a
-two-phase controller that reprograms all shards atomically.  Every
-shard runs in the caller's process.  See DESIGN.md §14.
+The fabric is the repo's horizontal-scale layer: N cognitive switches
+sharing one set of digital tables (each with its own chunk walk, flow
+cache, queues and AQMs, energy ledger and telemetry domain) behind a
+symmetric Toeplitz RSS front end, with a two-phase controller that
+reprograms all shards atomically.  Every shard runs in the caller's
+process.  See DESIGN.md §14.
 """
 
 from repro.dataplane.results import VERDICTS

@@ -11,8 +11,10 @@ with a two-phase protocol over its own list of staged ops:
    AQMs is checked against every shard's AQMs, before any shard
    changes.  One refused op refuses the whole transaction: every
    shard and the generation stay as they were.
-2. **apply** — under the fabric's chunk-dispatch lock, every shard
-   applies the ops and the fabric generation increments once.
+2. **apply** — under the fabric's chunk-dispatch lock, the routes
+   and rules are written once to the tables the shards share, every
+   shard applies the other ops and drops its flow cache, and the
+   fabric generation increments once.
 
 Because chunk dispatch holds the same lock while a chunk runs on its
 shards, a chunk sees either the pre-commit configuration on *all*

@@ -1,9 +1,16 @@
 """The sharded multi-switch fabric.
 
 :class:`SwitchFabric` scales one cognitive switch horizontally: N
-full ``build_switch`` products (shards), an RSS front end steering
-flows across them, and a merged observability surface that presents
-the ensemble as a single processor.
+``build_switch`` products (shards) behind an RSS front end, with a
+merged observability surface that presents the ensemble as a single
+processor.  The shards share one set of digital tables: at
+construction the fabric checks that every shard's firewall, IP lookup
+and next-hop -> port map hold the same entries, then points every
+shard at shard 0's.  Each shard keeps its own flow cache, traffic
+manager (queues and AQMs), energy ledger and telemetry, and its own
+chunk walk; the walks of one chunk's shards run together, so their
+digital MATs make one firewall search and one LPM search per chunk,
+each shard's ledger paying for its own keys.
 
 **Replay identity.**  A fabric replay is byte-identical to the serial
 walk of the same trace because every divergence channel is closed:
@@ -11,10 +18,12 @@ walk of the same trace because every divergence channel is closed:
 * chunking happens at the *serial* chunk boundaries first, and each
   scattered sub-chunk runs as a single admission chunk — so per-chunk
   dedup sets and cache probe sequences partition cleanly (steering is
-  flow-consistent: all packets of a flow share a shard);
+  flow-consistent: all packets of a flow share a shard, so the shards'
+  cache misses are disjoint);
 * the energy ledger books integer counts of fixed quanta and merges
-  exactly (:class:`~repro.energy.ledger.ExactJoules`), so summed
-  shard ledgers equal the serial ledger bit-for-bit;
+  exactly (:class:`~repro.energy.ledger.ExactJoules`), and a shared
+  search charges each shard exactly what searching its keys alone
+  would, so summed shard ledgers equal the serial ledger bit-for-bit;
 * telemetry is pure counters that sum, and results scatter back to
   their original positions.
 
@@ -26,7 +35,8 @@ identity, is the contract there.
 **Generation purity.**  One lock orders chunk dispatch against
 transaction commits, which may arrive from another thread: a chunk
 runs on all its shards under the lock, and a commit applies its ops
-to all shards under the same lock, so no chunk can observe two
+under the same lock (routes and rules once, to the shared tables; the
+flow-cache and AQM ops on every shard), so no chunk can observe two
 fabric generations.
 """
 
@@ -38,6 +48,7 @@ import time
 import numpy as np
 
 from repro.dataplane.fastpath import PacketBatch
+from repro.dataplane.pipeline import walk_chunks
 from repro.dataplane.results import (
     VERDICTS,
     BatchResults,
@@ -49,7 +60,7 @@ from repro.dataplane.traffic_manager import offer, serve_offer
 from repro.energy.ledger import EnergyLedger
 from repro.fabric.controller import FabricController
 from repro.fabric.rss import ToeplitzRSS
-from repro.fabric.shards import Shard
+from repro.fabric.shards import TABLE_OPS, Shard
 
 __all__ = ["SwitchFabric"]
 
@@ -92,7 +103,9 @@ class SwitchFabric:
     ----------
     shard_factory:
         Zero-argument callable building one complete processor (a
-        ``build_switch`` product).  Called once per shard.
+        ``build_switch`` product).  Called once per shard; every call
+        must build the same digital tables (``ValueError`` names the
+        first shard that differs), which the shards then share.
     n_shards:
         Number of shard pipelines.
     rss:
@@ -110,6 +123,17 @@ class SwitchFabric:
         self.n_shards = n_shards
         self.rss = rss or ToeplitzRSS(n_shards)
         self.shards = [Shard(shard_factory()) for _ in range(n_shards)]
+        owner = self.shards[0].processor
+        for index, shard in enumerate(self.shards[1:], 1):
+            if shard.processor.digital_tables() != owner.digital_tables():
+                raise ValueError(
+                    f"shard {index}'s digital tables differ from shard "
+                    f"0's: the shards share one firewall and IP lookup, "
+                    f"so the factory must build them alike")
+            shard.processor.share_tables(owner)
+        #: The firewall and IP lookup every shard classifies against.
+        self.firewall = owner.firewall
+        self.lookup = owner.lookup
         self.n_ports = self.shards[0].n_ports
         self.controller = FabricController(self)
         self._lock = threading.Lock()
@@ -167,26 +191,40 @@ class SwitchFabric:
     def _dispatch(self, chunk: PacketBatch, shard_ids: np.ndarray,
                   counts: list[int], now: float, results: BatchResults,
                   base: int) -> None:
-        """Run each shard's rows of one chunk; scatter the results."""
+        """Run each shard's rows of one chunk, their digital MATs
+        classified in one pass over the shared tables; scatter the
+        results."""
         with self._lock:
+            opened, walks = [], []
             for shard, count in enumerate(counts):
                 if count:
                     rows = np.flatnonzero(shard_ids == shard)
-                    codes, ports = self.shards[shard].process(
+                    shard_results, walk = self.shards[shard].open(
                         chunk if count == len(chunk) else chunk.take(rows),
                         now)
-                    results.codes[base + rows] = codes
-                    results.ports[base + rows] = ports
+                    opened.append((rows, shard_results))
+                    walks.append(walk)
+            walk_chunks(walks, self.firewall, self.lookup,
+                        self.shards[0].processor.tracer)
+            for rows, shard_results in opened:
+                results.codes[base + rows] = shard_results.codes
+                results.ports[base + rows] = shard_results.ports
 
     # ------------------------------------------------------------------
     # Transactions (driven by the controller)
     # ------------------------------------------------------------------
     def _apply_all(self, ops) -> int:
-        """Apply checked ops to every shard; the new generation."""
+        """Apply checked ops to every shard; the new generation.
+
+        A route or rule is written once, to the shared tables through
+        shard 0; every other shard drops its flow cache in its place,
+        as its own table write would have.
+        """
         with self._lock:
-            for shard in self.shards:
+            for index, shard in enumerate(self.shards):
                 for op in ops:
-                    shard.apply(op)
+                    shard.apply(op if not index or op[0] not in TABLE_OPS
+                                else ("invalidate_flow_cache", ()))
             self._generation += 1
             return self._generation
 

@@ -1,14 +1,18 @@
 """One fabric shard and the programming ops the fabric commits to it.
 
-A *shard* is one full ``build_switch`` product — its own chunk walk,
-flow cache, energy ledger and telemetry domain — behind the few calls
-the fabric makes:
+A *shard* is a ``build_switch`` product whose digital tables are the
+fabric's: it classifies against the one firewall and IP lookup every
+shard shares, and keeps its own flow cache, traffic manager (queues
+and AQMs), energy ledger and telemetry domain.  The fabric makes a
+few calls on it:
 
-* ``process`` — run one sub-chunk of a
-  :class:`~repro.dataplane.fastpath.PacketBatch` as a single
-  admission chunk (the fabric chunks at serial boundaries *before*
-  scattering, which is what keeps dedup sets, cache sequences and
-  energy multisets identical to the serial walk);
+* ``open`` — one sub-chunk of a
+  :class:`~repro.dataplane.fastpath.PacketBatch` as a single admission
+  chunk: its results and its chunk walk, which the fabric runs with
+  the other shards' walks of the same chunk so that their digital MATs
+  search the shared tables once (the fabric chunks at serial
+  boundaries *before* scattering, which is what keeps dedup sets,
+  cache sequences and energy multisets identical to the serial walk);
 * ``apply`` — one committed programming op;
 * ``dequeue`` — the per-packet egress reference, used while a port's
   AQM may drop at the head; otherwise the fabric drains every port
@@ -21,17 +25,17 @@ untouched.
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.netfunc.firewall import Firewall
 from repro.netfunc.lookup import IPLookup
 
-__all__ = ["FABRIC_OPS", "Shard", "check_op"]
+__all__ = ["FABRIC_OPS", "Shard", "TABLE_OPS", "check_op"]
 
-#: Programming operations the fabric controller may stage.  Every op
-#: is a ``(name, args)`` pair applied identically on every shard, so
-#: one committed transaction leaves all shards in the same
-#: configuration.
+#: Programming operations the fabric controller may stage, each a
+#: ``(name, args)`` pair.  A table op (:data:`TABLE_OPS`) is applied
+#: once, to the tables every shard shares, and drops every shard's
+#: flow cache; the others are applied on every shard.  Either way one
+#: committed transaction leaves all shards in the same configuration.
 FABRIC_OPS = frozenset({
     "add_route",
     "add_firewall_rule",
@@ -39,6 +43,8 @@ FABRIC_OPS = frozenset({
     "retarget",
     "reprogram_intended",
 })
+#: The ops that write the shared digital tables.
+TABLE_OPS = frozenset({"add_route", "add_firewall_rule"})
 
 
 def _analog(aqm):
@@ -93,18 +99,16 @@ def check_op(op: tuple[str, tuple], shards: list["Shard"]) -> None:
 
 
 class Shard:
-    """One complete switch behind the fabric."""
+    """One switch behind the fabric, on the fabric's shared tables."""
 
     def __init__(self, processor) -> None:
         self.processor = processor
         self.n_ports = processor.traffic_manager.n_ports
 
-    def process(self, batch, now: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Run one sub-chunk as a single admission chunk; (codes, ports)."""
-        results = self.processor.process_batch(
-            batch, now=now, chunk_size=max(len(batch), 1))
-        return results.codes, results.ports
+    def open(self, batch, now: float):
+        """One sub-chunk's results and its walk as a single admission
+        chunk (see :func:`~repro.dataplane.pipeline.walk_chunks`)."""
+        return self.processor.open_chunk(batch, now)
 
     def apply(self, op: tuple[str, tuple]) -> None:
         """Apply one committed programming op."""

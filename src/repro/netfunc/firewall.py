@@ -83,6 +83,11 @@ class Firewall:
         return len(self._rules)
 
     @property
+    def rules(self) -> tuple[FirewallRule, ...]:
+        """All installed rules, in match order."""
+        return tuple(self._rules)
+
+    @property
     def generation(self) -> int:
         """Version of the rule set; bumps whenever the table mutates.
 
@@ -134,7 +139,7 @@ class Firewall:
             return self.default_action
         return self._actions[result.best_index]
 
-    def check_batch(self, keys: np.ndarray) -> np.ndarray:
+    def check_batch(self, keys: np.ndarray, charges=None) -> np.ndarray:
         """Winning rule per packed key; ``-1`` where the default applies.
 
         ``keys`` is a (batch, 2) uint64 array of 104-bit keys packed as
@@ -142,9 +147,12 @@ class Firewall:
         ``src << 32 | dst``, word 1 is ``sport << 24 | dport << 8 |
         proto``.  One vectorised TCAM pass; per-key match semantics
         and charged energy are identical to calling :meth:`check` in
-        a loop.  :meth:`action_codes` turns the result into verdicts.
+        a loop.  ``charges`` names the ledgers that pay for the keys,
+        as :meth:`~repro.tcam.tcam.TCAM.search_words` takes them
+        (default: the table's own).  :meth:`action_codes` turns the
+        result into verdicts.
         """
-        return self.tcam.search_words(keys).best_indices
+        return self.tcam.search_words(keys, charges).best_indices
 
     def action_codes(self, entries: np.ndarray) -> np.ndarray:
         """Each entry's action as an index into ``tuple(Action)``.

@@ -90,16 +90,20 @@ class IPLookup:
             return None
         return self._next_hops[result.best_index]
 
-    def lookup_batch(self, addresses: np.ndarray) -> np.ndarray:
+    def lookup_batch(self, addresses: np.ndarray, charges=None
+                     ) -> np.ndarray:
         """Winning route per uint32 destination; ``-1`` where none does.
 
         Each address is its own one-word packed key.  One vectorised
         longest-prefix-match pass; per-address results and charged
         energy are identical to looping :meth:`lookup`, and
-        :attr:`routes` names each winner's next hop.
+        :attr:`routes` names each winner's next hop.  ``charges`` names
+        the ledgers that pay for the addresses, as
+        :meth:`~repro.tcam.tcam.TCAM.search_words` takes them (default:
+        the table's own).
         """
         keys = np.asarray(addresses, dtype=np.uint64).reshape(-1, 1)
-        return self.tcam.search_words(keys).best_indices
+        return self.tcam.search_words(keys, charges).best_indices
 
     @property
     def routes(self) -> tuple[Route, ...]:

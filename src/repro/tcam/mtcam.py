@@ -98,11 +98,13 @@ class MemristorTCAM(TCAM):
 
     def _search_quanta(self) -> None:
         """None: a memristor search is charged per cell, from its
-        mismatch count (:meth:`_charge_slice`)."""
+        mismatch count (:meth:`_charge`)."""
         return None
 
-    def _charge_slice(self, diff: np.ndarray, n_keys: int) -> float:
-        """Book a burst of searches from its masked XOR; return joules.
+    def _charge(self, ledger: EnergyLedger, diff: np.ndarray,
+                n_keys: int) -> float:
+        """Book a burst of searches to ``ledger`` from its masked XOR;
+        return joules.
 
         Every stored cell takes part in every key's search: a
         mismatching cell (a set bit of ``diff = (key ^ bits) & care``,
@@ -117,11 +119,10 @@ class MemristorTCAM(TCAM):
         mismatching = int(np.count_nonzero(np.unpackbits(
             diff.view(np.uint8))))
         leak, discharge = self._cell_energies()
-        self.ledger.charge_quanta(ACCOUNT_COMPUTE, discharge, mismatching)
-        self.ledger.charge_quanta(ACCOUNT_COMPUTE, leak,
-                                  total_cells - mismatching)
-        self.ledger.charge_quanta(ACCOUNT_MOVEMENT, _NO_MOVEMENT,
-                                  total_cells)
+        ledger.charge_quanta(ACCOUNT_COMPUTE, discharge, mismatching)
+        ledger.charge_quanta(ACCOUNT_COMPUTE, leak,
+                             total_cells - mismatching)
+        ledger.charge_quanta(ACCOUNT_MOVEMENT, _NO_MOVEMENT, total_cells)
         return (mismatching * discharge.joules
                 + (total_cells - mismatching) * leak.joules)
 

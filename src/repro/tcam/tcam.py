@@ -15,7 +15,7 @@ transistor-based designs (Figure 1, [23, 41]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,6 +216,35 @@ class _PackedTable(NamedTuple):
     quanta: tuple
 
 
+def _match_slices(charges, n_keys: int, step: int
+                  ) -> list[tuple[int, list]]:
+    """The match passes of one charged search: ``(start, pieces)``.
+
+    Each ledger's keys are cut into runs of at most ``step`` keys, one
+    charge each, exactly as a search of those keys alone would cut
+    them; consecutive runs share one pass over rows ``[start,
+    pieces[-1][2])`` while they fit in ``step`` keys.  A piece is
+    ``(ledger, lo, hi)`` in batch rows.  Raises ``ValueError`` unless
+    the charges' counts are non-negative and sum to ``n_keys``.
+    """
+    passes: list[tuple[int, list]] = []
+    start = 0
+    for ledger, count in charges:
+        if count < 0:
+            raise ValueError(f"negative key count in charges: {count!r}")
+        for lo in range(start, start + count, step):
+            piece = (ledger, lo, min(lo + step, start + count))
+            if passes and piece[2] - passes[-1][0] <= step:
+                passes[-1][1].append(piece)
+            else:
+                passes.append((lo, [piece]))
+        start += count
+    if start != n_keys:
+        raise ValueError(f"charges cover {start} keys, the batch has "
+                         f"{n_keys}")
+    return passes
+
+
 class TCAM:
     """A priority-ordered ternary CAM with a digital energy model.
 
@@ -348,29 +377,21 @@ class TCAM:
         return (quantum, Quantum(quantum * self.movement_fraction),
                 Quantum(quantum * (1.0 - self.movement_fraction)))
 
-    def _match(self, keys: np.ndarray) -> tuple[np.ndarray, float]:
+    def _match(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One match-line evaluation of packed ``keys`` against every row.
 
         A key matches a row when ``((key ^ bits) & care) == 0`` in every
         word.  Returns the (keys, rows + 1) mismatch words in priority
         order, zero exactly where a key matches a row (so the sentinel
-        column is all zero), and the energy booked for the searches
-        (one ledger charge per call).
+        column is all zero), and the masked XOR itself, which
+        :meth:`_charge` books the searches from.
         """
         table = self._ensure_words()
         diff = (keys[:, None, :] ^ table.bits) & table.care
-        energy = self._charge_slice(diff, len(keys))
         mismatch = diff[:, :, 0]
         for word in range(1, diff.shape[2]):
             mismatch = mismatch | diff[:, :, word]
-        return mismatch, energy
-
-    def _best(self, keys: np.ndarray) -> tuple[np.ndarray, float]:
-        """Each key's winning entry (``-1`` on a miss) and the energy:
-        the first zero of a mismatch row, which is the sentinel's
-        when no entry matches."""
-        mismatch, energy = self._match(keys)
-        return self._words.order[mismatch.argmin(axis=1)], energy
+        return mismatch, diff
 
     def search(self, key: np.ndarray | int) -> SearchResult:
         """One-cycle search of all entries against ``key``.
@@ -384,7 +405,8 @@ class TCAM:
             raise ValueError(
                 f"key shape {key.shape} != ({self.width_bits},)")
         order = self._ensure_words().order
-        mismatch, energy = self._match(pack_bits(key[None, :]))
+        mismatch, diff = self._match(pack_bits(key[None, :]))
+        energy = self._charge(self.ledger, diff, 1)
         hits = order[mismatch[0] == 0][:-1].tolist()
         self._searches += 1
         return SearchResult(matched_indices=tuple(sorted(hits)),
@@ -393,7 +415,7 @@ class TCAM:
                             latency_s=self.search_latency_s)
 
     #: Upper bound on the cells (keys x entries x width) one vectorised
-    #: slice may search; each slice is one ledger charge.
+    #: slice may search; each slice is one charge per paying ledger.
     _MAX_BATCH_CELLS = 1 << 24
 
     def search_batch(self, keys: np.ndarray) -> BatchSearchResult:
@@ -410,15 +432,23 @@ class TCAM:
                 f"(batch, {self.width_bits})")
         return self.search_words(pack_bits(key_bits))
 
-    def search_words(self, keys: np.ndarray) -> BatchSearchResult:
+    def search_words(self, keys: np.ndarray,
+                     charges: Sequence[tuple[EnergyLedger, int]] | None
+                     = None) -> BatchSearchResult:
         """Search many packed keys against all entries in one NumPy pass.
 
         ``keys`` is a (batch, words) uint64 array in the
-        :func:`pack_bits` layout.  Match semantics, priority resolution
-        and the charged energy are exactly ``batch`` scalar
-        :meth:`search` calls; only the interpreter round trips are
-        removed.  Large batches are sliced so no slice searches more
-        than :attr:`_MAX_BATCH_CELLS` cells.
+        :func:`pack_bits` layout.  ``charges`` names who pays: ``(ledger,
+        n)`` pairs in key order, each ledger paying for the next ``n``
+        keys (the counts sum to the batch); by default the table's own
+        :attr:`ledger` pays for every key.  Match semantics, priority
+        resolution and each ledger's charges are exactly those of
+        searching its keys alone in scalar :meth:`search` calls; only
+        the interpreter round trips are removed.  A ledger is charged
+        once per slice of at most :attr:`_MAX_BATCH_CELLS` cells of its
+        own keys, and a ledger paying for no key is not charged; the
+        keys of several ledgers share one match pass while they fit in
+        one slice.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         table = self._ensure_words()
@@ -432,20 +462,26 @@ class TCAM:
             if top >> last_bits:
                 raise ValueError(
                     f"value {top} does not fit in {last_bits} bits")
-        if 0 < n_keys <= step:
-            best, energy = self._best(keys)
-        else:
-            slices = [self._best(keys[start:start + step])
-                      for start in range(0, n_keys, step)]
-            best = np.concatenate(
-                [table.order[:0]] + [part for part, _ in slices])
-            energy = sum((part for _, part in slices), 0.0)
+        if charges is None:
+            charges = ((self.ledger, n_keys),)
+        best = [table.order[:0]]
+        energy = 0.0
+        for start, pieces in _match_slices(charges, n_keys, step):
+            stop = pieces[-1][2]
+            mismatch, diff = self._match(keys[start:stop])
+            best.append(table.order[mismatch.argmin(axis=1)])
+            for ledger, lo, hi in pieces:
+                energy += self._charge(ledger, diff[lo - start:hi - start],
+                                       hi - lo)
         self._searches += n_keys
-        return BatchSearchResult(best_indices=best, energy_j=energy,
-                                 latency_s=self.search_latency_s)
+        return BatchSearchResult(
+            best_indices=best[1] if len(best) == 2
+            else np.concatenate(best),
+            energy_j=energy, latency_s=self.search_latency_s)
 
-    def _charge_slice(self, diff: np.ndarray, n_keys: int) -> float:
-        """Book ``n_keys`` searches; return their energy [J].
+    def _charge(self, ledger: EnergyLedger, diff: np.ndarray,
+                n_keys: int) -> float:
+        """Book ``n_keys`` searches to ``ledger``; return their energy [J].
 
         A transistor TCAM's search energy is data-independent: every
         key drives every stored cell.  The searches are booked as
@@ -456,6 +492,6 @@ class TCAM:
         one, in one burst, or split across shard pipelines.
         """
         quantum, movement, compute = self._words.quanta
-        self.ledger.charge_quanta(ACCOUNT_MOVEMENT, movement, n_keys)
-        self.ledger.charge_quanta(ACCOUNT_COMPUTE, compute, n_keys)
+        ledger.charge_quanta(ACCOUNT_MOVEMENT, movement, n_keys)
+        ledger.charge_quanta(ACCOUNT_COMPUTE, compute, n_keys)
         return quantum * n_keys

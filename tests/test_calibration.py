@@ -56,6 +56,17 @@ class TestFeatureScaler:
         with pytest.raises(ValueError):
             self.make(v_lo=4.0, v_hi=0.0)
 
+    @pytest.mark.parametrize("field", ["feature_lo", "feature_hi", "v_lo",
+                                       "v_hi"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_range_rejected(self, field, value):
+        # A NaN bound passes both ordered range checks, and to_voltage
+        # would then hand the pCAM kernel a NaN, which reads as a full
+        # match.
+        with pytest.raises(ValueError, match=field):
+            self.make(**{field: value})
+
 
 class TestScaleParams:
     def test_thresholds_translated(self):

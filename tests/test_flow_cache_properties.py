@@ -120,7 +120,8 @@ class ReferenceCache:
 
 
 def chunk_outcomes(batch, firewall, lookup, cache) -> list:
-    row_entry, entries = classify_chunk(batch, firewall, lookup, cache)
+    [(row_entry, entries)] = classify_chunk(
+        [(batch.flow_keys, cache, firewall.ledger)], firewall, lookup)
     return [entries[entry] for entry in row_entry.tolist()]
 
 

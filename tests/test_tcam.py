@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.energy.ledger import ACCOUNT_COMPUTE, ACCOUNT_MOVEMENT
+from repro.energy.ledger import (ACCOUNT_COMPUTE, ACCOUNT_MOVEMENT,
+                                 EnergyLedger)
 from repro.tcam.tcam import (TCAM, TernaryPattern, key_from_int,
                              key_matrix, pack_bits)
 
@@ -375,6 +376,43 @@ class TestPackedWords:
             packed.search_words(pack_bits(keys)).best_indices,
             boolean.search_batch(keys).best_indices)
         assert_same_ledger(packed.ledger, boolean.ledger)
+
+    @pytest.mark.parametrize("kind", ["transistor", "memristor"])
+    @pytest.mark.parametrize("cells", [None, 104 * 5 * 4])
+    def test_charges_split_like_separate_searches(self, monkeypatch, kind,
+                                                  cells):
+        # One search over three payers' keys charges each payer exactly
+        # what searching its own keys alone does: accounts, joules and
+        # events, also when the keys are cut into slices.  A payer with
+        # no keys is not charged.
+        from repro.tcam.mtcam import MemristorTCAM
+
+        make = {"transistor": TCAM, "memristor": MemristorTCAM}[kind]
+        if cells is not None:
+            monkeypatch.setattr(TCAM, "_MAX_BATCH_CELLS", cells)
+        rng = np.random.default_rng(11)
+        shared, alone = make(104), make(104)
+        patterns = random_ternary_table(rng, shared, alone, n_entries=5)
+        keys = pack_bits(keys_hitting(patterns, rng, 104, n_keys=23))
+        counts = [9, 0, 14]
+        payers = [EnergyLedger() for _ in counts]
+        result = shared.search_words(keys, list(zip(payers, counts)))
+        start = 0
+        for payer, count in zip(payers, counts):
+            own = EnergyLedger()
+            expected = alone.search_words(keys[start:start + count],
+                                          [(own, count)])
+            np.testing.assert_array_equal(
+                result.best_indices[start:start + count],
+                expected.best_indices)
+            assert_same_ledger(payer, own)
+            assert payer.events == own.events
+            start += count
+        assert payers[1].events == 0
+        assert shared.ledger.events == 0
+        for bad in ([(payers[0], 22)], [(payers[0], 24), (payers[1], -1)]):
+            with pytest.raises(ValueError, match="charges"):
+                shared.search_words(keys, bad)
 
     def test_search_words_validates_shape_and_width(self):
         tcam = TCAM(104)

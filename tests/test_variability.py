@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.crossbar.losses import LineLossModel
+from repro.crossbar.sensing import SenseAmplifier
+from repro.device.memristor import MemristorParams
 from repro.device.variability import VariabilityModel
 
 
@@ -62,6 +65,28 @@ def test_negative_parameters_rejected(field):
 def test_non_finite_parameters_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         VariabilityModel(**{field: value})
+
+
+#: Every float field of the substrate models, by model.
+SUBSTRATE_FIELDS = [
+    (LineLossModel, field) for field in (
+        "wire_resistance_per_cell_ohm", "sneak_conductance_s",
+        "crosstalk_fraction")] + [
+    (SenseAmplifier, field) for field in (
+        "gain_error", "offset_a", "noise_a_rms", "energy_per_sense_j")] + [
+    (MemristorParams, field) for field in (
+        "r_on", "r_off", "v_reference", "forward_gamma", "rectification",
+        "v_threshold", "k_program", "v_characteristic",
+        "window_exponent")]
+
+
+@pytest.mark.parametrize("model, field", SUBSTRATE_FIELDS,
+                         ids=[f"{model.__name__}.{field}"
+                              for model, field in SUBSTRATE_FIELDS])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_substrate_models_reject_non_finite_fields(model, field, value):
+    with pytest.raises(ValueError, match=field):
+        model(**{field: value})
 
 
 def test_drift_target_validated():
