@@ -25,7 +25,6 @@ untouched.
 
 from __future__ import annotations
 
-
 from repro.netfunc.firewall import Firewall
 from repro.netfunc.lookup import IPLookup
 
