@@ -15,8 +15,9 @@ import json
 from pathlib import Path
 
 from repro.acam import (
-    ACAMDecisionTree,
+    ACAMClassifier,
     build_energy_table,
+    classifier_spec_from_tree,
     energy_table_json,
     format_energy_table,
     reference_classifier,
@@ -28,7 +29,7 @@ OUT = Path(__file__).parent.parent / "benchmarks" \
 
 def main() -> None:
     tree, names, ranges = reference_classifier()
-    compiled = ACAMDecisionTree(tree, names)
+    compiled = ACAMClassifier(classifier_spec_from_tree(tree, names))
     print("=== One-shot decision-tree inference on the analog CAM ===")
     print(f"  reference classifier: {tree.n_features} features, "
           f"{tree.n_leaves()} leaves -> {compiled.n_rows} aCAM rows")

@@ -16,7 +16,7 @@ Run:  python examples/accelerated_inference.py
 
 import numpy as np
 
-from repro.acam import ACAMDecisionTree
+from repro.acam import ACAMClassifier, classifier_spec_from_tree
 from repro.energy.ledger import EnergyLedger
 from repro.netfunc.decision_tree import CARTTree
 from repro.netfunc.pattern_match import PatternMatcher
@@ -36,8 +36,9 @@ def decision_tree_demo() -> None:
 
     tree = CARTTree(max_depth=4).fit(features, labels)
     ledger = EnergyLedger()
-    analog = ACAMDecisionTree(tree, ("size_kb", "rate_kpps"),
-                              ledger=ledger)
+    analog = ACAMClassifier(
+        classifier_spec_from_tree(tree, ("size_kb", "rate_kpps")),
+        ledger=ledger)
     print(f"  tree: {tree.n_leaves()} leaves -> "
           f"{analog.n_rows} aCAM rows (one analog search per batch)")
 

@@ -17,14 +17,15 @@ machinery and maps :mod:`repro.netfunc.decision_tree` onto it:
   :class:`~repro.core.pcam_array.PCAMArray`, whose rows are the
   bank's one fault surface for :mod:`repro.robustness`;
 * :mod:`repro.acam.compiler`— root-to-leaf paths flattened to rows,
-  so tree inference is one ``search_batch`` per chunk; the one place
-  ``(label, intervals)`` rows become a bank;
+  and the one classifier the switch installs and tree prediction
+  uses: one ``search_batch`` per chunk;
 * :mod:`repro.acam.energy`  — the published-figure energy model;
 * :mod:`repro.acam.comparison` — the Table-1-style comparison vs the
   digital tree walk and a range-expanded TCAM.
 """
 
 from repro.acam.array import (
+    ACAM_SEARCH_ACCOUNT,
     ACAMArray,
     ACAMBatchResult,
     ACAMSearchResult,
@@ -38,27 +39,30 @@ from repro.acam.comparison import (
     reference_classifier,
 )
 from repro.acam.compiler import (
-    ACAMDecisionTree,
+    ACAMClassifier,
+    ClassifierSpec,
     TreePath,
+    classifier_spec_from_tree,
     compile_rows,
-    compile_tree,
     tree_paths,
 )
 from repro.acam.energy import ACAMEnergyModel, published_acam_energy
 
 __all__ = [
+    "ACAM_SEARCH_ACCOUNT",
     "ACAMArray",
     "ACAMBatchResult",
-    "ACAMDecisionTree",
+    "ACAMClassifier",
     "ACAMEnergyModel",
     "ACAMInterval",
     "ACAMSearchResult",
+    "ClassifierSpec",
     "EnergyTableRow",
     "TreePath",
     "UNBOUNDED",
     "build_energy_table",
+    "classifier_spec_from_tree",
     "compile_rows",
-    "compile_tree",
     "energy_table_json",
     "format_energy_table",
     "published_acam_energy",

@@ -29,7 +29,11 @@ from repro.acam.energy import ACAMEnergyModel, published_acam_energy
 from repro.core.pcam_array import PCAMArray
 from repro.energy.ledger import EnergyLedger
 
-__all__ = ["ACAMArray", "ACAMBatchResult", "ACAMSearchResult"]
+__all__ = ["ACAM_SEARCH_ACCOUNT", "ACAMArray", "ACAMBatchResult",
+           "ACAMSearchResult"]
+
+#: Ledger account every bank search is charged to.
+ACAM_SEARCH_ACCOUNT = "acam.search"
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,9 @@ class ACAMArray:
         deterministic match.
     energy_model:
         Per-search energy model; defaults to the published figures.
-    ledger / account:
+    ledger:
         When a ledger is given, every search charges its energy to
-        ``account`` — wiring the bank into a switch's
+        :data:`ACAM_SEARCH_ACCOUNT` — wiring the bank into a switch's
         :class:`~repro.energy.ledger.EnergyLedger` makes the joules
         show up in the pipeline's breakdown and the observability
         collectors with no further plumbing.
@@ -96,8 +100,7 @@ class ACAMArray:
     def __init__(self, fields: Sequence[str], *,
                  match_threshold: float = 0.99,
                  energy_model: ACAMEnergyModel | None = None,
-                 ledger: EnergyLedger | None = None,
-                 account: str = "acam.search") -> None:
+                 ledger: EnergyLedger | None = None) -> None:
         if not fields:
             raise ValueError("array needs at least one field")
         if len(set(fields)) != len(tuple(fields)):
@@ -105,7 +108,6 @@ class ACAMArray:
         self.fields = tuple(fields)
         self.energy_model = energy_model or published_acam_energy()
         self.ledger = ledger
-        self.account = account
         self._pcam = PCAMArray(
             self.fields, match_threshold=match_threshold,
             energy_per_cell_j=self.energy_model.cell_search_j,
@@ -192,7 +194,7 @@ class ACAMArray:
         energy = self.energy_model.search_energy_j(
             self.n_rows, len(self.fields), n_queries)
         if self.ledger is not None:
-            self.ledger.charge(self.account, energy)
+            self.ledger.charge(ACAM_SEARCH_ACCOUNT, energy)
         self._searches += n_queries
         return ACAMBatchResult(
             probabilities=probabilities,

@@ -1,11 +1,6 @@
 """The memristor-based cognitive packet-processing architecture (Figure 5)."""
 
-from repro.dataplane.classify import (
-    ACAMClassifier,
-    ClassificationStage,
-    ClassifierSpec,
-    classifier_spec_from_tree,
-)
+from repro.dataplane.classify import ClassificationStage
 from repro.packet import FIVE_TUPLE_FIELDS, Packet
 from repro.dataplane.parser import (
     HeaderParser,
@@ -31,10 +26,8 @@ from repro.dataplane.telemetry import (
 from repro.dataplane.traffic_manager import CognitiveTrafficManager
 
 __all__ = [
-    "ACAMClassifier",
     "AnalogPacketProcessor",
     "ClassificationStage",
-    "ClassifierSpec",
     "DROP_EVENTS",
     "DigitalMatsStage",
     "EgressStage",
@@ -56,6 +49,5 @@ __all__ = [
     "build_ethernet_frame",
     "build_ipv4_packet",
     "build_switch",
-    "classifier_spec_from_tree",
     "drop_event",
 ]

@@ -71,7 +71,7 @@ def walk_chunks(walks: list[Generator], firewall, lookup,
                 tracer=None) -> None:
     """Run chunk walks to their end with one digital classification.
 
-    Each walk (:meth:`AnalogPacketProcessor.open_chunk`) runs into its
+    Each walk (:meth:`AnalogPacketProcessor.walk`) runs into its
     digital-MAT stage and yields its part; one
     :func:`~repro.dataplane.fastpath.classify_chunk` call over every
     part searches the shared ``firewall`` and ``lookup`` (its spans on
@@ -176,7 +176,7 @@ class AnalogPacketProcessor:
         self.processed = 0
         self.verdict_counts: dict[Verdict, int] = {
             verdict: 0 for verdict in Verdict}
-        #: The installed :class:`~repro.dataplane.classify.ACAMClassifier`
+        #: The installed :class:`~repro.acam.compiler.ACAMClassifier`
         #: (``build_switch`` sets it); None skips classification.
         self.classifier = None
         #: Called as ``supervise(now)`` once per match-action chunk,
@@ -285,7 +285,6 @@ class AnalogPacketProcessor:
         """
         self._set_time(now)
         results = BatchResults.empty(len(frames), [None] * len(frames))
-        emit = self._emitter(results)
         self.stage_runs["parser"] = self.stage_runs.get("parser", 0) + 1
         before = self.ledger.total
         with maybe_span(self.tracer, "dataplane.parse",
@@ -299,11 +298,12 @@ class AnalogPacketProcessor:
             verdict = Verdict.DROPPED_PARSE
             self.telemetry.record_event(DROP_EVENTS[verdict],
                                         len(parsed) - len(index))
-            emit(np.flatnonzero(~parsed_ok), verdict)
+            self._emitter(results)(np.flatnonzero(~parsed_ok), verdict)
         packets = [parsed[row] for row in index.tolist()]
         for row, packet in zip(index.tolist(), packets):
             results.packets[row] = packet
-        self._run_chunks(PacketBatch(packets), index, now, chunk_size, emit)
+        self._run_chunks(PacketBatch(packets), index, now, chunk_size,
+                         results)
         return results
 
     def process(self, packet: Packet, now: float = 0.0) -> ProcessResult:
@@ -339,11 +339,11 @@ class AnalogPacketProcessor:
         batch = PacketBatch.of(packets)
         results = BatchResults.empty(len(batch), batch.packets)
         self._run_chunks(batch, np.arange(len(batch)), now, chunk_size,
-                         self._emitter(results), entry_name)
+                         results, entry_name)
         return results
 
     def _run_chunks(self, batch: PacketBatch, index: np.ndarray,
-                    now: float, chunk_size: int, emit,
+                    now: float, chunk_size: int, results: BatchResults,
                     entry_name: str = "dataplane.process_batch") -> None:
         """Walk a batch through the match-action stages chunk by chunk:
         each chunk is a one-walk :func:`walk_chunks` call."""
@@ -352,39 +352,30 @@ class AnalogPacketProcessor:
                 f"chunk size must be >= 1: {chunk_size!r}")
         for start in range(0, len(batch), chunk_size):
             stop = start + chunk_size
-            walk_chunks([self._walk(batch.slice(start, stop),
-                                    index[start:stop], now, emit,
-                                    entry_name)],
+            walk_chunks([self.walk(batch.slice(start, stop),
+                                   index[start:stop], now, results,
+                                   entry_name)],
                         self.firewall, self.lookup, self.tracer)
 
-    def open_chunk(self, batch: PacketBatch, now: float
-                   ) -> tuple[BatchResults, Generator]:
-        """One chunk's results and its walk, not yet started.
+    def walk(self, batch: PacketBatch, index: np.ndarray, now: float,
+             results: BatchResults,
+             entry_name: str = "dataplane.process_batch") -> Generator:
+        """Digital MATs -> (aCAM classification) -> egress for one chunk,
+        booking row ``i``'s verdict at ``results[index[i]]``.
 
-        The walk fills the results once :func:`walk_chunks` runs it; a
-        fabric runs its shards' walks of a slice in one call, so their
-        digital MATs classify the slice together.
+        The walk is a generator, run by :func:`walk_chunks`.  It runs
+        into the digital-MAT stage, yields the chunk's
+        :func:`~repro.dataplane.fastpath.classify_chunk` part ``(flow
+        keys, flow cache, the stage's ledger)`` with the stage open, and
+        is sent the part's outcome, so the searches are charged inside
+        the stage.  The chunk runs under the ``entry_name`` span, and
+        ``supervise(now)`` follows its stages, also when one of them
+        raises or the walk is closed unfinished.  A stage runs only
+        while rows survive: a chunk the digital tables drop entirely
+        skips the rest.
         """
         self._set_time(now)
-        results = BatchResults.empty(len(batch), batch.packets)
-        return results, self._walk(batch, np.arange(len(batch)), now,
-                                   self._emitter(results),
-                                   "dataplane.process_batch")
-
-    def _walk(self, batch: PacketBatch, index: np.ndarray, now: float,
-              emit, entry_name: str) -> Generator:
-        """Digital MATs -> (aCAM classification) -> egress for one chunk.
-
-        The walk is a generator.  It runs into the digital-MAT stage,
-        yields the chunk's :func:`~repro.dataplane.fastpath.classify_chunk`
-        part ``(flow keys, flow cache, the stage's ledger)`` with the
-        stage open, and is sent the part's outcome, so the searches are
-        charged inside the stage.  The chunk runs under the ``entry_name``
-        span, and ``supervise(now)`` follows its stages, also when one
-        of them raises or the walk is closed unfinished.  A stage runs
-        only while rows survive: a chunk the digital tables drop
-        entirely skips the rest.
-        """
+        emit = self._emitter(results)
         self.chunks += 1
         with maybe_span(self.tracer, entry_name, chunk=len(batch)):
             try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.dataplane.classify import ACAMClassifier, ClassifierSpec
+from repro.acam.compiler import ACAMClassifier, ClassifierSpec
 from repro.netfunc.firewall import FirewallRule
 
 __all__ = ["SwitchSpec", "build_switch"]
@@ -44,7 +44,7 @@ class SwitchSpec:
         Wrap each port's AQM in the shadow-monitored
         :class:`~repro.robustness.degradation.DegradingAQM`.
     classifier:
-        Optional :class:`~repro.dataplane.classify.ClassifierSpec`.
+        Optional :class:`~repro.acam.compiler.ClassifierSpec`.
         When set, the processor runs its aCAM
         :class:`~repro.dataplane.classify.ClassificationStage` between
         the digital match-action tables and egress, classifying every

@@ -16,7 +16,7 @@ each shard's ledger paying for its own keys.
 walk of the same trace because every divergence channel is closed:
 
 * chunking happens at the *serial* chunk boundaries first, and each
-  scattered sub-chunk runs as a single admission chunk — so per-chunk
+  shard's sub-chunk runs as a single admission chunk — so per-chunk
   dedup sets and cache probe sequences partition cleanly (steering is
   flow-consistent: all packets of a flow share a shard, so the shards'
   cache misses are disjoint);
@@ -24,8 +24,9 @@ walk of the same trace because every divergence channel is closed:
   exactly (:class:`~repro.energy.ledger.ExactJoules`), and a shared
   search charges each shard exactly what searching its keys alone
   would, so summed shard ledgers equal the serial ledger bit-for-bit;
-* telemetry is pure counters that sum, and results scatter back to
-  their original positions.
+* telemetry is pure counters that sum, and each shard books its rows'
+  verdicts and ports straight into the fabric's results at their
+  original positions.
 
 The guarantee holds in the no-eviction flow-cache regime (caches
 large enough that LRU never evicts); under eviction pressure a
@@ -60,7 +61,7 @@ from repro.dataplane.traffic_manager import offer, serve_offer
 from repro.energy.ledger import EnergyLedger
 from repro.fabric.controller import FabricController
 from repro.fabric.rss import ToeplitzRSS
-from repro.fabric.shards import TABLE_OPS, Shard
+from repro.fabric.shards import TABLE_OPS, Shard, apply_op
 
 __all__ = ["SwitchFabric"]
 
@@ -134,7 +135,7 @@ class SwitchFabric:
         #: The firewall and IP lookup every shard classifies against.
         self.firewall = owner.firewall
         self.lookup = owner.lookup
-        self.n_ports = self.shards[0].n_ports
+        self.n_ports = owner.traffic_manager.n_ports
         self.controller = FabricController(self)
         self._lock = threading.Lock()
         self._generation = 0
@@ -173,17 +174,22 @@ class SwitchFabric:
         :class:`~repro.dataplane.fastpath.PacketBatch` or a ``Packet``
         sequence; either way its columns are built once, steered, and
         each shard gets its row slice.  The batch is cut at the
-        *serial* chunk boundaries first; each chunk is then scattered
-        across the shards and gathered back before the next chunk
-        starts, exactly mirroring the serial admission loop.  Verdict
-        codes index :data:`~repro.dataplane.results.VERDICTS`; ports
-        are ``int16`` with ``-1`` for no egress.
+        *serial* chunk boundaries first; each chunk then runs on its
+        shards, which book their rows straight into the results, before
+        the next chunk starts, exactly mirroring the serial admission
+        loop.  Verdict codes index
+        :data:`~repro.dataplane.results.VERDICTS`; ports are ``int16``
+        with ``-1`` for no egress.  A ``chunk_size`` below 1 raises
+        :class:`ValueError` and a non-integer one :class:`TypeError`,
+        as on the switch.
         """
+        if chunk_size < 1:
+            raise ValueError(
+                f"chunk size must be >= 1: {chunk_size!r}")
         batch = PacketBatch.of(packets)
         results = BatchResults.empty(len(batch), batch.packets)
-        step = max(int(chunk_size), 1)
-        for start in range(0, len(batch), step):
-            chunk = batch.slice(start, start + step)
+        for start in range(0, len(batch), chunk_size):
+            chunk = batch.slice(start, start + chunk_size)
             self._dispatch(chunk, *self._steer(chunk), now, results,
                            start)
         return results
@@ -192,23 +198,18 @@ class SwitchFabric:
                   counts: list[int], now: float, results: BatchResults,
                   base: int) -> None:
         """Run each shard's rows of one chunk, their digital MATs
-        classified in one pass over the shared tables; scatter the
-        results."""
+        classified in one pass over the shared tables; each shard
+        emits into ``results`` at the rows' absolute positions."""
         with self._lock:
-            opened, walks = [], []
+            walks = []
             for shard, count in enumerate(counts):
                 if count:
                     rows = np.flatnonzero(shard_ids == shard)
-                    shard_results, walk = self.shards[shard].open(
+                    walks.append(self.shards[shard].processor.walk(
                         chunk if count == len(chunk) else chunk.take(rows),
-                        now)
-                    opened.append((rows, shard_results))
-                    walks.append(walk)
+                        base + rows, now, results))
             walk_chunks(walks, self.firewall, self.lookup,
                         self.shards[0].processor.tracer)
-            for rows, shard_results in opened:
-                results.codes[base + rows] = shard_results.codes
-                results.ports[base + rows] = shard_results.ports
 
     # ------------------------------------------------------------------
     # Transactions (driven by the controller)
@@ -223,8 +224,9 @@ class SwitchFabric:
         with self._lock:
             for index, shard in enumerate(self.shards):
                 for op in ops:
-                    shard.apply(op if not index or op[0] not in TABLE_OPS
-                                else ("invalidate_flow_cache", ()))
+                    apply_op(shard.processor,
+                             op if not index or op[0] not in TABLE_OPS
+                             else ("invalidate_flow_cache", ()))
             self._generation += 1
             return self._generation
 
@@ -365,7 +367,8 @@ class SwitchFabric:
         cursor = self._dequeue_cursor[port]
         for step in range(self.n_shards):
             shard = (cursor + step) % self.n_shards
-            packet = self.shards[shard].dequeue(port, now)
+            packet = self.shards[shard].processor.traffic_manager \
+                .dequeue(port, now)
             if packet is not None:
                 self._dequeue_cursor[port] = (shard + 1) % self.n_shards
                 return packet

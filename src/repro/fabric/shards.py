@@ -3,20 +3,21 @@
 A *shard* is a ``build_switch`` product whose digital tables are the
 fabric's: it classifies against the one firewall and IP lookup every
 shard shares, and keeps its own flow cache, traffic manager (queues
-and AQMs), energy ledger and telemetry domain.  The fabric makes a
-few calls on it:
+and AQMs), energy ledger and telemetry domain.  :class:`Shard` only
+names it (``fabric.shards[i].processor``); the fabric calls the
+processor itself:
 
-* ``open`` — one sub-chunk of a
+* ``walk`` — one sub-chunk of a
   :class:`~repro.dataplane.fastpath.PacketBatch` as a single admission
-  chunk: its results and its chunk walk, which the fabric runs with
-  the other shards' walks of the same chunk so that their digital MATs
-  search the shared tables once (the fabric chunks at serial
-  boundaries *before* scattering, which is what keeps dedup sets,
+  chunk, its rows at their absolute positions in the fabric's results,
+  run with the other shards' walks of the same chunk so that their
+  digital MATs search the shared tables once (the fabric chunks at
+  serial boundaries *before* steering, which is what keeps dedup sets,
   cache sequences and energy multisets identical to the serial walk);
-* ``apply`` — one committed programming op;
-* ``dequeue`` — the per-packet egress reference, used while a port's
-  AQM may drop at the head; otherwise the fabric drains every port
-  from the shards' traffic managers in one pass per slice.
+* :func:`apply_op` — one committed programming op;
+* ``traffic_manager.dequeue`` — the per-packet egress reference, used
+  while a port's AQM may drop at the head; otherwise the fabric drains
+  every port from the shards' traffic managers in one pass per slice.
 
 A commit checks every op with :func:`check_op` before any shard
 applies one, so an op that would fail is refused with every shard
@@ -25,10 +26,12 @@ untouched.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.netfunc.firewall import Firewall
 from repro.netfunc.lookup import IPLookup
 
-__all__ = ["FABRIC_OPS", "Shard", "TABLE_OPS", "check_op"]
+__all__ = ["FABRIC_OPS", "Shard", "TABLE_OPS", "apply_op", "check_op"]
 
 #: Programming operations the fabric controller may stage, each a
 #: ``(name, args)`` pair.  A table op (:data:`TABLE_OPS`) is applied
@@ -78,7 +81,7 @@ def check_op(op: tuple[str, tuple], shards: list["Shard"]) -> None:
     """
     name, args = op
     if name == "add_route":
-        _check_route(shards[0].n_ports, *args)
+        _check_route(shards[0].processor.traffic_manager.n_ports, *args)
     elif name == "add_firewall_rule":
         Firewall().add_rule(*args)
     elif name == "retarget":
@@ -86,7 +89,7 @@ def check_op(op: tuple[str, tuple], shards: list["Shard"]) -> None:
     if name in ("retarget", "reprogram_intended"):
         for index, shard in enumerate(shards):
             manager = shard.processor.traffic_manager
-            for port in range(shard.n_ports):
+            for port in range(manager.n_ports):
                 analog = _analog(manager.aqm(port))
                 if not callable(getattr(analog, name, None)):
                     raise TypeError(
@@ -97,35 +100,27 @@ def check_op(op: tuple[str, tuple], shards: list["Shard"]) -> None:
                          f"known: {sorted(FABRIC_OPS)}")
 
 
+def apply_op(processor, op: tuple[str, tuple]) -> None:
+    """Apply one committed programming op to a shard's processor."""
+    name, args = op
+    manager = processor.traffic_manager
+    if name == "add_route":
+        processor.add_route(*args)
+    elif name == "add_firewall_rule":
+        processor.add_firewall_rule(*args)
+    elif name == "invalidate_flow_cache":
+        processor.invalidate_flow_cache()
+    elif name == "retarget":
+        for port in range(manager.n_ports):
+            _analog(manager.aqm(port)).retarget(*args)
+    elif name == "reprogram_intended":
+        for port in range(manager.n_ports):
+            _analog(manager.aqm(port)).reprogram_intended(*args)
+
+
+@dataclass(frozen=True)
 class Shard:
-    """One switch behind the fabric, on the fabric's shared tables."""
+    """One switch behind the fabric, on the fabric's shared tables
+    (perfbench's layer view reads ``shard.processor``)."""
 
-    def __init__(self, processor) -> None:
-        self.processor = processor
-        self.n_ports = processor.traffic_manager.n_ports
-
-    def open(self, batch, now: float):
-        """One sub-chunk's results and its walk as a single admission
-        chunk (see :func:`~repro.dataplane.pipeline.walk_chunks`)."""
-        return self.processor.open_chunk(batch, now)
-
-    def apply(self, op: tuple[str, tuple]) -> None:
-        """Apply one committed programming op."""
-        name, args = op
-        processor = self.processor
-        manager = processor.traffic_manager
-        if name == "add_route":
-            processor.add_route(*args)
-        elif name == "add_firewall_rule":
-            processor.add_firewall_rule(*args)
-        elif name == "invalidate_flow_cache":
-            processor.invalidate_flow_cache()
-        elif name == "retarget":
-            for port in range(self.n_ports):
-                _analog(manager.aqm(port)).retarget(*args)
-        elif name == "reprogram_intended":
-            for port in range(self.n_ports):
-                _analog(manager.aqm(port)).reprogram_intended(*args)
-
-    def dequeue(self, port: int, now: float):
-        return self.processor.traffic_manager.dequeue(port, now)
+    processor: object

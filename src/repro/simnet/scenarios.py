@@ -527,7 +527,7 @@ def traffic_classes_spec(**overrides):
     ``i``), overriding the destination-based LPM decision, so the
     scenario gates can assert per-class steering end to end.
     """
-    from repro.dataplane.classify import classifier_spec_from_tree
+    from repro.acam.compiler import classifier_spec_from_tree
 
     classifier = classifier_spec_from_tree(
         traffic_classes_tree(),

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from repro.acam import (
+    ACAM_SEARCH_ACCOUNT,
     ACAMArray,
-    ACAMDecisionTree,
+    ACAMClassifier,
     ACAMEnergyModel,
     ACAMInterval,
     UNBOUNDED,
     build_energy_table,
-    compile_tree,
+    classifier_spec_from_tree,
     energy_table_json,
     format_energy_table,
     published_acam_energy,
@@ -46,6 +47,11 @@ def two_level_tree() -> CARTTree:
                        left=TreeNode(prediction=1),
                        right=TreeNode(prediction=2)))
     return CARTTree.from_root(root, n_features=2)
+
+
+def compiled(tree: CARTTree, names, **skirt) -> ACAMClassifier:
+    """A fitted tree compiled into the aCAM classifier."""
+    return ACAMClassifier(classifier_spec_from_tree(tree, names, **skirt))
 
 
 # ----------------------------------------------------------------------
@@ -210,10 +216,11 @@ class TestBank:
 
     def test_ledger_account_is_charged(self):
         ledger = EnergyLedger()
-        bank = ACAMArray(["x"], ledger=ledger, account="acam.search")
+        bank = ACAMArray(["x"], ledger=ledger)
         bank.add_row([ACAMInterval(lo=0.0, hi=1.0)])
         bank.search({"x": 0.5})
-        assert ledger.account("acam.search") == pytest.approx(
+        assert ACAM_SEARCH_ACCOUNT == "acam.search"
+        assert ledger.account(ACAM_SEARCH_ACCOUNT) == pytest.approx(
             bank.energy_model.per_classification_j(1, 1))
 
     def test_no_match_reports_minus_one(self):
@@ -319,17 +326,16 @@ class TestCompiler:
 
     def test_compile_tree_one_row_per_leaf(self):
         tree = two_level_tree()
-        bank, labels, paths = compile_tree(tree, ["x0", "x1"])
-        assert bank.n_rows == tree.n_leaves() == len(paths)
-        assert labels.tolist() == [0, 1, 2]
-        acam = ACAMDecisionTree(tree, ["x0", "x1"])
-        assert acam.n_rows == tree.n_leaves()
-        with pytest.raises(ValueError, match="name per feature"):
-            compile_tree(tree, ["only_one"])
+        acam = compiled(tree, ["x0", "x1"])
+        assert acam.n_rows == acam.array.n_rows == tree.n_leaves() \
+            == len(tree_paths(tree))
+        assert acam.labels.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match="one feature name"):
+            classifier_spec_from_tree(tree, ["only_one"])
 
     def test_one_shot_matches_traversal_on_a_grid(self):
         tree = two_level_tree()
-        acam = ACAMDecisionTree(tree, ["x0", "x1"])
+        acam = compiled(tree, ["x0", "x1"])
         grid = np.array([[x0, x1] for x0 in (-1.0, 0.5, 1.0, 1.5, 9.0)
                          for x1 in (-3.0, 1.0, 2.0, 2.5, 8.0)])
         np.testing.assert_array_equal(acam.predict_batch(grid),
@@ -340,7 +346,7 @@ class TestCompiler:
 
     def test_chunked_prediction_is_invariant(self):
         tree = two_level_tree()
-        acam = ACAMDecisionTree(tree, ["x0", "x1"], margin=1.0)
+        acam = compiled(tree, ["x0", "x1"], margin=1.0)
         rng = np.random.default_rng(8)
         batch = rng.uniform(-2, 10, size=(101, 2))
         whole = acam.predict_batch(batch)
@@ -352,7 +358,7 @@ class TestCompiler:
         assert acam.predict_leaves(np.zeros((0, 2))).tolist() == []
 
     def test_feature_arity_checked(self):
-        acam = ACAMDecisionTree(two_level_tree(), ["x0", "x1"])
+        acam = compiled(two_level_tree(), ["x0", "x1"])
         with pytest.raises(ValueError, match="columns"):
             acam.predict_batch(np.zeros((3, 5)))
 

@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 
 from repro.acam import (
-    ACAMDecisionTree,
+    ACAMClassifier,
     build_energy_table,
+    classifier_spec_from_tree,
     energy_table_json,
     format_energy_table,
     reference_classifier,
@@ -89,7 +90,7 @@ class TestFaultOracleGolden:
     @pytest.fixture()
     def bank(self):
         tree, names, _ = reference_classifier()
-        return ACAMDecisionTree(tree, names).array
+        return ACAMClassifier(classifier_spec_from_tree(tree, names)).array
 
     @pytest.fixture()
     def probes(self, bank):

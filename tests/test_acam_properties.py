@@ -19,7 +19,12 @@ deterministic 1.0 in float64 and can never outrank a true match.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.acam import ACAMArray, ACAMDecisionTree, ACAMInterval
+from repro.acam import (
+    ACAMArray,
+    ACAMClassifier,
+    ACAMInterval,
+    classifier_spec_from_tree,
+)
 from repro.netfunc.decision_tree import CARTTree, TreeNode
 
 MAX_DEPTH = 5
@@ -114,9 +119,9 @@ def test_one_shot_inference_equals_digital_traversal(data):
     tree = data.draw(fitted_trees())
     batch = data.draw(query_batches(tree))
     margin = data.draw(margins)
-    acam = ACAMDecisionTree(
+    acam = ACAMClassifier(classifier_spec_from_tree(
         tree, [f"f{j}" for j in range(tree.n_features)],
-        margin=margin, sharpness=data.draw(sharpnesses))
+        margin=margin, sharpness=data.draw(sharpnesses)))
     np.testing.assert_array_equal(acam.predict_leaves(batch),
                                   tree.predict_leaves(batch))
     np.testing.assert_array_equal(acam.predict_batch(batch),
@@ -128,9 +133,9 @@ def test_one_shot_inference_equals_digital_traversal(data):
 def test_prediction_is_chunk_size_invariant(data):
     tree = data.draw(fitted_trees())
     batch = data.draw(query_batches(tree))
-    acam = ACAMDecisionTree(
+    acam = ACAMClassifier(classifier_spec_from_tree(
         tree, [f"f{j}" for j in range(tree.n_features)],
-        margin=data.draw(margins))
+        margin=data.draw(margins)))
     whole = acam.predict_leaves(batch)
     chunk = data.draw(st.integers(1, len(batch) + 3))
     np.testing.assert_array_equal(

@@ -1,6 +1,6 @@
 """The aCAM classification stage: spec, wiring, steering, energy.
 
-Covers the dataplane side of the tentpole: the declarative
+Covers the switch side of the aCAM classifier: the declarative
 :class:`ClassifierSpec`, its compilation from a fitted tree, the
 ``SwitchSpec`` port validation, the stage running between the digital
 MATs and egress, per-class steering, scalar/batch parity, and the
@@ -9,18 +9,15 @@ ledger account the search joules land on.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.acam import ACAMDecisionTree
-from repro.dataplane import (
+from repro.acam import (
+    ACAM_SEARCH_ACCOUNT,
+    ACAMClassifier,
     ClassifierSpec,
-    SwitchSpec,
-    Verdict,
-    build_switch,
     classifier_spec_from_tree,
 )
-from repro.dataplane.classify import ACAM_SEARCH_ACCOUNT, ACAMClassifier
+from repro.dataplane import SwitchSpec, Verdict, build_switch
 from repro.netfunc.decision_tree import CARTTree, TreeNode
 from repro.observability import Observability
 from repro.packet import Packet
@@ -78,6 +75,15 @@ class TestClassifierSpec:
             ClassifierSpec(features=("f",),
                            rows=((0, ((None, None),)),),
                            class_to_port=((9, 0),))
+
+    def test_a_class_steers_to_one_port(self):
+        with pytest.raises(ValueError, match="class 0 is steered more"):
+            ClassifierSpec(features=("f",),
+                           rows=((0, ((None, 1.0),)),
+                                 (1, ((1.0, None),))),
+                           class_to_port=((0, 1), (0, 2)))
+        ports = ACAMClassifier(spec()).row_ports
+        assert ports.tolist() == [1, 2, 0]
 
     def test_steering_port_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="port must be >= 0"):
@@ -253,33 +259,3 @@ class TestEnergyAndTelemetry:
         assert booked == [[("1", 3), ("0", 1)]]
         assert [result.port for result in results] == [1, 1, 1, 2]
 
-
-class TestSharedCompiler:
-    """The classifier stage and the tree compiler build the same bank."""
-
-    @staticmethod
-    def fitted_tree() -> CARTTree:
-        rng = np.random.default_rng(7)
-        x = rng.uniform(0.0, 10.0, size=(400, 3))
-        y = (x[:, 0] > 5.0).astype(int) + 2 * (x[:, 2] > 3.0)
-        return CARTTree(max_depth=4, min_samples_leaf=3).fit(x, y)
-
-    @pytest.mark.parametrize("margin", [0.0, 0.3])
-    def test_labels_and_probabilities_match_the_tree_compiler(
-            self, margin):
-        tree = self.fitted_tree()
-        classifier = ACAMClassifier(
-            classifier_spec_from_tree(tree, FEATURES, margin=margin))
-        compiled = ACAMDecisionTree(tree, FEATURES, margin=margin)
-        rng = np.random.default_rng(11)
-        queries = np.vstack([rng.uniform(0.0, 10.0, size=(250, 3)),
-                             rng.uniform(-100.0, 100.0, size=(250, 3))])
-        ours = classifier.array.search_batch(queries)
-        theirs = compiled.array.search_batch(queries)
-        np.testing.assert_array_equal(classifier.labels,
-                                      compiled.labels)
-        np.testing.assert_array_equal(
-            classifier.labels[ours.best_rows],
-            compiled.predict_batch(queries))
-        np.testing.assert_array_equal(ours.probabilities,
-                                      theirs.probabilities)

@@ -38,6 +38,20 @@ def test_process_matches_process_batch():
         assert [r.port for r in batched] == [r.port for r in singles]
 
 
+@pytest.mark.parametrize("chunk_size, error", [
+    (0, ValueError), (-5, ValueError), (2.7, TypeError)])
+def test_bad_chunk_size_raises_like_the_switch(chunk_size, error):
+    packets = make_traffic(n=20)
+    with pytest.raises(error) as on_switch:
+        build_processor(4096, None).process_batch(
+            packets, chunk_size=chunk_size)
+    with small_fabric() as fabric:
+        with pytest.raises(error) as on_fabric:
+            fabric.process_batch(packets, chunk_size=chunk_size)
+        assert str(on_fabric.value) == str(on_switch.value)
+        assert fabric.processed == 0
+
+
 def test_results_carry_original_packets_in_order():
     with small_fabric(4) as fabric:
         packets = make_traffic(n=40)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.acam import ACAMDecisionTree
+from repro.acam import ACAMClassifier, classifier_spec_from_tree
 from repro.core.dsl import parse_table
 from repro.dataplane.pipeline import AnalogPacketProcessor, Verdict
 from repro.netfunc.decision_tree import CARTTree
@@ -19,7 +19,8 @@ class TestClassifierDrivenLoadBalancing:
         features = np.vstack([interactive, bulk])
         labels = np.array([0] * 100 + [1] * 100)
         tree = CARTTree(max_depth=3).fit(features, labels)
-        classifier = ACAMDecisionTree(tree, ("size", "rate"))
+        classifier = ACAMClassifier(
+            classifier_spec_from_tree(tree, ("size", "rate")))
 
         balancers = {
             0: PCAMLoadBalancer([Backend("fast-a"), Backend("fast-b")],
